@@ -1,13 +1,11 @@
 """Finite elements for diffusion with embedded one-dimensional crack networks."""
 
 from .mesh import (
-    DofProfile,
     Mesh,
     MeshError,
     RefinementConfig,
     RefinementError,
     build_rectangle_mesh,
-    dof_count_profile,
     export_mesh_text,
     export_vtk,
     mark_crack_elements,
@@ -23,8 +21,6 @@ from .cracks import (
     circle_curve,
     cut_chains,
     sample_curve,
-    segment_curve,
-    segment_triangle_intersection,
     signed_distance_to_crack,
 )
 from .assembly import (
@@ -44,8 +40,6 @@ from .analysis import (
     ExactRadialSolution,
     NormReport,
     SineProductSolution,
-    continuous_form_apply,
-    energy_by_expansion,
     eoc,
     error_norms,
     kirchhoff_residual,

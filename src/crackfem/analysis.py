@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cracks import SegmentedCrack
-from .assembly import Coefficients, _all_gradients
+from .assembly import Coefficients
 
 # degree-2 exact rule: edge midpoints, equal weights
 _TRI_MID_BARY = np.array(
@@ -138,9 +138,6 @@ class NormReport:
             f"{self.l2!r},{self.h1_semi!r},{self.l2_crack!r},{self.energy!r}"
         )
 
-    def with_level(self, level: int) -> "NormReport":
-        return replace(self, level=level)
-
 
 def _bulk_rule(quadrature: str):
     if quadrature == "standard":
@@ -200,11 +197,7 @@ def error_norms(
         d = crack.points[:, 1, :] - crack.points[:, 0, :]
         spts = a[:, None, :] + st[None, :, None] * d[:, None, :]
         own = crack.triangle_index
-        grads, _ = _all_gradients(mesh)
-        centroids = coords[own].mean(axis=1)
-        phi = 1.0 / 3.0 + np.einsum(
-            "sid,sqd->sqi", grads[own], spts - centroids[:, None, :]
-        )
+        phi = mesh.hat_values(own, spts)
         uh_s = np.einsum("sqi,si->sq", phi, solution.values[mesh.triangles[own]])
         uex_s = exact.value(spts.reshape(-1, 2)).reshape(uh_s.shape)
         l2c_sq = float(
@@ -274,131 +267,3 @@ def kirchhoff_residual(solution, crack: SegmentedCrack) -> np.ndarray:
         out[start_node] -= a * tang[segs[0]]
         out[end_node] += a * tang[segs[-1]]
     return np.abs(out)
-
-
-def _subdivided_rule(levels: int):
-    """Degree-5 rule replicated over a uniform 4^levels subdivision."""
-    tris = [np.eye(3)]
-    for _ in range(levels):
-        finer = []
-        for t in tris:
-            m01 = 0.5 * (t[0] + t[1])
-            m12 = 0.5 * (t[1] + t[2])
-            m20 = 0.5 * (t[2] + t[0])
-            finer.extend(
-                [
-                    np.array([t[0], m01, m20]),
-                    np.array([m01, t[1], m12]),
-                    np.array([m20, m12, t[2]]),
-                    np.array([m01, m12, m20]),
-                ]
-            )
-        tris = finer
-    scale = 0.25**levels
-    bary = np.vstack([_TRI7_BARY @ t for t in tris])
-    w = np.tile(_TRI7_W * scale, len(tris))
-    return bary, w
-
-
-def continuous_gradient_integrals(
-    mesh, exact, refine_triangles=None, levels: int = 4
-) -> np.ndarray:
-    """Per-triangle integral of the exact gradient, shape (m, 2).
-
-    Triangles listed in ``refine_triangles`` (typically the ones the
-    interface crosses, where the gradient has a kink) are integrated on a
-    uniformly subdivided degree-5 rule; the rest use the plain rule.
-    """
-    coords = mesh.vertices[mesh.triangles]
-    area = mesh.triangle_areas()
-    out = np.zeros((mesh.n_triangles, 2))
-
-    def accumulate(ids, bary, w):
-        pts = np.einsum("qi,mid->mqd", bary, coords[ids])
-        g = exact.gradient(pts.reshape(-1, 2)).reshape(pts.shape)
-        out[ids] = np.einsum("mqd,q,m->md", g, w, area[ids])
-
-    all_ids = np.arange(mesh.n_triangles)
-    if refine_triangles is None or len(refine_triangles) == 0:
-        accumulate(all_ids, _TRI7_BARY, _TRI7_W)
-        return out
-    refine_triangles = np.asarray(refine_triangles)
-    plain = np.setdiff1d(all_ids, refine_triangles)
-    accumulate(plain, _TRI7_BARY, _TRI7_W)
-    bary, w = _subdivided_rule(levels)
-    accumulate(refine_triangles, bary, w)
-    return out
-
-
-def continuous_tangential_integrals(crack: SegmentedCrack, exact) -> np.ndarray:
-    """Per-segment integral of the exact tangential derivative, shape (s,)."""
-    if crack.n_segments == 0:
-        return np.empty(0)
-    a = crack.points[:, 0, :]
-    d = crack.points[:, 1, :] - crack.points[:, 0, :]
-    spts = a[:, None, :] + _GAUSS4_T[None, :, None] * d[:, None, :]
-    g = exact.gradient(spts.reshape(-1, 2)).reshape(spts.shape)
-    t = crack.tangents()
-    gt = np.einsum("sd,sqd->sq", t, g)
-    return np.einsum("sq,q,s->s", gt, _GAUSS4_W, crack.length)
-
-
-def continuous_form_apply(
-    mesh, crack, coeffs, exact, vectors, refine_triangles=None, levels: int = 4
-) -> np.ndarray:
-    """A(u, v_h) for exact u and nodal test vectors, shape (k,).
-
-    The bulk term reduces to a_T grad(v_h) . integral(grad u) because P1
-    test gradients are constant per element; likewise on segments.
-    """
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    grads, _ = _all_gradients(mesh)
-    coords = mesh.vertices[mesh.triangles]
-    a_elem = coeffs.element_permeability(coords.mean(axis=1))
-    bulk_int = continuous_gradient_integrals(mesh, exact, refine_triangles, levels)
-    gv = np.einsum("kti,tid->ktd", vectors[:, mesh.triangles], grads)
-    total = np.einsum("ktd,td,t->k", gv, bulk_int, a_elem)
-    if crack is not None and crack.n_segments:
-        seg_int = continuous_tangential_integrals(crack, exact)
-        own = crack.triangle_index
-        t = crack.tangents()
-        gt_v = np.einsum("ksd,sd->ks", gv[:, own, :], t)
-        total += np.einsum("ks,s,s->k", gt_v, seg_int, crack.permeability())
-    return total
-
-
-def energy_by_expansion(solution, exact, crack, coeffs) -> float:
-    """Energy error via A(u,u) - 2 A(u,u_h) + A(u_h,u_h) on the standard rule.
-
-    Uses the same quadrature points as error_norms, with the discrete term
-    evaluated exactly through the assembled operator identity
-    A(u_h, u_h) = sum over elements and segments of constant integrands.
-    """
-    mesh = solution.mesh
-    if coeffs is None:
-        coeffs = Coefficients()
-    coords = mesh.vertices[mesh.triangles]
-    area = mesh.triangle_areas()
-    a_elem = coeffs.element_permeability(coords.mean(axis=1))
-    pts = np.einsum("qi,mid->mqd", _TRI_MID_BARY, coords)
-    gex = exact.gradient(pts.reshape(-1, 2)).reshape(pts.shape)
-    gh = solution.gradients()
-    g2 = np.einsum("mqd,mqd->mq", gex, gex)
-    cross = np.einsum("mqd,md->mq", gex, gh)
-    hh = np.einsum("md,md->m", gh, gh)
-    total = float(np.einsum("mq,q,m->", g2, _TRI_MID_W, area * a_elem))
-    total -= 2.0 * float(np.einsum("mq,q,m->", cross, _TRI_MID_W, area * a_elem))
-    total += float(hh @ (area * a_elem))
-    if crack is not None and crack.n_segments:
-        a = crack.points[:, 0, :]
-        d = crack.points[:, 1, :] - crack.points[:, 0, :]
-        spts = a[:, None, :] + _GAUSS2_T[None, :, None] * d[:, None, :]
-        gex_s = exact.gradient(spts.reshape(-1, 2)).reshape(spts.shape)
-        t = crack.tangents()
-        gt_ex = np.einsum("sd,sqd->sq", t, gex_s)
-        gt_h = np.einsum("sd,sd->s", t, gh[crack.triangle_index])
-        wl = crack.length * crack.permeability()
-        total += float(np.einsum("sq,q,s->", gt_ex**2, _GAUSS2_W, wl))
-        total -= 2.0 * float(np.einsum("sq,q,s->", gt_ex * gt_h[:, None], _GAUSS2_W, wl))
-        total += float((gt_h**2) @ wl)
-    return float(np.sqrt(max(total, 0.0)))

@@ -172,20 +172,6 @@ class LinearSystem:
         return self.matrix[free][:, free].tocsr(), self.rhs[free], free
 
 
-def _all_gradients(mesh: Mesh):
-    v = mesh.vertices[mesh.triangles]
-    d1 = v[:, 1] - v[:, 0]
-    d2 = v[:, 2] - v[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    grads = np.empty((mesh.n_triangles, 3, 2))
-    for i in range(3):
-        e = v[:, (i + 2) % 3] - v[:, (i + 1) % 3]
-        grads[:, i, 0] = -e[:, 1]
-        grads[:, i, 1] = e[:, 0]
-    grads /= (2.0 * area)[:, None, None]
-    return grads, area
-
-
 def _canonical_segment_order(crack: SegmentedCrack) -> np.ndarray:
     """Order segments by owner triangle, then midpoint: independent of chain
     numbering, so permuting chains yields a bitwise-identical matrix."""
@@ -199,10 +185,10 @@ def assemble_operator(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
     Chains with permeability exactly zero contribute nothing, not even
     explicit zeros, so the sparsity pattern matches the crack-free matrix.
     """
-    grads, area = _all_gradients(mesh)
+    grads = mesh.hat_gradients()
     v = mesh.vertices[mesh.triangles]
     a_elem = coeffs.element_permeability(v.mean(axis=1))
-    local = np.einsum("t,tid,tjd->tij", a_elem * area, grads, grads)
+    local = np.einsum("t,tid,tjd->tij", a_elem * mesh.triangle_areas(), grads, grads)
     rows = [np.repeat(mesh.triangles, 3, axis=1).ravel()]
     cols = [np.tile(mesh.triangles, (1, 3)).ravel()]
     data = [local.ravel()]
@@ -239,7 +225,7 @@ def assemble_load(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
     """Load vector: vertex rule for the bulk source, midpoint rule on segments."""
     n = mesh.n_vertices
     b = np.zeros(n)
-    _, area = _all_gradients(mesh)
+    area = mesh.triangle_areas()
     src = coeffs.source
     if callable(src):
         fv = np.asarray(src(mesh.vertices[:, 0], mesh.vertices[:, 1]), dtype=float)
@@ -253,12 +239,8 @@ def assemble_load(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
         np.add.at(b, mesh.triangles, (area / 3.0)[:, None] * fv)
 
     if crack.n_segments:
-        grads, _ = _all_gradients(mesh)
         mids = crack.midpoints()
         own = crack.triangle_index
-        centroids = mesh.vertices[mesh.triangles[own]].mean(axis=1)
-        # P1 hats at the midpoint: 1/3 plus gradient times offset from centroid
-        phi = 1.0 / 3.0 + np.einsum("sid,sd->si", grads[own], mids - centroids)
         fs = np.zeros(crack.n_segments)
         for j, src_j in enumerate(crack.chain_source):
             on = crack.chain_index == j
@@ -270,6 +252,7 @@ def assemble_load(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
                 fs[on] = float(src_j)
         weights = fs * crack.length
         if np.any(weights != 0.0):
+            phi = mesh.hat_values(own, mids)
             np.add.at(b, mesh.triangles[own], weights[:, None] * phi)
     return b
 

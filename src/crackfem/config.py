@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +167,13 @@ def _normalize_geometry(geo: dict, path: str) -> dict:
     raise ConfigError(f"{path}.kind: unknown geometry kind {kind!r}")
 
 
+def _check_refinement(refinement: dict) -> None:
+    try:
+        RefinementConfig(**refinement)
+    except ValueError as exc:
+        raise ConfigError(f"refinement: {exc}") from exc
+
+
 @dataclass
 class ProblemConfig:
     """Validated, canonical problem description (mirrors the JSON schema)."""
@@ -271,10 +278,7 @@ class ProblemConfig:
             "coefficient": _float(rf.get("coefficient", 1.0), "refinement.coefficient"),
             "max_generations": int(rf.get("max_generations", 64)),
         }
-        try:
-            RefinementConfig(**refinement)
-        except ValueError as exc:
-            raise ConfigError(f"refinement: {exc}") from exc
+        _check_refinement(refinement)
 
         so = dict(raw.get("solver", {}))
         _expect_keys(so, "solver", set(), {"method", "rel_tolerance", "max_iterations"})
@@ -330,10 +334,10 @@ class ProblemConfig:
         }
 
     def with_global_h(self, h: float) -> "ProblemConfig":
-        d = self.to_dict()
-        d["refinement"]["global_h"] = float(h)
-        d["study"] = None
-        return ProblemConfig.from_dict(d)
+        """Copy at another global_h, without study; other sections are shared."""
+        refinement = {**self.refinement, "global_h": float(h)}
+        _check_refinement(refinement)
+        return replace(self, refinement=refinement, study=None)
 
 
 def load_config(path) -> ProblemConfig:
@@ -490,8 +494,7 @@ def _export_solution_text(solution: SolutionField, path) -> None:
 
 
 def _study_level(payload):
-    raw, index, out_dir, solver_override = payload
-    config = ProblemConfig.from_dict(raw)
+    config, index, out_dir, solver_override = payload
     level_config = config.with_global_h(config.study["levels"][index])
     result = run_single(
         level_config, out_dir=out_dir, solver_override=solver_override, level=index
@@ -515,11 +518,10 @@ def run_convergence_study(
     if config.exact_solution is None:
         raise ConfigError("a study needs an exact_solution for its error norms")
     levels = config.study["levels"]
-    raw = config.to_dict()
     payloads = []
     for i in range(len(levels)):
         sub = None if out_dir is None else str(Path(out_dir) / f"level_{i:02d}")
-        payloads.append((raw, i, sub, solver_override))
+        payloads.append((config, i, sub, solver_override))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             reports = list(pool.map(_study_level, payloads))

@@ -124,30 +124,9 @@ class CrackGraph:
     def n_chains(self) -> int:
         return len(self.chains)
 
-    def node_chains(self, node: int) -> list[int]:
-        """Indices of chains incident to the node (closed loops count once)."""
-        return [j for j in range(self.n_chains) if node in self.chain_nodes[j]]
-
-    def node_degree(self, node: int) -> int:
-        return int((self.chain_nodes == node).sum())
-
     @classmethod
     def empty(cls) -> "CrackGraph":
         return cls([], nodes=np.empty((0, 2)))
-
-
-def segment_curve(p, q):
-    """Parametric straight segment from p to q."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-
-    def curve(t):
-        t = np.asarray(t, dtype=float)
-        return p + t[..., None] * (q - p)
-
-    curve.arc_length = float(np.hypot(*(q - p)))
-    curve.is_closed = False
-    return curve
 
 
 def arc_curve(center, radius, angle0, angle1):
@@ -210,28 +189,6 @@ def sample_curve(curve, spacing: float) -> np.ndarray:
     if closed:
         pts[-1] = pts[0]
     return pts
-
-
-def segment_triangle_intersection(p, q, triangle, tol: float | None = None):
-    """Portion of segment [p, q] inside a closed triangle, or None.
-
-    The result is at most one sub-segment, returned as a (2, 2) array whose
-    endpoints follow the lexicographically smaller input endpoint, so swapping
-    p and q returns the identical point set. Contacts within ``tol`` of the
-    boundary count as intersections and may come back degenerate (a point).
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    tri = np.asarray(triangle, dtype=float).reshape(3, 2)
-    if tol is None:
-        tol = REL_TOL * max(bbox_diameter(np.vstack([tri, p, q])), 1.0)
-    if tuple(q) < tuple(p):
-        p, q = q, p
-    lo, hi, touched = clip_segments_to_triangles(p, q, tri[None, :, :], tol)
-    if not touched[0]:
-        return None
-    d = q - p
-    return np.array([p + lo[0] * d, p + hi[0] * d])
 
 
 @dataclass
@@ -319,7 +276,7 @@ def cut_chains(mesh, crack: CrackGraph) -> SegmentedCrack:
     verts = mesh.vertices
     tris = mesh.triangles
     coords = verts[tris]
-    tol = REL_TOL * max(bbox_diameter(verts), 1.0)
+    tol = mesh.tolerance
     grid = SpatialGrid.for_triangles(verts, tris, mesh.h_max)
 
     tri_idx: list[np.ndarray] = []

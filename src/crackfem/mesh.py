@@ -74,6 +74,35 @@ class Mesh:
             self._areas.setflags(write=False)
         return self._areas
 
+    def hat_gradients(self, tri_ids=slice(None)) -> np.ndarray:
+        """Constant hat-function gradients of the selected triangles, (k, 3, 2).
+
+        Entry [t, i] is the gradient of the hat of vertex i: the opposite
+        edge rotated a quarter turn, divided by twice the area.
+        """
+        # areas first, so their cached computation's temporaries are freed
+        # before the (k, 3, 2) arrays exist; the other order raises peak RSS
+        area = self.triangle_areas()[tri_ids]
+        v = self.vertices[self.triangles[tri_ids]]
+        grads = np.empty(v.shape)
+        for i in range(3):
+            e = v[:, (i + 2) % 3] - v[:, (i + 1) % 3]
+            grads[:, i, 0] = -e[:, 1]
+            grads[:, i, 1] = e[:, 0]
+        grads /= (2.0 * area)[:, None, None]
+        return grads
+
+    def hat_values(self, tri_ids, points) -> np.ndarray:
+        """Hats of triangle tri_ids[k] at points[k, ...], shape (k, ..., 3).
+
+        P1 hats are affine: 1/3 at the centroid plus gradient times offset.
+        """
+        pts = np.asarray(points, dtype=float)
+        centroids = self.vertices[self.triangles[tri_ids]].mean(axis=1)
+        centroids = centroids.reshape((-1,) + (1,) * (pts.ndim - 2) + (2,))
+        grads = self.hat_gradients(tri_ids)
+        return 1.0 / 3.0 + np.einsum("kid,k...d->k...i", grads, pts - centroids)
+
     def triangle_diameters(self) -> np.ndarray:
         """Longest edge of each triangle."""
         if self._diameters is None:
@@ -100,8 +129,10 @@ class Mesh:
             angles[:, i] = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
         return float(angles.min())
 
-    def diameter(self) -> float:
-        return bbox_diameter(self.vertices)
+    @property
+    def tolerance(self) -> float:
+        """Absolute geometric tolerance of incidence tests on this mesh."""
+        return REL_TOL * max(bbox_diameter(self.vertices), 1.0)
 
     def edge_codes(self):
         """Unique undirected edges as codes a * n + b (a < b), plus the
@@ -304,7 +335,7 @@ def mark_crack_elements(mesh: Mesh, crack: CrackGraph, tol: float | None = None)
     if crack.n_chains == 0:
         return np.empty(0, dtype=np.int64)
     if tol is None:
-        tol = REL_TOL * max(mesh.diameter(), 1.0)
+        tol = mesh.tolerance
     coords = mesh.vertices[mesh.triangles]
     grid = SpatialGrid.for_triangles(mesh.vertices, mesh.triangles, mesh.h_max)
     hit = np.zeros(mesh.n_triangles, dtype=bool)
@@ -382,36 +413,17 @@ def refine_near_crack(mesh: Mesh, crack: CrackGraph, config: RefinementConfig) -
         if marked.size == 0:
             return current
         band = _vertex_neighborhood(current, marked)
-        need = band[current.triangle_diameters()[band] > target]
+        band_diameters = current.triangle_diameters()[band]
+        need = band[band_diameters > target]
         if need.size == 0:
             return current
         current = refine_marked(current, need)
     raise RefinementError(
         f"near-crack target {target:.3e} not reached within "
         f"{config.max_generations} generations (mesh has {current.n_triangles} "
-        f"triangles, worst band diameter "
-        f"{current.triangle_diameters()[_vertex_neighborhood(current, mark_crack_elements(current, crack))].max():.3e})"
+        f"triangles, worst band diameter before the last bisection "
+        f"{band_diameters.max():.3e})"
     )
-
-
-@dataclass
-class DofProfile:
-    """Vertex and triangle counts split into near-crack and total."""
-
-    n_vertices: int
-    n_triangles: int
-    n_near_crack_vertices: int
-    n_crack_triangles: int
-
-
-def dof_count_profile(mesh: Mesh, crack: CrackGraph) -> DofProfile:
-    """Counts backing the N ~ h^-2 + crack_h^-1 storage accounting."""
-    marked = mark_crack_elements(mesh, crack)
-    if marked.size == 0:
-        return DofProfile(mesh.n_vertices, mesh.n_triangles, 0, 0)
-    band = _vertex_neighborhood(mesh, marked)
-    near = np.unique(mesh.triangles[band].ravel())
-    return DofProfile(mesh.n_vertices, mesh.n_triangles, len(near), len(marked))
 
 
 def export_mesh_text(mesh: Mesh, path) -> None:

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from ._geom import REL_TOL, SpatialGrid, points_in_triangle
-from .assembly import LinearSystem, _all_gradients
+from ._geom import SpatialGrid, points_in_triangle
+from .assembly import LinearSystem
 from .mesh import Mesh
 
 
@@ -129,9 +129,8 @@ class SolutionField:
     def gradients(self) -> np.ndarray:
         """Constant gradient per triangle, shape (m, 2)."""
         if self._grads is None:
-            grads, _ = _all_gradients(self.mesh)
             u = self.values[self.mesh.triangles]
-            self._grads = np.einsum("ti,tid->td", u, grads)
+            self._grads = np.einsum("ti,tid->td", u, self.mesh.hat_gradients())
             self._grads.setflags(write=False)
         return self._grads
 
@@ -145,7 +144,7 @@ class SolutionField:
         """Containing triangle per point (lowest index wins), -1 if outside."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         mesh = self.mesh
-        tol = REL_TOL * max(mesh.diameter(), 1.0)
+        tol = mesh.tolerance
         if self._grid is None:
             self._grid = SpatialGrid.for_triangles(
                 mesh.vertices, mesh.triangles, mesh.h_max
@@ -169,11 +168,6 @@ class SolutionField:
         if (where < 0).any():
             bad = pts[where < 0][0]
             raise ValueError(f"point {bad.tolist()} lies outside the mesh")
-        grads, _ = _all_gradients(self.mesh)
-        tri = self.mesh.triangles[where]
-        centroids = self.mesh.vertices[tri].mean(axis=1)
-        phi = 1.0 / 3.0 + np.einsum(
-            "pid,pd->pi", grads[where], pts - centroids
-        )
-        vals = np.einsum("pi,pi->p", phi, self.values[tri])
+        phi = self.mesh.hat_values(where, pts)
+        vals = np.einsum("pi,pi->p", phi, self.values[self.mesh.triangles[where]])
         return float(vals[0]) if single else vals

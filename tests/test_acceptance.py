@@ -28,6 +28,7 @@ from crackfem import (
 )
 from crackfem.config import _build_coefficients
 from conftest import make_y_crack
+from oracles import node_degree
 
 
 def verdict(capsys, ok: bool, name: str, detail: str) -> None:
@@ -226,7 +227,7 @@ class TestAcceptance:
             junctions = [
                 n
                 for n in range(len(res.crack.nodes))
-                if res.crack.node_degree(n) >= 2
+                if node_degree(res.crack, n) >= 2
             ]
             per_level.append(residual[junctions])
         worst = [float(r.max()) for r in per_level]

@@ -16,18 +16,12 @@ from crackfem import (
     build_preset,
     build_rectangle_mesh,
     cut_chains,
-    energy_by_expansion,
     eoc,
     error_norms,
     kirchhoff_residual,
     refine_near_crack,
     run_single,
     solve,
-)
-from crackfem.analysis import (
-    continuous_form_apply,
-    continuous_gradient_integrals,
-    continuous_tangential_integrals,
 )
 from crackfem.config import (
     EXACT_SOLUTIONS,
@@ -37,6 +31,12 @@ from crackfem.config import (
     build_crack_graph,
 )
 from crackfem.mesh import RefinementConfig
+from oracles import (
+    continuous_form_apply,
+    continuous_gradient_integrals,
+    continuous_tangential_integrals,
+    energy_by_expansion,
+)
 
 
 class ConstantGradientField:

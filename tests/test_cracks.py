@@ -10,16 +10,20 @@ from crackfem import (
     build_rectangle_mesh,
     cut_chains,
 )
-from crackfem._geom import REL_TOL, points_in_triangle
+from crackfem._geom import REL_TOL, bbox_diameter, points_in_triangle
 from crackfem.cracks import (
     arc_curve,
     circle_curve,
     sample_curve,
-    segment_curve,
-    segment_triangle_intersection,
     signed_distance_to_crack,
 )
 from conftest import make_y_crack
+from oracles import (
+    node_chains,
+    node_degree,
+    segment_curve,
+    segment_triangle_intersection,
+)
 
 
 class TestChainValidation:
@@ -56,20 +60,20 @@ class TestCrackGraph:
     def test_derives_nodes_from_endpoints(self, y_crack):
         # three chains share the center, so 4 distinct nodes remain
         assert y_crack.nodes.shape == (4, 2)
-        degrees = sorted(y_crack.node_degree(i) for i in range(4))
+        degrees = sorted(node_degree(y_crack, i) for i in range(4))
         assert degrees == [1, 1, 1, 3]
 
     def test_node_chains_at_the_junction(self, y_crack):
-        center = int(np.argmax([y_crack.node_degree(i) for i in range(4)]))
-        assert y_crack.node_chains(center) == [0, 1, 2]
+        center = int(np.argmax([node_degree(y_crack, i) for i in range(4)]))
+        assert node_chains(y_crack, center) == [0, 1, 2]
         assert np.allclose(y_crack.nodes[center], [0.5, 0.5])
 
     def test_closed_loop_counts_twice_at_its_node(self):
         sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
         graph = CrackGraph([Chain(sq)])
         assert graph.nodes.shape == (1, 2)
-        assert graph.node_degree(0) == 2
-        assert graph.node_chains(0) == [0]
+        assert node_degree(graph, 0) == 2
+        assert node_chains(graph, 0) == [0]
 
     def test_explicit_nodes_must_cover_endpoints(self):
         chain = Chain(np.array([[0.0, 0.0], [1.0, 0.0]]))
@@ -217,7 +221,7 @@ class TestCutChains:
         arc = Chain(sample_curve(circle_curve([0.5, 0.5], 0.3), 0.04))
         cut = cut_chains(fine_square_mesh, CrackGraph([arc]))
         coords = fine_square_mesh.vertices[fine_square_mesh.triangles]
-        tol = REL_TOL * fine_square_mesh.diameter()
+        tol = REL_TOL * bbox_diameter(fine_square_mesh.vertices)
         mids = cut.midpoints()
         for s in range(cut.n_segments):
             assert points_in_triangle(

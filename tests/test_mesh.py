@@ -12,14 +12,16 @@ from crackfem import (
     RefinementError,
     build_preset,
     build_rectangle_mesh,
-    dof_count_profile,
+    element_gradients,
     mark_crack_elements,
     refine_marked,
     refine_near_crack,
 )
-from crackfem._geom import REL_TOL, points_in_triangle
+from crackfem._geom import REL_TOL, bbox_diameter, points_in_triangle
 from crackfem.config import _radial_levels, build_crack_graph
 from crackfem.mesh import _vertex_neighborhood, export_mesh_text, export_vtk
+from crackfem import mesh as mesh_module
+from oracles import dof_count_profile
 
 
 class TestBuildRectangleMesh:
@@ -134,7 +136,7 @@ class TestMarkCrackElements:
         crack = build_crack_graph(config, h)
         marked = set(mark_crack_elements(mesh, crack).tolist())
 
-        tol = REL_TOL * max(mesh.diameter(), 1.0)
+        tol = REL_TOL * max(bbox_diameter(mesh.vertices), 1.0)
         samples = [np.asarray(c.points) for c in crack.chains]
         dense = []
         for pts in samples:
@@ -238,6 +240,23 @@ class TestRefineNearCrack:
         with pytest.raises(RefinementError, match="generations"):
             refine_near_crack(mesh, y_crack, rc)
 
+    def test_budget_failure_marks_once_per_generation(self, y_crack, monkeypatch):
+        original = mesh_module.mark_crack_elements
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mesh_module, "mark_crack_elements", counting)
+        mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 0.5)
+        rc = RefinementConfig(
+            global_h=0.5, rule="fixed", crack_h=1e-3, max_generations=2
+        )
+        with pytest.raises(RefinementError, match="worst band diameter"):
+            refine_near_crack(mesh, y_crack, rc)
+        assert len(calls) == 2
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RefinementConfig(global_h=0.0)
@@ -247,6 +266,36 @@ class TestRefineNearCrack:
             RefinementConfig(global_h=0.5, rule="fixed")
         with pytest.raises(ValueError):
             RefinementConfig(global_h=0.5, rule="quadratic", coefficient=0.0)
+
+
+class TestP1Geometry:
+    def test_gradients_match_the_element_oracle(self, fine_square_mesh):
+        grads = fine_square_mesh.hat_gradients()
+        for t in (0, 5, 77):
+            coords = fine_square_mesh.vertices[fine_square_mesh.triangles[t]]
+            want, _ = element_gradients(coords)
+            assert np.allclose(grads[t], want, rtol=1e-14, atol=0.0)
+
+    def test_subset_is_bitwise_a_slice_of_the_full_array(self, fine_square_mesh):
+        ids = np.array([9, 2, 2, 40])
+        full = fine_square_mesh.hat_gradients()
+        assert np.array_equal(fine_square_mesh.hat_gradients(ids), full[ids])
+
+    def test_hat_values_are_barycentric_coordinates(self, fine_square_mesh, rng):
+        mesh = fine_square_mesh
+        ids = rng.integers(0, mesh.n_triangles, size=6)
+        corners = mesh.vertices[mesh.triangles[ids]]  # (6, 3, 2)
+        at_corners = mesh.hat_values(ids, corners)  # (6, 3, 3)
+        assert np.allclose(at_corners, np.eye(3), atol=1e-13)
+        bary = rng.dirichlet([1.0, 1.0, 1.0], size=6)
+        inside = np.einsum("ki,kid->kd", bary, corners)
+        assert np.allclose(mesh.hat_values(ids, inside), bary, atol=1e-13)
+
+    def test_tolerance_scales_with_the_domain_beyond_unit_size(self):
+        small = build_rectangle_mesh((0.0, 0.5, 0.0, 0.5), 0.25)
+        large = build_rectangle_mesh((0.0, 30.0, 0.0, 40.0), 10.0)
+        assert small.tolerance == REL_TOL
+        assert large.tolerance == REL_TOL * 50.0
 
 
 class TestDofProfile:
