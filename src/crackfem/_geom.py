@@ -87,18 +87,6 @@ def clip_segments_to_triangles(p, q, tris, tol):
     return lo, hi, touched
 
 
-def points_in_triangle(points, tri, tol):
-    """Closed-set membership of points in a single CCW triangle."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    inside = np.ones(len(pts), dtype=bool)
-    for i in range(3):
-        a = tri[i]
-        e = tri[(i + 1) % 3] - a
-        f = e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0])
-        inside &= f >= -tol * np.hypot(e[0], e[1])
-    return inside
-
-
 def point_segment_distances(points, a, b):
     """Distances from each point to each segment. Returns (n, m)."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)

@@ -59,7 +59,6 @@ class ExactRadialSolution:
         self._c2 = (4.0 - 4.0 * e) / 5.0
         self.interface_value = self._c1
         self.domain = (1.0, self.outer_radius, 1.0, self.outer_radius)
-        self.crack_center = (0.0, 0.0)
         self.crack_angles = (float(np.arcsin(1.0 / e)), float(np.arccos(1.0 / e)))
 
     def _radius(self, points):

@@ -12,13 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._geom import (
-    REL_TOL,
-    SpatialGrid,
-    bbox_diameter,
-    clip_segments_to_triangles,
-    point_segment_distances,
-)
+from ._geom import REL_TOL, bbox_diameter, point_segment_distances
+# not called here; bound because bench/tracing.py wraps this module attribute
+from ._geom import clip_segments_to_triangles  # noqa: F401
 
 
 class CrackGeometryError(ValueError):
@@ -265,92 +261,79 @@ def _dedupe_sorted(values: np.ndarray, tol: float) -> np.ndarray:
 def cut_chains(mesh, crack: CrackGraph) -> SegmentedCrack:
     """Slice every chain of the crack graph into per-triangle segments.
 
-    Each polyline part is clipped against the candidate triangles; the
-    resulting breakpoints partition the part, and every sub-segment is
-    assigned to the lowest-index triangle containing it (so parts running
-    along shared element edges get a unique owner). Raises
-    CrackGeometryError when a chain portion lies outside every triangle.
+    Each polyline part longer than the mesh tolerance is clipped against
+    the triangles it touches (``Mesh.incidence``); the resulting breakpoints
+    partition the part, and every sub-segment is assigned to the
+    lowest-index triangle containing it (so parts running along shared
+    element edges get a unique owner). Raises CrackGeometryError when a
+    chain has no part longer than the tolerance or a chain portion lies
+    outside every triangle.
     """
     if crack.n_chains == 0:
         return SegmentedCrack.empty()
-    verts = mesh.vertices
-    tris = mesh.triangles
-    coords = verts[tris]
     tol = mesh.tolerance
-    grid = SpatialGrid.for_triangles(verts, tris, mesh.h_max)
+    pts = [c.points for c in crack.chains]
+    starts = np.vstack([c[:-1] for c in pts])
+    ends = np.vstack([c[1:] for c in pts])
+    chain_of = np.concatenate([np.full(len(c) - 1, j) for j, c in enumerate(pts)])
+    part_of = np.concatenate([np.arange(len(c) - 1) for c in pts])
+    plen = np.linalg.norm(ends - starts, axis=1)
+    cut = np.nonzero(plen > tol)[0]
+    uncut = np.bincount(chain_of[cut], minlength=crack.n_chains) == 0
+    if uncut.any():
+        raise CrackGeometryError(
+            f"chain {int(np.argmax(uncut))} is no longer than the mesh "
+            f"tolerance {tol:.3e}"
+        )
 
     tri_idx: list[np.ndarray] = []
     seg_pts: list[np.ndarray] = []
     seg_len: list[np.ndarray] = []
     seg_chain: list[np.ndarray] = []
-    chain_length = np.zeros(crack.n_chains)
-
-    for j, chain in enumerate(crack.chains):
-        pts = chain.points
-        plen = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        chain_length[j] = float(plen.sum())
-        for i in range(len(pts) - 1):
-            if plen[i] <= tol:
-                continue
-            p, q = pts[i], pts[i + 1]
-            box_lo = np.minimum(p, q) - tol
-            box_hi = np.maximum(p, q) + tol
-            cand = grid.query(box_lo, box_hi)
-            if cand.size == 0:
-                raise CrackGeometryError(
-                    f"chain {j} part {i} lies outside the mesh near {p.tolist()}"
-                )
-            lo, hi, _ = clip_segments_to_triangles(p, q, coords[cand], tol)
-            keep = hi > lo
-            lo, hi, owners = lo[keep], hi[keep], cand[keep]
-            if owners.size == 0:
-                raise CrackGeometryError(
-                    f"chain {j} part {i} touches no triangle near {p.tolist()}"
-                )
-            tol_t = tol / plen[i]
-            lo = np.where(lo < tol_t, 0.0, lo)
-            lo = np.where(lo > 1.0 - tol_t, 1.0, lo)
-            hi = np.where(hi < tol_t, 0.0, hi)
-            hi = np.where(hi > 1.0 - tol_t, 1.0, hi)
-            breaks = np.sort(np.concatenate([[0.0, 1.0], lo, hi]))
-            breaks = _dedupe_sorted(breaks, tol_t)
-            breaks[0] = 0.0
-            breaks[-1] = 1.0
-            b0, b1 = breaks[:-1], breaks[1:]
-            mids = 0.5 * (b0 + b1)
-            # owner per sub-segment: lowest triangle whose interval covers it
-            covers = (lo[None, :] <= mids[:, None] + tol_t) & (
-                hi[None, :] >= mids[:, None] - tol_t
+    for k, (owners, lo, hi) in zip(cut, mesh.incidence(starts[cut], ends[cut])):
+        j, i, p, q = chain_of[k], part_of[k], starts[k], ends[k]
+        keep = hi > lo
+        lo, hi, owners = lo[keep], hi[keep], owners[keep]
+        if owners.size == 0:
+            raise CrackGeometryError(
+                f"chain {j} part {i} lies outside the mesh near {p.tolist()}"
             )
-            if not covers.any(axis=1).all():
-                k = int(np.nonzero(~covers.any(axis=1))[0][0])
-                where = (p + mids[k] * (q - p)).tolist()
-                raise CrackGeometryError(
-                    f"chain {j} part {i} leaves the mesh near {where}"
-                )
-            first = np.argmax(covers, axis=1)
-            own = owners[first]
-            d = q - p
-            tri_idx.append(own)
-            seg_pts.append(
-                np.stack([p + b0[:, None] * d, p + b1[:, None] * d], axis=1)
-            )
-            seg_len.append((b1 - b0) * plen[i])
-            seg_chain.append(np.full(own.shape, j, dtype=np.int64))
+        tol_t = tol / plen[k]
+        lo = np.where(lo < tol_t, 0.0, lo)
+        lo = np.where(lo > 1.0 - tol_t, 1.0, lo)
+        hi = np.where(hi < tol_t, 0.0, hi)
+        hi = np.where(hi > 1.0 - tol_t, 1.0, hi)
+        breaks = np.sort(np.concatenate([[0.0, 1.0], lo, hi]))
+        breaks = _dedupe_sorted(breaks, tol_t)
+        breaks[0] = 0.0
+        breaks[-1] = 1.0
+        b0, b1 = breaks[:-1], breaks[1:]
+        mids = 0.5 * (b0 + b1)
+        # owner per sub-segment: lowest triangle whose interval covers it
+        covers = (lo[None, :] <= mids[:, None] + tol_t) & (
+            hi[None, :] >= mids[:, None] - tol_t
+        )
+        if not covers.any(axis=1).all():
+            m = int(np.nonzero(~covers.any(axis=1))[0][0])
+            where = (p + mids[m] * (q - p)).tolist()
+            raise CrackGeometryError(f"chain {j} part {i} leaves the mesh near {where}")
+        own = owners[np.argmax(covers, axis=1)]
+        d = q - p
+        tri_idx.append(own)
+        seg_pts.append(np.stack([p + b0[:, None] * d, p + b1[:, None] * d], axis=1))
+        seg_len.append((b1 - b0) * plen[k])
+        seg_chain.append(np.full(own.shape, j, dtype=np.int64))
 
-    sources = []
-    for c in crack.chains:
-        sources.append(c.source)
     return SegmentedCrack(
         triangle_index=np.concatenate(tri_idx),
         points=np.concatenate(seg_pts),
         length=np.concatenate(seg_len),
         chain_index=np.concatenate(seg_chain),
         chain_permeability=np.asarray([c.permeability for c in crack.chains]),
-        chain_source=sources,
+        chain_source=[c.source for c in crack.chains],
         nodes=crack.nodes.copy(),
         chain_nodes=crack.chain_nodes.copy(),
-        chain_length=chain_length,
+        chain_length=np.asarray([c.length for c in crack.chains]),
     )
 
 

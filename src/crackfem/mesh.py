@@ -134,6 +134,22 @@ class Mesh:
         """Absolute geometric tolerance of incidence tests on this mesh."""
         return REL_TOL * max(bbox_diameter(self.vertices), 1.0)
 
+    def incidence(self, starts, ends):
+        """Triangles touched by each segment starts[k] -> ends[k], in order.
+
+        Yields (tri_ids, lo, hi) per segment: the ascending ids of the
+        triangles the closed segment meets within ``tolerance``, and their
+        clip intervals as returned by ``clip_segments_to_triangles``. A point
+        is the segment with starts[k] == ends[k].
+        """
+        tol = self.tolerance
+        coords = self.vertices[self.triangles]
+        grid = SpatialGrid.for_triangles(self.vertices, self.triangles, self.h_max)
+        for p, q in zip(starts, ends):
+            cand = grid.query(np.minimum(p, q) - tol, np.maximum(p, q) + tol)
+            lo, hi, touched = clip_segments_to_triangles(p, q, coords[cand], tol)
+            yield cand[touched], lo[touched], hi[touched]
+
     def edge_codes(self):
         """Unique undirected edges as codes a * n + b (a < b), plus the
         (m, 3) map from triangles to edge ids. Edge 0 of a triangle is its
@@ -325,32 +341,19 @@ def refine_marked(mesh: Mesh, marked) -> Mesh:
     return Mesh(vertices, out, np.asarray(new_edges, dtype=np.int64), new_tags)
 
 
-def mark_crack_elements(mesh: Mesh, crack: CrackGraph, tol: float | None = None):
+def mark_crack_elements(mesh: Mesh, crack: CrackGraph):
     """Indices of triangles the crack touches, closed-set semantics.
 
     A triangle is marked when any chain part intersects it, including
     touching its boundary within the geometric tolerance. Returns a sorted
     integer array.
     """
-    if crack.n_chains == 0:
-        return np.empty(0, dtype=np.int64)
-    if tol is None:
-        tol = mesh.tolerance
-    coords = mesh.vertices[mesh.triangles]
-    grid = SpatialGrid.for_triangles(mesh.vertices, mesh.triangles, mesh.h_max)
     hit = np.zeros(mesh.n_triangles, dtype=bool)
-    for chain in crack.chains:
-        pts = chain.points
-        for i in range(len(pts) - 1):
-            p, q = pts[i], pts[i + 1]
-            cand = grid.query(np.minimum(p, q) - tol, np.maximum(p, q) + tol)
-            if cand.size == 0:
-                continue
-            cand = cand[~hit[cand]]
-            if cand.size == 0:
-                continue
-            _, _, touched = clip_segments_to_triangles(p, q, coords[cand], tol)
-            hit[cand[touched]] = True
+    if crack.n_chains:
+        starts = np.vstack([c.points[:-1] for c in crack.chains])
+        ends = np.vstack([c.points[1:] for c in crack.chains])
+        for tri_ids, _, _ in mesh.incidence(starts, ends):
+            hit[tri_ids] = True
     return np.nonzero(hit)[0]
 
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from ._geom import SpatialGrid, points_in_triangle
 from .assembly import LinearSystem
 from .mesh import Mesh
 
@@ -20,9 +19,8 @@ class SolverError(RuntimeError):
 class SolverConfig:
     """Solver selection: Jacobi-preconditioned CG or a direct factorization.
 
-    method is "cg" or "direct" ("direct-cholesky" is accepted as an alias for
-    the direct path). rel_tolerance bounds the final true residual relative
-    to the right-hand side.
+    method is "cg" or "direct" (SuperLU). rel_tolerance bounds the final true
+    residual relative to the right-hand side.
     """
 
     method: str = "cg"
@@ -30,8 +28,6 @@ class SolverConfig:
     max_iterations: int = 20000
 
     def __post_init__(self):
-        if self.method == "direct-cholesky":
-            self.method = "direct"
         if self.method not in ("cg", "direct"):
             raise ValueError(f"unknown solver method {self.method!r}")
         if not 0.0 < self.rel_tolerance < 1.0:
@@ -124,7 +120,6 @@ class SolutionField:
             raise ValueError("one value per vertex required")
         self.values.setflags(write=False)
         self._grads = None
-        self._grid = None
 
     def gradients(self) -> np.ndarray:
         """Constant gradient per triangle, shape (m, 2)."""
@@ -143,21 +138,8 @@ class SolutionField:
     def locate(self, points) -> np.ndarray:
         """Containing triangle per point (lowest index wins), -1 if outside."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        mesh = self.mesh
-        tol = mesh.tolerance
-        if self._grid is None:
-            self._grid = SpatialGrid.for_triangles(
-                mesh.vertices, mesh.triangles, mesh.h_max
-            )
-        coords = mesh.vertices[mesh.triangles]
-        out = np.full(len(pts), -1, dtype=np.int64)
-        for i, p in enumerate(pts):
-            cand = self._grid.query(p - tol, p + tol)
-            for t in cand:
-                if points_in_triangle(p[None, :], coords[t], tol)[0]:
-                    out[i] = t
-                    break
-        return out
+        hits = self.mesh.incidence(pts, pts)
+        return np.array([t[0] if t.size else -1 for t, _, _ in hits], dtype=np.int64)
 
     def evaluate(self, points) -> np.ndarray:
         """Point evaluation by barycentric interpolation."""

@@ -2,9 +2,9 @@
 
 These reproduce quantities the package computes (or checks it against) by a
 different route: continuous Galerkin forms on subdivided quadrature, the
-energy error by expansion, a single segment/triangle clip, node incidence of
-a crack graph, near-crack degree-of-freedom counts and straight parametric
-segments.
+energy error by expansion, a single segment/triangle clip, point membership
+in one triangle, node incidence of a crack graph, near-crack
+degree-of-freedom counts and straight parametric segments.
 """
 
 from __future__ import annotations
@@ -176,6 +176,18 @@ def segment_triangle_intersection(p, q, triangle, tol: float | None = None):
         return None
     d = q - p
     return np.array([p + lo[0] * d, p + hi[0] * d])
+
+
+def points_in_triangle(points, tri, tol):
+    """Closed-set membership of points in a single CCW triangle."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    inside = np.ones(len(pts), dtype=bool)
+    for i in range(3):
+        a = tri[i]
+        e = tri[(i + 1) % 3] - a
+        f = e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0])
+        inside &= f >= -tol * np.hypot(e[0], e[1])
+    return inside
 
 
 def node_chains(graph: CrackGraph, node: int) -> list[int]:

@@ -285,18 +285,20 @@ class TestCli:
         capsys.readouterr()
 
     def test_geometry_failure_exits_one(self, capsys, tmp_path):
-        d = raw(
-            chains=[
-                {
-                    "geometry": {
-                        "kind": "segment",
-                        "points": [[0.5, 0.5], [2.0, 0.5]],
-                    },
-                    "permeability": 1.0,
-                }
-            ]
-        )
-        path = tmp_path / "leaves.json"
-        path.write_text(json.dumps(d))
-        assert main(["run", str(path)]) == 1
-        assert "error:" in capsys.readouterr().err
+        # a chain leaving the domain, and one shorter than the mesh tolerance
+        for points, message in (
+            ([[0.5, 0.5], [2.0, 0.5]], "error: chain 0 part 0 "),
+            ([[0.5, 0.5], [0.5000000000001, 0.5]], "error: chain 0 is no longer"),
+        ):
+            d = raw(
+                chains=[
+                    {
+                        "geometry": {"kind": "segment", "points": points},
+                        "permeability": 1.0,
+                    }
+                ]
+            )
+            path = tmp_path / "bad_chain.json"
+            path.write_text(json.dumps(d))
+            assert main(["run", str(path)]) == 1
+            assert message in capsys.readouterr().err

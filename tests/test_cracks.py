@@ -7,10 +7,12 @@ from crackfem import (
     Chain,
     CrackGeometryError,
     CrackGraph,
+    RefinementConfig,
     build_rectangle_mesh,
     cut_chains,
+    refine_near_crack,
 )
-from crackfem._geom import REL_TOL, bbox_diameter, points_in_triangle
+from crackfem._geom import REL_TOL, bbox_diameter
 from crackfem.cracks import (
     arc_curve,
     circle_curve,
@@ -21,6 +23,7 @@ from conftest import make_y_crack
 from oracles import (
     node_chains,
     node_degree,
+    points_in_triangle,
     segment_curve,
     segment_triangle_intersection,
 )
@@ -243,6 +246,25 @@ class TestCutChains:
         chain = Chain(np.array([[0.5, 0.5], [1.7, 0.5]]))
         with pytest.raises(CrackGeometryError, match="outside|leaves"):
             cut_chains(square_mesh, CrackGraph([chain]))
+
+    def test_chain_within_tolerance_is_rejected_by_name(self, fine_square_mesh):
+        # long enough for the graph, but every part is below the mesh tolerance
+        tiny = Chain(np.array([[0.5, 0.5], [0.5000000000001, 0.5]]))
+        crack = CrackGraph([Chain(np.array([[0.1, 0.2], [0.3, 0.4]])), tiny])
+        with pytest.raises(CrackGeometryError, match="chain 1 is no longer than"):
+            cut_chains(fine_square_mesh, crack)
+
+    @pytest.mark.xfail(strict=True, raises=CrackGeometryError)
+    def test_diagonal_along_refined_edges_is_cut(self):
+        # the crack runs along bisection edges whose coordinates carry
+        # rounding; the clip sees a near-zero denominator as a crossing and
+        # leaves a gap near (0.4828125, 0.5171875)
+        mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 0.1)
+        chain = Chain(np.array([[0.75, 0.25], [0.25, 0.75]]), permeability=1.0)
+        crack = CrackGraph([chain])
+        rc = RefinementConfig(global_h=0.1, rule="quadratic")
+        cut = cut_chains(refine_near_crack(mesh, crack, rc), crack)
+        assert cut.length.sum() == pytest.approx(chain.length, rel=1e-12)
 
     def test_empty_crack_gives_empty_cut(self, square_mesh):
         cut = cut_chains(square_mesh, CrackGraph.empty())

@@ -17,11 +17,12 @@ from crackfem import (
     refine_marked,
     refine_near_crack,
 )
-from crackfem._geom import REL_TOL, bbox_diameter, points_in_triangle
+from crackfem._geom import REL_TOL, bbox_diameter, point_segment_distances
 from crackfem.config import _radial_levels, build_crack_graph
 from crackfem.mesh import _vertex_neighborhood, export_mesh_text, export_vtk
 from crackfem import mesh as mesh_module
-from oracles import dof_count_profile
+from conftest import make_y_crack
+from oracles import dof_count_profile, points_in_triangle
 
 
 class TestBuildRectangleMesh:
@@ -132,27 +133,34 @@ class TestMarkCrackElements:
     def test_matches_dense_sampling_oracle(self):
         config = build_preset("radial-uniform")
         h = 0.2
-        mesh = build_rectangle_mesh(config.domain, h)
-        crack = build_crack_graph(config, h)
-        marked = set(mark_crack_elements(mesh, crack).tolist())
-
-        tol = REL_TOL * max(bbox_diameter(mesh.vertices), 1.0)
-        samples = [np.asarray(c.points) for c in crack.chains]
-        dense = []
-        for pts in samples:
-            for p, q in zip(pts[:-1], pts[1:]):
+        cases = [
+            (build_rectangle_mesh(config.domain, h), build_crack_graph(config, h)),
+            # several chains, all marked in one batch
+            (build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), h), make_y_crack()),
+        ]
+        for mesh, crack in cases:
+            marked = set(mark_crack_elements(mesh, crack).tolist())
+            tol = REL_TOL * max(bbox_diameter(mesh.vertices), 1.0)
+            starts = np.vstack([c.points[:-1] for c in crack.chains])
+            ends = np.vstack([c.points[1:] for c in crack.chains])
+            dense = []
+            for p, q in zip(starts, ends):
                 # corner cuts can be ~1e-3 long here, so sample well below that
                 n = max(2, int(np.ceil(np.linalg.norm(q - p) / (h / 2000.0))) + 1)
                 t = np.linspace(0.0, 1.0, n)
                 dense.append(p + t[:, None] * (q - p))
-        dense = np.vstack(dense)
-        coords = mesh.vertices[mesh.triangles]
-        oracle = {
-            int(i)
-            for i in range(mesh.n_triangles)
-            if points_in_triangle(dense, coords[i], tol).any()
-        }
-        assert marked == oracle
+            # a part through a vertex meets some triangles only at that vertex
+            dist = point_segment_distances(mesh.vertices, starts, ends).min(axis=1)
+            dense.append(mesh.vertices[dist <= tol])
+            dense = np.vstack(dense)
+            coords = mesh.vertices[mesh.triangles]
+            oracle = {
+                int(i)
+                for i in range(mesh.n_triangles)
+                if points_in_triangle(dense, coords[i], tol).any()
+            }
+            assert len(marked) > 0
+            assert marked == oracle
 
 
 class TestRefineMarked:

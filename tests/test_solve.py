@@ -14,9 +14,11 @@ from crackfem import (
     SolverError,
     assemble,
     build_rectangle_mesh,
+    refine_marked,
     solve,
 )
 from crackfem.cracks import SegmentedCrack
+from oracles import points_in_triangle
 
 ZERO_WALLS = BoundarySpec(
     dirichlet={"left": 0.0, "right": 0.0, "bottom": 0.0, "top": 0.0}
@@ -31,7 +33,9 @@ def sine_system(h):
 
 class TestSolverConfig:
     def test_cholesky_alias(self):
-        assert SolverConfig(method="direct-cholesky").method == "direct"
+        # the direct path is SuperLU; there is no Cholesky alias for it
+        with pytest.raises(ValueError, match="unknown solver"):
+            SolverConfig(method="direct-cholesky")
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="unknown solver"):
@@ -183,3 +187,27 @@ class TestSolutionField:
         )
         mid = 0.5 * (np.array(shared[0]) + np.array(shared[1]))
         assert u.locate(mid[None])[0] == 0
+
+    def test_locate_matches_brute_force_on_refined_mesh(self, fine_square_mesh, rng):
+        mesh = fine_square_mesh
+        for _ in range(3):
+            mark = rng.choice(mesh.n_triangles, mesh.n_triangles // 8, replace=False)
+            mesh = refine_marked(mesh, mark)
+        coords = mesh.vertices[mesh.triangles]
+        edge_mids = 0.5 * (coords + np.roll(coords, -1, axis=1))
+        pts = np.vstack(
+            [
+                mesh.vertices,
+                edge_mids.reshape(-1, 2)[::7],
+                rng.uniform(0.0, 1.0, size=(50, 2)),
+                [[1.5, 0.5]],
+            ]
+        )
+        inside = np.column_stack(
+            [points_in_triangle(pts, tri, mesh.tolerance) for tri in coords]
+        )
+        # lowest containing triangle, -1 for none
+        want = np.where(inside.any(axis=1), np.argmax(inside, axis=1), -1)
+        assert want[-1] == -1 and (want[:-1] >= 0).all()
+        u = SolutionField(mesh, np.zeros(mesh.n_vertices))
+        assert u.locate(pts).tolist() == want.tolist()
