@@ -31,9 +31,6 @@ from .assembly import (
     assemble,
     assemble_load,
     assemble_operator,
-    bulk_element_matrix,
-    element_gradients,
-    interface_segment_matrix,
 )
 from .solve import SolutionField, SolverConfig, SolverError, solve
 from .analysis import (

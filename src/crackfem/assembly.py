@@ -22,49 +22,6 @@ class SingularSystemError(ValueError):
     pass
 
 
-def element_gradients(coords):
-    """Hat-function gradients and area of one CCW triangle.
-
-    Returns (grads, area) with grads[i] the constant gradient of the hat
-    function of vertex i: the opposite edge rotated a quarter turn, divided
-    by twice the area.
-    """
-    coords = np.asarray(coords, dtype=float).reshape(3, 2)
-    d1 = coords[1] - coords[0]
-    d2 = coords[2] - coords[0]
-    area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
-    if area <= 0.0:
-        raise ValueError("triangle is degenerate or clockwise")
-    grads = np.empty((3, 2))
-    for i in range(3):
-        e = coords[(i + 2) % 3] - coords[(i + 1) % 3]
-        grads[i] = np.array([-e[1], e[0]]) / (2.0 * area)
-    return grads, area
-
-
-def bulk_element_matrix(coords, a: float = 1.0):
-    """Stiffness a * area * G G^T of one triangle."""
-    grads, area = element_gradients(coords)
-    return a * area * (grads @ grads.T)
-
-
-def interface_segment_matrix(coords, segment, a_seg: float = 1.0):
-    """Tangential stiffness of one crack segment inside one triangle.
-
-    Rank one and positive semidefinite: a_seg * |S| * (G t)(G t)^T with t the
-    unit tangent of the segment and G the owning triangle's hat gradients.
-    """
-    grads, _ = element_gradients(coords)
-    seg = np.asarray(segment, dtype=float).reshape(2, 2)
-    d = seg[1] - seg[0]
-    length = float(np.hypot(d[0], d[1]))
-    if length == 0.0:
-        return np.zeros((3, 3))
-    t = d / length
-    w = grads @ t
-    return a_seg * length * np.outer(w, w)
-
-
 @dataclass
 class Coefficients:
     """Bulk material data: per-region permeabilities and the volume source.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .analysis import NormReport
@@ -23,14 +24,20 @@ from .mesh import MeshError, RefinementError
 from .solve import SolverError
 
 
-def _resolve_config(spec: str) -> ProblemConfig:
-    if Path(spec).is_file():
-        return load_config(spec)
-    if spec in list_presets():
-        return build_preset(spec)
-    raise ConfigError(
-        f"{spec!r} is neither a config file nor a preset (presets: {list_presets()})"
-    )
+def _resolve_config(args) -> ProblemConfig:
+    """The config file or preset named on the command line, with --solver."""
+    if Path(args.config).is_file():
+        config = load_config(args.config)
+    elif args.config in list_presets():
+        config = build_preset(args.config)
+    else:
+        raise ConfigError(
+            f"{args.config!r} is neither a config file nor a preset "
+            f"(presets: {list_presets()})"
+        )
+    if args.solver is not None:
+        config = replace(config, solver={**config.solver, "method": args.solver})
+    return config
 
 
 def _add_common(parser):
@@ -45,8 +52,7 @@ def _add_common(parser):
 
 
 def _cmd_run(args) -> int:
-    config = _resolve_config(args.config)
-    result = run_single(config, out_dir=args.out, solver_override=args.solver)
+    result = run_single(_resolve_config(args), out_dir=args.out)
     print(
         f"vertices={result.mesh.n_vertices} triangles={result.mesh.n_triangles} "
         f"crack_segments={result.segments.n_segments}"
@@ -63,9 +69,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    config = _resolve_config(args.config)
     result = run_convergence_study(
-        config, out_dir=args.out, solver_override=args.solver, threads=args.threads
+        _resolve_config(args), out_dir=args.out, threads=args.threads
     )
     print(NormReport.CSV_HEADER)
     for report in result.reports:

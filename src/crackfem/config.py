@@ -9,6 +9,7 @@ from the function registry.
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -34,6 +35,7 @@ from .cracks import (
     signed_distance_to_crack,
 )
 from .mesh import (
+    RECTANGLE_TAGS,
     Mesh,
     RefinementConfig,
     build_rectangle_mesh,
@@ -100,7 +102,7 @@ def resolve_scalar(spec, path: str):
     if isinstance(spec, bool):
         raise ConfigError(f"{path}: booleans are not scalars")
     if isinstance(spec, (int, float)):
-        return float(spec)
+        return _float(spec, path)
     if isinstance(spec, str):
         if spec not in FUNCTIONS:
             raise ConfigError(
@@ -131,7 +133,21 @@ def _expect_keys(d: dict, path: str, required: set, optional: set):
 def _float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
+    if not abs(value) <= sys.float_info.max:  # false for NaN and huge ints
+        raise ConfigError(f"{path}: expected a finite number")
     return float(value)
+
+
+def _floats(value, path: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list of numbers")
+    return [_float(v, path) for v in value]
+
+
+def _int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer")
+    return value
 
 
 def _normalize_geometry(geo: dict, path: str) -> dict:
@@ -144,14 +160,14 @@ def _normalize_geometry(geo: dict, path: str) -> dict:
             raise ConfigError(f"{path}.points: need at least two points")
         if kind == "segment" and len(pts) != 2:
             raise ConfigError(f"{path}.points: a segment has exactly two points")
-        norm = [[_float(c, f"{path}.points") for c in p] for p in pts]
+        norm = [_floats(p, f"{path}.points") for p in pts]
         if any(len(p) != 2 for p in norm):
             raise ConfigError(f"{path}.points: points are [x, y] pairs")
         return {"kind": kind, "points": norm}
     if kind in ("arc", "circle"):
         needed = {"kind", "center", "radius"} | ({"angles"} if kind == "arc" else set())
         _expect_keys(geo, path, needed, set())
-        center = [_float(c, f"{path}.center") for c in geo["center"]]
+        center = _floats(geo["center"], f"{path}.center")
         if len(center) != 2:
             raise ConfigError(f"{path}.center: expected [x, y]")
         radius = _float(geo["radius"], f"{path}.radius")
@@ -159,7 +175,7 @@ def _normalize_geometry(geo: dict, path: str) -> dict:
             raise ConfigError(f"{path}.radius: must be positive")
         out = {"kind": kind, "center": center, "radius": radius}
         if kind == "arc":
-            angles = [_float(a, f"{path}.angles") for a in geo["angles"]]
+            angles = _floats(geo["angles"], f"{path}.angles")
             if len(angles) != 2 or angles[0] == angles[1]:
                 raise ConfigError(f"{path}.angles: two distinct angles required")
             out["angles"] = angles
@@ -209,14 +225,17 @@ class ProblemConfig:
             raise ConfigError(
                 f"schema_version: {version} unsupported (expected {SCHEMA_VERSION})"
             )
-        domain = [_float(v, "domain") for v in raw["domain"]]
+        domain = _floats(raw["domain"], "domain")
         if len(domain) != 4:
             raise ConfigError("domain: expected [xmin, xmax, ymin, ymax]")
         if domain[1] <= domain[0] or domain[3] <= domain[2]:
             raise ConfigError("domain: empty rectangle")
 
+        raw_chains = raw.get("chains", [])
+        if not isinstance(raw_chains, list):
+            raise ConfigError("chains: expected a list")
         chains = []
-        for i, ch in enumerate(raw.get("chains", [])):
+        for i, ch in enumerate(raw_chains):
             path = f"chains[{i}]"
             _expect_keys(ch, path, {"geometry"}, {"permeability", "source"})
             perm = _float(ch.get("permeability", 0.0), f"{path}.permeability")
@@ -232,7 +251,7 @@ class ProblemConfig:
                 }
             )
 
-        co = dict(raw.get("coefficients", {}))
+        co = raw.get("coefficients", {})
         _expect_keys(co, "coefficients", set(), {"a1", "a2", "source"})
         coefficients = {
             "a1": _float(co.get("a1", 1.0), "coefficients.a1"),
@@ -249,6 +268,8 @@ class ProblemConfig:
         n_dirichlet = 0
         for tag, cond in raw_boundary.items():
             path = f"boundary.{tag}"
+            if tag not in RECTANGLE_TAGS:
+                raise ConfigError(f"{path}: unknown tag (known: {list(RECTANGLE_TAGS)})")
             if cond == "neumann":
                 boundary[str(tag)] = "neumann"
             elif isinstance(cond, dict):
@@ -262,7 +283,7 @@ class ProblemConfig:
         if n_dirichlet == 0:
             raise ConfigError("boundary: at least one Dirichlet tag is required")
 
-        rf = dict(raw["refinement"])
+        rf = raw["refinement"]
         _expect_keys(
             rf,
             "refinement",
@@ -276,16 +297,20 @@ class ProblemConfig:
             if rf.get("crack_h") is None
             else _float(rf["crack_h"], "refinement.crack_h"),
             "coefficient": _float(rf.get("coefficient", 1.0), "refinement.coefficient"),
-            "max_generations": int(rf.get("max_generations", 64)),
+            "max_generations": _int(
+                rf.get("max_generations", 64), "refinement.max_generations"
+            ),
         }
         _check_refinement(refinement)
 
-        so = dict(raw.get("solver", {}))
+        so = raw.get("solver", {})
         _expect_keys(so, "solver", set(), {"method", "rel_tolerance", "max_iterations"})
         solver = {
             "method": so.get("method", "cg"),
             "rel_tolerance": _float(so.get("rel_tolerance", 1e-10), "solver.rel_tolerance"),
-            "max_iterations": int(so.get("max_iterations", 20000)),
+            "max_iterations": _int(
+                so.get("max_iterations", 20000), "solver.max_iterations"
+            ),
         }
         try:
             solver["method"] = SolverConfig(**solver).method
@@ -293,7 +318,7 @@ class ProblemConfig:
             raise ConfigError(f"solver: {exc}") from exc
 
         exact = raw.get("exact_solution")
-        if exact is not None and exact not in EXACT_SOLUTIONS:
+        if exact not in (None, *EXACT_SOLUTIONS):
             raise ConfigError(
                 f"exact_solution: unknown {exact!r} (known: {sorted(EXACT_SOLUTIONS)})"
             )
@@ -301,7 +326,7 @@ class ProblemConfig:
         study = raw.get("study")
         if study is not None:
             _expect_keys(study, "study", {"levels"}, set())
-            levels = [_float(v, "study.levels") for v in study["levels"]]
+            levels = _floats(study["levels"], "study.levels")
             if len(levels) < 3:
                 raise ConfigError("study.levels: at least three levels required")
             if not all(b < a for a, b in zip(levels, levels[1:])):
@@ -378,8 +403,6 @@ def build_crack_graph(config: ProblemConfig, global_h: float) -> CrackGraph:
                 source=resolve_scalar(ch["source"], "chain source"),
             )
         )
-    if not chains:
-        return CrackGraph.empty()
     return CrackGraph(chains)
 
 
@@ -404,9 +427,11 @@ def _build_coefficients(config: ProblemConfig, graph: CrackGraph) -> Coefficient
 
 
 def _build_boundary(config: ProblemConfig) -> BoundarySpec:
+    """Conditions by tag; sides the config leaves out get the natural one."""
     dirichlet = {}
     neumann = []
-    for tag, cond in config.boundary.items():
+    for tag in RECTANGLE_TAGS:
+        cond = config.boundary.get(tag, "neumann")
         if cond == "neumann":
             neumann.append(tag)
         else:
@@ -433,28 +458,17 @@ class StudyResult:
     outputs: dict = field(default_factory=dict)
 
 
-def run_single(
-    config: ProblemConfig,
-    out_dir=None,
-    solver_override: str | None = None,
-    level: int = 0,
-) -> RunResult:
+def run_single(config: ProblemConfig, out_dir=None, level: int = 0) -> RunResult:
     """Mesh, refine, cut, assemble, solve; optionally export artifacts."""
     rc = RefinementConfig(**config.refinement)
     mesh = build_rectangle_mesh(config.domain, rc.global_h)
     graph = build_crack_graph(config, rc.global_h)
     mesh = refine_near_crack(mesh, graph, rc)
-    if graph.n_chains:
-        segments = cut_chains(mesh, graph)
-    else:
-        segments = SegmentedCrack.empty()
+    segments = cut_chains(mesh, graph)
     coeffs = _build_coefficients(config, graph)
     boundary = _build_boundary(config)
     system = assemble(mesh, segments, coeffs, boundary)
-    solver = dict(config.solver)
-    if solver_override is not None:
-        solver["method"] = solver_override
-    solution = solve(system, SolverConfig(**solver))
+    solution = solve(system, SolverConfig(**config.solver))
     report = None
     if config.exact_solution is not None:
         report = error_norms(
@@ -494,19 +508,13 @@ def _export_solution_text(solution: SolutionField, path) -> None:
 
 
 def _study_level(payload):
-    config, index, out_dir, solver_override = payload
+    config, index, out_dir = payload
     level_config = config.with_global_h(config.study["levels"][index])
-    result = run_single(
-        level_config, out_dir=out_dir, solver_override=solver_override, level=index
-    )
-    return result.report
+    return run_single(level_config, out_dir=out_dir, level=index).report
 
 
 def run_convergence_study(
-    config: ProblemConfig,
-    out_dir=None,
-    solver_override: str | None = None,
-    threads: int = 1,
+    config: ProblemConfig, out_dir=None, threads: int = 1
 ) -> StudyResult:
     """Run every study level, collect norm reports, fit convergence slopes.
 
@@ -521,7 +529,7 @@ def run_convergence_study(
     payloads = []
     for i in range(len(levels)):
         sub = None if out_dir is None else str(Path(out_dir) / f"level_{i:02d}")
-        payloads.append((config, i, sub, solver_override))
+        payloads.append((config, i, sub))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             reports = list(pool.map(_study_level, payloads))
@@ -602,30 +610,15 @@ def _network_chain_geometries():
     j1 = [7.5, 6.5]
     j2 = [8.0, 3.0]
 
-    def arc_hitting(end, radius, end_angle, start_x):
-        # center placed so curve(1) lands on `end`; start angle from start_x
-        cx = end[0] - radius * float(np.cos(end_angle))
-        cy = end[1] - radius * float(np.sin(end_angle))
-        start_angle = -float(np.arccos((start_x - cx) / radius))
-        return {
-            "kind": "arc",
-            "center": [cx, cy],
-            "radius": radius,
-            "angles": [start_angle, end_angle],
-        }
+    def arc_at(junction, radius, angle, tip_x, into):
+        # center placed so the arc at `angle` lands exactly on the junction;
+        # the tip end is where the arc meets x = tip_x
+        cx = junction[0] - radius * float(np.cos(angle))
+        cy = junction[1] - radius * float(np.sin(angle))
+        tip = -float(np.arccos((tip_x - cx) / radius))
+        angles = [tip, angle] if into else [angle, tip]
+        return {"kind": "arc", "center": [cx, cy], "radius": radius, "angles": angles}
 
-    arc_in = arc_hitting(j0, 5.0, -1.05, start_x=0.0)  # left tip -> j0
-    arc_out = {  # j2 -> right tip; curve(0) is exactly j2 by the same trick
-        "kind": "arc",
-        "center": [
-            j2[0] - 5.5 * float(np.cos(-1.98)),
-            j2[1] - 5.5 * float(np.sin(-1.98)),
-        ],
-        "radius": 5.5,
-        "angles": [-1.98, None],
-    }
-    cx, cy = arc_out["center"]
-    arc_out["angles"][1] = -float(np.arccos((13.0 - cx) / 5.5))
     arc_iso = {
         "kind": "arc",
         "center": [2.0, 12.0],
@@ -634,12 +627,12 @@ def _network_chain_geometries():
     }
     seg = lambda p, q: {"kind": "segment", "points": [list(p), list(q)]}
     return [
-        arc_in,
+        arc_at(j0, 5.0, -1.05, 0.0, into=True),  # left tip -> j0
         seg(j0, j1),
         seg(j0, j2),
         seg(j1, [13.0, 8.0]),
         seg(j1, [10.5, 9.5]),  # runs exactly along grid diagonals
-        arc_out,
+        arc_at(j2, 5.5, -1.98, 13.0, into=False),  # j2 -> right tip
         seg(j2, [4.5, 0.0]),
         arc_iso,  # isolated curved crack in the upper left
     ]

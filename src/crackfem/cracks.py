@@ -61,60 +61,35 @@ class Chain:
 
 
 class CrackGraph:
-    """Nodes plus chains; every chain endpoint must coincide with a node.
+    """Chains plus the nodes (junctions and tips) their endpoints meet at.
 
-    Parameters
-    ----------
-    chains : list of Chain
-    nodes : (n, 2) array, optional
-        Junction and tip coordinates. When omitted, nodes are derived from
-        chain endpoints by clustering within the geometric tolerance.
+    Nodes are the chain endpoints clustered within the geometric tolerance,
+    numbered in order of first appearance; ``chain_nodes[j]`` holds the
+    (start, end) node ids of chain j.
     """
 
-    def __init__(self, chains, nodes=None):
+    def __init__(self, chains):
         self.chains: list[Chain] = list(chains)
         for c in self.chains:
             if c.length == 0.0:
                 raise CrackGeometryError("zero-length chain")
-        scale = self._scale()
+        scale = 1.0
+        if self.chains:
+            scale = bbox_diameter(np.vstack([c.points for c in self.chains]))
         tol = REL_TOL * max(scale, 1.0)
-        if nodes is None:
-            nodes = self._derive_nodes(tol)
-        self.nodes = np.asarray(nodes, dtype=float).reshape(-1, 2)
-        if not np.isfinite(self.nodes).all():
-            raise CrackGeometryError("node has non-finite coordinates")
-        self.nodes.setflags(write=False)
-        self.chain_nodes = self._match_endpoints(tol)
-        self.chain_nodes.setflags(write=False)
-
-    def _scale(self) -> float:
-        if not self.chains:
-            return 1.0
-        return bbox_diameter(np.vstack([c.points for c in self.chains]))
-
-    def _derive_nodes(self, tol):
-        nodes: list[np.ndarray] = []
-        for c in self.chains:
-            for p in (c.points[0], c.points[-1]):
-                if not any(np.hypot(*(p - n)) <= tol for n in nodes):
-                    nodes.append(p.copy())
-        return np.asarray(nodes, dtype=float).reshape(-1, 2)
-
-    def _match_endpoints(self, tol):
-        pairs = np.empty((len(self.chains), 2), dtype=np.int64)
+        nodes = np.empty((0, 2))
+        self.chain_nodes = np.empty((len(self.chains), 2), dtype=np.int64)
         for j, c in enumerate(self.chains):
             for side, p in enumerate((c.points[0], c.points[-1])):
-                if self.nodes.size == 0:
-                    raise CrackGeometryError("chain endpoint matches no node")
-                dist = np.hypot(*(self.nodes - p).T)
-                i = int(np.argmin(dist))
-                if dist[i] > tol:
-                    raise CrackGeometryError(
-                        f"chain {j} endpoint {p.tolist()} matches no node "
-                        f"(closest node is {dist[i]:.3e} away)"
-                    )
-                pairs[j, side] = i
-        return pairs
+                dist = np.hypot(*(nodes - p).T)
+                if dist.size and dist.min() <= tol:
+                    self.chain_nodes[j, side] = int(np.argmin(dist))
+                else:
+                    self.chain_nodes[j, side] = len(nodes)
+                    nodes = np.vstack([nodes, p])
+        self.nodes = nodes
+        self.nodes.setflags(write=False)
+        self.chain_nodes.setflags(write=False)
 
     @property
     def n_chains(self) -> int:
@@ -122,7 +97,7 @@ class CrackGraph:
 
     @classmethod
     def empty(cls) -> "CrackGraph":
-        return cls([], nodes=np.empty((0, 2)))
+        return cls([])
 
 
 def arc_curve(center, radius, angle0, angle1):

@@ -192,6 +192,9 @@ class Mesh:
             raise MeshError("boundary edge not part of the triangulation")
 
 
+RECTANGLE_TAGS = ("bottom", "top", "left", "right")
+
+
 def build_rectangle_mesh(bounds, target_h: float) -> Mesh:
     """Structured triangulation of an axis-aligned rectangle.
 
@@ -323,22 +326,15 @@ def refine_marked(mesh: Mesh, marked) -> Mesh:
 
     # split boundary edges in place, inheriting tags
     be = np.sort(mesh.boundary_edges, axis=1)
-    bcodes = be[:, 0] * n + be[:, 1]
-    pos = np.searchsorted(codes, bcodes)
-    bmid = edge_newv[pos]
-    new_edges = []
-    new_tags = []
-    for k in range(len(bcodes)):
-        a, b = mesh.boundary_edges[k]
-        tag = mesh.boundary_tags[k]
-        if bmid[k] >= 0:
-            new_edges.append((a, bmid[k]))
-            new_edges.append((bmid[k], b))
-            new_tags.extend([tag, tag])
-        else:
-            new_edges.append((a, b))
-            new_tags.append(tag)
-    return Mesh(vertices, out, np.asarray(new_edges, dtype=np.int64), new_tags)
+    bmid = edge_newv[np.searchsorted(codes, be[:, 0] * n + be[:, 1])]
+    split = bmid >= 0
+    reps = 1 + split
+    # edge (a, b) through midpoint m becomes (a, m), (m, b)
+    first = np.cumsum(reps) - reps
+    edges = np.repeat(mesh.boundary_edges, reps, axis=0)
+    edges[first[split], 1] = bmid[split]
+    edges[first[split] + 1, 0] = bmid[split]
+    return Mesh(vertices, out, edges, np.repeat(mesh.boundary_tags, reps))
 
 
 def mark_crack_elements(mesh: Mesh, crack: CrackGraph):

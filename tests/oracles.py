@@ -2,9 +2,10 @@
 
 These reproduce quantities the package computes (or checks it against) by a
 different route: continuous Galerkin forms on subdivided quadrature, the
-energy error by expansion, a single segment/triangle clip, point membership
-in one triangle, node incidence of a crack graph, near-crack
-degree-of-freedom counts and straight parametric segments.
+energy error by expansion, the P1 gradients and stiffness matrices of a
+single element, a single segment/triangle clip, point membership in one
+triangle, node incidence of a crack graph, near-crack degree-of-freedom
+counts and straight parametric segments.
 """
 
 from __future__ import annotations
@@ -154,6 +155,49 @@ def energy_by_expansion(solution, exact, crack, coeffs) -> float:
         total -= 2.0 * float(np.einsum("sq,q,s->", gt_ex * gt_h[:, None], _GAUSS2_W, wl))
         total += float((gt_h**2) @ wl)
     return float(np.sqrt(max(total, 0.0)))
+
+
+def element_gradients(coords):
+    """Hat-function gradients and area of one CCW triangle.
+
+    Returns (grads, area) with grads[i] the constant gradient of the hat
+    function of vertex i: the opposite edge rotated a quarter turn, divided
+    by twice the area.
+    """
+    coords = np.asarray(coords, dtype=float).reshape(3, 2)
+    d1 = coords[1] - coords[0]
+    d2 = coords[2] - coords[0]
+    area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
+    if area <= 0.0:
+        raise ValueError("triangle is degenerate or clockwise")
+    grads = np.empty((3, 2))
+    for i in range(3):
+        e = coords[(i + 2) % 3] - coords[(i + 1) % 3]
+        grads[i] = np.array([-e[1], e[0]]) / (2.0 * area)
+    return grads, area
+
+
+def bulk_element_matrix(coords, a: float = 1.0):
+    """Stiffness a * area * G G^T of one triangle."""
+    grads, area = element_gradients(coords)
+    return a * area * (grads @ grads.T)
+
+
+def interface_segment_matrix(coords, segment, a_seg: float = 1.0):
+    """Tangential stiffness of one crack segment inside one triangle.
+
+    Rank one and positive semidefinite: a_seg * |S| * (G t)(G t)^T with t the
+    unit tangent of the segment and G the owning triangle's hat gradients.
+    """
+    grads, _ = element_gradients(coords)
+    seg = np.asarray(segment, dtype=float).reshape(2, 2)
+    d = seg[1] - seg[0]
+    length = float(np.hypot(d[0], d[1]))
+    if length == 0.0:
+        return np.zeros((3, 3))
+    t = d / length
+    w = grads @ t
+    return a_seg * length * np.outer(w, w)
 
 
 def segment_triangle_intersection(p, q, triangle, tol: float | None = None):

@@ -17,9 +17,7 @@ from crackfem import (
     assemble_operator,
     build_preset,
     build_rectangle_mesh,
-    bulk_element_matrix,
     cut_chains,
-    interface_segment_matrix,
     kirchhoff_residual,
     mark_crack_elements,
     refine_marked,
@@ -28,7 +26,7 @@ from crackfem import (
 )
 from crackfem.config import _build_coefficients
 from conftest import make_y_crack
-from oracles import node_degree
+from oracles import bulk_element_matrix, interface_segment_matrix, node_degree
 
 
 def verdict(capsys, ok: bool, name: str, detail: str) -> None:

@@ -13,14 +13,12 @@ from crackfem import (
     assemble,
     assemble_load,
     assemble_operator,
-    bulk_element_matrix,
     build_rectangle_mesh,
     cut_chains,
-    element_gradients,
-    interface_segment_matrix,
 )
 from crackfem.cracks import SegmentedCrack
 from conftest import make_y_crack
+from oracles import bulk_element_matrix, element_gradients, interface_segment_matrix
 
 ALL_DIRICHLET = BoundarySpec(
     dirichlet={"left": 0.0, "right": 0.0, "bottom": 0.0, "top": 0.0}

@@ -1,6 +1,7 @@
 """JSON config validation, presets, study orchestration, and the CLI."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from crackfem import (
     run_single,
     save_config,
 )
+from crackfem import config as config_module
 from crackfem.cli import main
 from crackfem.config import FUNCTIONS, resolve_scalar
 
@@ -25,6 +27,37 @@ def raw(**overrides):
     d = json.loads(json.dumps(MINIMAL))
     d.update(overrides)
     return d
+
+
+def one_chain(**geometry):
+    return [{"geometry": geometry}]
+
+
+# (overrides of the minimal config, dotted path the error must name)
+MALFORMED = [
+    ({"refinement": {"global_h": 0.5, "max_generations": "abc"}}, "refinement.max_generations"),
+    ({"refinement": {"global_h": 0.5, "max_generations": 2.7}}, "refinement.max_generations"),
+    ({"refinement": {"global_h": 0.5, "max_generations": True}}, "refinement.max_generations"),
+    ({"refinement": {"global_h": float("nan")}}, "refinement.global_h"),
+    ({"refinement": {"global_h": float("inf")}}, "refinement.global_h"),
+    ({"refinement": [1, 2]}, "refinement"),
+    ({"solver": {"max_iterations": None}}, "solver.max_iterations"),
+    ({"domain": 5}, "domain"),
+    ({"coefficients": "x"}, "coefficients"),
+    ({"study": {"levels": 3}}, "study.levels"),
+    ({"chains": 5}, "chains"),
+    ({"chains": one_chain(kind="polyline", points=[1, 2])}, "chains[0].geometry.points"),
+    (
+        {"chains": one_chain(kind="arc", center=[0, 0], radius=0.5, angles=1)},
+        "chains[0].geometry.angles",
+    ),
+    (
+        {"chains": one_chain(kind="arc", center=5, radius=0.5, angles=[0, 1])},
+        "chains[0].geometry.center",
+    ),
+    ({"exact_solution": []}, "exact_solution"),
+    ({"boundary": {"lft": {"dirichlet": 0.0}}}, "boundary.lft"),
+]
 
 
 class TestResolveScalar:
@@ -135,6 +168,23 @@ class TestConfigValidation:
     def test_unknown_exact_solution(self):
         with pytest.raises(ConfigError, match="exact_solution"):
             ProblemConfig.from_dict(raw(exact_solution="mystery"))
+
+    @pytest.mark.parametrize(
+        "overrides, path", MALFORMED, ids=[p for _, p in MALFORMED]
+    )
+    def test_malformed_values_name_their_path(self, overrides, path):
+        with pytest.raises(ConfigError, match="^" + re.escape(path) + ":"):
+            ProblemConfig.from_dict(raw(**overrides))
+
+    def test_unnamed_sides_are_natural(self):
+        # the minimal config's one Dirichlet side is enough to run
+        result = run_single(ProblemConfig.from_dict(raw()))
+        assert np.array_equal(result.solution.values, np.zeros(9))
+        # left 1, right 0, top and bottom no-flux: u = 1 - x exactly
+        d = raw(boundary={"left": {"dirichlet": 1.0}, "right": {"dirichlet": 0.0}})
+        result = run_single(ProblemConfig.from_dict(d))
+        x = result.mesh.vertices[:, 0]
+        assert np.allclose(result.solution.values, 1.0 - x, atol=1e-12)
 
     def test_study_levels_validation(self):
         with pytest.raises(ConfigError, match="three levels"):
@@ -264,6 +314,29 @@ class TestCli:
         assert main(["run", "poisson-square", "--solver", "direct"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["run", "study"])
+    def test_solver_flag_reaches_solve(self, command, monkeypatch, tmp_path, capsys):
+        methods = []
+        real_solve = config_module.solve
+
+        def recording_solve(system, config):
+            methods.append(config.method)
+            return real_solve(system, config)
+
+        monkeypatch.setattr(config_module, "solve", recording_solve)
+        d = build_preset("poisson-square").to_dict()  # configured for cg
+        d["refinement"]["global_h"] = 0.25
+        d["study"] = {"levels": [0.25, 0.125, 0.0625]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        n_solves = 3 if command == "study" else 1
+        assert main([command, str(path)]) == 0
+        assert methods == ["cg"] * n_solves
+        methods.clear()
+        assert main([command, str(path), "--solver", "direct"]) == 0
+        assert methods == ["direct"] * n_solves
+        capsys.readouterr()
+
     def test_study_prints_csv_and_slopes(self, capsys, tmp_path):
         d = build_preset("poisson-square").to_dict()
         d["study"] = {"levels": [0.25, 0.125, 0.0625]}
@@ -283,6 +356,10 @@ class TestCli:
         path.write_text("{not json")
         assert main(["run", str(path)]) == 2
         capsys.readouterr()
+        # Python's json writes and reads NaN, so a file can carry one
+        path.write_text(json.dumps(raw(refinement={"global_h": float("nan")})))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: refinement.global_h:")
 
     def test_geometry_failure_exits_one(self, capsys, tmp_path):
         # a chain leaving the domain, and one shorter than the mesh tolerance

@@ -78,11 +78,6 @@ class TestCrackGraph:
         assert node_degree(graph, 0) == 2
         assert node_chains(graph, 0) == [0]
 
-    def test_explicit_nodes_must_cover_endpoints(self):
-        chain = Chain(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        with pytest.raises(CrackGeometryError, match="matches no node"):
-            CrackGraph([chain], nodes=np.array([[0.0, 0.0], [5.0, 5.0]]))
-
     def test_empty_graph(self):
         graph = CrackGraph.empty()
         assert graph.n_chains == 0

@@ -3,7 +3,8 @@
 Each case runs mesh, crack graph, refinement, cutting and assembly for one
 preset level and hashes the mesh arrays, the segment arrays, the
 constrained matrix (CSR data/indices/indptr) and the right-hand side. The
-digests were recorded before the P1 geometry was folded into ``Mesh``; a
+digests were recorded before the P1 geometry was folded into ``Mesh``, the
+graph node digests before ``CrackGraph`` derived its nodes in one pass; a
 change that moves any of them on purpose must say so and re-record them.
 """
 
@@ -56,6 +57,8 @@ def pipeline_digests(preset: str, level: int | None) -> dict:
         "segments.length": segments.length,
         "segments.chain_index": segments.chain_index,
         "segments.chain_length": segments.chain_length,
+        "segments.nodes": segments.nodes,
+        "segments.chain_nodes": segments.chain_nodes,
         "matrix.data": system.matrix.data,
         "matrix.indices": system.matrix.indices,
         "matrix.indptr": system.matrix.indptr,
@@ -76,6 +79,8 @@ GOLDEN = {
         "segments.length": "64578373a8a80ad1",
         "segments.chain_index": "55ae42cc1e37a5eb",
         "segments.chain_length": "64578373a8a80ad1",
+        "segments.nodes": "dece51c5195f408a",
+        "segments.chain_nodes": "8a8cb1c2daab50f5",
         "matrix.data": "69eccd66b6427ba6",
         "matrix.indices": "b982082a57c27655",
         "matrix.indptr": "4b9b641947524f3e",
@@ -91,6 +96,8 @@ GOLDEN = {
         "segments.length": "64578373a8a80ad1",
         "segments.chain_index": "55ae42cc1e37a5eb",
         "segments.chain_length": "64578373a8a80ad1",
+        "segments.nodes": "dece51c5195f408a",
+        "segments.chain_nodes": "8a8cb1c2daab50f5",
         "matrix.data": "776e292e25883a12",
         "matrix.indices": "6d5fa81ace7c7416",
         "matrix.indptr": "b204d85b97ecdafe",
@@ -106,6 +113,8 @@ GOLDEN = {
         "segments.length": "de9d7d7fb18d2885",
         "segments.chain_index": "d4398635ea67737a",
         "segments.chain_length": "7438d1304042273c",
+        "segments.nodes": "05ecf13088bfd6ba",
+        "segments.chain_nodes": "7b29175914f14d24",
         "matrix.data": "e826dc27338f4656",
         "matrix.indices": "5c786453e8c686a3",
         "matrix.indptr": "6c78319fc559e6b3",
@@ -121,6 +130,8 @@ GOLDEN = {
         "segments.length": "955562759bf7e6dd",
         "segments.chain_index": "75b94ed717c3140a",
         "segments.chain_length": "df6e0d67b24cb24a",
+        "segments.nodes": "05ecf13088bfd6ba",
+        "segments.chain_nodes": "7b29175914f14d24",
         "matrix.data": "346b6003ba9482fd",
         "matrix.indices": "c27070c090553bf5",
         "matrix.indptr": "e15276ffe72293f5",
@@ -136,6 +147,8 @@ GOLDEN = {
         "segments.length": "56929b5001b7bedb",
         "segments.chain_index": "e458b0598003c087",
         "segments.chain_length": "7438d1304042273c",
+        "segments.nodes": "05ecf13088bfd6ba",
+        "segments.chain_nodes": "7b29175914f14d24",
         "matrix.data": "8e747cc45f9066c1",
         "matrix.indices": "b945c63a8510e76a",
         "matrix.indptr": "526600247fcb61ad",
@@ -151,6 +164,8 @@ GOLDEN = {
         "segments.length": "9f5f778062f4a0b4",
         "segments.chain_index": "ae818d29d2678260",
         "segments.chain_length": "df6e0d67b24cb24a",
+        "segments.nodes": "05ecf13088bfd6ba",
+        "segments.chain_nodes": "7b29175914f14d24",
         "matrix.data": "e2f9c8a52bd100f8",
         "matrix.indices": "4a3fb409cacde6ba",
         "matrix.indptr": "8066a7a06bea9bf2",
@@ -166,6 +181,8 @@ GOLDEN = {
         "segments.length": "371298881a620f17",
         "segments.chain_index": "43af2ad4725f5e0a",
         "segments.chain_length": "df795a5a52c87449",
+        "segments.nodes": "56b1a72272a89021",
+        "segments.chain_nodes": "90243e8b4813d976",
         "matrix.data": "97a377687d2ec7d8",
         "matrix.indices": "fa24c09b575a8e4e",
         "matrix.indptr": "0b1c57c5e58cca55",

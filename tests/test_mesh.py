@@ -12,7 +12,6 @@ from crackfem import (
     RefinementError,
     build_preset,
     build_rectangle_mesh,
-    element_gradients,
     mark_crack_elements,
     refine_marked,
     refine_near_crack,
@@ -22,7 +21,7 @@ from crackfem.config import _radial_levels, build_crack_graph
 from crackfem.mesh import _vertex_neighborhood, export_mesh_text, export_vtk
 from crackfem import mesh as mesh_module
 from conftest import make_y_crack
-from oracles import dof_count_profile, points_in_triangle
+from oracles import dof_count_profile, element_gradients, points_in_triangle
 
 
 class TestBuildRectangleMesh:
