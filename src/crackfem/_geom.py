@@ -22,11 +22,12 @@ def bbox_diameter(points: np.ndarray) -> float:
 
 
 def _clip_interval(p, q, tris, thresholds):
-    """Clip the segment p->q against each triangle, one half-plane at a time.
+    """Clip segments p->q against triangles, one half-plane at a time.
 
     Parameters
     ----------
-    p, q : (2,) arrays, segment endpoints.
+    p, q : (2,) or (k, 2) arrays, segment endpoints: one segment for all
+        triangles, or segment i for triangle i.
     tris : (k, 3, 2) array of triangle vertices, counterclockwise.
     thresholds : (k, 3) array; edge i accepts points with signed (unnormalized)
         distance >= thresholds[:, i]. Zero gives the exact closed triangle.
@@ -37,7 +38,6 @@ def _clip_interval(p, q, tris, thresholds):
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    d = q - p
     k = tris.shape[0]
     lo = np.zeros(k)
     hi = np.ones(k)
@@ -45,8 +45,8 @@ def _clip_interval(p, q, tris, thresholds):
         a = tris[:, i, :]
         e = tris[:, (i + 1) % 3, :] - a
         # inward normal of a CCW triangle edge, not normalized
-        f0 = e[:, 0] * (p[1] - a[:, 1]) - e[:, 1] * (p[0] - a[:, 0])
-        f1 = e[:, 0] * (q[1] - a[:, 1]) - e[:, 1] * (q[0] - a[:, 0])
+        f0 = e[:, 0] * (p[..., 1] - a[:, 1]) - e[:, 1] * (p[..., 0] - a[:, 0])
+        f1 = e[:, 0] * (q[..., 1] - a[:, 1]) - e[:, 1] * (q[..., 0] - a[:, 0])
         theta = thresholds[:, i]
         denom = f1 - f0
         zero = denom == 0.0
@@ -63,11 +63,13 @@ def _clip_interval(p, q, tris, thresholds):
 
 
 def clip_segments_to_triangles(p, q, tris, tol):
-    """Closed-set clip of one segment against many triangles.
+    """Closed-set clip of segments against triangles.
 
-    Returns (lo, hi, touched): parameter intervals at threshold zero and a
-    boolean mask of triangles the segment touches when each is fattened by
-    ``tol``. Grazing contacts (touched but empty zero-interval) report the
+    p and q are (2,) endpoints of one segment clipped against every
+    triangle, or (k, 2) arrays pairing segment i with triangle i. Returns
+    (lo, hi, touched): parameter intervals at threshold zero and a boolean
+    mask of triangles the segment touches when each is fattened by ``tol``.
+    Grazing contacts (touched but empty zero-interval) report the
     degenerate interval midpoint in both lo and hi.
     """
     tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
@@ -102,39 +104,64 @@ def point_segment_distances(points, a, b):
     return np.linalg.norm(pts[:, None, :] - proj, axis=2)
 
 
+def expand_ranges(start, count) -> np.ndarray:
+    """The ranges start[k], ..., start[k] + count[k] - 1, concatenated."""
+    count = np.asarray(count, dtype=np.int64)
+    offsets = np.cumsum(count) - count
+    shift = np.repeat(np.asarray(start, dtype=np.int64) - offsets, count)
+    return np.arange(int(count.sum()), dtype=np.int64) + shift
+
+
 class SpatialGrid:
-    """Uniform hash grid over axis-aligned boxes, for candidate queries."""
+    """Uniform grid over axis-aligned boxes, for candidate queries.
+
+    The index holds one entry per (cell, box) overlap, sorted by cell code,
+    so a query finds the boxes of each cell it covers by binary search.
+    """
 
     def __init__(self, lo, hi, cell_size: float):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
+        lo = np.asarray(lo, dtype=float).reshape(-1, 2)
+        hi = np.asarray(hi, dtype=float).reshape(-1, 2)
         self._origin = lo.min(axis=0)
         self._cell = float(cell_size)
         if self._cell <= 0.0:
             raise ValueError("cell_size must be positive")
-        ilo = np.floor((lo - self._origin) / self._cell).astype(np.int64)
-        ihi = np.floor((hi - self._origin) / self._cell).astype(np.int64)
-        self._buckets: dict[tuple[int, int], list[int]] = {}
-        for idx in range(len(lo)):
-            for ix in range(ilo[idx, 0], ihi[idx, 0] + 1):
-                for iy in range(ilo[idx, 1], ihi[idx, 1] + 1):
-                    self._buckets.setdefault((ix, iy), []).append(idx)
+        self._n = len(lo)
+        ihi = self._cells(hi)
+        self._shape = ihi.max(axis=0) + 1
+        box, code = self._cover(self._cells(lo), ihi)
+        order = np.argsort(code, kind="stable")
+        self._codes = code[order]
+        self._boxes = box[order]
 
     @classmethod
     def for_triangles(cls, vertices, triangles, cell_size):
         coords = vertices[triangles]  # (m, 3, 2)
         return cls(coords.min(axis=1), coords.max(axis=1), cell_size)
 
-    def query(self, lo, hi) -> np.ndarray:
-        """Sorted unique indices of boxes whose cells overlap [lo, hi]."""
-        ilo = np.floor((np.asarray(lo) - self._origin) / self._cell).astype(np.int64)
-        ihi = np.floor((np.asarray(hi) - self._origin) / self._cell).astype(np.int64)
-        found: list[int] = []
-        for ix in range(ilo[0], ihi[0] + 1):
-            for iy in range(ilo[1], ihi[1] + 1):
-                hit = self._buckets.get((ix, iy))
-                if hit:
-                    found.extend(hit)
-        if not found:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.asarray(found, dtype=np.int64))
+    def _cells(self, points) -> np.ndarray:
+        return np.floor((points - self._origin) / self._cell).astype(np.int64)
+
+    def _cover(self, ilo, ihi):
+        """(box, cell code) of every grid cell inside each cell range."""
+        ilo = np.maximum(ilo, 0)
+        ihi = np.minimum(ihi, self._shape - 1)
+        span = np.maximum(ihi - ilo + 1, 0)
+        count = span[:, 0] * span[:, 1]
+        box = np.repeat(np.arange(len(ilo)), count)
+        local = expand_ranges(np.zeros_like(count), count)
+        ix = ilo[box, 0] + local // span[box, 1]
+        iy = ilo[box, 1] + local % span[box, 1]
+        return box, ix * self._shape[1] + iy
+
+    def query(self, lo, hi):
+        """Pairs (k, box) of query box k = [lo[k], hi[k]] and the stored
+        boxes sharing a cell with it, unique and sorted by (k, box)."""
+        lo = np.asarray(lo, dtype=float).reshape(-1, 2)
+        hi = np.asarray(hi, dtype=float).reshape(-1, 2)
+        query, code = self._cover(self._cells(lo), self._cells(hi))
+        first = np.searchsorted(self._codes, code, side="left")
+        count = np.searchsorted(self._codes, code, side="right") - first
+        boxes = self._boxes[expand_ranges(first, count)]
+        pairs = np.unique(np.repeat(query, count) * self._n + boxes)
+        return pairs // self._n, pairs % self._n

@@ -463,8 +463,8 @@ def run_single(config: ProblemConfig, out_dir=None, level: int = 0) -> RunResult
     rc = RefinementConfig(**config.refinement)
     mesh = build_rectangle_mesh(config.domain, rc.global_h)
     graph = build_crack_graph(config, rc.global_h)
-    mesh = refine_near_crack(mesh, graph, rc)
-    segments = cut_chains(mesh, graph)
+    mesh, hits = refine_near_crack(mesh, graph, rc)
+    segments = cut_chains(mesh, graph, hits)
     coeffs = _build_coefficients(config, graph)
     boundary = _build_boundary(config)
     system = assemble(mesh, segments, coeffs, boundary)

@@ -70,13 +70,16 @@ class CrackGraph:
 
     def __init__(self, chains):
         self.chains: list[Chain] = list(chains)
-        for c in self.chains:
-            if c.length == 0.0:
-                raise CrackGeometryError("zero-length chain")
         scale = 1.0
         if self.chains:
             scale = bbox_diameter(np.vstack([c.points for c in self.chains]))
         tol = REL_TOL * max(scale, 1.0)
+        for j, c in enumerate(self.chains):
+            if c.length <= tol:
+                raise CrackGeometryError(
+                    f"chain {j} is no longer than the crack tolerance "
+                    f"{tol:.3e} (zero-length)"
+                )
         nodes = np.empty((0, 2))
         self.chain_nodes = np.empty((len(self.chains), 2), dtype=np.int64)
         for j, c in enumerate(self.chains):
@@ -98,6 +101,15 @@ class CrackGraph:
     @classmethod
     def empty(cls) -> "CrackGraph":
         return cls([])
+
+    def parts(self):
+        """(starts, ends): the endpoints of every polyline part, chain after
+        chain, as two (p, 2) arrays. Incidence part ids index these."""
+        if not self.chains:
+            return np.empty((0, 2)), np.empty((0, 2))
+        starts = np.vstack([c.points[:-1] for c in self.chains])
+        ends = np.vstack([c.points[1:] for c in self.chains])
+        return starts, ends
 
 
 def arc_curve(center, radius, angle0, angle1):
@@ -233,23 +245,23 @@ def _dedupe_sorted(values: np.ndarray, tol: float) -> np.ndarray:
     return np.asarray(kept)
 
 
-def cut_chains(mesh, crack: CrackGraph) -> SegmentedCrack:
+def cut_chains(mesh, crack: CrackGraph, hits=None) -> SegmentedCrack:
     """Slice every chain of the crack graph into per-triangle segments.
 
     Each polyline part longer than the mesh tolerance is clipped against
-    the triangles it touches (``Mesh.incidence``); the resulting breakpoints
-    partition the part, and every sub-segment is assigned to the
-    lowest-index triangle containing it (so parts running along shared
-    element edges get a unique owner). Raises CrackGeometryError when a
-    chain has no part longer than the tolerance or a chain portion lies
-    outside every triangle.
+    the triangles it touches; the resulting breakpoints partition the part,
+    and every sub-segment is assigned to the lowest-index triangle
+    containing it (so parts running along shared element edges get a
+    unique owner). ``hits`` is the ``mesh.incidence`` of ``crack.parts()``,
+    as ``refine_near_crack`` returns it; None queries it here. Raises
+    CrackGeometryError when a chain has no part longer than the tolerance
+    or a chain portion lies outside every triangle.
     """
     if crack.n_chains == 0:
         return SegmentedCrack.empty()
     tol = mesh.tolerance
     pts = [c.points for c in crack.chains]
-    starts = np.vstack([c[:-1] for c in pts])
-    ends = np.vstack([c[1:] for c in pts])
+    starts, ends = crack.parts()
     chain_of = np.concatenate([np.full(len(c) - 1, j) for j, c in enumerate(pts)])
     part_of = np.concatenate([np.arange(len(c) - 1) for c in pts])
     plen = np.linalg.norm(ends - starts, axis=1)
@@ -260,12 +272,17 @@ def cut_chains(mesh, crack: CrackGraph) -> SegmentedCrack:
             f"chain {int(np.argmax(uncut))} is no longer than the mesh "
             f"tolerance {tol:.3e}"
         )
+    if hits is None:
+        hits = mesh.incidence(starts, ends)
+    bounds = np.searchsorted(hits.part, np.arange(len(starts) + 1))
 
     tri_idx: list[np.ndarray] = []
     seg_pts: list[np.ndarray] = []
     seg_len: list[np.ndarray] = []
     seg_chain: list[np.ndarray] = []
-    for k, (owners, lo, hi) in zip(cut, mesh.incidence(starts[cut], ends[cut])):
+    for k in cut:
+        at = slice(bounds[k], bounds[k + 1])
+        owners, lo, hi = hits.tri[at], hits.lo[at], hits.hi[at]
         j, i, p, q = chain_of[k], part_of[k], starts[k], ends[k]
         keep = hi > lo
         lo, hi, owners = lo[keep], hi[keep], owners[keep]

@@ -12,10 +12,17 @@ classes, so minimum angles stay bounded away from zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._geom import REL_TOL, SpatialGrid, bbox_diameter, clip_segments_to_triangles
+from ._geom import (
+    REL_TOL,
+    SpatialGrid,
+    bbox_diameter,
+    clip_segments_to_triangles,
+    expand_ranges,
+)
 from .cracks import CrackGraph
 
 
@@ -25,6 +32,20 @@ class MeshError(ValueError):
 
 class RefinementError(RuntimeError):
     pass
+
+
+class Incidence(NamedTuple):
+    """Crack–triangle incidence as flat arrays sorted by (part, tri).
+
+    Entry i says that segment ``part[i]`` touches triangle ``tri[i]`` within
+    the mesh tolerance, over the clip interval [lo[i], hi[i]] of its
+    parameter, as returned by ``clip_segments_to_triangles``.
+    """
+
+    part: np.ndarray
+    tri: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
 
 class Mesh:
@@ -134,21 +155,30 @@ class Mesh:
         """Absolute geometric tolerance of incidence tests on this mesh."""
         return REL_TOL * max(bbox_diameter(self.vertices), 1.0)
 
-    def incidence(self, starts, ends):
-        """Triangles touched by each segment starts[k] -> ends[k], in order.
+    def incidence(self, starts, ends) -> Incidence:
+        """Triangles touched by the segments starts[k] -> ends[k].
 
-        Yields (tri_ids, lo, hi) per segment: the ascending ids of the
-        triangles the closed segment meets within ``tolerance``, and their
-        clip intervals as returned by ``clip_segments_to_triangles``. A point
-        is the segment with starts[k] == ends[k].
+        The one full query: every triangle whose grid cells meet a
+        segment's tolerance box is clipped. Returns the ``Incidence`` of the
+        closed segments within ``tolerance``; a point is the segment with
+        starts[k] == ends[k].
         """
+        starts = np.asarray(starts, dtype=float).reshape(-1, 2)
+        ends = np.asarray(ends, dtype=float).reshape(-1, 2)
         tol = self.tolerance
-        coords = self.vertices[self.triangles]
         grid = SpatialGrid.for_triangles(self.vertices, self.triangles, self.h_max)
-        for p, q in zip(starts, ends):
-            cand = grid.query(np.minimum(p, q) - tol, np.maximum(p, q) + tol)
-            lo, hi, touched = clip_segments_to_triangles(p, q, coords[cand], tol)
-            yield cand[touched], lo[touched], hi[touched]
+        part, tri = grid.query(
+            np.minimum(starts, ends) - tol, np.maximum(starts, ends) + tol
+        )
+        return self.clip_pairs(starts, ends, part, tri)
+
+    def clip_pairs(self, starts, ends, part, tri) -> Incidence:
+        """The ``Incidence`` among candidate pairs (part, tri), given sorted
+        by (part, tri): segment part[i] is clipped against triangle tri[i]."""
+        lo, hi, touched = clip_segments_to_triangles(
+            starts[part], ends[part], self.vertices[self.triangles[tri]], self.tolerance
+        )
+        return Incidence(part[touched], tri[touched], lo[touched], hi[touched])
 
     def edge_codes(self):
         """Unique undirected edges as codes a * n + b (a < b), plus the
@@ -259,18 +289,22 @@ def build_rectangle_mesh(bounds, target_h: float) -> Mesh:
     return Mesh(vertices, triangles, np.asarray(edges, dtype=np.int64), tags)
 
 
-def refine_marked(mesh: Mesh, marked) -> Mesh:
+def refine_marked(mesh: Mesh, marked):
     """One generation of newest-vertex bisection with conforming closure.
 
     All marked triangles are bisected at their refinement edges; the closure
     marks the refinement edge of any triangle with a marked edge, so the
     output is conforming. Vertices of the input keep their indices.
+
+    Returns (refined, parent): ``parent[i]`` is the input triangle that
+    output triangle i lies in. Children of one parent are consecutive, in
+    parent order, so ``parent`` is non-decreasing.
     """
     marked = np.asarray(marked)
     if marked.dtype == bool:
         marked = np.nonzero(marked)[0]
     if marked.size == 0:
-        return mesh
+        return mesh, np.arange(mesh.n_triangles)
     t = mesh.triangles
     n, m = mesh.n_vertices, mesh.n_triangles
     codes, t2e = mesh.edge_codes()
@@ -334,23 +368,21 @@ def refine_marked(mesh: Mesh, marked) -> Mesh:
     edges = np.repeat(mesh.boundary_edges, reps, axis=0)
     edges[first[split], 1] = bmid[split]
     edges[first[split] + 1, 0] = bmid[split]
-    return Mesh(vertices, out, edges, np.repeat(mesh.boundary_tags, reps))
+    refined = Mesh(vertices, out, edges, np.repeat(mesh.boundary_tags, reps))
+    return refined, np.repeat(np.arange(m), counts)
 
 
-def mark_crack_elements(mesh: Mesh, crack: CrackGraph):
+def mark_crack_elements(mesh: Mesh, crack: CrackGraph, hits=None):
     """Indices of triangles the crack touches, closed-set semantics.
 
     A triangle is marked when any chain part intersects it, including
-    touching its boundary within the geometric tolerance. Returns a sorted
-    integer array.
+    touching its boundary within the geometric tolerance. ``hits`` is the
+    ``mesh.incidence`` of ``crack.parts()``, as refinement keeps it; None
+    queries it here. Returns a sorted integer array.
     """
-    hit = np.zeros(mesh.n_triangles, dtype=bool)
-    if crack.n_chains:
-        starts = np.vstack([c.points[:-1] for c in crack.chains])
-        ends = np.vstack([c.points[1:] for c in crack.chains])
-        for tri_ids, _, _ in mesh.incidence(starts, ends):
-            hit[tri_ids] = True
-    return np.nonzero(hit)[0]
+    if hits is None:
+        hits = mesh.incidence(*crack.parts())
+    return np.unique(hits.tri)
 
 
 def _vertex_neighborhood(mesh: Mesh, tri_ids) -> np.ndarray:
@@ -358,6 +390,25 @@ def _vertex_neighborhood(mesh: Mesh, tri_ids) -> np.ndarray:
     mask = np.zeros(mesh.n_vertices, dtype=bool)
     mask[mesh.triangles[tri_ids].ravel()] = True
     return np.nonzero(mask[mesh.triangles].any(axis=1))[0]
+
+
+def _part_neighborhoods(mesh: Mesh, hits: Incidence, band):
+    """Pairs (part, triangle), unique and sorted: the vertex neighborhood of
+    each part's touched triangles. ``band`` is the neighborhood of all of
+    them, ``_vertex_neighborhood(mesh, hits.tri)``."""
+    n = mesh.n_vertices
+    # (vertex, band triangle) incidences sorted by vertex
+    corner = mesh.triangles[band].ravel()
+    order = np.argsort(corner, kind="stable")
+    corner, owner = corner[order], np.repeat(band, 3)[order]
+    part_vertex = np.unique(hits.part[:, None] * n + mesh.triangles[hits.tri])
+    first = np.searchsorted(corner, part_vertex % n, side="left")
+    count = np.searchsorted(corner, part_vertex % n, side="right") - first
+    pairs = np.unique(
+        np.repeat(part_vertex // n, count) * mesh.n_triangles
+        + owner[expand_ranges(first, count)]
+    )
+    return pairs // mesh.n_triangles, pairs % mesh.n_triangles
 
 
 @dataclass
@@ -395,28 +446,52 @@ class RefinementConfig:
         return float(self.coefficient * self.global_h**2)
 
 
-def refine_near_crack(mesh: Mesh, crack: CrackGraph, config: RefinementConfig) -> Mesh:
+def refine_near_crack(mesh: Mesh, crack: CrackGraph, config: RefinementConfig):
     """Bisect crack-band triangles until they meet the near-crack size target.
 
-    Each generation re-marks the triangles the crack touches, extends the set
+    Each generation takes the triangles the crack touches, extends the set
     by one ring of vertex neighbors, and bisects every member whose diameter
-    exceeds the target. Returns the input mesh unchanged when nothing needs
-    refining. Raises RefinementError when max_generations is exhausted.
+    exceeds the target. Raises RefinementError when max_generations is
+    exhausted.
+
+    Returns (refined, hits): ``hits`` is ``refined.incidence`` of the crack
+    parts (``crack.parts()``), or None when the rule asks for no refinement
+    or the crack is empty; the refined mesh is the input itself when nothing
+    needs refining.
+
+    Generation 0 runs the full ``Mesh.incidence`` query. Later generations
+    clip only the children of each part's touched triangles and of their
+    vertex neighbors: a child lies inside its parent, and a crack point
+    within the tolerance of a child but outside its parent's tolerance band
+    lies in a triangle sharing a vertex with that parent. So the incidence
+    equals a fresh query wherever the crack lies inside the mesh.
     """
     target = config.crack_target()
     if target is None or crack.n_chains == 0:
-        return mesh
-    current = mesh
+        return mesh, None
+    starts, ends = crack.parts()
+    current, parent, near = mesh, None, None
     for _ in range(config.max_generations):
-        marked = mark_crack_elements(current, crack)
+        if near is None:
+            hits = current.incidence(starts, ends)
+        else:
+            near_part, near_tri = near
+            first = np.searchsorted(parent, near_tri, side="left")
+            count = np.searchsorted(parent, near_tri, side="right") - first
+            children = expand_ranges(first, count)
+            hits = current.clip_pairs(
+                starts, ends, np.repeat(near_part, count), children
+            )
+        marked = mark_crack_elements(current, crack, hits)
         if marked.size == 0:
-            return current
+            return current, hits
         band = _vertex_neighborhood(current, marked)
         band_diameters = current.triangle_diameters()[band]
         need = band[band_diameters > target]
         if need.size == 0:
-            return current
-        current = refine_marked(current, need)
+            return current, hits
+        near = _part_neighborhoods(current, hits, band)
+        current, parent = refine_marked(current, need)
     raise RefinementError(
         f"near-crack target {target:.3e} not reached within "
         f"{config.max_generations} generations (mesh has {current.n_triangles} "

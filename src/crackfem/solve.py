@@ -139,7 +139,11 @@ class SolutionField:
         """Containing triangle per point (lowest index wins), -1 if outside."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         hits = self.mesh.incidence(pts, pts)
-        return np.array([t[0] if t.size else -1 for t, _, _ in hits], dtype=np.int64)
+        # pairs are sorted by (point, triangle): the first of each point wins
+        found, first = np.unique(hits.part, return_index=True)
+        where = np.full(len(pts), -1, dtype=np.int64)
+        where[found] = hits.tri[first]
+        return where
 
     def evaluate(self, points) -> np.ndarray:
         """Point evaluation by barycentric interpolation."""

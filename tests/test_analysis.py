@@ -217,7 +217,7 @@ class TestGalerkinOrthogonality:
         rc = RefinementConfig(**config.refinement)
         graph = build_crack_graph(config, h / 40.0)  # spacing h / 400
         mesh = build_rectangle_mesh(config.domain, h)
-        mesh = refine_near_crack(mesh, graph, rc)
+        mesh, _ = refine_near_crack(mesh, graph, rc)
         segments = cut_chains(mesh, graph)
         coeffs = _build_coefficients(config, graph)
         system = assemble(mesh, segments, coeffs, _build_boundary(config))

@@ -60,6 +60,14 @@ class TestCrackGraph:
         with pytest.raises(CrackGeometryError, match="zero-length"):
             CrackGraph([Chain(np.array([[1.0, 1.0], [1.0, 1.0]]))])
 
+    def test_chain_within_tolerance_is_rejected_by_name(self):
+        # shorter than the node tolerance, it used to become a loop on one
+        # node although its ends differ
+        tiny = Chain(np.array([[0.5, 0.5], [0.5000000000001, 0.5]]))
+        assert not tiny.is_closed
+        with pytest.raises(CrackGeometryError, match="chain 1 is no longer than"):
+            CrackGraph([Chain(np.array([[0.1, 0.2], [0.3, 0.4]])), tiny])
+
     def test_derives_nodes_from_endpoints(self, y_crack):
         # three chains share the center, so 4 distinct nodes remain
         assert y_crack.nodes.shape == (4, 2)
@@ -243,8 +251,9 @@ class TestCutChains:
             cut_chains(square_mesh, CrackGraph([chain]))
 
     def test_chain_within_tolerance_is_rejected_by_name(self, fine_square_mesh):
-        # long enough for the graph, but every part is below the mesh tolerance
-        tiny = Chain(np.array([[0.5, 0.5], [0.5000000000001, 0.5]]))
+        # long enough for the graph (1.8e-12 > 1e-12), but every part is
+        # below the mesh tolerance 1.41e-12
+        tiny = Chain(np.array([[0.5 + 6e-13 * i, 0.5] for i in range(4)]))
         crack = CrackGraph([Chain(np.array([[0.1, 0.2], [0.3, 0.4]])), tiny])
         with pytest.raises(CrackGeometryError, match="chain 1 is no longer than"):
             cut_chains(fine_square_mesh, crack)
@@ -258,7 +267,7 @@ class TestCutChains:
         chain = Chain(np.array([[0.75, 0.25], [0.25, 0.75]]), permeability=1.0)
         crack = CrackGraph([chain])
         rc = RefinementConfig(global_h=0.1, rule="quadratic")
-        cut = cut_chains(refine_near_crack(mesh, crack, rc), crack)
+        cut = cut_chains(refine_near_crack(mesh, crack, rc)[0], crack)
         assert cut.length.sum() == pytest.approx(chain.length, rel=1e-12)
 
     def test_empty_crack_gives_empty_cut(self, square_mesh):

@@ -4,8 +4,10 @@ Each case runs mesh, crack graph, refinement, cutting and assembly for one
 preset level and hashes the mesh arrays, the segment arrays, the
 constrained matrix (CSR data/indices/indptr) and the right-hand side. The
 digests were recorded before the P1 geometry was folded into ``Mesh``, the
-graph node digests before ``CrackGraph`` derived its nodes in one pass; a
-change that moves any of them on purpose must say so and re-record them.
+graph node digests before ``CrackGraph`` derived its nodes in one pass, and
+the radial-local level 3 and crack-network h=0.25 cases before refinement
+updated its crack incidence incrementally; a change that moves any of them
+on purpose must say so and re-record them.
 """
 
 import hashlib
@@ -15,7 +17,6 @@ import pytest
 
 from crackfem import (
     RefinementConfig,
-    SegmentedCrack,
     assemble,
     build_preset,
     build_rectangle_mesh,
@@ -33,17 +34,25 @@ def _digest(array) -> str:
     return h.hexdigest()
 
 
-def pipeline_digests(preset: str, level: int | None) -> dict:
-    """Digest of every array the pipeline builds up to the linear system,
-    at one study level of the preset, or at its own global_h for None."""
+def case_config(case: str):
+    """The config of a case "preset:at": ``at`` is a study level index,
+    "default" for the preset's own global_h, or "h=<global_h>"."""
+    preset, at = case.rsplit(":", 1)
     config = build_preset(preset)
-    if level is not None:
-        config = config.with_global_h(config.study["levels"][level])
+    if at.startswith("h="):
+        return config.with_global_h(float(at[2:]))
+    if at != "default":
+        return config.with_global_h(config.study["levels"][int(at)])
+    return config
+
+
+def pipeline_digests(config) -> dict:
+    """Digest of every array the pipeline builds up to the linear system."""
     rc = RefinementConfig(**config.refinement)
     mesh = build_rectangle_mesh(config.domain, rc.global_h)
     graph = build_crack_graph(config, rc.global_h)
-    mesh = refine_near_crack(mesh, graph, rc)
-    segments = cut_chains(mesh, graph) if graph.n_chains else SegmentedCrack.empty()
+    mesh, hits = refine_near_crack(mesh, graph, rc)
+    segments = cut_chains(mesh, graph, hits)
     system = assemble(
         mesh, segments, _build_coefficients(config, graph), _build_boundary(config)
     )
@@ -171,6 +180,23 @@ GOLDEN = {
         "matrix.indptr": "8066a7a06bea9bf2",
         "rhs": "1bb7077d2c94dee4",
     },
+    "radial-local:3": {
+        "mesh.vertices": "32822181384d5e54",
+        "mesh.triangles": "aef218afc9dd927d",
+        "mesh.boundary_edges": "043a49d3d2228eec",
+        "mesh.boundary_tags": "005a893a230d97e5",
+        "segments.triangle_index": "531b61526aa78a3c",
+        "segments.points": "0869399521fb5e2d",
+        "segments.length": "31fa9ca1d2537a4d",
+        "segments.chain_index": "a7b4f80c1e7d4408",
+        "segments.chain_length": "5866f9d9145fbd01",
+        "segments.nodes": "05ecf13088bfd6ba",
+        "segments.chain_nodes": "7b29175914f14d24",
+        "matrix.data": "0e95572c4845910c",
+        "matrix.indices": "f05dc0ade9d5743d",
+        "matrix.indptr": "4a054e532b77f7c5",
+        "rhs": "4ec9a84020ff6f5e",
+    },
     "crack-network:default": {
         "mesh.vertices": "13a28b3b7b7549e0",
         "mesh.triangles": "847d78d674f0a6f8",
@@ -188,12 +214,28 @@ GOLDEN = {
         "matrix.indptr": "0b1c57c5e58cca55",
         "rhs": "e555d9d6612f0ec5",
     },
+    "crack-network:h=0.25": {
+        "mesh.vertices": "8f6af4d6902ff501",
+        "mesh.triangles": "69a9db978fe5fbdf",
+        "mesh.boundary_edges": "120b600536f3d95d",
+        "mesh.boundary_tags": "abe19699023b1fe3",
+        "segments.triangle_index": "63689b64e94884e9",
+        "segments.points": "15226675efafa53e",
+        "segments.length": "294689b42d0977c7",
+        "segments.chain_index": "04e5e0a0c2929313",
+        "segments.chain_length": "3bd95af079a9d3c3",
+        "segments.nodes": "56b1a72272a89021",
+        "segments.chain_nodes": "90243e8b4813d976",
+        "matrix.data": "52d516b751dfde3d",
+        "matrix.indices": "ea1685f78ff2dc0c",
+        "matrix.indptr": "6375ac8334451af0",
+        "rhs": "e67377119394bfd1",
+    },
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_pipeline_arrays_are_bitwise_unchanged(case):
-    preset, level = case.rsplit(":", 1)
-    got = pipeline_digests(preset, None if level == "default" else int(level))
+    got = pipeline_digests(case_config(case))
     got = {name: digest[:16] for name, digest in got.items()}
     assert got == GOLDEN[case]

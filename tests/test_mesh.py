@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crackfem import (
     Chain,
@@ -18,7 +20,12 @@ from crackfem import (
 )
 from crackfem._geom import REL_TOL, bbox_diameter, point_segment_distances
 from crackfem.config import _radial_levels, build_crack_graph
-from crackfem.mesh import _vertex_neighborhood, export_mesh_text, export_vtk
+from crackfem.mesh import (
+    _part_neighborhoods,
+    _vertex_neighborhood,
+    export_mesh_text,
+    export_vtk,
+)
 from crackfem import mesh as mesh_module
 from conftest import make_y_crack
 from oracles import dof_count_profile, element_gradients, points_in_triangle
@@ -169,23 +176,23 @@ class TestRefineMarked:
             marked = rng.choice(
                 mesh.n_triangles, size=max(1, mesh.n_triangles // 10), replace=False
             )
-            mesh = refine_marked(mesh, marked)
+            mesh, _ = refine_marked(mesh, marked)
             mesh.validate()
 
     def test_vertices_only_grow(self, square_mesh):
-        refined = refine_marked(square_mesh, [0])
+        refined, _ = refine_marked(square_mesh, [0])
         assert refined.n_vertices > square_mesh.n_vertices
         np.testing.assert_array_equal(
             refined.vertices[: square_mesh.n_vertices], square_mesh.vertices
         )
 
     def test_empty_marking_returns_input(self, square_mesh):
-        assert refine_marked(square_mesh, np.empty(0, dtype=int)) is square_mesh
+        assert refine_marked(square_mesh, np.empty(0, dtype=int))[0] is square_mesh
 
     def test_boolean_mask_accepted(self, square_mesh):
         mask = np.zeros(square_mesh.n_triangles, dtype=bool)
         mask[3] = True
-        refined = refine_marked(square_mesh, mask)
+        refined, _ = refine_marked(square_mesh, mask)
         assert refined.n_triangles > square_mesh.n_triangles
 
     def test_min_angle_floor_over_random_sequences(self, rng):
@@ -196,12 +203,12 @@ class TestRefineMarked:
             for _ in range(4):
                 k = rng.integers(1, mesh.n_triangles)
                 marked = rng.choice(mesh.n_triangles, size=k, replace=False)
-                mesh = refine_marked(mesh, marked)
+                mesh, _ = refine_marked(mesh, marked)
             assert mesh.min_angle() >= 15.0
             mesh.validate()
 
     def test_boundary_tags_survive_refinement(self, square_mesh):
-        refined = refine_marked(square_mesh, np.arange(square_mesh.n_triangles))
+        refined, _ = refine_marked(square_mesh, np.arange(square_mesh.n_triangles))
         for tag in ("left", "right", "top", "bottom"):
             assert (refined.boundary_tags == tag).sum() >= (
                 square_mesh.boundary_tags == tag
@@ -212,11 +219,11 @@ class TestRefineMarked:
 class TestRefineNearCrack:
     def test_rule_none_is_identity(self, square_mesh, y_crack):
         config = RefinementConfig(global_h=0.5, rule="none")
-        assert refine_near_crack(square_mesh, y_crack, config) is square_mesh
+        assert refine_near_crack(square_mesh, y_crack, config)[0] is square_mesh
 
     def test_fixed_rule_already_satisfied(self, square_mesh, y_crack):
         config = RefinementConfig(global_h=0.5, rule="fixed", crack_h=10.0)
-        assert refine_near_crack(square_mesh, y_crack, config) is square_mesh
+        assert refine_near_crack(square_mesh, y_crack, config)[0] is square_mesh
 
     def test_quadratic_rule_meets_target(self):
         config = build_preset("radial-local")
@@ -224,7 +231,7 @@ class TestRefineNearCrack:
         crack = build_crack_graph(config, h)
         mesh = build_rectangle_mesh(config.domain, h)
         rc = RefinementConfig(global_h=h, rule="quadratic", coefficient=1.0)
-        refined = refine_near_crack(mesh, crack, rc)
+        refined, _ = refine_near_crack(mesh, crack, rc)
         marked = mark_crack_elements(refined, crack)
         band = _vertex_neighborhood(refined, marked)
         assert (refined.triangle_diameters()[band] <= rc.crack_target()).all()
@@ -235,8 +242,8 @@ class TestRefineNearCrack:
     def test_idempotent(self, y_crack):
         mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 0.25)
         rc = RefinementConfig(global_h=0.25, rule="fixed", crack_h=0.1)
-        once = refine_near_crack(mesh, y_crack, rc)
-        again = refine_near_crack(once, y_crack, rc)
+        once, _ = refine_near_crack(mesh, y_crack, rc)
+        again, _ = refine_near_crack(once, y_crack, rc)
         assert again is once
 
     def test_generation_budget_exhausted(self, y_crack):
@@ -255,7 +262,17 @@ class TestRefineNearCrack:
             calls.append(args)
             return original(*args, **kwargs)
 
+        # each generation's incidence step is one vectorised clip: the full
+        # query in generation 0, the children near the crack after that
+        clip = mesh_module.clip_segments_to_triangles
+        clips = []
+
+        def counting_clips(*args, **kwargs):
+            clips.append(args)
+            return clip(*args, **kwargs)
+
         monkeypatch.setattr(mesh_module, "mark_crack_elements", counting)
+        monkeypatch.setattr(mesh_module, "clip_segments_to_triangles", counting_clips)
         mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 0.5)
         rc = RefinementConfig(
             global_h=0.5, rule="fixed", crack_h=1e-3, max_generations=2
@@ -263,6 +280,7 @@ class TestRefineNearCrack:
         with pytest.raises(RefinementError, match="worst band diameter"):
             refine_near_crack(mesh, y_crack, rc)
         assert len(calls) == 2
+        assert len(clips) == 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -273,6 +291,100 @@ class TestRefineNearCrack:
             RefinementConfig(global_h=0.5, rule="fixed")
         with pytest.raises(ValueError):
             RefinementConfig(global_h=0.5, rule="quadratic", coefficient=0.0)
+
+
+UNIT_TOL = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 1.0).tolerance
+
+
+def _polylines(coord):
+    def long_enough(points):
+        return np.linalg.norm(np.diff(points, axis=0), axis=1).sum() > 1e-6
+
+    polyline = st.lists(st.tuples(coord, coord), min_size=2, max_size=4)
+    return st.lists(polyline.map(np.array).filter(long_enough), min_size=1, max_size=3)
+
+
+@st.composite
+def _near_vertex_chains(draw):
+    """One segment passing 1-3 tolerances beside a lattice point that
+    refinement turns into a vertex, where 45-degree child corners reach."""
+    vertex = np.array([draw(st.integers(4, 12)), draw(st.integers(4, 12))]) / 16.0
+    angle = np.pi * draw(st.sampled_from([0.0, 0.25, 0.5, 0.75]) | st.floats(0.0, 1.0))
+    along = np.array([np.cos(angle), np.sin(angle)])
+    center = vertex + draw(st.floats(1.0, 3.0)) * UNIT_TOL * np.array([-along[1], along[0]])
+    back, ahead = draw(st.floats(0.02, 0.2)), draw(st.floats(0.02, 0.2))
+    return [np.array([center - back * along, center + ahead * along])]
+
+
+_H = st.sampled_from([0.5, 0.25, 0.125])
+_RULE = st.sampled_from(["fixed", "quadratic"])
+
+
+class TestIncrementalIncidence:
+    """Every generation's incidence equals a fresh full query, bitwise."""
+
+    @staticmethod
+    def check_generations(chains, h, rule):
+        crack = CrackGraph([Chain(points) for points in chains])
+        mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), h)
+        rc = RefinementConfig(global_h=h, rule=rule, crack_h=h / 8.0)
+        clips, bisections = [], []
+        clip_pairs, bisect = Mesh.clip_pairs, mesh_module.refine_marked
+
+        def recording_clip(self, starts, ends, part, tri):
+            hits = clip_pairs(self, starts, ends, part, tri)
+            clips.append((self, starts, ends, hits))
+            return hits
+
+        def recording_bisect(coarse, marked):
+            refined, parent = bisect(coarse, marked)
+            bisections.append((coarse, refined, parent))
+            return refined, parent
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Mesh, "clip_pairs", recording_clip)
+            patch.setattr(mesh_module, "refine_marked", recording_bisect)
+            refined, hits = refine_near_crack(mesh, crack, rc)
+
+        # one incidence step per generation; the last is the one returned
+        assert len(clips) == len(bisections) + 1
+        assert clips[-1][0] is refined and clips[-1][3] is hits
+        for current, starts, ends, got in clips:
+            want = current.incidence(starts, ends)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            band = _vertex_neighborhood(current, got.tri)
+            part, tri = _part_neighborhoods(current, got, band)
+            assert np.unique(tri).tolist() == band.tolist()
+            for k in np.unique(got.part):
+                mine = got.tri[got.part == k]
+                assert tri[part == k].tolist() == (
+                    _vertex_neighborhood(current, mine).tolist()
+                )
+        for coarse, fine, parent in bisections:
+            assert parent.shape == (fine.n_triangles,)
+            assert (np.diff(parent) >= 0).all()
+            centroids = fine.vertices[fine.triangles].mean(axis=1)
+            assert (coarse.hat_values(parent, centroids) > 0.0).all()
+            areas = np.bincount(
+                parent, weights=fine.triangle_areas(), minlength=coarse.n_triangles
+            )
+            np.testing.assert_allclose(areas, coarse.triangle_areas(), rtol=1e-12)
+
+    @settings(deadline=None, max_examples=50)
+    @given(_polylines(st.floats(0.0, 1.0)), _H, _RULE)
+    def test_random_polylines(self, chains, h, rule):
+        self.check_generations(chains, h, rule)
+
+    @settings(deadline=None, max_examples=50)
+    @given(_polylines(st.integers(0, 16).map(lambda i: i / 16.0)), _H, _RULE)
+    def test_grid_snapped_polylines(self, chains, h, rule):
+        self.check_generations(chains, h, rule)
+
+    @settings(deadline=None, max_examples=50)
+    @given(_near_vertex_chains(), _H, _RULE)
+    def test_chain_just_beside_a_vertex(self, chains, h, rule):
+        self.check_generations(chains, h, rule)
 
 
 class TestP1Geometry:
@@ -330,7 +442,7 @@ class TestDofProfile:
             level = config.with_global_h(h)
             crack = build_crack_graph(level, h)
             mesh = build_rectangle_mesh(level.domain, h)
-            mesh = refine_near_crack(
+            mesh, _ = refine_near_crack(
                 mesh, crack, RefinementConfig(**level.refinement)
             )
             near.append(dof_count_profile(mesh, crack).n_near_crack_vertices)

@@ -192,7 +192,7 @@ class TestSolutionField:
         mesh = fine_square_mesh
         for _ in range(3):
             mark = rng.choice(mesh.n_triangles, mesh.n_triangles // 8, replace=False)
-            mesh = refine_marked(mesh, mark)
+            mesh, _ = refine_marked(mesh, mark)
         coords = mesh.vertices[mesh.triangles]
         edge_mids = 0.5 * (coords + np.roll(coords, -1, axis=1))
         pts = np.vstack(
