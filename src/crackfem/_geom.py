@@ -21,33 +21,34 @@ def bbox_diameter(points: np.ndarray) -> float:
     return float(np.hypot(span[0], span[1]))
 
 
-def _clip_interval(p, q, tris, thresholds):
-    """Clip segments p->q against triangles, one half-plane at a time.
+def clip_segments_to_triangles(p, q, tris, tol):
+    """Closed-set clip of segments against triangles.
 
-    Parameters
-    ----------
-    p, q : (2,) or (k, 2) arrays, segment endpoints: one segment for all
-        triangles, or segment i for triangle i.
-    tris : (k, 3, 2) array of triangle vertices, counterclockwise.
-    thresholds : (k, 3) array; edge i accepts points with signed (unnormalized)
-        distance >= thresholds[:, i]. Zero gives the exact closed triangle.
-
-    Returns
-    -------
-    lo, hi : (k,) parameter bounds in [0, 1]; empty intersections have lo > hi.
+    p and q are (2,) endpoints of one segment clipped against every
+    triangle, or (k, 2) arrays pairing segment i with triangle i; the
+    triangles are (k, 3, 2), counterclockwise. Returns (lo, hi, touched):
+    parameter intervals at threshold zero and a boolean mask of triangles
+    the segment touches when each is fattened by ``tol``. Grazing contacts
+    (touched but empty zero-interval) report the degenerate interval
+    midpoint in both lo and hi.
     """
+    tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
+    k = tris.shape[0]
+    if k == 0:
+        return np.empty(0), np.empty(0), np.empty(0, dtype=bool)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    k = tris.shape[0]
-    lo = np.zeros(k)
-    hi = np.ones(k)
+    # row 0 clips against the closed triangle, row 1 against it with each
+    # edge moved out by tol: unnormalized signed distances >= -tol * |e|
+    lo = np.zeros((2, k))
+    hi = np.ones((2, k))
     for i in range(3):
         a = tris[:, i, :]
         e = tris[:, (i + 1) % 3, :] - a
         # inward normal of a CCW triangle edge, not normalized
         f0 = e[:, 0] * (p[..., 1] - a[:, 1]) - e[:, 1] * (p[..., 0] - a[:, 0])
         f1 = e[:, 0] * (q[..., 1] - a[:, 1]) - e[:, 1] * (q[..., 0] - a[:, 0])
-        theta = thresholds[:, i]
+        theta = np.stack([np.zeros(k), -tol * np.linalg.norm(e, axis=1)])
         denom = f1 - f0
         zero = denom == 0.0
         safe = np.where(zero, 1.0, denom)
@@ -59,27 +60,7 @@ def _clip_interval(p, q, tris, thresholds):
         dead = zero & (f0 < theta)
         lo = np.where(dead, 1.0, lo)
         hi = np.where(dead, -1.0, hi)
-    return lo, hi
-
-
-def clip_segments_to_triangles(p, q, tris, tol):
-    """Closed-set clip of segments against triangles.
-
-    p and q are (2,) endpoints of one segment clipped against every
-    triangle, or (k, 2) arrays pairing segment i with triangle i. Returns
-    (lo, hi, touched): parameter intervals at threshold zero and a boolean
-    mask of triangles the segment touches when each is fattened by ``tol``.
-    Grazing contacts (touched but empty zero-interval) report the
-    degenerate interval midpoint in both lo and hi.
-    """
-    tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
-    k = tris.shape[0]
-    if k == 0:
-        return np.empty(0), np.empty(0), np.empty(0, dtype=bool)
-    zeros = np.zeros((k, 3))
-    lo0, hi0 = _clip_interval(p, q, tris, zeros)
-    edge_len = np.linalg.norm(np.roll(tris, -1, axis=1) - tris, axis=2)
-    lo_t, hi_t = _clip_interval(p, q, tris, -tol * edge_len)
+    (lo0, lo_t), (hi0, hi_t) = lo, hi
     touched = lo_t <= hi_t
     exact = lo0 <= hi0
     graze = touched & ~exact

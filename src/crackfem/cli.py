@@ -36,7 +36,7 @@ def _resolve_config(args) -> ProblemConfig:
             f"(presets: {list_presets()})"
         )
     if args.solver is not None:
-        config = replace(config, solver={**config.solver, "method": args.solver})
+        config = replace(config, solver=replace(config.solver, method=args.solver))
     return config
 
 

@@ -2,8 +2,9 @@
 
 Configs are plain JSON documents with a schema_version; ``from_dict`` fills
 defaults and validates strictly, ``to_dict`` emits the canonical form, and
-the two round-trip losslessly. Scalar fields accept either numbers or names
-from the function registry.
+the two round-trip losslessly. The refinement and solver sections are the
+``RefinementConfig`` and ``SolverConfig`` dataclasses they configure. Scalar
+fields accept either numbers or names from the function registry.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,46 @@ def _int(value, path: str) -> int:
     return value
 
 
+def _str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string")
+    return value
+
+
+# value check per declared field type of a section dataclass; the section
+# modules postpone annotations, so the types are their source strings
+_FIELD_CHECKS = {
+    "float": _float,
+    "int": _int,
+    "str": _str,
+    "float | None": lambda value, path: None if value is None else _float(value, path),
+}
+
+
+def _checked(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a ValueError from its range checks
+    reported as a ConfigError under ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _section(cls, raw, path: str):
+    """The flat section dataclass ``cls`` built from its JSON object.
+
+    Fields without a default are the required keys; each given value is
+    type-checked by its field's declared type, and the range checks of
+    ``cls.__post_init__`` report under ``path``.
+    """
+    specs = fields(cls)
+    required = {f.name for f in specs if f.default is MISSING}
+    _expect_keys(raw, path, required, {f.name for f in specs} - required)
+    check = {f.name: _FIELD_CHECKS[f.type] for f in specs}
+    values = {k: check[k](v, f"{path}.{k}") for k, v in raw.items()}
+    return _checked(path, cls, **values)
+
+
 def _normalize_geometry(geo: dict, path: str) -> dict:
     _expect_keys(geo, path, {"kind"}, {"points", "center", "radius", "angles"})
     kind = geo["kind"]
@@ -183,13 +224,6 @@ def _normalize_geometry(geo: dict, path: str) -> dict:
     raise ConfigError(f"{path}.kind: unknown geometry kind {kind!r}")
 
 
-def _check_refinement(refinement: dict) -> None:
-    try:
-        RefinementConfig(**refinement)
-    except ValueError as exc:
-        raise ConfigError(f"refinement: {exc}") from exc
-
-
 @dataclass
 class ProblemConfig:
     """Validated, canonical problem description (mirrors the JSON schema)."""
@@ -198,28 +232,17 @@ class ProblemConfig:
     chains: list
     coefficients: dict
     boundary: dict
-    refinement: dict
-    solver: dict
+    refinement: RefinementConfig
+    solver: SolverConfig
     exact_solution: str | None = None
     study: dict | None = None
     schema_version: int = SCHEMA_VERSION
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ProblemConfig":
-        _expect_keys(
-            raw,
-            "config",
-            {"domain", "refinement"},
-            {
-                "schema_version",
-                "chains",
-                "coefficients",
-                "boundary",
-                "solver",
-                "exact_solution",
-                "study",
-            },
-        )
+        # the top-level keys are the fields; domain and refinement are required
+        keys = {f.name for f in fields(cls)}
+        _expect_keys(raw, "config", {"domain", "refinement"}, keys)
         version = raw.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigError(
@@ -265,7 +288,6 @@ class ProblemConfig:
         raw_boundary = raw.get("boundary", {"left": {"dirichlet": 0.0}})
         if not isinstance(raw_boundary, dict) or not raw_boundary:
             raise ConfigError("boundary: expected a non-empty object")
-        n_dirichlet = 0
         for tag, cond in raw_boundary.items():
             path = f"boundary.{tag}"
             if tag not in RECTANGLE_TAGS:
@@ -277,45 +299,13 @@ class ProblemConfig:
                 boundary[str(tag)] = {
                     "dirichlet": _check_scalar_spec(cond["dirichlet"], path)
                 }
-                n_dirichlet += 1
             else:
                 raise ConfigError(f"{path}: expected 'neumann' or {{'dirichlet': g}}")
-        if n_dirichlet == 0:
+        if all(cond == "neumann" for cond in boundary.values()):
             raise ConfigError("boundary: at least one Dirichlet tag is required")
 
-        rf = raw["refinement"]
-        _expect_keys(
-            rf,
-            "refinement",
-            {"global_h"},
-            {"rule", "crack_h", "coefficient", "max_generations"},
-        )
-        refinement = {
-            "global_h": _float(rf["global_h"], "refinement.global_h"),
-            "rule": rf.get("rule", "none"),
-            "crack_h": None
-            if rf.get("crack_h") is None
-            else _float(rf["crack_h"], "refinement.crack_h"),
-            "coefficient": _float(rf.get("coefficient", 1.0), "refinement.coefficient"),
-            "max_generations": _int(
-                rf.get("max_generations", 64), "refinement.max_generations"
-            ),
-        }
-        _check_refinement(refinement)
-
-        so = raw.get("solver", {})
-        _expect_keys(so, "solver", set(), {"method", "rel_tolerance", "max_iterations"})
-        solver = {
-            "method": so.get("method", "cg"),
-            "rel_tolerance": _float(so.get("rel_tolerance", 1e-10), "solver.rel_tolerance"),
-            "max_iterations": _int(
-                so.get("max_iterations", 20000), "solver.max_iterations"
-            ),
-        }
-        try:
-            solver["method"] = SolverConfig(**solver).method
-        except ValueError as exc:
-            raise ConfigError(f"solver: {exc}") from exc
+        refinement = _section(RefinementConfig, raw["refinement"], "refinement")
+        solver = _section(SolverConfig, raw.get("solver", {}), "solver")
 
         exact = raw.get("exact_solution")
         if exact not in (None, *EXACT_SOLUTIONS):
@@ -331,6 +321,8 @@ class ProblemConfig:
                 raise ConfigError("study.levels: at least three levels required")
             if not all(b < a for a, b in zip(levels, levels[1:])):
                 raise ConfigError("study.levels: must be strictly decreasing")
+            for h in levels:
+                _checked("study.levels", replace, refinement, global_h=h)
             study = {"levels": levels}
 
         return cls(
@@ -342,26 +334,15 @@ class ProblemConfig:
             solver=solver,
             exact_solution=exact,
             study=study,
-            schema_version=SCHEMA_VERSION,
         )
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "domain": list(self.domain),
-            "chains": json.loads(json.dumps(self.chains)),
-            "coefficients": dict(self.coefficients),
-            "boundary": json.loads(json.dumps(self.boundary)),
-            "refinement": dict(self.refinement),
-            "solver": dict(self.solver),
-            "exact_solution": self.exact_solution,
-            "study": None if self.study is None else {"levels": list(self.study["levels"])},
-        }
+        """The canonical JSON object, schema_version first."""
+        return {"schema_version": self.schema_version, **asdict(self)}
 
     def with_global_h(self, h: float) -> "ProblemConfig":
         """Copy at another global_h, without study; other sections are shared."""
-        refinement = {**self.refinement, "global_h": float(h)}
-        _check_refinement(refinement)
+        refinement = _checked("refinement", replace, self.refinement, global_h=float(h))
         return replace(self, refinement=refinement, study=None)
 
 
@@ -460,15 +441,14 @@ class StudyResult:
 
 def run_single(config: ProblemConfig, out_dir=None, level: int = 0) -> RunResult:
     """Mesh, refine, cut, assemble, solve; optionally export artifacts."""
-    rc = RefinementConfig(**config.refinement)
-    mesh = build_rectangle_mesh(config.domain, rc.global_h)
-    graph = build_crack_graph(config, rc.global_h)
-    mesh, hits = refine_near_crack(mesh, graph, rc)
+    mesh = build_rectangle_mesh(config.domain, config.refinement.global_h)
+    graph = build_crack_graph(config, config.refinement.global_h)
+    mesh, hits = refine_near_crack(mesh, graph, config.refinement)
     segments = cut_chains(mesh, graph, hits)
     coeffs = _build_coefficients(config, graph)
     boundary = _build_boundary(config)
     system = assemble(mesh, segments, coeffs, boundary)
-    solution = solve(system, SolverConfig(**config.solver))
+    solution = solve(system, config.solver)
     report = None
     if config.exact_solution is not None:
         report = error_norms(

@@ -159,16 +159,18 @@ class Mesh:
         """Triangles touched by the segments starts[k] -> ends[k].
 
         The one full query: every triangle whose grid cells meet a
-        segment's tolerance box is clipped. Returns the ``Incidence`` of the
+        segment's padded box is clipped. Returns the ``Incidence`` of the
         closed segments within ``tolerance``; a point is the segment with
         starts[k] == ends[k].
         """
         starts = np.asarray(starts, dtype=float).reshape(-1, 2)
         ends = np.asarray(ends, dtype=float).reshape(-1, 2)
-        tol = self.tolerance
+        # the clip moves each edge out by tol, so a corner of angle a reaches
+        # tol / sin(a / 2) past its vertex; angles stay above 15 degrees
+        pad = 8.0 * self.tolerance
         grid = SpatialGrid.for_triangles(self.vertices, self.triangles, self.h_max)
         part, tri = grid.query(
-            np.minimum(starts, ends) - tol, np.maximum(starts, ends) + tol
+            np.minimum(starts, ends) - pad, np.maximum(starts, ends) + pad
         )
         return self.clip_pairs(starts, ends, part, tri)
 
@@ -426,14 +428,14 @@ class RefinementConfig:
     max_generations: int = 64
 
     def __post_init__(self):
-        if self.global_h <= 0.0:
+        if not self.global_h > 0.0:  # also false for NaN
             raise ValueError("global_h must be positive")
         if self.rule not in ("none", "fixed", "quadratic"):
             raise ValueError(f"unknown refinement rule {self.rule!r}")
         if self.rule == "fixed":
-            if self.crack_h is None or self.crack_h <= 0.0:
+            if self.crack_h is None or not self.crack_h > 0.0:
                 raise ValueError("rule 'fixed' needs a positive crack_h")
-        if self.rule == "quadratic" and self.coefficient <= 0.0:
+        if self.rule == "quadratic" and not self.coefficient > 0.0:
             raise ValueError("rule 'quadratic' needs a positive coefficient")
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")

@@ -30,7 +30,6 @@ from crackfem.config import (
     _radial_levels,
     build_crack_graph,
 )
-from crackfem.mesh import RefinementConfig
 from oracles import (
     continuous_form_apply,
     continuous_gradient_integrals,
@@ -214,7 +213,7 @@ class TestGalerkinOrthogonality:
         # polyline-versus-circle gap stays below the quadrature target
         h = _radial_levels()[0]
         config = build_preset("radial-local").with_global_h(h)
-        rc = RefinementConfig(**config.refinement)
+        rc = config.refinement
         graph = build_crack_graph(config, h / 40.0)  # spacing h / 400
         mesh = build_rectangle_mesh(config.domain, h)
         mesh, _ = refine_near_crack(mesh, graph, rc)

@@ -45,6 +45,8 @@ MALFORMED = [
     ({"domain": 5}, "domain"),
     ({"coefficients": "x"}, "coefficients"),
     ({"study": {"levels": 3}}, "study.levels"),
+    ({"study": {"levels": [0.25, 0.125, -0.0625]}}, "study.levels"),
+    ({"refinement": {"global_h": 0.5, "rule": 5}}, "refinement.rule"),
     ({"chains": 5}, "chains"),
     ({"chains": one_chain(kind="polyline", points=[1, 2])}, "chains[0].geometry.points"),
     (
@@ -82,8 +84,8 @@ class TestConfigValidation:
     def test_minimal_config_fills_defaults(self):
         config = ProblemConfig.from_dict(raw())
         assert config.coefficients["a1"] == 1.0
-        assert config.solver["method"] == "cg"
-        assert config.refinement["rule"] == "none"
+        assert config.solver.method == "cg"
+        assert config.refinement.rule == "none"
         assert config.boundary == {"left": {"dirichlet": 0.0}}
 
     def test_missing_required_keys(self):
@@ -221,8 +223,14 @@ class TestPresetsAndRoundTrips:
 
     def test_with_global_h_drops_the_study(self):
         config = build_preset("poisson-square").with_global_h(0.25)
-        assert config.refinement["global_h"] == 0.25
+        assert config.refinement.global_h == 0.25
         assert config.study is None
+
+    def test_with_global_h_rejects_a_bad_h(self):
+        config = build_preset("poisson-square")
+        for h in (0.0, -0.25, float("nan")):
+            with pytest.raises(ConfigError, match="^refinement: global_h"):
+                config.with_global_h(h)
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from crackfem import (
-    RefinementConfig,
     assemble,
     build_preset,
     build_rectangle_mesh,
@@ -48,7 +47,7 @@ def case_config(case: str):
 
 def pipeline_digests(config) -> dict:
     """Digest of every array the pipeline builds up to the linear system."""
-    rc = RefinementConfig(**config.refinement)
+    rc = config.refinement
     mesh = build_rectangle_mesh(config.domain, rc.global_h)
     graph = build_crack_graph(config, rc.global_h)
     mesh, hits = refine_near_crack(mesh, graph, rc)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crackfem import (
@@ -383,6 +383,11 @@ class TestIncrementalIncidence:
 
     @settings(deadline=None, max_examples=50)
     @given(_near_vertex_chains(), _H, _RULE)
+    # two tolerances left of x = 0.5, a grid cell boundary at h = 0.5: only
+    # the 45-degree corners of the triangles right of it reach the chain
+    @example(
+        [np.array([[0.5, 0.125], [0.5, 0.375]]) - [2.0 * UNIT_TOL, 0.0]], 0.5, "fixed"
+    )
     def test_chain_just_beside_a_vertex(self, chains, h, rule):
         self.check_generations(chains, h, rule)
 
@@ -442,9 +447,7 @@ class TestDofProfile:
             level = config.with_global_h(h)
             crack = build_crack_graph(level, h)
             mesh = build_rectangle_mesh(level.domain, h)
-            mesh, _ = refine_near_crack(
-                mesh, crack, RefinementConfig(**level.refinement)
-            )
+            mesh, _ = refine_near_crack(mesh, crack, level.refinement)
             near.append(dof_count_profile(mesh, crack).n_near_crack_vertices)
         for coarse, fine in zip(near, near[1:]):
             assert 0.9 * 4 <= fine / coarse <= 1.1 * 4
