@@ -82,22 +82,6 @@ class ExactRadialSolution:
         c = np.where(r <= self.interface_radius, self._c1, self._c2)
         return (c / r**2)[:, None] * pts
 
-    def gradient_inner(self, points) -> np.ndarray:
-        r, pts = self._radius(points)
-        return (self._c1 / r**2)[:, None] * pts
-
-    def gradient_outer(self, points) -> np.ndarray:
-        r, pts = self._radius(points)
-        return (self._c2 / r**2)[:, None] * pts
-
-    def radial_flux_jump(self, angles) -> np.ndarray:
-        """Jump of the radial flux across the circle at the given angles:
-        the outer one-sided limit of du/dr minus the inner one (unit bulk
-        permeability). Equals -1, so a unit interface source balances it."""
-        angles = np.asarray(angles, dtype=float)
-        e = self.interface_radius
-        return np.full(angles.shape, (self._c2 - self._c1) / e)
-
 
 class SineProductSolution:
     """u = sin(pi x) sin(pi y), the classical clean-convergence baseline."""
@@ -112,8 +96,10 @@ class SineProductSolution:
         sy, cy = np.sin(np.pi * pts[:, 1]), np.cos(np.pi * pts[:, 1])
         return np.pi * np.column_stack([cx * sy, sx * cy])
 
-    def load(self, x, y):
-        return 2.0 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y)
+    def load(self, points) -> np.ndarray:
+        """The source -laplace(u) = 2 pi^2 u."""
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        return 2.0 * np.pi**2 * np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
 
 
 @dataclass

@@ -22,13 +22,21 @@ class SingularSystemError(ValueError):
     pass
 
 
+def _values_at(value, points) -> np.ndarray:
+    """A number, or a function of (k, 2) points, evaluated at points: (k,)."""
+    if callable(value):
+        return np.asarray(value(points), dtype=float)
+    return np.full(len(points), float(value))
+
+
 @dataclass
 class Coefficients:
     """Bulk material data: per-region permeabilities and the volume source.
 
-    ``region`` classifies points into region 1 or 2 when a1 != a2; it takes
-    (k, 2) points and returns an integer array of 1s and 2s. With a1 == a2
-    no classifier is needed.
+    ``source`` is a number or a function of one (k, 2) point array
+    returning (k,) values. ``region`` classifies points into region 1 or 2
+    when a1 != a2; it takes (k, 2) points and returns an integer array of
+    1s and 2s. With a1 == a2 no classifier is needed.
     """
 
     a1: float = 1.0
@@ -56,9 +64,10 @@ class Coefficients:
 class BoundarySpec:
     """Boundary conditions by edge tag.
 
-    ``dirichlet`` maps tags to values (floats or callables of (x, y) arrays);
-    ``neumann`` lists tags with natural (zero-flux) conditions. Every tag on
-    the mesh must be covered and at least one Dirichlet tag is required.
+    ``dirichlet`` maps tags to values: numbers, or functions of one (k, 2)
+    point array returning (k,) values. ``neumann`` lists tags with natural
+    (zero-flux) conditions. Every tag on the mesh must be covered and at
+    least one Dirichlet tag is required.
     """
 
     dirichlet: dict = field(default_factory=dict)
@@ -82,16 +91,11 @@ class BoundarySpec:
             raise ValueError(f"boundary tags without a condition: {sorted(missing)}")
         values = {}
         for tag in sorted(self.dirichlet):
-            g = self.dirichlet[tag]
             on_tag = mesh.boundary_edges[mesh.boundary_tags == tag]
             verts = np.unique(on_tag.ravel())
             if verts.size == 0:
                 continue
-            xy = mesh.vertices[verts]
-            if callable(g):
-                vals = np.asarray(g(xy[:, 0], xy[:, 1]), dtype=float)
-            else:
-                vals = np.full(len(verts), float(g))
+            vals = _values_at(self.dirichlet[tag], mesh.vertices[verts])
             for v, val in zip(verts, vals):
                 values[int(v)] = float(val)
         idx = np.array(sorted(values), dtype=np.int64)
@@ -183,16 +187,10 @@ def assemble_load(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
     n = mesh.n_vertices
     b = np.zeros(n)
     area = mesh.triangle_areas()
-    src = coeffs.source
-    if callable(src):
-        fv = np.asarray(src(mesh.vertices[:, 0], mesh.vertices[:, 1]), dtype=float)
-        fv = fv[mesh.triangles]
-    else:
-        if float(src) == 0.0:
-            fv = None
-        else:
-            fv = np.full((mesh.n_triangles, 3), float(src))
-    if fv is not None:
+    # skip a zero source, whose np.add.at over every triangle would cost
+    # time for nothing; a function never equals 0
+    if coeffs.source != 0.0:
+        fv = _values_at(coeffs.source, mesh.vertices)[mesh.triangles]
         np.add.at(b, mesh.triangles, (area / 3.0)[:, None] * fv)
 
     if crack.n_segments:
@@ -201,12 +199,8 @@ def assemble_load(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
         fs = np.zeros(crack.n_segments)
         for j, src_j in enumerate(crack.chain_source):
             on = crack.chain_index == j
-            if not on.any():
-                continue
-            if callable(src_j):
-                fs[on] = np.asarray(src_j(mids[on, 0], mids[on, 1]), dtype=float)
-            else:
-                fs[on] = float(src_j)
+            if on.any():
+                fs[on] = _values_at(src_j, mids[on])
         weights = fs * crack.length
         if np.any(weights != 0.0):
             phi = mesh.hat_values(own, mids)

@@ -24,9 +24,11 @@ from .analysis import (
     eoc,
     error_norms,
 )
+from ._geom import REL_TOL, bbox_diameter
 from .assembly import BoundarySpec, Coefficients, assemble
 from .cracks import (
     Chain,
+    CrackGeometryError,
     CrackGraph,
     SegmentedCrack,
     arc_curve,
@@ -57,39 +59,14 @@ _RADIAL = ExactRadialSolution()
 _SINE = SineProductSolution()
 
 
-def _fn_zero(x, y):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def _fn_one(x, y):
-    return np.ones_like(np.asarray(x, dtype=float))
-
-
-def _fn_radial(x, y):
-    pts = np.column_stack([np.ravel(x), np.ravel(y)])
-    return _RADIAL.value(pts).reshape(np.shape(x))
-
-
-def _fn_plane_13(x, y):
-    return 1.0 - np.asarray(x, dtype=float) / 13.0
-
-
-def _fn_sine(x, y):
-    pts = np.column_stack([np.ravel(x), np.ravel(y)])
-    return _SINE.value(pts).reshape(np.shape(x))
-
-
-def _fn_sine_load(x, y):
-    return _SINE.load(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-
+# every function of position takes one (k, 2) point array and returns (k,)
 FUNCTIONS = {
-    "zero": _fn_zero,
-    "one": _fn_one,
-    "radial-exact": _fn_radial,
-    "plane-1-minus-x-over-13": _fn_plane_13,
-    "sine-product": _fn_sine,
-    "sine-product-load": _fn_sine_load,
+    "zero": lambda points: np.zeros(len(points)),
+    "one": lambda points: np.ones(len(points)),
+    "radial-exact": _RADIAL.value,
+    "plane-1-minus-x-over-13": lambda points: 1.0 - np.asarray(points)[:, 0] / 13.0,
+    "sine-product": _SINE.value,
+    "sine-product-load": _SINE.load,
 }
 
 EXACT_SOLUTIONS = {
@@ -189,6 +166,13 @@ def _section(cls, raw, path: str):
     check = {f.name: _FIELD_CHECKS[f.type] for f in specs}
     values = {k: check[k](v, f"{path}.{k}") for k, v in raw.items()}
     return _checked(path, cls, **values)
+
+
+def _check_fits(domain: list, h: float, path: str) -> None:
+    """Reject a global_h that the structured mesh of the domain cannot take."""
+    side = min(domain[1] - domain[0], domain[3] - domain[2])
+    if h > side * (1.0 + 1e-12):  # the bound of build_rectangle_mesh
+        raise ConfigError(f"{path}: {h!r} exceeds the shorter domain side {side!r}")
 
 
 def _normalize_geometry(geo: dict, path: str) -> dict:
@@ -305,6 +289,7 @@ class ProblemConfig:
             raise ConfigError("boundary: at least one Dirichlet tag is required")
 
         refinement = _section(RefinementConfig, raw["refinement"], "refinement")
+        _check_fits(domain, refinement.global_h, "refinement.global_h")
         solver = _section(SolverConfig, raw.get("solver", {}), "solver")
 
         exact = raw.get("exact_solution")
@@ -323,6 +308,7 @@ class ProblemConfig:
                 raise ConfigError("study.levels: must be strictly decreasing")
             for h in levels:
                 _checked("study.levels", replace, refinement, global_h=h)
+                _check_fits(domain, h, "study.levels")
             study = {"levels": levels}
 
         return cls(
@@ -343,6 +329,7 @@ class ProblemConfig:
     def with_global_h(self, h: float) -> "ProblemConfig":
         """Copy at another global_h, without study; other sections are shared."""
         refinement = _checked("refinement", replace, self.refinement, global_h=float(h))
+        _check_fits(self.domain, refinement.global_h, "refinement.global_h")
         return replace(self, refinement=refinement, study=None)
 
 
@@ -364,10 +351,16 @@ def save_config(config: ProblemConfig, path) -> None:
 
 
 def build_crack_graph(config: ProblemConfig, global_h: float) -> CrackGraph:
-    """Chains from config geometry; curved kinds are sampled at global_h / 10."""
+    """Chains from config geometry; curved kinds are sampled at global_h / 10.
+
+    A chain point outside the domain by more than the tolerance of the
+    unrefined mesh raises CrackGeometryError naming the chain.
+    """
+    corners = np.reshape(config.domain, (2, 2)).T  # [[xmin, ymin], [xmax, ymax]]
+    tol = REL_TOL * max(bbox_diameter(corners), 1.0)
     chains = []
     spacing = global_h / 10.0
-    for ch in config.chains:
+    for j, ch in enumerate(config.chains):
         geo = ch["geometry"]
         if geo["kind"] in ("segment", "polyline"):
             pts = np.asarray(geo["points"], dtype=float)
@@ -377,6 +370,10 @@ def build_crack_graph(config: ProblemConfig, global_h: float) -> CrackGraph:
         else:
             curve = circle_curve(geo["center"], geo["radius"])
             pts = sample_curve(curve, spacing)
+        outside = ((pts < corners[0] - tol) | (pts > corners[1] + tol)).any(axis=1)
+        if outside.any():
+            near = pts[np.argmax(outside)].tolist()
+            raise CrackGeometryError(f"chain {j} leaves the domain near {near}")
         chains.append(
             Chain(
                 pts,

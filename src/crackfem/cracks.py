@@ -33,7 +33,8 @@ class Chain:
     permeability : float
         Tangential permeability coefficient of the branch, >= 0.
     source : callable or float
-        Line source density along the branch; callables take (x, y) arrays.
+        Line source density along the branch; a callable takes one (k, 2)
+        point array and returns (k,) values.
     """
 
     points: np.ndarray

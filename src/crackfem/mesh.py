@@ -137,19 +137,6 @@ class Mesh:
     def h_max(self) -> float:
         return float(self.triangle_diameters().max())
 
-    def min_angle(self) -> float:
-        """Smallest interior angle over all triangles, in degrees."""
-        v = self.vertices[self.triangles]
-        angles = np.empty((self.n_triangles, 3))
-        for i in range(3):
-            a = v[:, (i + 1) % 3] - v[:, i]
-            b = v[:, (i + 2) % 3] - v[:, i]
-            cosang = np.einsum("ij,ij->i", a, b) / (
-                np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-            )
-            angles[:, i] = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        return float(angles.min())
-
     @property
     def tolerance(self) -> float:
         """Absolute geometric tolerance of incidence tests on this mesh."""

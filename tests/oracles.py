@@ -5,7 +5,8 @@ different route: continuous Galerkin forms on subdivided quadrature, the
 energy error by expansion, the P1 gradients and stiffness matrices of a
 single element, a single segment/triangle clip, point membership in one
 triangle, node incidence of a crack graph, near-crack degree-of-freedom
-counts and straight parametric segments.
+counts, straight parametric segments, the one-sided branches of the radial
+exact solution and the smallest angle of a mesh.
 """
 
 from __future__ import annotations
@@ -275,3 +276,38 @@ def segment_curve(p, q):
     curve.arc_length = float(np.hypot(*(q - p)))
     curve.is_closed = False
     return curve
+
+
+def gradient_inner(exact, points) -> np.ndarray:
+    """Gradient of the inner branch of an ``ExactRadialSolution``."""
+    r, pts = exact._radius(points)
+    return (exact._c1 / r**2)[:, None] * pts
+
+
+def gradient_outer(exact, points) -> np.ndarray:
+    """Gradient of the outer branch of an ``ExactRadialSolution``."""
+    r, pts = exact._radius(points)
+    return (exact._c2 / r**2)[:, None] * pts
+
+
+def radial_flux_jump(exact, angles) -> np.ndarray:
+    """Jump of the radial flux across the circle at the given angles:
+    the outer one-sided limit of du/dr minus the inner one (unit bulk
+    permeability). Equals -1, so a unit interface source balances it."""
+    angles = np.asarray(angles, dtype=float)
+    e = exact.interface_radius
+    return np.full(angles.shape, (exact._c2 - exact._c1) / e)
+
+
+def min_angle(mesh: Mesh) -> float:
+    """Smallest interior angle over all triangles, in degrees."""
+    v = mesh.vertices[mesh.triangles]
+    angles = np.empty((mesh.n_triangles, 3))
+    for i in range(3):
+        a = v[:, (i + 1) % 3] - v[:, i]
+        b = v[:, (i + 2) % 3] - v[:, i]
+        cosang = np.einsum("ij,ij->i", a, b) / (
+            np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+        )
+        angles[:, i] = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    return float(angles.min())

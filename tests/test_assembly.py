@@ -222,7 +222,7 @@ class TestAssembleLoad:
         b2 = assemble_load(
             fine_square_mesh,
             SegmentedCrack.empty(),
-            Coefficients(source=lambda x, y: 2.0 * np.ones_like(x)),
+            Coefficients(source=lambda p: 2.0 * np.ones(len(p))),
         )
         assert np.allclose(b1, b2, atol=1e-15)
 
@@ -239,7 +239,7 @@ class TestAssembleLoad:
         chain = Chain(
             np.array([[0.1, 0.5], [0.9, 0.5]]),
             permeability=1.0,
-            source=lambda x, y: x,
+            source=lambda p: p[:, 0],
         )
         cut = cut_chains(fine_square_mesh, CrackGraph([chain]))
         b = assemble_load(fine_square_mesh, cut, Coefficients())
@@ -264,7 +264,7 @@ class TestBoundarySpec:
 
     def test_callable_values_and_vertex_set(self, square_mesh):
         spec = BoundarySpec(
-            dirichlet={"left": lambda x, y: y},
+            dirichlet={"left": lambda p: p[:, 1]},
             neumann=("right", "top", "bottom"),
         )
         idx, vals = spec.constrained_vertices(square_mesh)

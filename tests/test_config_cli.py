@@ -19,6 +19,7 @@ from crackfem import (
 from crackfem import config as config_module
 from crackfem.cli import main
 from crackfem.config import FUNCTIONS, resolve_scalar
+from crackfem.cracks import CrackGeometryError
 
 MINIMAL = {"domain": [0.0, 1.0, 0.0, 1.0], "refinement": {"global_h": 0.5}}
 
@@ -32,6 +33,12 @@ def raw(**overrides):
 def one_chain(**geometry):
     return [{"geometry": geometry}]
 
+
+# a global_h larger than the shorter domain side, as refinement and study level
+OVERSIZED = [
+    ({"refinement": {"global_h": 2}}, "refinement.global_h"),
+    ({"study": {"levels": [2.0, 0.5, 0.25]}}, "study.levels"),
+]
 
 # (overrides of the minimal config, dotted path the error must name)
 MALFORMED = [
@@ -59,6 +66,23 @@ MALFORMED = [
     ),
     ({"exact_solution": []}, "exact_solution"),
     ({"boundary": {"lft": {"dirichlet": 0.0}}}, "boundary.lft"),
+    *OVERSIZED,
+]
+
+# the unit square's geometric tolerance
+_TOL = 1e-12 * np.sqrt(2.0)
+
+# (polylines, the chain leaving the unit square that the error must name)
+OUTSIDE = [
+    ([[[0.5, 0.5], [1.5, 0.5]]], 0),
+    # beside the corner (1, 0), after a chain inside the domain
+    (
+        [
+            [[0.9, 0.1], [0.99, 0.01]],
+            [[1.0 + 0.9 * _TOL, -2.2 * _TOL], [1.01, -0.5 * _TOL]],
+        ],
+        1,
+    ),
 ]
 
 
@@ -74,6 +98,12 @@ class TestResolveScalar:
     def test_registry_names_become_callables(self):
         fn = resolve_scalar("sine-product", "x")
         assert fn is FUNCTIONS["sine-product"]
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    def test_registry_functions_take_one_point_array(self, name, rng):
+        values = FUNCTIONS[name](rng.uniform(1.0, 3.0, size=(7, 2)))
+        assert values.shape == (7,)
+        assert np.isfinite(values).all()
 
     def test_unknown_names_list_the_registry(self):
         with pytest.raises(ConfigError, match="known:"):
@@ -232,6 +262,11 @@ class TestPresetsAndRoundTrips:
             with pytest.raises(ConfigError, match="^refinement: global_h"):
                 config.with_global_h(h)
 
+    def test_with_global_h_must_fit_the_domain(self):
+        config = build_preset("poisson-square")
+        with pytest.raises(ConfigError, match="^refinement.global_h: 2.0 exceeds"):
+            config.with_global_h(2.0)
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -298,6 +333,21 @@ class TestRunSingle:
         ):
             assert key in result.outputs
             assert (tmp_path / result.outputs[key].split("/")[-1]).exists()
+
+
+    @pytest.mark.parametrize("polylines, bad", OUTSIDE)
+    def test_chain_leaving_the_domain_is_rejected_by_name(self, polylines, bad):
+        chains = [{"geometry": {"kind": "polyline", "points": p}} for p in polylines]
+        refinement = {"global_h": 0.25, "rule": "fixed", "crack_h": 1 / 64}
+        config = ProblemConfig.from_dict(raw(chains=chains, refinement=refinement))
+        with pytest.raises(CrackGeometryError, match=f"^chain {bad} leaves the domain"):
+            run_single(config)
+
+    def test_chain_ending_on_the_boundary_within_rounding_runs(self):
+        end = [1.0 + 0.5 * _TOL, 0.5]
+        chains = [{"geometry": {"kind": "segment", "points": [[0.5, 0.5], end]}}]
+        result = run_single(ProblemConfig.from_dict(raw(chains=chains)))
+        assert result.segments.length.sum() == pytest.approx(0.5, rel=1e-12)
 
 
 class TestCli:
@@ -368,11 +418,15 @@ class TestCli:
         path.write_text(json.dumps(raw(refinement={"global_h": float("nan")})))
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: refinement.global_h:")
+        for overrides, where in OVERSIZED:
+            path.write_text(json.dumps(raw(**overrides)))
+            assert main(["run", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {where}: ")
 
     def test_geometry_failure_exits_one(self, capsys, tmp_path):
         # a chain leaving the domain, and one shorter than the mesh tolerance
         for points, message in (
-            ([[0.5, 0.5], [2.0, 0.5]], "error: chain 0 part 0 "),
+            ([[0.5, 0.5], [2.0, 0.5]], "error: chain 0 leaves the domain near [2.0, 0.5]"),
             ([[0.5, 0.5], [0.5000000000001, 0.5]], "error: chain 0 is no longer"),
         ):
             d = raw(

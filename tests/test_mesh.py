@@ -28,7 +28,12 @@ from crackfem.mesh import (
 )
 from crackfem import mesh as mesh_module
 from conftest import make_y_crack
-from oracles import dof_count_profile, element_gradients, points_in_triangle
+from oracles import (
+    dof_count_profile,
+    element_gradients,
+    min_angle,
+    points_in_triangle,
+)
 
 
 class TestBuildRectangleMesh:
@@ -69,7 +74,7 @@ class TestBuildRectangleMesh:
         assert mesh.h_max <= np.sqrt(2.0) * 0.3 + 1e-12
         # cells are near-square (sides rounded up independently), so the
         # angles stay comfortably above the refinement floor
-        assert mesh.min_angle() >= 15.0
+        assert min_angle(mesh) >= 15.0
 
     def test_rejects_oversized_target(self):
         with pytest.raises(MeshError):
@@ -204,7 +209,7 @@ class TestRefineMarked:
                 k = rng.integers(1, mesh.n_triangles)
                 marked = rng.choice(mesh.n_triangles, size=k, replace=False)
                 mesh, _ = refine_marked(mesh, marked)
-            assert mesh.min_angle() >= 15.0
+            assert min_angle(mesh) >= 15.0
             mesh.validate()
 
     def test_boundary_tags_survive_refinement(self, square_mesh):

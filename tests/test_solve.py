@@ -27,7 +27,7 @@ ZERO_WALLS = BoundarySpec(
 
 def sine_system(h):
     mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), h)
-    f = lambda x, y: 2.0 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y)
+    f = lambda p: 2.0 * np.pi**2 * np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
     return assemble(mesh, SegmentedCrack.empty(), Coefficients(source=f), ZERO_WALLS)
 
 
@@ -82,13 +82,13 @@ class TestSolve:
             assert np.allclose(u.values, b, atol=1e-14)
 
     def test_nodal_errors_shrink_quadratically(self):
-        exact = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+        exact = lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
         errs = []
         for h in (0.25, 0.125, 0.0625):
             sys = sine_system(h)
             u = solve(sys, SolverConfig(method="direct"))
             v = sys.mesh.vertices
-            errs.append(np.abs(u.values - exact(v[:, 0], v[:, 1])).max())
+            errs.append(np.abs(u.values - exact(v)).max())
         for coarse, fine in zip(errs, errs[1:]):
             assert 3.0 <= coarse / fine <= 5.0
 
