@@ -41,6 +41,7 @@ from .mesh import (
     RECTANGLE_TAGS,
     Mesh,
     RefinementConfig,
+    _write_rows,
     build_rectangle_mesh,
     export_mesh_text,
     export_vtk,
@@ -477,11 +478,10 @@ def run_single(config: ProblemConfig, out_dir=None, level: int = 0) -> RunResult
 
 
 def _export_solution_text(solution: SolutionField, path) -> None:
-    lines = ["# x y u"]
-    for (x, y), u in zip(solution.mesh.vertices, solution.values):
-        lines.append(f"{float(x)!r} {float(y)!r} {float(u)!r}")
+    rows = np.column_stack([solution.mesh.vertices, solution.values])
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("# x y u\n")
+        _write_rows(f, "%r %r %r\n", rows)
 
 
 def _study_level(payload):

@@ -124,14 +124,15 @@ class Mesh:
         grads = self.hat_gradients(tri_ids)
         return 1.0 / 3.0 + np.einsum("kid,k...d->k...i", grads, pts - centroids)
 
-    def triangle_diameters(self) -> np.ndarray:
-        """Longest edge of each triangle."""
-        if self._diameters is None:
-            v = self.vertices[self.triangles]
-            e = np.linalg.norm(np.roll(v, -1, axis=1) - v, axis=2)
-            self._diameters = e.max(axis=1)
-            self._diameters.setflags(write=False)
-        return self._diameters
+    def triangle_diameters(self, tri_ids=None) -> np.ndarray:
+        """Longest edge of each triangle (cached), or of the triangles tri_ids."""
+        if tri_ids is None:
+            if self._diameters is None:
+                self._diameters = self.triangle_diameters(slice(None))
+                self._diameters.setflags(write=False)
+            return self._diameters
+        v = self.vertices[self.triangles[tri_ids]]
+        return np.linalg.norm(np.roll(v, -1, axis=1) - v, axis=2).max(axis=1)
 
     @property
     def h_max(self) -> float:
@@ -261,21 +262,12 @@ def build_rectangle_mesh(bounds, target_h: float) -> Mesh:
     triangles[0::2] = lower
     triangles[1::2] = upper
 
-    edges = []
-    tags = []
-    for i in range(nx):
-        edges.append((vid(i, 0), vid(i + 1, 0)))
-        tags.append("bottom")
-    for i in range(nx):
-        edges.append((vid(i, ny), vid(i + 1, ny)))
-        tags.append("top")
-    for j in range(ny):
-        edges.append((vid(0, j), vid(0, j + 1)))
-        tags.append("left")
-    for j in range(ny):
-        edges.append((vid(nx, j), vid(nx, j + 1)))
-        tags.append("right")
-    return Mesh(vertices, triangles, np.asarray(edges, dtype=np.int64), tags)
+    # boundary edges (start, start + step), side by side in RECTANGLE_TAGS order
+    i, j = np.arange(nx), np.arange(ny)
+    starts = np.concatenate([vid(i, 0), vid(i, ny), vid(0, j), vid(nx, j)])
+    steps = np.repeat([1, 1, nx + 1, nx + 1], [nx, nx, ny, ny])
+    tags = np.repeat(RECTANGLE_TAGS, [nx, nx, ny, ny])
+    return Mesh(vertices, triangles, np.column_stack([starts, starts + steps]), tags)
 
 
 def refine_marked(mesh: Mesh, marked):
@@ -475,7 +467,7 @@ def refine_near_crack(mesh: Mesh, crack: CrackGraph, config: RefinementConfig):
         if marked.size == 0:
             return current, hits
         band = _vertex_neighborhood(current, marked)
-        band_diameters = current.triangle_diameters()[band]
+        band_diameters = current.triangle_diameters(band)
         need = band[band_diameters > target]
         if need.size == 0:
             return current, hits
@@ -489,38 +481,45 @@ def refine_near_crack(mesh: Mesh, crack: CrackGraph, config: RefinementConfig):
     )
 
 
+def _write_rows(f, line: str, rows: np.ndarray) -> None:
+    """Write ``line % tuple(row)`` for each row of a 2-D array, 64k rows per
+    call. ``tolist`` gives Python floats and ints, whose ``%r`` and ``%d``
+    are their ``repr`` and ``str``: the bytes of one f-string per row."""
+    for start in range(0, len(rows), 1 << 16):
+        chunk = rows[start : start + (1 << 16)]
+        f.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
 def export_mesh_text(mesh: Mesh, path) -> None:
     """Plain-text mesh: counts header, vertex lines, triangle lines."""
-    lines = [f"vertices {mesh.n_vertices} / triangles {mesh.n_triangles}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{float(x)!r} {float(y)!r}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"{a} {b} {c}")
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(f"vertices {mesh.n_vertices} / triangles {mesh.n_triangles}\n")
+        _write_rows(f, "%r %r\n", mesh.vertices)
+        _write_rows(f, "%d %d %d\n", mesh.triangles)
 
 
 def export_vtk(mesh: Mesh, path, point_data: dict | None = None) -> None:
-    """Legacy ASCII VTK unstructured grid, with optional vertex scalars."""
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "crackfem mesh",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_vertices} double",
-    ]
-    for x, y in mesh.vertices:
-        lines.append(f"{float(x)!r} {float(y)!r} 0.0")
-    lines.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"3 {a} {b} {c}")
-    lines.append(f"CELL_TYPES {mesh.n_triangles}")
-    lines.extend(["5"] * mesh.n_triangles)
-    if point_data:
-        lines.append(f"POINT_DATA {mesh.n_vertices}")
-        for name, values in point_data.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{float(v)!r}" for v in np.asarray(values))
+    """Legacy ASCII VTK unstructured grid, with optional vertex scalars. A
+    ``point_data`` field needs a name without whitespace and one real value
+    per vertex, else ValueError is raised before the file is opened."""
+    n, nt = mesh.n_vertices, mesh.n_triangles
+    fields = {k: np.asarray(v) for k, v in (point_data or {}).items()}
+    for name, values in fields.items():
+        named = isinstance(name, str) and name.split() == [name]
+        if not named or values.shape != (n,) or values.dtype.kind not in "biuf":
+            raise ValueError(
+                f"point_data field {name!r}: need a name without whitespace "
+                f"and {n} real values, got {values.dtype} {values.shape}"
+            )
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("# vtk DataFile Version 3.0\ncrackfem mesh\nASCII\n")
+        f.write(f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n")
+        _write_rows(f, "%r %r 0.0\n", mesh.vertices)
+        f.write(f"CELLS {nt} {4 * nt}\n")
+        _write_rows(f, "3 %d %d %d\n", mesh.triangles)
+        f.write(f"CELL_TYPES {nt}\n" + "5\n" * nt)
+        if fields:
+            f.write(f"POINT_DATA {n}\n")
+        for name, values in fields.items():
+            f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            _write_rows(f, "%r\n", values.astype(np.float64)[:, None])

@@ -6,7 +6,8 @@ energy error by expansion, the P1 gradients and stiffness matrices of a
 single element, a single segment/triangle clip, point membership in one
 triangle, node incidence of a crack graph, near-crack degree-of-freedom
 counts, straight parametric segments, the one-sided branches of the radial
-exact solution and the smallest angle of a mesh.
+exact solution, the smallest angle of a mesh, and the three text exports
+written one f-string per line.
 """
 
 from __future__ import annotations
@@ -311,3 +312,49 @@ def min_angle(mesh: Mesh) -> float:
         )
         angles[:, i] = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
     return float(angles.min())
+
+
+def export_mesh_text(mesh: Mesh, path) -> None:
+    """The plain-text mesh written one f-string per line."""
+    lines = [f"vertices {mesh.n_vertices} / triangles {mesh.n_triangles}"]
+    for x, y in mesh.vertices:
+        lines.append(f"{float(x)!r} {float(y)!r}")
+    for a, b, c in mesh.triangles:
+        lines.append(f"{a} {b} {c}")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def export_vtk(mesh: Mesh, path, point_data: dict | None = None) -> None:
+    """The legacy ASCII VTK grid written one f-string per line."""
+    lines = [
+        "# vtk DataFile Version 3.0",
+        "crackfem mesh",
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {mesh.n_vertices} double",
+    ]
+    for x, y in mesh.vertices:
+        lines.append(f"{float(x)!r} {float(y)!r} 0.0")
+    lines.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
+    for a, b, c in mesh.triangles:
+        lines.append(f"3 {a} {b} {c}")
+    lines.append(f"CELL_TYPES {mesh.n_triangles}")
+    lines.extend(["5"] * mesh.n_triangles)
+    if point_data:
+        lines.append(f"POINT_DATA {mesh.n_vertices}")
+        for name, values in point_data.items():
+            lines.append(f"SCALARS {name} double 1")
+            lines.append("LOOKUP_TABLE default")
+            lines.extend(f"{float(v)!r}" for v in np.asarray(values))
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def export_solution_text(solution, path) -> None:
+    """The ``# x y u`` solution rows written one f-string per line."""
+    lines = ["# x y u"]
+    for (x, y), u in zip(solution.mesh.vertices, solution.values):
+        lines.append(f"{float(x)!r} {float(y)!r} {float(u)!r}")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")

@@ -8,6 +8,10 @@ graph node digests before ``CrackGraph`` derived its nodes in one pass, and
 the radial-local level 3 and crack-network h=0.25 cases before refinement
 updated its crack incidence incrementally; a change that moves any of them
 on purpose must say so and re-record them.
+
+The export digests hash the files ``run_single`` writes with ``out_dir``;
+they were recorded while each file was still written one f-string per line
+(``tests/oracles.py`` keeps those writers).
 """
 
 import hashlib
@@ -22,7 +26,12 @@ from crackfem import (
     cut_chains,
     refine_near_crack,
 )
-from crackfem.config import _build_boundary, _build_coefficients, build_crack_graph
+from crackfem.config import (
+    _build_boundary,
+    _build_coefficients,
+    build_crack_graph,
+    run_single,
+)
 
 
 def _digest(array) -> str:
@@ -238,3 +247,45 @@ def test_pipeline_arrays_are_bitwise_unchanged(case):
     got = pipeline_digests(case_config(case))
     got = {name: digest[:16] for name, digest in got.items()}
     assert got == GOLDEN[case]
+
+
+EXPORTS = ("mesh.txt", "mesh.vtk", "solution.txt", "solution.vtk", "norms.csv")
+
+# Truncated like GOLDEN; None where the file is not written (no exact solution).
+GOLDEN_EXPORTS = {
+    "poisson-square:0": {
+        "mesh.txt": "b055b9055873212f",
+        "mesh.vtk": "d59c32a919d6176c",
+        "solution.txt": "7eb0d7e135be2e17",
+        "solution.vtk": "c2826c5e1a704cfe",
+        "norms.csv": "56e0b4dafd33acec",
+    },
+    "radial-local:1": {
+        "mesh.txt": "3e1447e30a1bdf12",
+        "mesh.vtk": "80b886024af5e95a",
+        "solution.txt": "32446dcf5b76b131",
+        "solution.vtk": "70784c8008753667",
+        "norms.csv": "0e916ccb4ca4322b",
+    },
+    "crack-network:default": {
+        "mesh.txt": "dc7bdeb7c773e02d",
+        "mesh.vtk": "36ace2bc40fc272b",
+        "solution.txt": "8ead0fa2087930d5",
+        "solution.vtk": "c8d96c62fb0bde4e",
+        "norms.csv": None,
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_EXPORTS))
+def test_exported_files_are_bytewise_unchanged(case, tmp_path):
+    run_single(case_config(case), out_dir=tmp_path)
+    got = {}
+    for name in EXPORTS:
+        path = tmp_path / name
+        got[name] = (
+            hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+            if path.exists()
+            else None
+        )
+    assert got == GOLDEN_EXPORTS[case]

@@ -1,9 +1,14 @@
 """Mesh construction, crack marking, bisection refinement, exports."""
 
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crackfem import (
     Chain,
@@ -23,11 +28,15 @@ from crackfem.config import _radial_levels, build_crack_graph
 from crackfem.mesh import (
     _part_neighborhoods,
     _vertex_neighborhood,
+    _write_rows,
     export_mesh_text,
     export_vtk,
 )
+from crackfem.config import _export_solution_text
+from crackfem.solve import SolutionField
 from crackfem import mesh as mesh_module
 from conftest import make_y_crack
+import oracles
 from oracles import (
     dof_count_profile,
     element_gradients,
@@ -458,6 +467,17 @@ class TestDofProfile:
             assert 0.9 * 4 <= fine / coarse <= 1.1 * 4
 
 
+# doubles whose text form is easy to get wrong: signed zero, subnormals, the
+# extremes, non-finite values
+_EXPORT_FLOATS = st.one_of(
+    st.floats(width=64),
+    st.sampled_from(
+        [-0.0, 5e-324, -2.5e-320, 1e300, -1e300]
+        + [float("nan"), float("inf"), -float("inf")]
+    ),
+)
+
+
 class TestExports:
     def test_mesh_text_header_and_stability(self, square_mesh, tmp_path):
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -479,3 +499,61 @@ class TestExports:
         assert f"POINTS {square_mesh.n_vertices} double" in lines
         assert f"CELL_TYPES {square_mesh.n_triangles}" in lines
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"u": np.arange(3)},
+            {"u": np.zeros((9, 2))},
+            {"u": ["a"] * 9},
+            {"u": np.ones(9, dtype=complex)},
+            {"two words": np.zeros(9)},
+            {"": np.zeros(9)},
+        ],
+    )
+    def test_vtk_rejects_malformed_point_data(self, square_mesh, tmp_path, data):
+        # a short field used to be written as POINT_DATA 9 followed by 3 values
+        path = tmp_path / "bad.vtk"
+        (name,) = data
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            export_vtk(square_mesh, path, point_data=data)
+        assert not path.exists()
+
+    def test_rows_across_chunks_match_one_fstring_per_row(self, tmp_path):
+        rows = np.random.default_rng(7).normal(size=(2 * (1 << 16) + 3, 2))
+        with open(tmp_path / "rows.txt", "w") as f:
+            _write_rows(f, "%r %r\n", rows)
+        expected = "".join(f"{float(x)!r} {float(y)!r}\n" for x, y in rows)
+        assert (tmp_path / "rows.txt").read_text() == expected
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_bulk_writers_match_line_oracles(self, data):
+        n = data.draw(st.integers(1, 12))
+        m = data.draw(st.integers(0, 12))
+        vertices = data.draw(arrays(np.float64, (n, 2), elements=_EXPORT_FLOATS))
+        triangles = data.draw(arrays(np.int64, (m, 3)))
+        values = data.draw(
+            st.one_of(
+                arrays(np.float64, n, elements=_EXPORT_FLOATS),
+                arrays(np.int64, n, elements=st.integers(-(2**60), 2**60)),
+            )
+        )
+        mesh = Mesh(vertices, triangles, np.empty((0, 2), dtype=np.int64), [])
+        writers = [
+            (export_mesh_text, oracles.export_mesh_text, (mesh,)),
+            (export_vtk, oracles.export_vtk, (mesh,)),
+            (export_vtk, oracles.export_vtk, (mesh, {"u": values, "v": -values})),
+            (
+                _export_solution_text,
+                oracles.export_solution_text,
+                (SolutionField(mesh, values),),
+            ),
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got", Path(tmp) / "want"
+            for writer, oracle, (obj, *rest) in writers:
+                writer(obj, got, *rest)
+                oracle(obj, want, *rest)
+                assert got.read_bytes() == want.read_bytes()
+
