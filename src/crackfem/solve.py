@@ -18,14 +18,16 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Solver selection: Jacobi-preconditioned CG or a direct factorization.
+    """Solver selection: a direct factorization or Jacobi-preconditioned CG.
 
-    method is "cg" (``scipy.sparse.linalg.cg`` with a Jacobi preconditioner,
-    at most max_iterations steps) or "direct" (SuperLU). rel_tolerance bounds
-    the final true residual relative to the right-hand side.
+    method is "direct" (SuperLU ordering A + A^T by minimum degree and
+    pivoting on the diagonal, as suits the SPD reduced systems) or "cg"
+    (``scipy.sparse.linalg.cg`` with a Jacobi preconditioner, at most
+    max_iterations steps). rel_tolerance bounds the final true residual
+    relative to the right-hand side.
     """
 
-    method: str = "cg"
+    method: str = "direct"
     rel_tolerance: float = 1e-10
     max_iterations: int = 20000
 
@@ -70,7 +72,13 @@ def solve(system: LinearSystem, config: SolverConfig | None = None) -> "Solution
             )
     else:
         try:
-            lu = spla.splu(A.tocsc())
+            # assembled systems are SPD; a zero diagonal still pivots off it
+            lu = spla.splu(
+                A.tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
         except RuntimeError as exc:
             raise SolverError(f"direct factorization failed: {exc}") from exc
         x = lu.solve(rhs)

@@ -6,8 +6,9 @@ energy error by expansion, the P1 gradients and stiffness matrices of a
 single element, a single segment/triangle clip, point membership in one
 triangle, node incidence of a crack graph, near-crack degree-of-freedom
 counts, straight parametric segments, the one-sided branches of the radial
-exact solution, the smallest angle of a mesh, and the three text exports
-written one f-string per line.
+exact solution, the smallest angle of a mesh, the three text exports
+written one f-string per line, and the direct solve with SuperLU's default
+column ordering and partial pivoting.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from crackfem import Coefficients, CrackGraph, Mesh, SegmentedCrack, mark_crack_elements
 from crackfem._geom import REL_TOL, bbox_diameter, clip_segments_to_triangles
@@ -358,3 +360,10 @@ def export_solution_text(solution, path) -> None:
         lines.append(f"{float(x)!r} {float(y)!r} {float(u)!r}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def splu_default_solve(A, b) -> np.ndarray:
+    """Solve A x = b with SuperLU's defaults: COLAMD column ordering and
+    partial pivoting, the factorization ``solve`` used before it ordered
+    A + A^T symmetrically."""
+    return spla.splu(A.tocsc()).solve(b)

@@ -114,7 +114,7 @@ class TestConfigValidation:
     def test_minimal_config_fills_defaults(self):
         config = ProblemConfig.from_dict(raw())
         assert config.coefficients["a1"] == 1.0
-        assert config.solver.method == "cg"
+        assert config.solver.method == "direct"
         assert config.refinement.rule == "none"
         assert config.boundary == {"left": {"dirichlet": 0.0}}
 

@@ -1,5 +1,7 @@
 """Linear solvers and point evaluation of the solution field."""
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,7 +20,11 @@ from crackfem import (
     solve,
 )
 from crackfem.cracks import SegmentedCrack
-from oracles import points_in_triangle
+from oracles import points_in_triangle, splu_default_solve
+from test_golden import case_config, pipeline_system
+
+# ``crackfem.solve`` as a package attribute is the function, not the module
+solve_module = importlib.import_module("crackfem.solve")
 
 ZERO_WALLS = BoundarySpec(
     dirichlet={"left": 0.0, "right": 0.0, "bottom": 0.0, "top": 0.0}
@@ -29,6 +35,25 @@ def sine_system(h):
     mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), h)
     f = lambda p: 2.0 * np.pi**2 * np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
     return assemble(mesh, SegmentedCrack.empty(), Coefficients(source=f), ZERO_WALLS)
+
+
+def embedded_system(mesh, block, rhs):
+    """An unconstrained system on ``mesh``: ``block`` on the first vertices,
+    the identity on the rest."""
+    block = sp.csr_matrix(block)
+    k = block.shape[0]
+    matrix = sp.block_diag(
+        [block, sp.identity(mesh.n_vertices - k)], format="csr"
+    )
+    rhs = np.concatenate([rhs, np.ones(mesh.n_vertices - k)])
+    return LinearSystem(
+        matrix=matrix,
+        rhs=rhs,
+        constrained=np.empty(0, dtype=np.int64),
+        values=np.empty(0),
+        operator=matrix,
+        mesh=mesh,
+    )
 
 
 class TestSolverConfig:
@@ -67,16 +92,8 @@ class TestSolve:
 
     def test_identity_system_returns_rhs(self, square_mesh, rng):
         n = square_mesh.n_vertices
-        eye = sp.identity(n, format="csr")
         b = rng.standard_normal(n)
-        sys = LinearSystem(
-            matrix=eye,
-            rhs=b,
-            constrained=np.empty(0, dtype=np.int64),
-            values=np.empty(0),
-            operator=eye,
-            mesh=square_mesh,
-        )
+        sys = embedded_system(square_mesh, sp.identity(n), b)
         for method in ("cg", "direct"):
             u = solve(sys, SolverConfig(method=method))
             assert np.allclose(u.values, b, atol=1e-14)
@@ -147,6 +164,63 @@ class TestSolve:
         )
         with pytest.raises(SolverError, match="did not converge"):
             solve(sys, SolverConfig(method="cg", max_iterations=1))
+
+
+class TestDirectFactorization:
+    @pytest.mark.parametrize("case", ["radial-local:1", "crack-network:default"])
+    def test_agrees_with_default_ordering(self, case):
+        _, system = pipeline_system(case_config(case))
+        A, rhs, free = system.reduced()
+        want = splu_default_solve(A, rhs)
+        got = solve(system, SolverConfig("direct")).values[free]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_symmetric_ordering_cuts_fill(self, monkeypatch):
+        fill = []
+        real_splu = solve_module.spla.splu
+
+        def recording_splu(*args, **kwargs):
+            lu = real_splu(*args, **kwargs)
+            fill.append(lu.L.nnz + lu.U.nnz)
+            return lu
+
+        monkeypatch.setattr(solve_module.spla, "splu", recording_splu)
+        _, system = pipeline_system(case_config("radial-local:1"))
+        A, rhs, _ = system.reduced()
+        solve(system, SolverConfig("direct"))
+        splu_default_solve(A, rhs)
+        ours, default = fill
+        assert ours <= 0.7 * default
+
+    # LinearSystem is public, so solve also sees matrices assembly never
+    # builds; without partial pivoting it must still solve them within the
+    # residual bound or raise SolverError
+    @pytest.mark.parametrize(
+        "block",
+        [[[0.0, 1.0], [1.0, 0.0]], [[1e-20, 1.0], [1.0, 1.0]]],
+        ids=["zero-diagonal", "tiny-pivot"],
+    )
+    def test_solves_without_a_usable_diagonal(self, square_mesh, block):
+        b = np.array([1.0, 2.0])
+        sys = embedded_system(square_mesh, block, b)
+        u = solve(sys, SolverConfig("direct")).values
+        assert np.array_equal(u[:2], np.linalg.solve(block, b))
+        assert np.array_equal(u[2:], np.ones(sys.n - 2))
+
+    def test_solves_nonsymmetric_dominant(self, fine_square_mesh, rng):
+        n = fine_square_mesh.n_vertices
+        off = sp.random(n, n, density=0.05, random_state=rng, format="csr")
+        off.setdiag(0.0)
+        A = off + sp.diags(np.abs(off).sum(axis=1).A1 + 1.0)
+        assert (A != A.T).nnz > 0
+        b = rng.standard_normal(n)
+        u = solve(embedded_system(fine_square_mesh, A, b), SolverConfig("direct"))
+        assert np.linalg.norm(A @ u.values - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_singular_matrix_raises(self, square_mesh):
+        sys = embedded_system(square_mesh, [[1.0, 1.0], [1.0, 1.0]], np.ones(2))
+        with pytest.raises(SolverError, match="factorization failed"):
+            solve(sys, SolverConfig("direct"))
 
 
 class TestSolutionField:
