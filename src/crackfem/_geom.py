@@ -13,6 +13,12 @@ import numpy as np
 # relative geometric tolerance, scaled by the domain diameter at call sites
 REL_TOL = 1e-12
 
+# reach of a tolerance test, in tolerances: moving each edge out by tol takes
+# a corner of angle a up to tol / sin(a / 2) past its vertex, and bisection
+# keeps angles above 15 degrees, so every point a tol-fattened triangle
+# covers lies within 7.7 tol of it
+REACH = 8.0
+
 
 def bbox_diameter(points: np.ndarray) -> float:
     """Diagonal length of the axis-aligned bounding box of a point set."""
@@ -26,29 +32,34 @@ def clip_segments_to_triangles(p, q, tris, tol):
 
     p and q are (2,) endpoints of one segment clipped against every
     triangle, or (k, 2) arrays pairing segment i with triangle i; the
-    triangles are (k, 3, 2), counterclockwise. Returns (lo, hi, touched):
-    parameter intervals at threshold zero and a boolean mask of triangles
-    the segment touches when each is fattened by ``tol``. Grazing contacts
-    (touched but empty zero-interval) report the degenerate interval
-    midpoint in both lo and hi.
+    triangles are (k, 3, 2), counterclockwise. Returns (lo, hi, touched,
+    near): parameter intervals at threshold zero, a boolean mask of
+    triangles the segment touches when each is fattened by ``tol``, and the
+    mask of those it passes when fattened by ``REACH * tol``, which
+    contains ``touched``. Grazing contacts (touched but empty
+    zero-interval) report the degenerate interval midpoint in both lo and
+    hi.
     """
     tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
     k = tris.shape[0]
     if k == 0:
-        return np.empty(0), np.empty(0), np.empty(0, dtype=bool)
+        empty = np.empty(0, dtype=bool)
+        return np.empty(0), np.empty(0), empty, empty
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    # row 0 clips against the closed triangle, row 1 against it with each
-    # edge moved out by tol: unnormalized signed distances >= -tol * |e|
-    lo = np.zeros((2, k))
-    hi = np.ones((2, k))
+    # row 0 clips against the closed triangle, rows 1 and 2 against it with
+    # each edge moved out by tol and by REACH * tol: unnormalized signed
+    # distances >= -tol * |e|
+    lo = np.zeros((3, k))
+    hi = np.ones((3, k))
     for i in range(3):
         a = tris[:, i, :]
         e = tris[:, (i + 1) % 3, :] - a
         # inward normal of a CCW triangle edge, not normalized
         f0 = e[:, 0] * (p[..., 1] - a[:, 1]) - e[:, 1] * (p[..., 0] - a[:, 0])
         f1 = e[:, 0] * (q[..., 1] - a[:, 1]) - e[:, 1] * (q[..., 0] - a[:, 0])
-        theta = np.stack([np.zeros(k), -tol * np.linalg.norm(e, axis=1)])
+        length = np.linalg.norm(e, axis=1)
+        theta = np.stack([np.zeros(k), -tol * length, -REACH * tol * length])
         denom = f1 - f0
         zero = denom == 0.0
         safe = np.where(zero, 1.0, denom)
@@ -60,14 +71,14 @@ def clip_segments_to_triangles(p, q, tris, tol):
         dead = zero & (f0 < theta)
         lo = np.where(dead, 1.0, lo)
         hi = np.where(dead, -1.0, hi)
-    (lo0, lo_t), (hi0, hi_t) = lo, hi
+    (lo0, lo_t, lo_r), (hi0, hi_t, hi_r) = lo, hi
     touched = lo_t <= hi_t
     exact = lo0 <= hi0
     graze = touched & ~exact
     mid = 0.5 * (lo_t + hi_t)
     lo = np.where(exact, lo0, np.where(graze, mid, 1.0))
     hi = np.where(exact, hi0, np.where(graze, mid, -1.0))
-    return lo, hi, touched
+    return lo, hi, touched, lo_r <= hi_r
 
 
 def point_segment_distances(points, a, b):

@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._geom import (
+    REACH,
     REL_TOL,
     SpatialGrid,
     bbox_diameter,
@@ -77,6 +78,8 @@ class Mesh:
             arr.setflags(write=False)
         self._areas = None
         self._diameters = None
+        self._tolerance = None
+        self._edges = None
 
     @property
     def n_vertices(self) -> int:
@@ -141,34 +144,40 @@ class Mesh:
     @property
     def tolerance(self) -> float:
         """Absolute geometric tolerance of incidence tests on this mesh."""
-        return REL_TOL * max(bbox_diameter(self.vertices), 1.0)
+        if self._tolerance is None:
+            self._tolerance = REL_TOL * max(bbox_diameter(self.vertices), 1.0)
+        return self._tolerance
 
     def incidence(self, starts, ends) -> Incidence:
         """Triangles touched by the segments starts[k] -> ends[k].
 
-        The one full query: every triangle whose grid cells meet a
-        segment's padded box is clipped. Returns the ``Incidence`` of the
-        closed segments within ``tolerance``; a point is the segment with
-        starts[k] == ends[k].
+        The one full query: every candidate pair is clipped. Returns the
+        ``Incidence`` of the closed segments within ``tolerance``; a point
+        is the segment with starts[k] == ends[k].
         """
         starts = np.asarray(starts, dtype=float).reshape(-1, 2)
         ends = np.asarray(ends, dtype=float).reshape(-1, 2)
-        # the clip moves each edge out by tol, so a corner of angle a reaches
-        # tol / sin(a / 2) past its vertex; angles stay above 15 degrees
-        pad = 8.0 * self.tolerance
-        grid = SpatialGrid.for_triangles(self.vertices, self.triangles, self.h_max)
-        part, tri = grid.query(
-            np.minimum(starts, ends) - pad, np.maximum(starts, ends) + pad
-        )
-        return self.clip_pairs(starts, ends, part, tri)
+        return self.clip_pairs(starts, ends, *self.candidate_pairs(starts, ends))[0]
 
-    def clip_pairs(self, starts, ends, part, tri) -> Incidence:
-        """The ``Incidence`` among candidate pairs (part, tri), given sorted
-        by (part, tri): segment part[i] is clipped against triangle tri[i]."""
-        lo, hi, touched = clip_segments_to_triangles(
+    def candidate_pairs(self, starts, ends):
+        """Pairs (part, tri), unique and sorted, of each segment
+        starts[k] -> ends[k] and every triangle whose grid cells meet the
+        segment's box padded by ``REACH * tolerance``: a superset of the
+        triangles the segment passes within that distance of."""
+        pad = REACH * self.tolerance
+        grid = SpatialGrid.for_triangles(self.vertices, self.triangles, self.h_max)
+        return grid.query(np.minimum(starts, ends) - pad, np.maximum(starts, ends) + pad)
+
+    def clip_pairs(self, starts, ends, part, tri):
+        """Clip segment part[i] against triangle tri[i], over candidate pairs
+        sorted by (part, tri). Returns the ``Incidence`` among them and the
+        near pairs (part, tri), sorted, of segments passing within
+        ``REACH * tolerance`` of a triangle; they contain the incidence."""
+        lo, hi, touched, near = clip_segments_to_triangles(
             starts[part], ends[part], self.vertices[self.triangles[tri]], self.tolerance
         )
-        return Incidence(part[touched], tri[touched], lo[touched], hi[touched])
+        hits = Incidence(part[touched], tri[touched], lo[touched], hi[touched])
+        return hits, (part[near], tri[near])
 
     def edge_codes(self):
         """Unique undirected edges as codes a * n + b (a < b), plus the
@@ -181,6 +190,22 @@ class Mesh:
         unique, inverse = np.unique(codes, return_inverse=True)
         t2e = inverse.reshape(3, self.n_triangles).T
         return unique, t2e
+
+    def edge_table(self):
+        """Undirected edges as (e, 2) vertex pairs (a < b), plus the (m, 3)
+        map from triangles to edge ids, edge 0 the refinement edge. A mesh
+        from ``refine_marked`` carries its table; otherwise it is built
+        once from ``edge_codes``, in code order."""
+        if self._edges is None:
+            codes, t2e = self.edge_codes()
+            pairs = np.column_stack([codes // self.n_vertices, codes % self.n_vertices])
+            self._set_edges(pairs, t2e)
+        return self._edges
+
+    def _set_edges(self, pairs, t2e) -> None:
+        for arr in (pairs, t2e):
+            arr.setflags(write=False)
+        self._edges = (pairs, t2e)
 
     def validate(self) -> None:
         """Raise MeshError on any violated invariant."""
@@ -275,7 +300,14 @@ def refine_marked(mesh: Mesh, marked):
 
     All marked triangles are bisected at their refinement edges; the closure
     marks the refinement edge of any triangle with a marked edge, so the
-    output is conforming. Vertices of the input keep their indices.
+    output is conforming. Vertices of the input keep their indices, and the
+    midpoints follow in (a, b) order of the split edges (a < b).
+
+    The output carries its edge table (``Mesh.edge_table``) and tolerance.
+    Kept edges keep their ids; a split edge (a, b) with midpoint m keeps its
+    id for (a, m), and (b, m) is appended, in midpoint order; then come the
+    edges inside bisected triangles: (v0, m0) of each, then (m1, m0) and
+    (m2, m0) of those whose edge 1 or 2 is split.
 
     Returns (refined, parent): ``parent[i]`` is the input triangle that
     output triangle i lies in. Children of one parent are consecutive, in
@@ -288,8 +320,9 @@ def refine_marked(mesh: Mesh, marked):
         return mesh, np.arange(mesh.n_triangles)
     t = mesh.triangles
     n, m = mesh.n_vertices, mesh.n_triangles
-    codes, t2e = mesh.edge_codes()
-    edge_marked = np.zeros(len(codes), dtype=bool)
+    pairs, t2e = mesh.edge_table()
+    n_edges = len(pairs)
+    edge_marked = np.zeros(n_edges, dtype=bool)
     edge_marked[t2e[marked, 0]] = True
     while True:
         any_marked = edge_marked[t2e].any(axis=1)
@@ -298,58 +331,82 @@ def refine_marked(mesh: Mesh, marked):
             break
         edge_marked[t2e[need, 0]] = True
 
-    split_ids = np.nonzero(edge_marked)[0]
-    pairs = np.column_stack([codes[split_ids] // n, codes[split_ids] % n])
-    midpoints = mesh.vertices[pairs].mean(axis=1)
-    edge_newv = np.full(len(codes), -1, dtype=np.int64)
-    edge_newv[split_ids] = n + np.arange(len(split_ids))
-    vertices = np.vstack([mesh.vertices, midpoints])
+    split = np.nonzero(edge_marked)[0]
+    split_codes = pairs[split, 0] * n + pairs[split, 1]
+    order = np.argsort(split_codes)
+    split, split_codes = split[order], split_codes[order]
+    n_split = len(split)
+    new_ids = n + np.arange(n_split)
+    edge_newv = np.full(n_edges, -1, dtype=np.int64)
+    edge_newv[split] = new_ids
+    vertices = np.vstack([mesh.vertices, mesh.vertices[pairs[split]].mean(axis=1)])
 
     flags = edge_marked[t2e]
     counts = 1 + flags.sum(axis=1)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    out = np.empty((offsets[-1], 3), dtype=np.int64)
-    v0, v1, v2 = t[:, 0], t[:, 1], t[:, 2]
-    m0 = edge_newv[t2e[:, 0]]
-    m1 = edge_newv[t2e[:, 1]]
-    m2 = edge_newv[t2e[:, 2]]
+    first = np.cumsum(counts) - counts
+    # kept triangles in place; the children below fill every slot of the rest
+    out = np.repeat(t, counts, axis=0)
+    out_t2e = np.repeat(t2e, counts, axis=0)
 
-    def put(mask, slot, a, b, c):
-        rows = offsets[:-1][mask] + slot
-        out[rows, 0] = a[mask]
-        out[rows, 1] = b[mask]
-        out[rows, 2] = c[mask]
+    # bisected triangles: the child (m0, v0, v1) at the left of the first
+    # bisection, split again at m2 when edge 2 is marked, then the right
+    # child (m0, v2, v0), split again at m1 when edge 1 is marked
+    cut = np.nonzero(counts > 1)[0]
+    v0, v1, v2 = t[cut].T
+    e0, e1, e2 = t2e[cut].T
+    f1, f2 = flags[cut, 1], flags[cut, 2]
+    m0, m1, m2 = edge_newv[e0], edge_newv[e1], edge_newv[e2]
 
-    keep = counts == 1
-    put(keep, 0, v0, v1, v2)
-    only_ref = flags[:, 0] & ~flags[:, 1] & ~flags[:, 2]
-    put(only_ref, 0, m0, v0, v1)
-    put(only_ref, 1, m0, v2, v0)
-    with_e1 = flags[:, 0] & flags[:, 1] & ~flags[:, 2]
-    put(with_e1, 0, m0, v0, v1)
-    put(with_e1, 1, m1, m0, v2)
-    put(with_e1, 2, m1, v0, m0)
-    with_e2 = flags[:, 0] & ~flags[:, 1] & flags[:, 2]
-    put(with_e2, 0, m2, m0, v0)
-    put(with_e2, 1, m2, v1, m0)
-    put(with_e2, 2, m0, v2, v0)
-    full = flags.all(axis=1)
-    put(full, 0, m2, m0, v0)
-    put(full, 1, m2, v1, m0)
-    put(full, 2, m1, m0, v2)
-    put(full, 3, m1, v0, m0)
+    def half(e, v):
+        """Id of the half of split edge e that ends at vertex v."""
+        return np.where(pairs[e, 0] == v, e, n_edges + edge_newv[e] - n)
+
+    a0, b0 = half(e0, v1), half(e0, v2)
+    a1, b1 = half(e1, v2), half(e1, v0)
+    a2, b2 = half(e2, v0), half(e2, v1)
+    base = n_edges + n_split
+    i0 = base + np.arange(len(cut))
+    i1 = base + len(cut) + np.cumsum(f1) - 1
+    i2 = base + len(cut) + int(f1.sum()) + np.cumsum(f2) - 1
+    left, right = first[cut], first[cut] + 1 + f2
+    for mask, rows, corners, edges in (
+        (~f2, left, (m0, v0, v1), (e2, a0, i0)),
+        (f2, left, (m2, m0, v0), (i0, a2, i2)),
+        (f2, left + 1, (m2, v1, m0), (a0, i2, b2)),
+        (~f1, right, (m0, v2, v0), (e1, i0, b0)),
+        (f1, right, (m1, m0, v2), (b0, a1, i1)),
+        (f1, right + 1, (m1, v0, m0), (i0, i1, b1)),
+    ):
+        out[rows[mask]] = np.column_stack([c[mask] for c in corners])
+        out_t2e[rows[mask]] = np.column_stack([e[mask] for e in edges])
+
+    out_pairs = np.concatenate(
+        [
+            pairs,
+            np.column_stack([pairs[split, 1], new_ids]),
+            np.column_stack([v0, m0]),
+            np.column_stack([np.minimum(m1, m0), np.maximum(m1, m0)])[f1],
+            np.column_stack([np.minimum(m2, m0), np.maximum(m2, m0)])[f2],
+        ]
+    )
+    out_pairs[split, 1] = new_ids
 
     # split boundary edges in place, inheriting tags
     be = np.sort(mesh.boundary_edges, axis=1)
-    bmid = edge_newv[np.searchsorted(codes, be[:, 0] * n + be[:, 1])]
-    split = bmid >= 0
-    reps = 1 + split
+    bcodes = be[:, 0] * n + be[:, 1]
+    pos = np.minimum(np.searchsorted(split_codes, bcodes), n_split - 1)
+    bsplit = split_codes[pos] == bcodes
+    bmid = new_ids[pos[bsplit]]
+    reps = 1 + bsplit
     # edge (a, b) through midpoint m becomes (a, m), (m, b)
-    first = np.cumsum(reps) - reps
+    bfirst = np.cumsum(reps) - reps
     edges = np.repeat(mesh.boundary_edges, reps, axis=0)
-    edges[first[split], 1] = bmid[split]
-    edges[first[split] + 1, 0] = bmid[split]
+    edges[bfirst[bsplit], 1] = bmid
+    edges[bfirst[bsplit] + 1, 0] = bmid
     refined = Mesh(vertices, out, edges, np.repeat(mesh.boundary_tags, reps))
+    refined._set_edges(out_pairs, out_t2e)
+    # midpoints lie in their edges' bounding boxes: the mesh's box is unchanged
+    refined._tolerance = mesh.tolerance
     return refined, np.repeat(np.arange(m), counts)
 
 
@@ -371,25 +428,6 @@ def _vertex_neighborhood(mesh: Mesh, tri_ids) -> np.ndarray:
     mask = np.zeros(mesh.n_vertices, dtype=bool)
     mask[mesh.triangles[tri_ids].ravel()] = True
     return np.nonzero(mask[mesh.triangles].any(axis=1))[0]
-
-
-def _part_neighborhoods(mesh: Mesh, hits: Incidence, band):
-    """Pairs (part, triangle), unique and sorted: the vertex neighborhood of
-    each part's touched triangles. ``band`` is the neighborhood of all of
-    them, ``_vertex_neighborhood(mesh, hits.tri)``."""
-    n = mesh.n_vertices
-    # (vertex, band triangle) incidences sorted by vertex
-    corner = mesh.triangles[band].ravel()
-    order = np.argsort(corner, kind="stable")
-    corner, owner = corner[order], np.repeat(band, 3)[order]
-    part_vertex = np.unique(hits.part[:, None] * n + mesh.triangles[hits.tri])
-    first = np.searchsorted(corner, part_vertex % n, side="left")
-    count = np.searchsorted(corner, part_vertex % n, side="right") - first
-    pairs = np.unique(
-        np.repeat(part_vertex // n, count) * mesh.n_triangles
-        + owner[expand_ranges(first, count)]
-    )
-    return pairs // mesh.n_triangles, pairs % mesh.n_triangles
 
 
 @dataclass
@@ -440,39 +478,36 @@ def refine_near_crack(mesh: Mesh, crack: CrackGraph, config: RefinementConfig):
     or the crack is empty; the refined mesh is the input itself when nothing
     needs refining.
 
-    Generation 0 runs the full ``Mesh.incidence`` query. Later generations
-    clip only the children of each part's touched triangles and of their
-    vertex neighbors: a child lies inside its parent, and a crack point
-    within the tolerance of a child but outside its parent's tolerance band
-    lies in a triangle sharing a vertex with that parent. So the incidence
-    equals a fresh query wherever the crack lies inside the mesh.
+    Generation 0 clips the candidate pairs of the full query. Each later
+    generation clips, for each part, only the children of the triangles it
+    was near in the one before: those it passes within ``REACH *
+    tolerance`` of. A child lies inside its parent, so a part that close to
+    a child is as close to its parent; by induction, the candidates hold
+    every triangle the part passes that close to. Every point a triangle's
+    tolerance test covers lies that close to it (``_geom.REACH``), so the
+    incidence equals a fresh query wherever the crack lies inside the mesh.
     """
     target = config.crack_target()
     if target is None or crack.n_chains == 0:
         return mesh, None
     starts, ends = crack.parts()
-    current, parent, near = mesh, None, None
+    current = mesh
+    part, tri = mesh.candidate_pairs(starts, ends)
     for _ in range(config.max_generations):
-        if near is None:
-            hits = current.incidence(starts, ends)
-        else:
-            near_part, near_tri = near
-            first = np.searchsorted(parent, near_tri, side="left")
-            count = np.searchsorted(parent, near_tri, side="right") - first
-            children = expand_ranges(first, count)
-            hits = current.clip_pairs(
-                starts, ends, np.repeat(near_part, count), children
-            )
-        marked = mark_crack_elements(current, crack, hits)
-        if marked.size == 0:
-            return current, hits
-        band = _vertex_neighborhood(current, marked)
+        hits, (near_part, near_tri) = current.clip_pairs(starts, ends, part, tri)
+        band = _vertex_neighborhood(current, mark_crack_elements(current, crack, hits))
         band_diameters = current.triangle_diameters(band)
         need = band[band_diameters > target]
         if need.size == 0:
+            # only bisection reads the carried edge table: release it rather
+            # than hold it through assembly and the solve
+            current._edges = None
             return current, hits
-        near = _part_neighborhoods(current, hits, band)
         current, parent = refine_marked(current, need)
+        # children of sorted near pairs come out sorted by (part, tri)
+        first = np.searchsorted(parent, near_tri, side="left")
+        count = np.searchsorted(parent, near_tri, side="right") - first
+        part, tri = np.repeat(near_part, count), expand_ranges(first, count)
     raise RefinementError(
         f"near-crack target {target:.3e} not reached within "
         f"{config.max_generations} generations (mesh has {current.n_triangles} "

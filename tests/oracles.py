@@ -219,7 +219,7 @@ def segment_triangle_intersection(p, q, triangle, tol: float | None = None):
         tol = REL_TOL * max(bbox_diameter(np.vstack([tri, p, q])), 1.0)
     if tuple(q) < tuple(p):
         p, q = q, p
-    lo, hi, touched = clip_segments_to_triangles(p, q, tri[None, :, :], tol)
+    lo, hi, touched, _ = clip_segments_to_triangles(p, q, tri[None, :, :], tol)
     if not touched[0]:
         return None
     d = q - p

@@ -26,7 +26,6 @@ from crackfem import (
 from crackfem._geom import REL_TOL, bbox_diameter, point_segment_distances
 from crackfem.config import _radial_levels, build_crack_graph
 from crackfem.mesh import (
-    _part_neighborhoods,
     _vertex_neighborhood,
     _write_rows,
     export_mesh_text,
@@ -183,6 +182,17 @@ class TestMarkCrackElements:
             assert marked == oracle
 
 
+def assert_carried_edges_are_fresh(mesh):
+    """The edge table a refined mesh carries lists the edges a fresh
+    ``edge_codes`` finds, triangle by triangle and edge slot by edge slot."""
+    pairs, t2e = mesh.edge_table()
+    codes, fresh_t2e = mesh.edge_codes()
+    assert len(pairs) == len(codes)
+    assert (pairs[:, 0] < pairs[:, 1]).all()
+    carried = pairs[t2e, 0] * mesh.n_vertices + pairs[t2e, 1]
+    assert (carried == codes[fresh_t2e]).all()
+
+
 class TestRefineMarked:
     def test_conforming_after_every_generation(self, fine_square_mesh, rng):
         mesh = fine_square_mesh
@@ -192,6 +202,14 @@ class TestRefineMarked:
             )
             mesh, _ = refine_marked(mesh, marked)
             mesh.validate()
+            assert_carried_edges_are_fresh(mesh)
+
+    def test_refined_mesh_carries_the_tolerance_bitwise(self, rng):
+        mesh = build_rectangle_mesh((0.0, 3.0, 0.0, 0.7), 0.1)
+        for _ in range(5):
+            marked = rng.choice(mesh.n_triangles, size=7, replace=False)
+            mesh, _ = refine_marked(mesh, marked)
+            assert mesh.tolerance == REL_TOL * max(bbox_diameter(mesh.vertices), 1.0)
 
     def test_vertices_only_grow(self, square_mesh):
         refined, _ = refine_marked(square_mesh, [0])
@@ -296,6 +314,35 @@ class TestRefineNearCrack:
         assert len(calls) == 2
         assert len(clips) == 2
 
+    @pytest.mark.parametrize(
+        "preset, level, touched, vertex_ring_candidates",
+        [("radial-local", 1, 2262, 35398), ("crack-network", None, 2757, 33448)],
+    )
+    def test_clips_only_children_of_near_triangles(
+        self, preset, level, touched, vertex_ring_candidates, monkeypatch
+    ):
+        # clipping the children of each part's touched triangles and their
+        # vertex neighbours took vertex_ring_candidates clips for the same
+        # touched pairs; the children of the near triangles take 5090 and 7416
+        config = build_preset(preset)
+        if level is not None:
+            config = config.with_global_h(config.study["levels"][level])
+        rc = config.refinement
+        clip = mesh_module.clip_segments_to_triangles
+        counts = {"candidates": 0, "touched": 0}
+
+        def counting_clips(*args, **kwargs):
+            result = clip(*args, **kwargs)
+            counts["candidates"] += len(args[2])
+            counts["touched"] += int(result[2].sum())
+            return result
+
+        monkeypatch.setattr(mesh_module, "clip_segments_to_triangles", counting_clips)
+        mesh = build_rectangle_mesh(config.domain, rc.global_h)
+        refine_near_crack(mesh, build_crack_graph(config, rc.global_h), rc)
+        assert counts["touched"] == touched
+        assert counts["candidates"] <= 0.25 * vertex_ring_candidates
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RefinementConfig(global_h=0.0)
@@ -342,39 +389,46 @@ class TestIncrementalIncidence:
         crack = CrackGraph([Chain(points) for points in chains])
         mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), h)
         rc = RefinementConfig(global_h=h, rule=rule, crack_h=h / 8.0)
-        clips, bisections = [], []
+        clips, bisections, fresh_tables = [], [], []
         clip_pairs, bisect = Mesh.clip_pairs, mesh_module.refine_marked
+        edge_codes = Mesh.edge_codes
 
         def recording_clip(self, starts, ends, part, tri):
-            hits = clip_pairs(self, starts, ends, part, tri)
-            clips.append((self, starts, ends, hits))
-            return hits
+            hits, near = clip_pairs(self, starts, ends, part, tri)
+            clips.append((self, starts, ends, hits, near))
+            return hits, near
 
         def recording_bisect(coarse, marked):
             refined, parent = bisect(coarse, marked)
             bisections.append((coarse, refined, parent))
             return refined, parent
 
+        def recording_edge_codes(self):
+            fresh_tables.append(self)
+            return edge_codes(self)
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(Mesh, "clip_pairs", recording_clip)
             patch.setattr(mesh_module, "refine_marked", recording_bisect)
+            patch.setattr(Mesh, "edge_codes", recording_edge_codes)
             refined, hits = refine_near_crack(mesh, crack, rc)
 
         # one incidence step per generation; the last is the one returned
         assert len(clips) == len(bisections) + 1
         assert clips[-1][0] is refined and clips[-1][3] is hits
-        for current, starts, ends, got in clips:
+        # only the unrefined mesh builds its edge table; bisection carries it
+        assert fresh_tables == ([mesh] if bisections else [])
+        for current, starts, ends, got, (near_part, near_tri) in clips:
             want = current.incidence(starts, ends)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-            band = _vertex_neighborhood(current, got.tri)
-            part, tri = _part_neighborhoods(current, got, band)
-            assert np.unique(tri).tolist() == band.tolist()
-            for k in np.unique(got.part):
-                mine = got.tri[got.part == k]
-                assert tri[part == k].tolist() == (
-                    _vertex_neighborhood(current, mine).tolist()
-                )
+            near = near_part * current.n_triangles + near_tri
+            assert (np.diff(near) > 0).all()
+            assert np.isin(got.part * current.n_triangles + got.tri, near).all()
+            assert current.tolerance == REL_TOL * max(
+                bbox_diameter(current.vertices), 1.0
+            )
+            assert_carried_edges_are_fresh(current)
         for coarse, fine, parent in bisections:
             assert parent.shape == (fine.n_triangles,)
             assert (np.diff(parent) >= 0).all()
