@@ -3,7 +3,10 @@
 Everything here works on plain numpy arrays. Incidence predicates use a
 tolerance that callers derive from the domain diameter (REL_TOL * diameter),
 while crossing parameters are computed at threshold zero so that points
-lying exactly on element edges come out exact.
+lying exactly on element edges come out exact. A segment moving less than
+the tolerance across an edge's line is parallel to it: no crossing there,
+and wholly inside the edge's half-plane when either end is, so a crack along
+a rounded element edge is not cut at an arbitrary point.
 """
 
 from __future__ import annotations
@@ -61,14 +64,15 @@ def clip_segments_to_triangles(p, q, tris, tol):
         length = np.linalg.norm(e, axis=1)
         theta = np.stack([np.zeros(k), -tol * length, -REACH * tol * length])
         denom = f1 - f0
-        zero = denom == 0.0
-        safe = np.where(zero, 1.0, denom)
+        # parallel edge: the segment moves less than tol across its line
+        flat = np.abs(denom) <= tol * length
+        safe = np.where(flat, 1.0, denom)
         t = (theta - f0) / safe
         rising = denom > 0
-        lo = np.where(~zero & rising, np.maximum(lo, t), lo)
-        hi = np.where(~zero & ~rising, np.minimum(hi, t), hi)
-        # parallel edge: the whole segment is in or out
-        dead = zero & (f0 < theta)
+        lo = np.where(~flat & rising, np.maximum(lo, t), lo)
+        hi = np.where(~flat & ~rising, np.minimum(hi, t), hi)
+        # the whole segment is in when either end is, else out
+        dead = flat & (np.maximum(f0, f1) < theta)
         lo = np.where(dead, 1.0, lo)
         hi = np.where(dead, -1.0, hi)
     (lo0, lo_t, lo_r), (hi0, hi_t, hi_r) = lo, hi

@@ -15,27 +15,9 @@ _TRI_MID_BARY = np.array(
 )
 _TRI_MID_W = np.array([1.0, 1.0, 1.0]) / 3.0
 
-# degree-5 exact 7-point rule
-_S15 = np.sqrt(15.0)
-_A1 = (6.0 - _S15) / 21.0
-_A2 = (6.0 + _S15) / 21.0
-_TRI7_BARY = np.array(
-    [[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]]
-    + [np.roll([1.0 - 2.0 * _A1, _A1, _A1], i).tolist() for i in range(3)]
-    + [np.roll([1.0 - 2.0 * _A2, _A2, _A2], i).tolist() for i in range(3)]
-)
-_TRI7_W = np.concatenate(
-    [[9.0 / 40.0], np.full(3, (155.0 - _S15) / 1200.0), np.full(3, (155.0 + _S15) / 1200.0)]
-)
-
-# Gauss rules on [0, 1]
+# two-point Gauss rule on [0, 1]
 _GAUSS2_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _GAUSS2_W = np.array([0.5, 0.5])
-_G4 = np.array([0.3399810435848563, 0.8611363115940526])
-_GAUSS4_T = 0.5 + 0.5 * np.array([-_G4[1], -_G4[0], _G4[0], _G4[1]])
-_GAUSS4_W = 0.5 * np.array(
-    [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
-)
 
 
 class ExactRadialSolution:
@@ -124,40 +106,23 @@ class NormReport:
         )
 
 
-def _bulk_rule(quadrature: str):
-    if quadrature == "standard":
-        return _TRI_MID_BARY, _TRI_MID_W
-    if quadrature == "fine":
-        return _TRI7_BARY, _TRI7_W
-    raise ValueError(f"unknown quadrature {quadrature!r}")
-
-
-def _segment_rule(quadrature: str):
-    if quadrature == "standard":
-        return _GAUSS2_T, _GAUSS2_W
-    return _GAUSS4_T, _GAUSS4_W
-
-
 def error_norms(
     solution,
     exact,
     crack: SegmentedCrack | None = None,
     coeffs: Coefficients | None = None,
-    quadrature: str = "standard",
     level: int = 0,
 ) -> NormReport:
     """L2, H1-seminorm, interface L2 and energy error of a discrete field.
 
     The bulk rule is exact for quadratics (edge midpoints); segments use
-    two-point Gauss. ``quadrature="fine"`` switches to a degree-5 bulk rule
-    and four-point Gauss for quadrature sensitivity checks. Straddling
-    elements are not subdivided; the exact field chooses its branch per
-    quadrature point.
+    two-point Gauss. Straddling elements are not subdivided; the exact
+    field chooses its branch per quadrature point.
     """
     mesh = solution.mesh
     if coeffs is None:
         coeffs = Coefficients()
-    bary, bw = _bulk_rule(quadrature)
+    bary, bw = _TRI_MID_BARY, _TRI_MID_W
     coords = mesh.vertices[mesh.triangles]  # (m, 3, 2)
     area = mesh.triangle_areas()
     pts = np.einsum("qi,mid->mqd", bary, coords)  # (m, q, 2)
@@ -177,7 +142,7 @@ def error_norms(
     l2c_sq = 0.0
     h_crack = mesh.h_max
     if crack is not None and crack.n_segments:
-        st, sw = _segment_rule(quadrature)
+        st, sw = _GAUSS2_T, _GAUSS2_W
         a = crack.points[:, 0, :]
         d = crack.points[:, 1, :] - crack.points[:, 0, :]
         spts = a[:, None, :] + st[None, :, None] * d[:, None, :]

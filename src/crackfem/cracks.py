@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._geom import REL_TOL, bbox_diameter, point_segment_distances
+from ._geom import REL_TOL, bbox_diameter, expand_ranges, point_segment_distances
 # not called here; bound because bench/tracing.py wraps this module attribute
 from ._geom import clip_segments_to_triangles  # noqa: F401
 
@@ -237,36 +237,29 @@ class SegmentedCrack:
         )
 
 
-def _dedupe_sorted(values: np.ndarray, tol: float) -> np.ndarray:
-    """Merge sorted values closer than tol, keeping the first of each cluster."""
-    kept = [values[0]]
-    for v in values[1:]:
-        if v - kept[-1] > tol:
-            kept.append(v)
-    return np.asarray(kept)
-
-
 def cut_chains(mesh, crack: CrackGraph, hits=None) -> SegmentedCrack:
     """Slice every chain of the crack graph into per-triangle segments.
 
-    Each polyline part longer than the mesh tolerance is clipped against
-    the triangles it touches; the resulting breakpoints partition the part,
-    and every sub-segment is assigned to the lowest-index triangle
-    containing it (so parts running along shared element edges get a
-    unique owner). ``hits`` is the ``mesh.incidence`` of ``crack.parts()``,
-    as ``refine_near_crack`` returns it; None queries it here. Raises
-    CrackGeometryError when a chain has no part longer than the tolerance
-    or a chain portion lies outside every triangle.
+    All parts longer than the mesh tolerance are cut in one array pass. With
+    ``tol_t`` the tolerance over the part length, clip interval ends within
+    ``tol_t`` of 0 or 1 snap there. Of the breakpoints 0, 1 and the interval
+    ends, sorted along each part, each one within ``tol_t`` of the one before
+    it is dropped (a run spaced closer than ``tol_t`` merges into its first),
+    and the last one is set to 1. Each sub-segment goes to the lowest-index
+    triangle whose interval covers its midpoint within ``tol_t``, so parts
+    along shared element edges get a unique owner. ``hits`` is the
+    ``mesh.incidence`` of ``crack.parts()``, as ``refine_near_crack`` returns
+    it; None queries it here. Raises CrackGeometryError when a chain has no
+    part longer than the tolerance or a sub-segment has no owner.
     """
     if crack.n_chains == 0:
         return SegmentedCrack.empty()
     tol = mesh.tolerance
-    pts = [c.points for c in crack.chains]
     starts, ends = crack.parts()
-    chain_of = np.concatenate([np.full(len(c) - 1, j) for j, c in enumerate(pts)])
-    part_of = np.concatenate([np.arange(len(c) - 1) for c in pts])
+    n_parts = np.asarray([len(c.points) - 1 for c in crack.chains])
+    chain_of = np.repeat(np.arange(crack.n_chains), n_parts)
     plen = np.linalg.norm(ends - starts, axis=1)
-    cut = np.nonzero(plen > tol)[0]
+    cut = plen > tol
     uncut = np.bincount(chain_of[cut], minlength=crack.n_chains) == 0
     if uncut.any():
         raise CrackGeometryError(
@@ -275,53 +268,49 @@ def cut_chains(mesh, crack: CrackGraph, hits=None) -> SegmentedCrack:
         )
     if hits is None:
         hits = mesh.incidence(starts, ends)
-    bounds = np.searchsorted(hits.part, np.arange(len(starts) + 1))
+    tol_t = tol / np.maximum(plen, tol)
 
-    tri_idx: list[np.ndarray] = []
-    seg_pts: list[np.ndarray] = []
-    seg_len: list[np.ndarray] = []
-    seg_chain: list[np.ndarray] = []
-    for k in cut:
-        at = slice(bounds[k], bounds[k + 1])
-        owners, lo, hi = hits.tri[at], hits.lo[at], hits.hi[at]
-        j, i, p, q = chain_of[k], part_of[k], starts[k], ends[k]
-        keep = hi > lo
-        lo, hi, owners = lo[keep], hi[keep], owners[keep]
-        if owners.size == 0:
-            raise CrackGeometryError(
-                f"chain {j} part {i} lies outside the mesh near {p.tolist()}"
-            )
-        tol_t = tol / plen[k]
-        lo = np.where(lo < tol_t, 0.0, lo)
-        lo = np.where(lo > 1.0 - tol_t, 1.0, lo)
-        hi = np.where(hi < tol_t, 0.0, hi)
-        hi = np.where(hi > 1.0 - tol_t, 1.0, hi)
-        breaks = np.sort(np.concatenate([[0.0, 1.0], lo, hi]))
-        breaks = _dedupe_sorted(breaks, tol_t)
-        breaks[0] = 0.0
-        breaks[-1] = 1.0
-        b0, b1 = breaks[:-1], breaks[1:]
-        mids = 0.5 * (b0 + b1)
-        # owner per sub-segment: lowest triangle whose interval covers it
-        covers = (lo[None, :] <= mids[:, None] + tol_t) & (
-            hi[None, :] >= mids[:, None] - tol_t
+    keep = (hits.hi > hits.lo) & cut[hits.part]
+    part, tri = hits.part[keep], hits.tri[keep]
+    snap = tol_t[part]
+    lo, hi = (
+        np.where(x < snap, 0.0, np.where(x > 1.0 - snap, 1.0, x))
+        for x in (hits.lo[keep], hits.hi[keep])
+    )
+    ids = np.nonzero(cut)[0]
+    k = np.concatenate([ids, ids, part, part])
+    t = np.concatenate([np.zeros(ids.size), np.ones(ids.size), lo, hi])
+    order = np.lexsort((t, k))
+    k, t = k[order], t[order]
+    kept = np.concatenate([[True], (k[1:] != k[:-1]) | (np.diff(t) > tol_t[k[1:]])])
+    k, t = k[kept], t[kept]
+    last = np.append(k[1:] != k[:-1], True)
+    t[last] = 1.0
+    start = np.nonzero(~last)[0]
+    k, b0, b1 = k[start], t[start], t[start + 1]
+    mids = 0.5 * (b0 + b1)
+
+    # hits are sorted by (part, tri): the first cover is the lowest triangle
+    first = np.searchsorted(part, k, side="left")
+    count = np.searchsorted(part, k, side="right") - first
+    sub = np.repeat(np.arange(k.size), count)
+    pair = expand_ranges(first, count)
+    m, slack = mids[sub], tol_t[k][sub]
+    covers = (lo[pair] <= m + slack) & (hi[pair] >= m - slack)
+    owned, first_cover = np.unique(sub[covers], return_index=True)
+    if owned.size < k.size:
+        s = np.setdiff1d(np.arange(k.size), owned)[0]
+        j = chain_of[k[s]]
+        where = (starts[k[s]] + mids[s] * (ends[k[s]] - starts[k[s]])).tolist()
+        raise CrackGeometryError(
+            f"chain {j} part {k[s] - n_parts[:j].sum()} leaves the mesh near {where}"
         )
-        if not covers.any(axis=1).all():
-            m = int(np.nonzero(~covers.any(axis=1))[0][0])
-            where = (p + mids[m] * (q - p)).tolist()
-            raise CrackGeometryError(f"chain {j} part {i} leaves the mesh near {where}")
-        own = owners[np.argmax(covers, axis=1)]
-        d = q - p
-        tri_idx.append(own)
-        seg_pts.append(np.stack([p + b0[:, None] * d, p + b1[:, None] * d], axis=1))
-        seg_len.append((b1 - b0) * plen[k])
-        seg_chain.append(np.full(own.shape, j, dtype=np.int64))
-
+    p, d = starts[k], (ends - starts)[k]
     return SegmentedCrack(
-        triangle_index=np.concatenate(tri_idx),
-        points=np.concatenate(seg_pts),
-        length=np.concatenate(seg_len),
-        chain_index=np.concatenate(seg_chain),
+        triangle_index=tri[pair[covers][first_cover]],
+        points=np.stack([p + b0[:, None] * d, p + b1[:, None] * d], axis=1),
+        length=(b1 - b0) * plen[k],
+        chain_index=chain_of[k],
         chain_permeability=np.asarray([c.permeability for c in crack.chains]),
         chain_source=[c.source for c in crack.chains],
         nodes=crack.nodes.copy(),

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from crackfem import (
     Chain,
@@ -42,6 +43,16 @@ def make_y_crack(permeabilities=(2.0, 3.0, 4.0)):
         for tip, p in zip(tips, permeabilities)
     ]
     return CrackGraph(chains)
+
+
+def polylines(coord):
+    """1-3 polylines of 2-4 points drawn from ``coord``, each longer than 1e-6."""
+
+    def long_enough(points):
+        return np.linalg.norm(np.diff(points, axis=0), axis=1).sum() > 1e-6
+
+    polyline = st.lists(st.tuples(coord, coord), min_size=2, max_size=4)
+    return st.lists(polyline.map(np.array).filter(long_enough), min_size=1, max_size=3)
 
 
 @pytest.fixture

@@ -2,13 +2,14 @@
 
 These reproduce quantities the package computes (or checks it against) by a
 different route: continuous Galerkin forms on subdivided quadrature, the
-energy error by expansion, the P1 gradients and stiffness matrices of a
-single element, a single segment/triangle clip, point membership in one
-triangle, node incidence of a crack graph, near-crack degree-of-freedom
-counts, straight parametric segments, the one-sided branches of the radial
-exact solution, the smallest angle of a mesh, the three text exports
-written one f-string per line, and the direct solve with SuperLU's default
-column ordering and partial pivoting.
+energy error by expansion, the error norms on finer rules, the P1 gradients
+and stiffness matrices of a single element, a single segment/triangle clip,
+point membership in one triangle, node incidence of a crack graph,
+near-crack degree-of-freedom counts, the chain cut one part at a time,
+straight parametric segments, the one-sided branches of the radial exact
+solution, the smallest angle of a mesh, the three text exports written one
+f-string per line, and the direct solve with SuperLU's default column
+ordering and partial pivoting.
 """
 
 from __future__ import annotations
@@ -18,19 +19,37 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from crackfem import Coefficients, CrackGraph, Mesh, SegmentedCrack, mark_crack_elements
-from crackfem._geom import REL_TOL, bbox_diameter, clip_segments_to_triangles
-from crackfem.analysis import (
-    _GAUSS2_T,
-    _GAUSS2_W,
-    _GAUSS4_T,
-    _GAUSS4_W,
-    _TRI7_BARY,
-    _TRI7_W,
-    _TRI_MID_BARY,
-    _TRI_MID_W,
+from crackfem import (
+    Coefficients,
+    CrackGeometryError,
+    CrackGraph,
+    Mesh,
+    SegmentedCrack,
+    mark_crack_elements,
 )
+from crackfem._geom import REL_TOL, bbox_diameter, clip_segments_to_triangles
+from crackfem.analysis import _GAUSS2_T, _GAUSS2_W, _TRI_MID_BARY, _TRI_MID_W
 from crackfem.mesh import _vertex_neighborhood
+
+# degree-5 exact 7-point rule
+_S15 = np.sqrt(15.0)
+_A1 = (6.0 - _S15) / 21.0
+_A2 = (6.0 + _S15) / 21.0
+_TRI7_BARY = np.array(
+    [[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]]
+    + [np.roll([1.0 - 2.0 * _A1, _A1, _A1], i).tolist() for i in range(3)]
+    + [np.roll([1.0 - 2.0 * _A2, _A2, _A2], i).tolist() for i in range(3)]
+)
+_TRI7_W = np.concatenate(
+    [[9.0 / 40.0], np.full(3, (155.0 - _S15) / 1200.0), np.full(3, (155.0 + _S15) / 1200.0)]
+)
+
+# four-point Gauss rule on [0, 1]
+_G4 = np.array([0.3399810435848563, 0.8611363115940526])
+_GAUSS4_T = 0.5 + 0.5 * np.array([-_G4[1], -_G4[0], _G4[0], _G4[1]])
+_GAUSS4_W = 0.5 * np.array(
+    [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
+)
 
 
 def _subdivided_rule(levels: int):
@@ -161,6 +180,49 @@ def energy_by_expansion(solution, exact, crack, coeffs) -> float:
     return float(np.sqrt(max(total, 0.0)))
 
 
+def fine_error_norms(solution, exact, crack, coeffs) -> dict:
+    """The four norms of ``error_norms`` on finer rules: the degree-5 bulk
+    rule and four-point Gauss on segments."""
+    mesh = solution.mesh
+    coords = mesh.vertices[mesh.triangles]
+    area = mesh.triangle_areas()
+    a_elem = coeffs.element_permeability(coords.mean(axis=1))
+    pts = np.einsum("qi,mid->mqd", _TRI7_BARY, coords)
+    uh = np.einsum("qi,mi->mq", _TRI7_BARY, solution.values[mesh.triangles])
+    uex = exact.value(pts.reshape(-1, 2)).reshape(uh.shape)
+    gh = solution.gradients()
+    gdiff = gh[:, None, :] - exact.gradient(pts.reshape(-1, 2)).reshape(pts.shape)
+    gdiff2 = np.einsum("mqd,mqd->mq", gdiff, gdiff)
+    l2_sq = np.einsum("mq,q,m->", (uh - uex) ** 2, _TRI7_W, area)
+    h1_sq = np.einsum("mq,q,m->", gdiff2, _TRI7_W, area)
+    energy_sq = np.einsum("mq,q,m->", gdiff2, _TRI7_W, area * a_elem)
+    l2c_sq = 0.0
+    if crack is not None and crack.n_segments:
+        a = crack.points[:, 0, :]
+        d = crack.points[:, 1, :] - a
+        spts = a[:, None, :] + _GAUSS4_T[None, :, None] * d[:, None, :]
+        own = crack.triangle_index
+        phi = mesh.hat_values(own, spts)
+        uh_s = np.einsum("sqi,si->sq", phi, solution.values[mesh.triangles[own]])
+        uex_s = exact.value(spts.reshape(-1, 2)).reshape(uh_s.shape)
+        l2c_sq = np.einsum("sq,q,s->", (uh_s - uex_s) ** 2, _GAUSS4_W, crack.length)
+        t = crack.tangents()
+        gex_s = exact.gradient(spts.reshape(-1, 2)).reshape(spts.shape)
+        gt_h = np.einsum("sd,sd->s", t, gh[own])
+        gt_ex = np.einsum("sd,sqd->sq", t, gex_s)
+        wl = crack.length * crack.permeability()
+        energy_sq += np.einsum("sq,q,s->", (gt_h[:, None] - gt_ex) ** 2, _GAUSS4_W, wl)
+    return {
+        name: float(np.sqrt(value))
+        for name, value in (
+            ("l2", l2_sq),
+            ("h1_semi", h1_sq),
+            ("l2_crack", l2c_sq),
+            ("energy", energy_sq),
+        )
+    }
+
+
 def element_gradients(coords):
     """Hat-function gradients and area of one CCW triangle.
 
@@ -265,6 +327,75 @@ def dof_count_profile(mesh: Mesh, crack: CrackGraph) -> DofProfile:
     band = _vertex_neighborhood(mesh, marked)
     near = np.unique(mesh.triangles[band].ravel())
     return DofProfile(mesh.n_vertices, mesh.n_triangles, len(near), len(marked))
+
+
+def _dedupe_sorted(values: np.ndarray, tol: float) -> np.ndarray:
+    """Drop each sorted value within tol of the one before it."""
+    kept = [values[0]]
+    for before, v in zip(values[:-1], values[1:]):
+        if v - before > tol:
+            kept.append(v)
+    return np.asarray(kept)
+
+
+def cut_chains_per_part(mesh, crack: CrackGraph, hits) -> SegmentedCrack:
+    """``cut_chains`` one polyline part at a time."""
+    tol = mesh.tolerance
+    pts = [c.points for c in crack.chains]
+    starts, ends = crack.parts()
+    chain_of = np.concatenate([np.full(len(c) - 1, j) for j, c in enumerate(pts)])
+    part_of = np.concatenate([np.arange(len(c) - 1) for c in pts])
+    plen = np.linalg.norm(ends - starts, axis=1)
+    cut = np.nonzero(plen > tol)[0]
+    if hits is None:
+        hits = mesh.incidence(starts, ends)
+    bounds = np.searchsorted(hits.part, np.arange(len(starts) + 1))
+    tri_idx, seg_pts, seg_len, seg_chain = [], [], [], []
+    for k in cut:
+        at = slice(bounds[k], bounds[k + 1])
+        owners, lo, hi = hits.tri[at], hits.lo[at], hits.hi[at]
+        j, i, p, q = chain_of[k], part_of[k], starts[k], ends[k]
+        keep = hi > lo
+        lo, hi, owners = lo[keep], hi[keep], owners[keep]
+        if owners.size == 0:
+            raise CrackGeometryError(
+                f"chain {j} part {i} lies outside the mesh near {p.tolist()}"
+            )
+        tol_t = tol / plen[k]
+        lo = np.where(lo < tol_t, 0.0, lo)
+        lo = np.where(lo > 1.0 - tol_t, 1.0, lo)
+        hi = np.where(hi < tol_t, 0.0, hi)
+        hi = np.where(hi > 1.0 - tol_t, 1.0, hi)
+        breaks = np.sort(np.concatenate([[0.0, 1.0], lo, hi]))
+        breaks = _dedupe_sorted(breaks, tol_t)
+        breaks[0] = 0.0
+        breaks[-1] = 1.0
+        b0, b1 = breaks[:-1], breaks[1:]
+        mids = 0.5 * (b0 + b1)
+        covers = (lo[None, :] <= mids[:, None] + tol_t) & (
+            hi[None, :] >= mids[:, None] - tol_t
+        )
+        if not covers.any(axis=1).all():
+            m = int(np.nonzero(~covers.any(axis=1))[0][0])
+            where = (p + mids[m] * (q - p)).tolist()
+            raise CrackGeometryError(f"chain {j} part {i} leaves the mesh near {where}")
+        own = owners[np.argmax(covers, axis=1)]
+        d = q - p
+        tri_idx.append(own)
+        seg_pts.append(np.stack([p + b0[:, None] * d, p + b1[:, None] * d], axis=1))
+        seg_len.append((b1 - b0) * plen[k])
+        seg_chain.append(np.full(own.shape, j, dtype=np.int64))
+    return SegmentedCrack(
+        triangle_index=np.concatenate(tri_idx),
+        points=np.concatenate(seg_pts),
+        length=np.concatenate(seg_len),
+        chain_index=np.concatenate(seg_chain),
+        chain_permeability=np.asarray([c.permeability for c in crack.chains]),
+        chain_source=[c.source for c in crack.chains],
+        nodes=crack.nodes.copy(),
+        chain_nodes=crack.chain_nodes.copy(),
+        chain_length=np.asarray([c.length for c in crack.chains]),
+    )
 
 
 def segment_curve(p, q):

@@ -35,6 +35,7 @@ from oracles import (
     continuous_gradient_integrals,
     continuous_tangential_integrals,
     energy_by_expansion,
+    fine_error_norms,
     gradient_inner,
     gradient_outer,
     radial_flux_jump,
@@ -155,17 +156,10 @@ class TestErrorNorms:
         exact = EXACT_SOLUTIONS[res.config.exact_solution]
         coeffs = _build_coefficients(res.config, res.crack)
         std = error_norms(res.solution, exact, res.segments, coeffs)
-        fine = error_norms(
-            res.solution, exact, res.segments, coeffs, quadrature="fine"
-        )
+        fine = fine_error_norms(res.solution, exact, res.segments, coeffs)
         for name in ("l2", "h1_semi", "energy"):
-            a, b = getattr(std, name), getattr(fine, name)
+            a, b = getattr(std, name), fine[name]
             assert abs(a - b) / b < 0.01
-
-    def test_rejects_unknown_quadrature(self, square_mesh):
-        u = SolutionField(square_mesh, np.zeros(square_mesh.n_vertices))
-        with pytest.raises(ValueError, match="quadrature"):
-            error_norms(u, ConstantGradientField([0.0, 0.0]), quadrature="huge")
 
 
 class TestEoc:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crackfem import (
     Chain,
@@ -19,8 +21,10 @@ from crackfem.cracks import (
     sample_curve,
     signed_distance_to_crack,
 )
-from conftest import make_y_crack
+from crackfem.mesh import Incidence
+from conftest import make_y_crack, polylines
 from oracles import (
+    cut_chains_per_part,
     node_chains,
     node_degree,
     points_in_triangle,
@@ -258,17 +262,35 @@ class TestCutChains:
         with pytest.raises(CrackGeometryError, match="chain 1 is no longer than"):
             cut_chains(fine_square_mesh, crack)
 
-    @pytest.mark.xfail(strict=True, raises=CrackGeometryError)
     def test_diagonal_along_refined_edges_is_cut(self):
         # the crack runs along bisection edges whose coordinates carry
-        # rounding; the clip sees a near-zero denominator as a crossing and
-        # leaves a gap near (0.4828125, 0.5171875)
+        # rounding; a clip that took their near-zero denominators for
+        # crossings left a gap near (0.4828125, 0.5171875)
         mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 0.1)
         chain = Chain(np.array([[0.75, 0.25], [0.25, 0.75]]), permeability=1.0)
         crack = CrackGraph([chain])
         rc = RefinementConfig(global_h=0.1, rule="quadratic")
         cut = cut_chains(refine_near_crack(mesh, crack, rc)[0], crack)
         assert cut.length.sum() == pytest.approx(chain.length, rel=1e-12)
+
+    def test_breakpoints_closer_than_tol_t_merge_in_a_run(self, square_mesh):
+        # four interval ends 0.6 tol_t apart: each lies within tol_t of the
+        # one before it, so all merge into the first, although the last is
+        # 1.8 tol_t from it
+        chain = Chain(np.array([[0.1, 0.5], [0.6, 0.5]]))
+        tol_t = square_mesh.tolerance / chain.length
+        ends = 0.5 + 0.6 * tol_t * np.arange(4)
+        hits = Incidence(
+            part=np.zeros(5, dtype=np.int64),
+            tri=np.arange(5),
+            lo=np.concatenate([[0.0], ends]),
+            hi=np.concatenate([[ends[0]], np.ones(4)]),
+        )
+        cut = cut_chains(square_mesh, CrackGraph([chain]), hits)
+        assert cut.triangle_index.tolist() == [0, 1]
+        middle = chain.points[0] + 0.5 * (chain.points[1] - chain.points[0])
+        assert np.array_equal(cut.points[0, 1], middle)
+        assert np.array_equal(cut.points[1, 0], middle)
 
     def test_empty_crack_gives_empty_cut(self, square_mesh):
         cut = cut_chains(square_mesh, CrackGraph.empty())
@@ -279,6 +301,66 @@ class TestCutChains:
         cut = cut_chains(fine_square_mesh, y_crack)
         assert np.array_equal(cut.nodes, y_crack.nodes)
         assert np.array_equal(cut.chain_nodes, y_crack.chain_nodes)
+
+
+_CUT_H = st.sampled_from([0.1, 0.2, 0.125, 1.0 / 3.0])
+_CUT_RULE = st.sampled_from(["none", "quadratic"])
+
+
+class TestOnePassCut:
+    """The one-pass cut against the per-part oracle, and its invariants."""
+
+    @staticmethod
+    def check(chains, h, rule):
+        crack = CrackGraph([Chain(points) for points in chains])
+        mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), h)
+        rc = RefinementConfig(global_h=h, rule=rule)
+        mesh, hits = refine_near_crack(mesh, crack, rc)
+        cut = cut_chains(mesh, crack, hits)
+        try:
+            want = cut_chains_per_part(mesh, crack, hits)
+        except CrackGeometryError:
+            pass
+        else:
+            for name in ("triangle_index", "points", "length", "chain_index"):
+                got, ref = getattr(cut, name), getattr(want, name)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+        tol = mesh.tolerance
+        for j, chain in enumerate(crack.chains):
+            # parts no longer than the tolerance are not cut
+            plen = np.linalg.norm(np.diff(chain.points, axis=0), axis=1)
+            total = cut.length[cut.segments_of_chain(j)].sum()
+            assert total == pytest.approx(plen[plen > tol].sum(), rel=1e-12, abs=0.0)
+        corners = mesh.vertices[mesh.triangles[cut.triangle_index]]
+        for mid, tri in zip(cut.midpoints(), corners):
+            assert points_in_triangle(mid[None], tri, tol)[0]
+        reversed_crack = CrackGraph([Chain(c.points[::-1]) for c in crack.chains])
+        back = cut_chains(mesh, reversed_crack)
+        owners = np.unique(cut.triangle_index)
+        assert np.array_equal(np.unique(back.triangle_index), owners)
+        # breakpoints within tol_t of each other merge into the first one
+        # met, so a sliver of about one tolerance may change owners
+        per_owner = [
+            np.bincount(c.triangle_index, weights=c.length)[owners] for c in (cut, back)
+        ]
+        assert np.allclose(*per_owner, rtol=1e-12, atol=4.0 * tol)
+
+    @settings(deadline=None, max_examples=40)
+    @given(polylines(st.floats(0.0, 1.0)), _CUT_H, _CUT_RULE)
+    # within a tolerance of the bottom side: triangles meeting it at a
+    # vertex give intervals shorter than tol_t, whose ends merge in runs,
+    # and slivers change owners when the chain is reversed
+    @example([np.array([[0.0, 1e-12], [1.0, 0.0]])], 0.1, "quadratic")
+    @example([np.array([[0.0, 1e-12], [0.03125, 0.0]])], 0.1, "quadratic")
+    def test_random_chains(self, chains, h, rule):
+        self.check(chains, h, rule)
+
+    @settings(deadline=None, max_examples=40)
+    @given(polylines(st.integers(0, 20).map(lambda i: i / 20.0)), _CUT_H, _CUT_RULE)
+    # its third part runs along refined edges with rounded coordinates
+    @example([np.array([[4, 3], [13, 0], [10, 11], [18, 3]]) / 20.0], 0.1, "quadratic")
+    def test_lattice_chains(self, chains, h, rule):
+        self.check(chains, h, rule)
 
 
 class TestSignedDistance:

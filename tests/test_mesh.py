@@ -34,7 +34,7 @@ from crackfem.mesh import (
 from crackfem.config import _export_solution_text
 from crackfem.solve import SolutionField
 from crackfem import mesh as mesh_module
-from conftest import make_y_crack
+from conftest import make_y_crack, polylines
 import oracles
 from oracles import (
     dof_count_profile,
@@ -357,14 +357,6 @@ class TestRefineNearCrack:
 UNIT_TOL = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 1.0).tolerance
 
 
-def _polylines(coord):
-    def long_enough(points):
-        return np.linalg.norm(np.diff(points, axis=0), axis=1).sum() > 1e-6
-
-    polyline = st.lists(st.tuples(coord, coord), min_size=2, max_size=4)
-    return st.lists(polyline.map(np.array).filter(long_enough), min_size=1, max_size=3)
-
-
 @st.composite
 def _near_vertex_chains(draw):
     """One segment passing 1-3 tolerances beside a lattice point that
@@ -440,12 +432,12 @@ class TestIncrementalIncidence:
             np.testing.assert_allclose(areas, coarse.triangle_areas(), rtol=1e-12)
 
     @settings(deadline=None, max_examples=50)
-    @given(_polylines(st.floats(0.0, 1.0)), _H, _RULE)
+    @given(polylines(st.floats(0.0, 1.0)), _H, _RULE)
     def test_random_polylines(self, chains, h, rule):
         self.check_generations(chains, h, rule)
 
     @settings(deadline=None, max_examples=50)
-    @given(_polylines(st.integers(0, 16).map(lambda i: i / 16.0)), _H, _RULE)
+    @given(polylines(st.integers(0, 16).map(lambda i: i / 16.0)), _H, _RULE)
     def test_grid_snapped_polylines(self, chains, h, rule):
         self.check_generations(chains, h, rule)
 
