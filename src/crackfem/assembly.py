@@ -45,7 +45,7 @@ class Coefficients:
     region: object = None
 
     def __post_init__(self):
-        if self.a1 <= 0.0 or self.a2 <= 0.0:
+        if not (self.a1 > 0.0 and self.a2 > 0.0):
             raise ValueError("bulk permeabilities must be positive")
 
     def element_permeability(self, centroids) -> np.ndarray:

@@ -47,7 +47,7 @@ class Chain:
             raise CrackGeometryError("chain needs at least two 2d points")
         if not np.isfinite(pts).all():
             raise CrackGeometryError("chain has non-finite coordinates")
-        if self.permeability < 0.0:
+        if not self.permeability >= 0.0:
             raise CrackGeometryError("chain permeability must be >= 0")
         self.points = pts
         self.points.setflags(write=False)
@@ -151,7 +151,7 @@ def sample_curve(curve, spacing: float) -> np.ndarray:
     -------
     (k, 2) array. Closed curves come back with an exactly repeated last point.
     """
-    if spacing <= 0.0:
+    if not spacing > 0.0:
         raise CrackGeometryError("spacing must be positive")
     dense_t = np.linspace(0.0, 1.0, 4097)
     dense = curve(dense_t)

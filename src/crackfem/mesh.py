@@ -258,9 +258,9 @@ def build_rectangle_mesh(bounds, target_h: float) -> Mesh:
     """
     xmin, xmax, ymin, ymax = (float(b) for b in bounds)
     w, h = xmax - xmin, ymax - ymin
-    if w <= 0.0 or h <= 0.0:
+    if not (w > 0.0 and h > 0.0):
         raise MeshError("bounds must describe a non-empty rectangle")
-    if target_h <= 0.0:
+    if not target_h > 0.0:
         raise MeshError("target_h must be positive")
     if target_h > min(w, h) * (1.0 + 1e-12):
         raise MeshError("target_h exceeds the shorter rectangle side")
@@ -298,28 +298,34 @@ def build_rectangle_mesh(bounds, target_h: float) -> Mesh:
 def refine_marked(mesh: Mesh, marked):
     """One generation of newest-vertex bisection with conforming closure.
 
-    All marked triangles are bisected at their refinement edges; the closure
-    marks the refinement edge of any triangle with a marked edge, so the
-    output is conforming. Vertices of the input keep their indices, and the
-    midpoints follow in (a, b) order of the split edges (a < b).
+    The closure marks the refinement edge of any triangle with a marked
+    edge, starting from those of the ``marked`` triangles (ids or a boolean
+    mask). Each triangle whose refinement edge is marked is bisected at its
+    midpoint, then each child whose refinement edge is marked, giving 2 to 4
+    children. Vertices of the input keep their indices, and the midpoints
+    follow in (a, b) order of the split edges (a < b).
 
     The output carries its edge table (``Mesh.edge_table``) and tolerance.
     Kept edges keep their ids; a split edge (a, b) with midpoint m keeps its
     id for (a, m), and (b, m) is appended, in midpoint order; then come the
-    edges inside bisected triangles: (v0, m0) of each, then (m1, m0) and
-    (m2, m0) of those whose edge 1 or 2 is split.
+    edges (apex, midpoint) each bisection adds, first those of the input's
+    triangles, then those of their children, in triangle order.
 
     Returns (refined, parent): ``parent[i]`` is the input triangle that
     output triangle i lies in. Children of one parent are consecutive, in
     parent order, so ``parent`` is non-decreasing.
     """
     marked = np.asarray(marked)
+    m = mesh.n_triangles
     if marked.dtype == bool:
+        if marked.shape != (m,):
+            raise MeshError("a boolean marking needs one entry per triangle")
         marked = np.nonzero(marked)[0]
     if marked.size == 0:
-        return mesh, np.arange(mesh.n_triangles)
-    t = mesh.triangles
-    n, m = mesh.n_vertices, mesh.n_triangles
+        return mesh, np.arange(m)
+    if marked.min() < 0 or marked.max() >= m:
+        raise MeshError("marked triangle ids must lie in [0, n_triangles)")
+    n = mesh.n_vertices
     pairs, t2e = mesh.edge_table()
     n_edges = len(pairs)
     edge_marked = np.zeros(n_edges, dtype=bool)
@@ -341,54 +347,31 @@ def refine_marked(mesh: Mesh, marked):
     edge_newv[split] = new_ids
     vertices = np.vstack([mesh.vertices, mesh.vertices[pairs[split]].mean(axis=1)])
 
-    flags = edge_marked[t2e]
-    counts = 1 + flags.sum(axis=1)
-    first = np.cumsum(counts) - counts
-    # kept triangles in place; the children below fill every slot of the rest
-    out = np.repeat(t, counts, axis=0)
-    out_t2e = np.repeat(t2e, counts, axis=0)
-
-    # bisected triangles: the child (m0, v0, v1) at the left of the first
-    # bisection, split again at m2 when edge 2 is marked, then the right
-    # child (m0, v2, v0), split again at m1 when edge 1 is marked
-    cut = np.nonzero(counts > 1)[0]
-    v0, v1, v2 = t[cut].T
-    e0, e1, e2 = t2e[cut].T
-    f1, f2 = flags[cut, 1], flags[cut, 2]
-    m0, m1, m2 = edge_newv[e0], edge_newv[e1], edge_newv[e2]
-
     def half(e, v):
         """Id of the half of split edge e that ends at vertex v."""
         return np.where(pairs[e, 0] == v, e, n_edges + edge_newv[e] - n)
 
-    a0, b0 = half(e0, v1), half(e0, v2)
-    a1, b1 = half(e1, v2), half(e1, v0)
-    a2, b2 = half(e2, v0), half(e2, v1)
-    base = n_edges + n_split
-    i0 = base + np.arange(len(cut))
-    i1 = base + len(cut) + np.cumsum(f1) - 1
-    i2 = base + len(cut) + int(f1.sum()) + np.cumsum(f2) - 1
-    left, right = first[cut], first[cut] + 1 + f2
-    for mask, rows, corners, edges in (
-        (~f2, left, (m0, v0, v1), (e2, a0, i0)),
-        (f2, left, (m2, m0, v0), (i0, a2, i2)),
-        (f2, left + 1, (m2, v1, m0), (a0, i2, b2)),
-        (~f1, right, (m0, v2, v0), (e1, i0, b0)),
-        (f1, right, (m1, m0, v2), (b0, a1, i1)),
-        (f1, right + 1, (m1, v0, m0), (i0, i1, b1)),
-    ):
-        out[rows[mask]] = np.column_stack([c[mask] for c in corners])
-        out_t2e[rows[mask]] = np.column_stack([e[mask] for e in edges])
-
-    out_pairs = np.concatenate(
-        [
-            pairs,
-            np.column_stack([pairs[split, 1], new_ids]),
-            np.column_stack([v0, m0]),
-            np.column_stack([np.minimum(m1, m0), np.maximum(m1, m0)])[f1],
-            np.column_stack([np.minimum(m2, m0), np.maximum(m2, m0)])[f2],
-        ]
-    )
+    out, out_t2e, parent = mesh.triangles, t2e, np.arange(m)
+    out_pairs = [pairs, np.column_stack([pairs[split, 1], new_ids])]
+    # (v0, v1, v2) with midpoint m of (v1, v2) becomes (m, v0, v1) and (m, v2, v0),
+    # whose refinement edges are input edges: the second step needs no closure
+    for _ in range(2):
+        bisect = edge_marked[out_t2e[:, 0]]
+        cut = np.nonzero(bisect)[0]
+        v0, v1, v2 = out[cut].T
+        e0, e1, e2 = out_t2e[cut].T
+        mid = edge_newv[e0]
+        new = sum(map(len, out_pairs)) + np.arange(len(cut))
+        out = np.repeat(out, 1 + bisect, axis=0)
+        out_t2e = np.repeat(out_t2e, 1 + bisect, axis=0)
+        parent = np.repeat(parent, 1 + bisect)
+        left = cut + np.arange(len(cut))
+        out[left] = np.column_stack([mid, v0, v1])
+        out[left + 1] = np.column_stack([mid, v2, v0])
+        out_t2e[left] = np.column_stack([e2, half(e0, v1), new])
+        out_t2e[left + 1] = np.column_stack([e1, new, half(e0, v2)])
+        out_pairs.append(np.sort(np.column_stack([v0, mid]), axis=1))
+    out_pairs = np.concatenate(out_pairs)
     out_pairs[split, 1] = new_ids
 
     # split boundary edges in place, inheriting tags
@@ -407,7 +390,7 @@ def refine_marked(mesh: Mesh, marked):
     refined._set_edges(out_pairs, out_t2e)
     # midpoints lie in their edges' bounding boxes: the mesh's box is unchanged
     refined._tolerance = mesh.tolerance
-    return refined, np.repeat(np.arange(m), counts)
+    return refined, parent
 
 
 def mark_crack_elements(mesh: Mesh, crack: CrackGraph, hits=None):

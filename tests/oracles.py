@@ -5,7 +5,8 @@ different route: continuous Galerkin forms on subdivided quadrature, the
 energy error by expansion, the error norms on finer rules, the P1 gradients
 and stiffness matrices of a single element, a single segment/triangle clip,
 point membership in one triangle, node incidence of a crack graph,
-near-crack degree-of-freedom counts, the chain cut one part at a time,
+near-crack degree-of-freedom counts, one generation of newest-vertex
+bisection as a table of six child cases, the chain cut one part at a time,
 straight parametric segments, the one-sided branches of the radial exact
 solution, the smallest angle of a mesh, the three text exports written one
 f-string per line, and the direct solve with SuperLU's default column
@@ -327,6 +328,122 @@ def dof_count_profile(mesh: Mesh, crack: CrackGraph) -> DofProfile:
     band = _vertex_neighborhood(mesh, marked)
     near = np.unique(mesh.triangles[band].ravel())
     return DofProfile(mesh.n_vertices, mesh.n_triangles, len(near), len(marked))
+
+
+def refine_marked_table(mesh: Mesh, marked):
+    """``refine_marked`` with both bisections of a triangle spelled out as a
+    table of six child cases.
+
+    All marked triangles are bisected at their refinement edges; the closure
+    marks the refinement edge of any triangle with a marked edge, so the
+    output is conforming. Vertices of the input keep their indices, and the
+    midpoints follow in (a, b) order of the split edges (a < b).
+
+    The output carries its edge table (``Mesh.edge_table``) and tolerance.
+    Kept edges keep their ids; a split edge (a, b) with midpoint m keeps its
+    id for (a, m), and (b, m) is appended, in midpoint order; then come the
+    edges inside bisected triangles: (v0, m0) of each, then (m1, m0) and
+    (m2, m0) of those whose edge 1 or 2 is split.
+
+    Returns (refined, parent): ``parent[i]`` is the input triangle that
+    output triangle i lies in. Children of one parent are consecutive, in
+    parent order, so ``parent`` is non-decreasing.
+    """
+    marked = np.asarray(marked)
+    if marked.dtype == bool:
+        marked = np.nonzero(marked)[0]
+    if marked.size == 0:
+        return mesh, np.arange(mesh.n_triangles)
+    t = mesh.triangles
+    n, m = mesh.n_vertices, mesh.n_triangles
+    pairs, t2e = mesh.edge_table()
+    n_edges = len(pairs)
+    edge_marked = np.zeros(n_edges, dtype=bool)
+    edge_marked[t2e[marked, 0]] = True
+    while True:
+        any_marked = edge_marked[t2e].any(axis=1)
+        need = any_marked & ~edge_marked[t2e[:, 0]]
+        if not need.any():
+            break
+        edge_marked[t2e[need, 0]] = True
+
+    split = np.nonzero(edge_marked)[0]
+    split_codes = pairs[split, 0] * n + pairs[split, 1]
+    order = np.argsort(split_codes)
+    split, split_codes = split[order], split_codes[order]
+    n_split = len(split)
+    new_ids = n + np.arange(n_split)
+    edge_newv = np.full(n_edges, -1, dtype=np.int64)
+    edge_newv[split] = new_ids
+    vertices = np.vstack([mesh.vertices, mesh.vertices[pairs[split]].mean(axis=1)])
+
+    flags = edge_marked[t2e]
+    counts = 1 + flags.sum(axis=1)
+    first = np.cumsum(counts) - counts
+    # kept triangles in place; the children below fill every slot of the rest
+    out = np.repeat(t, counts, axis=0)
+    out_t2e = np.repeat(t2e, counts, axis=0)
+
+    # bisected triangles: the child (m0, v0, v1) at the left of the first
+    # bisection, split again at m2 when edge 2 is marked, then the right
+    # child (m0, v2, v0), split again at m1 when edge 1 is marked
+    cut = np.nonzero(counts > 1)[0]
+    v0, v1, v2 = t[cut].T
+    e0, e1, e2 = t2e[cut].T
+    f1, f2 = flags[cut, 1], flags[cut, 2]
+    m0, m1, m2 = edge_newv[e0], edge_newv[e1], edge_newv[e2]
+
+    def half(e, v):
+        """Id of the half of split edge e that ends at vertex v."""
+        return np.where(pairs[e, 0] == v, e, n_edges + edge_newv[e] - n)
+
+    a0, b0 = half(e0, v1), half(e0, v2)
+    a1, b1 = half(e1, v2), half(e1, v0)
+    a2, b2 = half(e2, v0), half(e2, v1)
+    base = n_edges + n_split
+    i0 = base + np.arange(len(cut))
+    i1 = base + len(cut) + np.cumsum(f1) - 1
+    i2 = base + len(cut) + int(f1.sum()) + np.cumsum(f2) - 1
+    left, right = first[cut], first[cut] + 1 + f2
+    for mask, rows, corners, edges in (
+        (~f2, left, (m0, v0, v1), (e2, a0, i0)),
+        (f2, left, (m2, m0, v0), (i0, a2, i2)),
+        (f2, left + 1, (m2, v1, m0), (a0, i2, b2)),
+        (~f1, right, (m0, v2, v0), (e1, i0, b0)),
+        (f1, right, (m1, m0, v2), (b0, a1, i1)),
+        (f1, right + 1, (m1, v0, m0), (i0, i1, b1)),
+    ):
+        out[rows[mask]] = np.column_stack([c[mask] for c in corners])
+        out_t2e[rows[mask]] = np.column_stack([e[mask] for e in edges])
+
+    out_pairs = np.concatenate(
+        [
+            pairs,
+            np.column_stack([pairs[split, 1], new_ids]),
+            np.column_stack([v0, m0]),
+            np.column_stack([np.minimum(m1, m0), np.maximum(m1, m0)])[f1],
+            np.column_stack([np.minimum(m2, m0), np.maximum(m2, m0)])[f2],
+        ]
+    )
+    out_pairs[split, 1] = new_ids
+
+    # split boundary edges in place, inheriting tags
+    be = np.sort(mesh.boundary_edges, axis=1)
+    bcodes = be[:, 0] * n + be[:, 1]
+    pos = np.minimum(np.searchsorted(split_codes, bcodes), n_split - 1)
+    bsplit = split_codes[pos] == bcodes
+    bmid = new_ids[pos[bsplit]]
+    reps = 1 + bsplit
+    # edge (a, b) through midpoint m becomes (a, m), (m, b)
+    bfirst = np.cumsum(reps) - reps
+    edges = np.repeat(mesh.boundary_edges, reps, axis=0)
+    edges[bfirst[bsplit], 1] = bmid
+    edges[bfirst[bsplit] + 1, 0] = bmid
+    refined = Mesh(vertices, out, edges, np.repeat(mesh.boundary_tags, reps))
+    refined._set_edges(out_pairs, out_t2e)
+    # midpoints lie in their edges' bounding boxes: the mesh's box is unchanged
+    refined._tolerance = mesh.tolerance
+    return refined, np.repeat(np.arange(m), counts)
 
 
 def _dedupe_sorted(values: np.ndarray, tol: float) -> np.ndarray:

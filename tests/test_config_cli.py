@@ -7,13 +7,18 @@ import numpy as np
 import pytest
 
 from crackfem import (
+    Chain,
+    Coefficients,
     ConfigError,
+    MeshError,
     ProblemConfig,
     build_preset,
     list_presets,
     load_config,
     run_convergence_study,
     run_single,
+    build_rectangle_mesh,
+    sample_curve,
     save_config,
 )
 from crackfem import config as config_module
@@ -108,6 +113,54 @@ class TestResolveScalar:
     def test_unknown_names_list_the_registry(self):
         with pytest.raises(ConfigError, match="known:"):
             resolve_scalar("no-such-fn", "x")
+
+
+NAN = float("nan")
+
+
+def x_axis(t):
+    return np.stack([t, 0.0 * t], axis=-1)
+
+
+# library entry points the config does not reach with NaN
+NAN_INPUTS = [
+    pytest.param(
+        lambda: Chain([[0.0, 0.0], [1.0, 0.0]], permeability=NAN),
+        CrackGeometryError,
+        "permeability must be >= 0",
+        id="chain-permeability",
+    ),
+    pytest.param(
+        lambda: Coefficients(a1=NAN), ValueError, "must be positive", id="a1"
+    ),
+    pytest.param(
+        lambda: Coefficients(a2=NAN), ValueError, "must be positive", id="a2"
+    ),
+    pytest.param(
+        lambda: build_rectangle_mesh((0.0, NAN, 0.0, 1.0), 0.5),
+        MeshError,
+        "non-empty rectangle",
+        id="mesh-bounds",
+    ),
+    pytest.param(
+        lambda: build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), NAN),
+        MeshError,
+        "target_h must be positive",
+        id="mesh-target_h",
+    ),
+    pytest.param(
+        lambda: sample_curve(x_axis, NAN),
+        CrackGeometryError,
+        "spacing must be positive",
+        id="curve-spacing",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", NAN_INPUTS)
+def test_library_entry_points_reject_nan(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestConfigValidation:

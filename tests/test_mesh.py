@@ -221,6 +221,14 @@ class TestRefineMarked:
     def test_empty_marking_returns_input(self, square_mesh):
         assert refine_marked(square_mesh, np.empty(0, dtype=int))[0] is square_mesh
 
+    # square_mesh has 8 triangles
+    @pytest.mark.parametrize(
+        "marked", [[-1], [0, 8], np.zeros(7, bool), np.ones(9, bool)]
+    )
+    def test_rejects_marks_outside_the_mesh(self, square_mesh, marked):
+        with pytest.raises(MeshError, match="triangle"):
+            refine_marked(square_mesh, marked)
+
     def test_boolean_mask_accepted(self, square_mesh):
         mask = np.zeros(square_mesh.n_triangles, dtype=bool)
         mask[3] = True
@@ -246,6 +254,37 @@ class TestRefineMarked:
                 square_mesh.boundary_tags == tag
             ).sum()
         refined.validate()
+
+
+class TestBisectionMatchesTable:
+    """Two bisection steps per generation give the six-case table's meshes
+    bitwise, over several generations of random markings."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.floats(0.5, 2.0),
+        st.floats(0.5, 2.0),
+        st.integers(1, 4),
+        st.lists(st.booleans(), min_size=3, max_size=5),
+        st.data(),
+    )
+    def test_matches_the_table(self, width, height, cells, as_mask, data):
+        h = min(width, height) / cells
+        mesh = table = build_rectangle_mesh((0.0, width, 0.0, height), h)
+        for mask in as_mask:
+            n = mesh.n_triangles
+            if mask:
+                marked = data.draw(arrays(bool, n))
+            else:
+                marked = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+            mesh, parent = refine_marked(mesh, marked)
+            table, table_parent = oracles.refine_marked_table(table, marked)
+            for name in ("vertices", "triangles", "boundary_edges", "boundary_tags"):
+                a, b = getattr(mesh, name), getattr(table, name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), name
+            assert parent.tobytes() == table_parent.tobytes()
+            assert_carried_edges_are_fresh(mesh)
 
 
 class TestRefineNearCrack:
