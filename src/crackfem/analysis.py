@@ -207,13 +207,14 @@ def kirchhoff_residual(solution, crack: SegmentedCrack) -> np.ndarray:
     reports the tip flux.
     """
     tang = solution.tangential_derivative(crack)
-    out = np.zeros(len(crack.nodes))
-    for j in range(crack.n_chains):
+    graph = crack.graph
+    out = np.zeros(len(graph.nodes))
+    for j, chain in enumerate(graph.chains):
         segs = crack.segments_of_chain(j)
         if segs.size == 0:
             continue
-        a = crack.chain_permeability[j]
-        start_node, end_node = crack.chain_nodes[j]
+        a = chain.permeability
+        start_node, end_node = graph.chain_nodes[j]
         out[start_node] -= a * tang[segs[0]]
         out[end_node] += a * tang[segs[-1]]
     return np.abs(out)

@@ -197,10 +197,10 @@ def assemble_load(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
         mids = crack.midpoints()
         own = crack.triangle_index
         fs = np.zeros(crack.n_segments)
-        for j, src_j in enumerate(crack.chain_source):
+        for j, chain in enumerate(crack.graph.chains):
             on = crack.chain_index == j
             if on.any():
-                fs[on] = _values_at(src_j, mids[on])
+                fs[on] = _values_at(chain.source, mids[on])
         weights = fs * crack.length
         if np.any(weights != 0.0):
             phi = mesh.hat_values(own, mids)

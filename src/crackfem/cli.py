@@ -46,9 +46,7 @@ def _add_common(parser):
     parser.add_argument(
         "--solver", choices=("cg", "direct"), default=None, help="override the solver"
     )
-    parser.add_argument(
-        "--threads", type=int, default=1, help="process count for study levels"
-    )
+    return parser
 
 
 def _cmd_run(args) -> int:
@@ -98,7 +96,10 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     _add_common(sub.add_parser("run", help="solve one problem"))
-    _add_common(sub.add_parser("study", help="run a convergence study"))
+    study = _add_common(sub.add_parser("study", help="run a convergence study"))
+    study.add_argument(
+        "--threads", type=int, default=1, help="process count for study levels"
+    )
     pre = sub.add_parser("presets", help="inspect built-in presets")
     pre_sub = pre.add_subparsers(dest="action", required=True)
     pre_sub.add_parser("list", help="list preset names")

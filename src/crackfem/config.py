@@ -541,14 +541,11 @@ def _radial_levels():
     return [span * 0.5**k for k in range(3, 8)]
 
 
+# a preset gives only what differs from the defaults ``from_dict`` fills in
 def _preset_radial(rule: str) -> dict:
     e = _RADIAL.interface_radius
     levels = _radial_levels()
-    refinement = {"global_h": levels[0], "rule": rule}
-    if rule == "quadratic":
-        refinement["coefficient"] = 1.0
     return {
-        "schema_version": SCHEMA_VERSION,
         "domain": [1.0, _RADIAL.outer_radius, 1.0, _RADIAL.outer_radius],
         "chains": [
             {
@@ -562,13 +559,11 @@ def _preset_radial(rule: str) -> dict:
                 "source": 1.0,
             }
         ],
-        "coefficients": {"a1": 1.0, "a2": 1.0, "source": 0.0},
         "boundary": {
             tag: {"dirichlet": "radial-exact"}
             for tag in ("left", "right", "top", "bottom")
         },
-        "refinement": refinement,
-        "solver": {"method": "direct"},
+        "refinement": {"global_h": levels[0], "rule": rule},
         "exact_solution": "radial-exact",
         "study": {"levels": levels},
     }
@@ -617,36 +612,28 @@ def _network_chain_geometries():
 
 def _preset_network() -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
         "domain": [0.0, 13.0, 0.0, 9.5],
         "chains": [
-            {"geometry": g, "permeability": 100.0, "source": 0.0}
-            for g in _network_chain_geometries()
+            {"geometry": g, "permeability": 100.0} for g in _network_chain_geometries()
         ],
-        "coefficients": {"a1": 1.0, "a2": 1.0, "source": 0.0},
         "boundary": {
             "left": {"dirichlet": 1.0},
             "right": {"dirichlet": 0.0},
             "top": "neumann",
             "bottom": "neumann",
         },
-        "refinement": {"global_h": 0.5, "rule": "quadratic", "coefficient": 1.0},
-        "solver": {"method": "direct"},
-        "exact_solution": None,
-        "study": None,
+        "refinement": {"global_h": 0.5, "rule": "quadratic"},
     }
 
 
 def _preset_poisson() -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
         "domain": [0.0, 1.0, 0.0, 1.0],
-        "chains": [],
-        "coefficients": {"a1": 1.0, "a2": 1.0, "source": "sine-product-load"},
+        "coefficients": {"source": "sine-product-load"},
         "boundary": {
             tag: {"dirichlet": 0.0} for tag in ("left", "right", "top", "bottom")
         },
-        "refinement": {"global_h": 0.125, "rule": "none"},
+        "refinement": {"global_h": 0.125},
         "solver": {"method": "cg"},
         "exact_solution": "sine-product",
         "study": {"levels": [0.125, 0.0625, 0.03125, 0.015625]},

@@ -8,7 +8,7 @@ interface bilinear form can be assembled by walking segments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,7 +116,7 @@ class CrackGraph:
 def arc_curve(center, radius, angle0, angle1):
     """Circular arc, angles in radians, traversed from angle0 to angle1."""
     center = np.asarray(center, dtype=float)
-    if radius <= 0.0:
+    if not radius > 0.0:  # also false for NaN
         raise CrackGeometryError("arc radius must be positive")
 
     def curve(t):
@@ -181,19 +181,15 @@ class SegmentedCrack:
 
     Arrays are aligned: segment s lives in triangle ``triangle_index[s]``,
     spans ``points[s, 0]`` to ``points[s, 1]``, and belongs to chain
-    ``chain_index[s]``. Node and incidence data are copied from the graph so
-    downstream consumers need no other object.
+    ``chain_index[s]`` of ``graph``, the crack graph the segments were cut
+    from, which holds each chain's material data and end nodes.
     """
 
     triangle_index: np.ndarray  # (s,)
     points: np.ndarray  # (s, 2, 2)
     length: np.ndarray  # (s,)
     chain_index: np.ndarray  # (s,)
-    chain_permeability: np.ndarray  # (n_chains,)
-    chain_source: list  # per chain, callable or float
-    nodes: np.ndarray  # (n_nodes, 2)
-    chain_nodes: np.ndarray  # (n_chains, 2) node ids (start, end)
-    chain_length: np.ndarray = field(default=None)  # (n_chains,) polyline length
+    graph: CrackGraph
 
     @property
     def n_segments(self) -> int:
@@ -201,7 +197,7 @@ class SegmentedCrack:
 
     @property
     def n_chains(self) -> int:
-        return int(self.chain_permeability.shape[0])
+        return self.graph.n_chains
 
     def segments_of_chain(self, j: int) -> np.ndarray:
         return np.nonzero(self.chain_index == j)[0]
@@ -215,9 +211,7 @@ class SegmentedCrack:
 
     def permeability(self) -> np.ndarray:
         """Per-segment tangential permeability."""
-        if self.n_segments == 0:
-            return np.empty(0)
-        return self.chain_permeability[self.chain_index]
+        return np.asarray([c.permeability for c in self.graph.chains])[self.chain_index]
 
     def crossed_triangles(self) -> np.ndarray:
         return np.unique(self.triangle_index)
@@ -229,11 +223,7 @@ class SegmentedCrack:
             points=np.empty((0, 2, 2)),
             length=np.empty(0),
             chain_index=np.empty(0, dtype=np.int64),
-            chain_permeability=np.empty(0),
-            chain_source=[],
-            nodes=np.empty((0, 2)),
-            chain_nodes=np.empty((0, 2), dtype=np.int64),
-            chain_length=np.empty(0),
+            graph=CrackGraph.empty(),
         )
 
 
@@ -311,11 +301,7 @@ def cut_chains(mesh, crack: CrackGraph, hits=None) -> SegmentedCrack:
         points=np.stack([p + b0[:, None] * d, p + b1[:, None] * d], axis=1),
         length=(b1 - b0) * plen[k],
         chain_index=chain_of[k],
-        chain_permeability=np.asarray([c.permeability for c in crack.chains]),
-        chain_source=[c.source for c in crack.chains],
-        nodes=crack.nodes.copy(),
-        chain_nodes=crack.chain_nodes.copy(),
-        chain_length=np.asarray([c.length for c in crack.chains]),
+        graph=crack,
     )
 
 

@@ -437,7 +437,9 @@ class RefinementConfig:
                 raise ValueError("rule 'fixed' needs a positive crack_h")
         if self.rule == "quadratic" and not self.coefficient > 0.0:
             raise ValueError("rule 'quadratic' needs a positive coefficient")
-        if self.max_generations < 1:
+        # NaN and non-integers such as 2.5 fail the integer test
+        n = self.max_generations
+        if not (isinstance(n, (int, np.integer)) and n >= 1):
             raise ValueError("max_generations must be >= 1")
 
     def crack_target(self) -> float | None:

@@ -507,11 +507,7 @@ def cut_chains_per_part(mesh, crack: CrackGraph, hits) -> SegmentedCrack:
         points=np.concatenate(seg_pts),
         length=np.concatenate(seg_len),
         chain_index=np.concatenate(seg_chain),
-        chain_permeability=np.asarray([c.permeability for c in crack.chains]),
-        chain_source=[c.source for c in crack.chains],
-        nodes=crack.nodes.copy(),
-        chain_nodes=crack.chain_nodes.copy(),
-        chain_length=np.asarray([c.length for c in crack.chains]),
+        graph=crack,
     )
 
 

@@ -12,6 +12,9 @@ from crackfem import (
     ConfigError,
     MeshError,
     ProblemConfig,
+    RefinementConfig,
+    SolverConfig,
+    arc_curve,
     build_preset,
     list_presets,
     load_config,
@@ -122,7 +125,8 @@ def x_axis(t):
     return np.stack([t, 0.0 * t], axis=-1)
 
 
-# library entry points the config does not reach with NaN
+# library entry points the config does not reach with NaN or a non-integer
+# count
 NAN_INPUTS = [
     pytest.param(
         lambda: Chain([[0.0, 0.0], [1.0, 0.0]], permeability=NAN),
@@ -153,6 +157,32 @@ NAN_INPUTS = [
         CrackGeometryError,
         "spacing must be positive",
         id="curve-spacing",
+    ),
+    pytest.param(
+        lambda: arc_curve([0.0, 0.0], NAN, 0.0, 1.0),
+        CrackGeometryError,
+        "arc radius must be positive",
+        id="arc-radius",
+    ),
+    *(
+        pytest.param(
+            lambda n=n: RefinementConfig(
+                global_h=0.5, rule="fixed", crack_h=0.1, max_generations=n
+            ),
+            ValueError,
+            "max_generations must be >= 1",
+            id=f"max_generations-{n}",
+        )
+        for n in (NAN, 2.5)
+    ),
+    *(
+        pytest.param(
+            lambda n=n: SolverConfig(method="cg", max_iterations=n),
+            ValueError,
+            "max_iterations must be >= 1",
+            id=f"max_iterations-{n}",
+        )
+        for n in (NAN, 2.5)
     ),
 ]
 
@@ -459,6 +489,12 @@ class TestCli:
         assert lines[4].startswith("slopes: ")
         slopes = json.loads(lines[4][len("slopes: "):])
         assert slopes["l2"] == pytest.approx(2.0, abs=0.2)
+
+    def test_threads_is_a_study_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "poisson-square", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_bad_config_exits_two(self, capsys, tmp_path):
         assert main(["run", "definitely-not-a-preset"]) == 2

@@ -225,7 +225,7 @@ class TestCutChains:
         for j, chain in enumerate((arc, diag)):
             total = cut.length[cut.segments_of_chain(j)].sum()
             assert total == pytest.approx(chain.length, rel=1e-10)
-            assert total == pytest.approx(cut.chain_length[j], rel=1e-10)
+            assert total == pytest.approx(cut.graph.chains[j].length, rel=1e-10)
 
     def test_midpoints_sit_in_their_owner(self, fine_square_mesh):
         arc = Chain(sample_curve(circle_curve([0.5, 0.5], 0.3), 0.04))
@@ -299,8 +299,9 @@ class TestCutChains:
 
     def test_node_data_is_carried_over(self, fine_square_mesh, y_crack):
         cut = cut_chains(fine_square_mesh, y_crack)
-        assert np.array_equal(cut.nodes, y_crack.nodes)
-        assert np.array_equal(cut.chain_nodes, y_crack.chain_nodes)
+        assert cut.graph is y_crack
+        assert np.array_equal(cut.graph.nodes, y_crack.nodes)
+        assert np.array_equal(cut.graph.chain_nodes, y_crack.chain_nodes)
 
 
 _CUT_H = st.sampled_from([0.1, 0.2, 0.125, 1.0 / 3.0])

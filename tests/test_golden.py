@@ -83,9 +83,9 @@ def pipeline_digests(config) -> dict:
         "segments.points": segments.points,
         "segments.length": segments.length,
         "segments.chain_index": segments.chain_index,
-        "segments.chain_length": segments.chain_length,
-        "segments.nodes": segments.nodes,
-        "segments.chain_nodes": segments.chain_nodes,
+        "segments.chain_length": np.asarray([c.length for c in segments.graph.chains]),
+        "segments.nodes": segments.graph.nodes,
+        "segments.chain_nodes": segments.graph.chain_nodes,
         "matrix.data": system.matrix.data,
         "matrix.indices": system.matrix.indices,
         "matrix.indptr": system.matrix.indptr,

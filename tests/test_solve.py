@@ -165,6 +165,15 @@ class TestSolve:
         with pytest.raises(SolverError, match="did not converge"):
             solve(sys, SolverConfig(method="cg", max_iterations=1))
 
+    @pytest.mark.parametrize("method", ["cg", "direct"])
+    def test_non_finite_solution_raises(self, fine_square_mesh, method):
+        n = fine_square_mesh.n_vertices
+        b = np.ones(n)
+        b[n // 2] = np.nan
+        sys = embedded_system(fine_square_mesh, sp.identity(n), b)
+        with pytest.raises(SolverError, match="did not converge"):
+            solve(sys, SolverConfig(method=method))
+
 
 class TestDirectFactorization:
     @pytest.mark.parametrize("case", ["radial-local:1", "crack-network:default"])
