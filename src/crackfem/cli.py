@@ -107,6 +107,8 @@ def main(argv=None) -> int:
     show.add_argument("name")
 
     args = parser.parse_args(argv)
+    if args.command == "study" and args.threads < 1:
+        study.error(f"argument --threads: must be at least 1, got {args.threads}")
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -41,7 +41,7 @@ from .mesh import (
     RECTANGLE_TAGS,
     Mesh,
     RefinementConfig,
-    _write_rows,
+    _render,
     build_rectangle_mesh,
     export_mesh_text,
     export_vtk,
@@ -478,10 +478,11 @@ def run_single(config: ProblemConfig, out_dir=None, level: int = 0) -> RunResult
 
 
 def _export_solution_text(solution: SolutionField, path) -> None:
-    rows = np.column_stack([solution.mesh.vertices, solution.values])
+    vertex_rows, _ = solution.mesh.text_rows()
+    xy = np.array(vertex_rows.splitlines(), dtype=object)
     with open(path, "w") as f:
         f.write("# x y u\n")
-        _write_rows(f, "%r %r %r\n", rows)
+        f.write(_render("%s %r\n", np.column_stack([xy, solution.values])))
 
 
 def _study_level(payload):

@@ -80,6 +80,7 @@ class Mesh:
         self._diameters = None
         self._tolerance = None
         self._edges = None
+        self._rows = None
 
     @property
     def n_vertices(self) -> int:
@@ -206,6 +207,17 @@ class Mesh:
         for arr in (pairs, t2e):
             arr.setflags(write=False)
         self._edges = (pairs, t2e)
+
+    def text_rows(self) -> tuple[str, str]:
+        """Vertex rows ``"x y\n"`` (``%r``) and triangle rows ``"a b c\n"``
+        (``%d``), each as one string, rendered once (cached); every export
+        layout is derived from them."""
+        if self._rows is None:
+            self._rows = (
+                _render("%r %r\n", self.vertices),
+                _render("%d %d %d\n", self.triangles),
+            )
+        return self._rows
 
     def validate(self) -> None:
         """Raise MeshError on any violated invariant."""
@@ -501,21 +513,20 @@ def refine_near_crack(mesh: Mesh, crack: CrackGraph, config: RefinementConfig):
     )
 
 
-def _write_rows(f, line: str, rows: np.ndarray) -> None:
-    """Write ``line % tuple(row)`` for each row of a 2-D array, 64k rows per
-    call. ``tolist`` gives Python floats and ints, whose ``%r`` and ``%d``
-    are their ``repr`` and ``str``: the bytes of one f-string per row."""
-    for start in range(0, len(rows), 1 << 16):
-        chunk = rows[start : start + (1 << 16)]
-        f.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+def _render(line: str, rows: np.ndarray) -> str:
+    """``line % tuple(row)`` for each row of a 2-D array, joined, 64k rows
+    per ``%`` call. ``tolist`` gives Python floats and ints, whose ``%r``
+    and ``%d`` are their ``repr`` and ``str``: the bytes of one f-string per
+    row."""
+    chunks = (rows[i : i + (1 << 16)] for i in range(0, len(rows), 1 << 16))
+    return "".join((line * len(c)) % tuple(c.ravel().tolist()) for c in chunks)
 
 
 def export_mesh_text(mesh: Mesh, path) -> None:
     """Plain-text mesh: counts header, vertex lines, triangle lines."""
     with open(path, "w") as f:
         f.write(f"vertices {mesh.n_vertices} / triangles {mesh.n_triangles}\n")
-        _write_rows(f, "%r %r\n", mesh.vertices)
-        _write_rows(f, "%d %d %d\n", mesh.triangles)
+        f.writelines(mesh.text_rows())
 
 
 def export_vtk(mesh: Mesh, path, point_data: dict | None = None) -> None:
@@ -531,15 +542,16 @@ def export_vtk(mesh: Mesh, path, point_data: dict | None = None) -> None:
                 f"point_data field {name!r}: need a name without whitespace "
                 f"and {n} real values, got {values.dtype} {values.shape}"
             )
+    vertex_rows, triangle_rows = mesh.text_rows()
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\ncrackfem mesh\nASCII\n")
         f.write(f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n")
-        _write_rows(f, "%r %r 0.0\n", mesh.vertices)
+        f.write(vertex_rows.replace("\n", " 0.0\n"))
         f.write(f"CELLS {nt} {4 * nt}\n")
-        _write_rows(f, "3 %d %d %d\n", mesh.triangles)
+        f.write(("3 " + triangle_rows).replace("\n", "\n3 ")[:-2])
         f.write(f"CELL_TYPES {nt}\n" + "5\n" * nt)
         if fields:
             f.write(f"POINT_DATA {n}\n")
         for name, values in fields.items():
             f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            _write_rows(f, "%r\n", values.astype(np.float64)[:, None])
+            f.write(_render("%r\n", values.astype(np.float64)[:, None]))

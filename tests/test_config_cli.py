@@ -496,6 +496,13 @@ class TestCli:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_study_rejects_fewer_than_one_thread(self, threads, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["study", "poisson-square", "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_bad_config_exits_two(self, capsys, tmp_path):
         assert main(["run", "definitely-not-a-preset"]) == 2
         assert "error:" in capsys.readouterr().err

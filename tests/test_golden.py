@@ -299,3 +299,12 @@ def test_exported_files_are_bytewise_unchanged(case, tmp_path):
             else None
         )
     assert got == GOLDEN_EXPORTS[case]
+
+
+def test_solution_vtk_extends_mesh_vtk(tmp_path):
+    # both VTK files are written from the mesh's one rendering of its rows
+    run_single(case_config("poisson-square:0"), out_dir=tmp_path)
+    mesh_vtk = (tmp_path / "mesh.vtk").read_bytes()
+    solution_vtk = (tmp_path / "solution.vtk").read_bytes()
+    assert len(solution_vtk) > len(mesh_vtk)
+    assert solution_vtk.startswith(mesh_vtk)

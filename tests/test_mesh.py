@@ -27,7 +27,7 @@ from crackfem._geom import REL_TOL, bbox_diameter, point_segment_distances
 from crackfem.config import _radial_levels, build_crack_graph
 from crackfem.mesh import (
     _vertex_neighborhood,
-    _write_rows,
+    _render,
     export_mesh_text,
     export_vtk,
 )
@@ -604,12 +604,15 @@ class TestExports:
             export_vtk(square_mesh, path, point_data=data)
         assert not path.exists()
 
-    def test_rows_across_chunks_match_one_fstring_per_row(self, tmp_path):
+    def test_rows_across_chunks_match_one_fstring_per_row(self):
         rows = np.random.default_rng(7).normal(size=(2 * (1 << 16) + 3, 2))
-        with open(tmp_path / "rows.txt", "w") as f:
-            _write_rows(f, "%r %r\n", rows)
         expected = "".join(f"{float(x)!r} {float(y)!r}\n" for x, y in rows)
-        assert (tmp_path / "rows.txt").read_text() == expected
+        assert _render("%r %r\n", rows) == expected
+
+    def test_text_rows_are_rendered_once(self, square_mesh):
+        first = square_mesh.text_rows()
+        second = square_mesh.text_rows()
+        assert all(a is b for a, b in zip(first, second))
 
     @settings(deadline=None, max_examples=60)
     @given(st.data())
