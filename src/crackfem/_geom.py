@@ -100,6 +100,17 @@ def point_segment_distances(points, a, b):
     return np.linalg.norm(pts[:, None, :] - proj, axis=2)
 
 
+def corners(vertices, triangles):
+    """x and y of the three corners of each triangle, as two (3, k) arrays.
+
+    Row i holds corner i of every triangle, contiguous. Whole-mesh kernels
+    work on these rows: on a (k, 3, 2) gather numpy loops over the length-2
+    and length-3 axes in tiny steps.
+    """
+    ids = np.asarray(triangles).T
+    return vertices[:, 0][ids], vertices[:, 1][ids]
+
+
 def expand_ranges(start, count) -> np.ndarray:
     """The ranges start[k], ..., start[k] + count[k] - 1, concatenated."""
     count = np.asarray(count, dtype=np.int64)
@@ -132,8 +143,10 @@ class SpatialGrid:
 
     @classmethod
     def for_triangles(cls, vertices, triangles, cell_size):
-        coords = vertices[triangles]  # (m, 3, 2)
-        return cls(coords.min(axis=1), coords.max(axis=1), cell_size)
+        x, y = corners(vertices, triangles)
+        lo = np.column_stack([x.min(axis=0), y.min(axis=0)])
+        hi = np.column_stack([x.max(axis=0), y.max(axis=0)])
+        return cls(lo, hi, cell_size)
 
     def _cells(self, points) -> np.ndarray:
         return np.floor((points - self._origin) / self._cell).astype(np.int64)

@@ -48,13 +48,13 @@ class Coefficients:
         if not (self.a1 > 0.0 and self.a2 > 0.0):
             raise ValueError("bulk permeabilities must be positive")
 
-    def element_permeability(self, centroids) -> np.ndarray:
-        centroids = np.asarray(centroids, dtype=float).reshape(-1, 2)
+    def element_permeability(self, mesh: Mesh) -> np.ndarray:
+        """Permeability of each triangle, by the region of its centroid."""
         if self.a1 == self.a2:
-            return np.full(len(centroids), float(self.a1))
+            return np.full(mesh.n_triangles, float(self.a1))
         if self.region is None:
             raise ValueError("a1 != a2 requires a region classifier")
-        labels = np.asarray(self.region(centroids))
+        labels = np.asarray(self.region(mesh.vertices[mesh.triangles].mean(axis=1)))
         if not np.isin(labels, (1, 2)).all():
             raise ValueError("region classifier must return labels 1 or 2")
         return np.where(labels == 1, float(self.a1), float(self.a2))
@@ -140,20 +140,32 @@ def _canonical_segment_order(crack: SegmentedCrack) -> np.ndarray:
     return np.lexsort((mids[:, 1], mids[:, 0], crack.triangle_index))
 
 
+def _bulk_stiffness(weight, grads, out) -> None:
+    """out[t, i, j] = weight[t] (g_i . g_j) for the (m, 3, 2) hat gradients
+    g of each triangle, one column at a time. The arithmetic is that of
+    einsum("t,tid,tjd->tij"): the products (w g_i) g_j, summed over the two
+    components from +0.0."""
+    wx, wy, py = np.empty((3, len(weight)))
+    for i in range(3):
+        np.multiply(weight, grads[:, i, 0], out=wx)
+        np.multiply(weight, grads[:, i, 1], out=wy)
+        for j in range(3):
+            np.multiply(wx, grads[:, j, 0], out=out[:, i, j])
+            np.multiply(wy, grads[:, j, 1], out=py)
+            out[:, i, j] += py
+    # a sum from +0.0 is the plain sum with -0.0 made +0.0
+    out += 0.0
+
+
 def assemble_operator(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
     """Unconstrained stiffness: bulk diffusion plus crack superposition.
 
     Chains with permeability exactly zero contribute nothing, not even
     explicit zeros, so the sparsity pattern matches the crack-free matrix.
     """
-    grads = mesh.hat_gradients()
-    v = mesh.vertices[mesh.triangles]
-    a_elem = coeffs.element_permeability(v.mean(axis=1))
-    local = np.einsum("t,tid,tjd->tij", a_elem * mesh.triangle_areas(), grads, grads)
-    rows = [np.repeat(mesh.triangles, 3, axis=1).ravel()]
-    cols = [np.tile(mesh.triangles, (1, 3)).ravel()]
-    data = [local.ravel()]
-
+    m = mesh.n_triangles
+    tri = mesh.triangles
+    seg_local = np.empty((0, 3, 3))
     if crack.n_segments:
         order = _canonical_segment_order(crack)
         perm = crack.permeability()[order]
@@ -165,16 +177,24 @@ def assemble_operator(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
             d = crack.points[order, 1, :] - crack.points[order, 0, :]
             length = np.linalg.norm(d, axis=1)
             t = d / length[:, None]
-            w = np.einsum("sid,sd->si", grads[own], t)
+            w = np.einsum("sid,sd->si", mesh.hat_gradients(own), t)
             seg_local = np.einsum("s,si,sj->sij", perm * length, w, w)
-            tri = mesh.triangles[own]
-            rows.append(np.repeat(tri, 3, axis=1).ravel())
-            cols.append(np.tile(tri, (1, 3)).ravel())
-            data.append(seg_local.ravel())
+            tri = np.concatenate([tri, tri[own]])
 
+    # bulk blocks first, then segment blocks, each row-major (t, i, j)
+    local = np.empty((len(tri), 3, 3))
+    weight = coeffs.element_permeability(mesh) * mesh.triangle_areas()
+    _bulk_stiffness(weight, mesh.hat_gradients(), local[:m])
+    local[m:] = seg_local
     n = mesh.n_vertices
+    # rows and columns in the index type the CSR matrix keeps, which the
+    # COO constructor would otherwise copy them into
+    tri = tri.astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
     K = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        (
+            local.ravel(),
+            (np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()),
+        ),
         shape=(n, n),
     ).tocsr()
     K.sum_duplicates()
@@ -225,18 +245,38 @@ def assemble(
     cons, vals = boundary.constrained_vertices(mesh)
     if cons.size == 0:
         raise SingularSystemError("Dirichlet tags matched no boundary vertices")
-    n = mesh.n_vertices
-    free_mask = np.ones(n)
-    free_mask[cons] = 0.0
-    lift = np.zeros(n)
+    lift = np.zeros(mesh.n_vertices)
     lift[cons] = vals
     b = b - K0 @ lift
     b[cons] = vals
-    P = sp.diags(free_mask, format="csr")
-    D = sp.diags(1.0 - free_mask, format="csr")
-    K = (P @ K0 @ P + D).tocsr()
-    K.sum_duplicates()
-    K.sort_indices()
+    K = _eliminate(K0, cons)
     return LinearSystem(
         matrix=K, rhs=b, constrained=cons, values=vals, operator=K0, mesh=mesh
     )
+
+
+def _eliminate(K0, cons):
+    """K0 with identity rows and columns at the constrained vertices, in
+    canonical CSR, built from K0's arrays without sparse products: entries
+    in constrained rows and columns are dropped, and so are zero couplings,
+    and each constrained row holds 1.0 on its diagonal alone."""
+    n = K0.shape[0]
+    free = np.ones(n, dtype=bool)
+    free[cons] = False
+    keep = np.repeat(free, np.diff(K0.indptr)) & free[K0.indices] & (K0.data != 0.0)
+    # a row starts after the entries kept before it and one diagonal per
+    # constrained row before it; a constrained row keeps nothing else
+    kept = np.zeros(K0.nnz + 1, dtype=K0.indptr.dtype)
+    np.cumsum(keep, out=kept[1:])
+    indptr = kept[K0.indptr]
+    indptr[1:] += np.cumsum(~free, dtype=indptr.dtype)
+    diagonal = indptr[cons]
+    slots = np.ones(indptr[-1], dtype=bool)
+    slots[diagonal] = False
+    indices = np.empty(indptr[-1], dtype=K0.indices.dtype)
+    data = np.empty(indptr[-1])
+    indices[slots] = K0.indices[keep]
+    data[slots] = K0.data[keep]
+    indices[diagonal] = cons
+    data[diagonal] = 1.0
+    return sp.csr_matrix((data, indices, indptr), shape=K0.shape)

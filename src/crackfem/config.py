@@ -41,7 +41,6 @@ from .mesh import (
     RECTANGLE_TAGS,
     Mesh,
     RefinementConfig,
-    _render,
     build_rectangle_mesh,
     export_mesh_text,
     export_vtk,
@@ -463,7 +462,7 @@ def run_single(config: ProblemConfig, out_dir=None, level: int = 0) -> RunResult
         export_mesh_text(mesh, out / "mesh.txt")
         export_vtk(mesh, out / "mesh.vtk")
         _export_solution_text(solution, out / "solution.txt")
-        export_vtk(mesh, out / "solution.vtk", point_data={"u": solution.values})
+        export_vtk(mesh, out / "solution.vtk", point_data={"u": solution})
         outputs = {
             "mesh_text": str(out / "mesh.txt"),
             "mesh_vtk": str(out / "mesh.vtk"),
@@ -478,11 +477,13 @@ def run_single(config: ProblemConfig, out_dir=None, level: int = 0) -> RunResult
 
 
 def _export_solution_text(solution: SolutionField, path) -> None:
+    """Rows ``"x y u"`` from the cached vertex and value rows."""
     vertex_rows, _ = solution.mesh.text_rows()
-    xy = np.array(vertex_rows.splitlines(), dtype=object)
+    # a float's repr holds no "%", so each vertex row takes its value by "%s"
+    template = vertex_rows.replace("\n", " %s\n")
     with open(path, "w") as f:
         f.write("# x y u\n")
-        f.write(_render("%s %r\n", np.column_stack([xy, solution.values])))
+        f.write(template % tuple(solution.value_rows().splitlines()))
 
 
 def _study_level(payload):
@@ -496,8 +497,9 @@ def run_convergence_study(
 ) -> StudyResult:
     """Run every study level, collect norm reports, fit convergence slopes.
 
-    Levels are independent; with threads > 1 they run as separate processes.
-    A level failure aborts the study with the underlying error.
+    Levels are independent; with threads > 1 they run as separate
+    processes, at most one per level. A level failure aborts the study with
+    the underlying error.
     """
     if config.study is None:
         raise ConfigError("config has no study section")
@@ -509,7 +511,7 @@ def run_convergence_study(
         sub = None if out_dir is None else str(Path(out_dir) / f"level_{i:02d}")
         payloads.append((config, i, sub))
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(levels))) as pool:
             reports = list(pool.map(_study_level, payloads))
     else:
         reports = [_study_level(p) for p in payloads]

@@ -12,6 +12,7 @@ classes, so minimum angles stay bounded away from zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +23,7 @@ from ._geom import (
     SpatialGrid,
     bbox_diameter,
     clip_segments_to_triangles,
+    corners,
     expand_ranges,
 )
 from .cracks import CrackGraph
@@ -92,10 +94,10 @@ class Mesh:
 
     def triangle_areas(self) -> np.ndarray:
         if self._areas is None:
-            v = self.vertices[self.triangles]
-            d1 = v[:, 1] - v[:, 0]
-            d2 = v[:, 2] - v[:, 0]
-            self._areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+            x, y = corners(self.vertices, self.triangles)
+            d1x, d1y = x[1] - x[0], y[1] - y[0]
+            d2x, d2y = x[2] - x[0], y[2] - y[0]
+            self._areas = 0.5 * (d1x * d2y - d1y * d2x)
             self._areas.setflags(write=False)
         return self._areas
 
@@ -106,15 +108,15 @@ class Mesh:
         edge rotated a quarter turn, divided by twice the area.
         """
         # areas first, so their cached computation's temporaries are freed
-        # before the (k, 3, 2) arrays exist; the other order raises peak RSS
-        area = self.triangle_areas()[tri_ids]
-        v = self.vertices[self.triangles[tri_ids]]
-        grads = np.empty(v.shape)
+        # before the gradients exist; the other order raises peak RSS
+        twice = 2.0 * self.triangle_areas()[tri_ids]
+        x, y = corners(self.vertices, self.triangles[tri_ids])
+        grads = np.empty((len(twice), 3, 2))
         for i in range(3):
-            e = v[:, (i + 2) % 3] - v[:, (i + 1) % 3]
-            grads[:, i, 0] = -e[:, 1]
-            grads[:, i, 1] = e[:, 0]
-        grads /= (2.0 * area)[:, None, None]
+            a, b = (i + 1) % 3, (i + 2) % 3
+            # e_y / -2A is -e_y / 2A to the bit, signed zeros included
+            np.divide(y[b] - y[a], -twice, out=grads[:, i, 0])
+            np.divide(x[b] - x[a], twice, out=grads[:, i, 1])
         return grads
 
     def hat_values(self, tri_ids, points) -> np.ndarray:
@@ -135,8 +137,10 @@ class Mesh:
                 self._diameters = self.triangle_diameters(slice(None))
                 self._diameters.setflags(write=False)
             return self._diameters
-        v = self.vertices[self.triangles[tri_ids]]
-        return np.linalg.norm(np.roll(v, -1, axis=1) - v, axis=2).max(axis=1)
+        x, y = corners(self.vertices, self.triangles[tri_ids])
+        dx, dy = x[[1, 2, 0]] - x, y[[1, 2, 0]] - y
+        # sqrt is monotone: the root of the longest square is the longest root
+        return np.sqrt((dx * dx + dy * dy).max(axis=0))
 
     @property
     def h_max(self) -> float:
@@ -532,16 +536,22 @@ def export_mesh_text(mesh: Mesh, path) -> None:
 def export_vtk(mesh: Mesh, path, point_data: dict | None = None) -> None:
     """Legacy ASCII VTK unstructured grid, with optional vertex scalars. A
     ``point_data`` field needs a name without whitespace and one real value
-    per vertex, else ValueError is raised before the file is opened."""
+    per vertex, else ValueError is raised before the file is opened. A
+    ``SolutionField`` as a field is written from its cached ``value_rows``."""
     n, nt = mesh.n_vertices, mesh.n_triangles
-    fields = {k: np.asarray(v) for k, v in (point_data or {}).items()}
-    for name, values in fields.items():
+    blocks = {}
+    for name, field in (point_data or {}).items():
+        cached = getattr(field, "value_rows", None)
+        values = np.asarray(field.values if cached else field)
         named = isinstance(name, str) and name.split() == [name]
         if not named or values.shape != (n,) or values.dtype.kind not in "biuf":
             raise ValueError(
                 f"point_data field {name!r}: need a name without whitespace "
                 f"and {n} real values, got {values.dtype} {values.shape}"
             )
+        blocks[name] = cached or partial(
+            _render, "%r\n", values.astype(np.float64)[:, None]
+        )
     vertex_rows, triangle_rows = mesh.text_rows()
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\ncrackfem mesh\nASCII\n")
@@ -550,8 +560,8 @@ def export_vtk(mesh: Mesh, path, point_data: dict | None = None) -> None:
         f.write(f"CELLS {nt} {4 * nt}\n")
         f.write(("3 " + triangle_rows).replace("\n", "\n3 ")[:-2])
         f.write(f"CELL_TYPES {nt}\n" + "5\n" * nt)
-        if fields:
+        if blocks:
             f.write(f"POINT_DATA {n}\n")
-        for name, values in fields.items():
+        for name, rows in blocks.items():
             f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            f.write(_render("%r\n", values.astype(np.float64)[:, None]))
+            f.write(rows())

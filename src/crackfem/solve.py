@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import LinearSystem
-from .mesh import Mesh
+from .mesh import Mesh, _render
 
 
 class SolverError(RuntimeError):
@@ -97,14 +97,31 @@ class SolutionField:
             raise ValueError("one value per vertex required")
         self.values.setflags(write=False)
         self._grads = None
+        self._rows = None
 
     def gradients(self) -> np.ndarray:
         """Constant gradient per triangle, shape (m, 2)."""
         if self._grads is None:
-            u = self.values[self.mesh.triangles]
-            self._grads = np.einsum("ti,tid->td", u, self.mesh.hat_gradients())
-            self._grads.setflags(write=False)
+            u = self.values[self.mesh.triangles.T]
+            g = self.mesh.hat_gradients()
+            grads = np.empty((len(g), 2))
+            # the corner sum as einsum("ti,tid->td") forms it: in corner
+            # order from +0.0, which is the plain sum with -0.0 made +0.0
+            for d, col in enumerate(grads.T):
+                np.multiply(u[0], g[:, 0, d], out=col)
+                col += u[1] * g[:, 1, d]
+                col += u[2] * g[:, 2, d]
+            grads += 0.0
+            grads.setflags(write=False)
+            self._grads = grads
         return self._grads
+
+    def value_rows(self) -> str:
+        """The values as rows ``"u\n"`` (``%r``), one string, rendered once
+        (cached) for every export that writes them."""
+        if self._rows is None:
+            self._rows = _render("%r\n", self.values[:, None])
+        return self._rows
 
     def tangential_derivative(self, crack) -> np.ndarray:
         """Directional derivative along each crack segment, shape (s,)."""

@@ -9,8 +9,9 @@ near-crack degree-of-freedom counts, one generation of newest-vertex
 bisection as a table of six child cases, the chain cut one part at a time,
 straight parametric segments, the one-sided branches of the radial exact
 solution, the smallest angle of a mesh, the three text exports written one
-f-string per line, and the direct solve with SuperLU's default column
-ordering and partial pivoting.
+f-string per line, the direct solve with SuperLU's default column
+ordering and partial pivoting, and the whole-mesh P1 kernels in their
+einsum, (m, 3, 2)-gather and sparse-product forms.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from crackfem import (
@@ -29,8 +31,11 @@ from crackfem import (
     mark_crack_elements,
 )
 from crackfem._geom import REL_TOL, bbox_diameter, clip_segments_to_triangles
-from crackfem.analysis import _GAUSS2_T, _GAUSS2_W, _TRI_MID_BARY, _TRI_MID_W
+from crackfem.analysis import _GAUSS2_T, _GAUSS2_W, _TRI_MID_W, NormReport
 from crackfem.mesh import _vertex_neighborhood
+
+# the edge-midpoint rule of error_norms as barycentric weights
+_TRI_MID_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 
 # degree-5 exact 7-point rule
 _S15 = np.sqrt(15.0)
@@ -131,7 +136,7 @@ def continuous_form_apply(
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     grads = mesh.hat_gradients()
     coords = mesh.vertices[mesh.triangles]
-    a_elem = coeffs.element_permeability(coords.mean(axis=1))
+    a_elem = coeffs.element_permeability(mesh)
     bulk_int = continuous_gradient_integrals(mesh, exact, refine_triangles, levels)
     gv = np.einsum("kti,tid->ktd", vectors[:, mesh.triangles], grads)
     total = np.einsum("ktd,td,t->k", gv, bulk_int, a_elem)
@@ -156,7 +161,7 @@ def energy_by_expansion(solution, exact, crack, coeffs) -> float:
         coeffs = Coefficients()
     coords = mesh.vertices[mesh.triangles]
     area = mesh.triangle_areas()
-    a_elem = coeffs.element_permeability(coords.mean(axis=1))
+    a_elem = coeffs.element_permeability(mesh)
     pts = np.einsum("qi,mid->mqd", _TRI_MID_BARY, coords)
     gex = exact.gradient(pts.reshape(-1, 2)).reshape(pts.shape)
     gh = solution.gradients()
@@ -187,7 +192,7 @@ def fine_error_norms(solution, exact, crack, coeffs) -> dict:
     mesh = solution.mesh
     coords = mesh.vertices[mesh.triangles]
     area = mesh.triangle_areas()
-    a_elem = coeffs.element_permeability(coords.mean(axis=1))
+    a_elem = coeffs.element_permeability(mesh)
     pts = np.einsum("qi,mid->mqd", _TRI7_BARY, coords)
     uh = np.einsum("qi,mi->mq", _TRI7_BARY, solution.values[mesh.triangles])
     uex = exact.value(pts.reshape(-1, 2)).reshape(uh.shape)
@@ -611,3 +616,122 @@ def splu_default_solve(A, b) -> np.ndarray:
     partial pivoting, the factorization ``solve`` used before it ordered
     A + A^T symmetrically."""
     return spla.splu(A.tocsc()).solve(b)
+
+
+def triangle_areas_rows(mesh: Mesh) -> np.ndarray:
+    """Triangle areas from the (m, 3, 2) corner gather."""
+    v = mesh.vertices[mesh.triangles]
+    d1 = v[:, 1] - v[:, 0]
+    d2 = v[:, 2] - v[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def hat_gradients_rows(mesh: Mesh, tri_ids=slice(None)) -> np.ndarray:
+    """Hat gradients from the (k, 3, 2) corner gather, divided in place."""
+    v = mesh.vertices[mesh.triangles[tri_ids]]
+    grads = np.empty(v.shape)
+    for i in range(3):
+        e = v[:, (i + 2) % 3] - v[:, (i + 1) % 3]
+        grads[:, i, 0] = -e[:, 1]
+        grads[:, i, 1] = e[:, 0]
+    grads /= (2.0 * mesh.triangle_areas()[tri_ids])[:, None, None]
+    return grads
+
+
+def triangle_diameters_norm(mesh: Mesh, tri_ids=slice(None)) -> np.ndarray:
+    """Longest edge per triangle as the largest of three edge norms."""
+    v = mesh.vertices[mesh.triangles[tri_ids]]
+    return np.linalg.norm(np.roll(v, -1, axis=1) - v, axis=2).max(axis=1)
+
+
+def triangle_boxes(vertices, triangles):
+    """Bounding boxes (lo, hi) of triangles, reduced over the corner axis."""
+    coords = vertices[triangles]
+    return coords.min(axis=1), coords.max(axis=1)
+
+
+def bulk_stiffness_einsum(mesh: Mesh, coeffs) -> np.ndarray:
+    """Local bulk stiffness blocks, (m, 3, 3), as one einsum."""
+    weight = coeffs.element_permeability(mesh) * mesh.triangle_areas()
+    grads = mesh.hat_gradients()
+    return np.einsum("t,tid,tjd->tij", weight, grads, grads)
+
+
+def eliminate_by_products(K0, cons):
+    """Symmetric elimination as the sparse products P K0 P + D, with P the
+    free-vertex and D the constrained-vertex diagonal."""
+    free_mask = np.ones(K0.shape[0])
+    free_mask[cons] = 0.0
+    P = sp.diags(free_mask, format="csr")
+    D = sp.diags(1.0 - free_mask, format="csr")
+    K = (P @ K0 @ P + D).tocsr()
+    K.sum_duplicates()
+    K.sort_indices()
+    return K
+
+
+def solution_gradients_einsum(solution) -> np.ndarray:
+    """Per-triangle gradients of a P1 field as one einsum."""
+    u = solution.values[solution.mesh.triangles]
+    return np.einsum("ti,tid->td", u, solution.mesh.hat_gradients())
+
+
+def midpoint_rule_values(solution):
+    """Points (m, 3, 2) and field values (m, 3) of the bulk rule of
+    ``error_norms``, by einsum over its barycentric weights."""
+    mesh = solution.mesh
+    pts = np.einsum("qi,mid->mqd", _TRI_MID_BARY, mesh.vertices[mesh.triangles])
+    uh = np.einsum("qi,mi->mq", _TRI_MID_BARY, solution.values[mesh.triangles])
+    return pts, uh
+
+
+def error_norms_einsum(solution, exact, crack=None, coeffs=None, level=0):
+    """``error_norms`` with its bulk rule applied by einsum over the
+    barycentric weights and the (m, 3, 2) corner gather."""
+    mesh = solution.mesh
+    if coeffs is None:
+        coeffs = Coefficients()
+    bw = _TRI_MID_W
+    area = mesh.triangle_areas()
+    pts, uh = midpoint_rule_values(solution)
+    uex = exact.value(pts.reshape(-1, 2)).reshape(uh.shape)
+    l2_sq = float(np.einsum("mq,q,m->", (uh - uex) ** 2, bw, area))
+    gh = solution_gradients_einsum(solution)
+    gdiff = gh[:, None, :] - exact.gradient(pts.reshape(-1, 2)).reshape(pts.shape)
+    gdiff2 = np.einsum("mqd,mqd->mq", gdiff, gdiff)
+    h1_sq = float(np.einsum("mq,q,m->", gdiff2, bw, area))
+    a_elem = coeffs.element_permeability(mesh)
+    energy_sq = float(np.einsum("mq,q,m->", gdiff2, bw, area * a_elem))
+    l2c_sq = 0.0
+    h_crack = float(triangle_diameters_norm(mesh).max())
+    h = h_crack
+    if crack is not None and crack.n_segments:
+        a = crack.points[:, 0, :]
+        d = crack.points[:, 1, :] - crack.points[:, 0, :]
+        spts = a[:, None, :] + _GAUSS2_T[None, :, None] * d[:, None, :]
+        own = crack.triangle_index
+        phi = mesh.hat_values(own, spts)
+        uh_s = np.einsum("sqi,si->sq", phi, solution.values[mesh.triangles[own]])
+        uex_s = exact.value(spts.reshape(-1, 2)).reshape(uh_s.shape)
+        l2c_sq = float(
+            np.einsum("sq,q,s->", (uh_s - uex_s) ** 2, _GAUSS2_W, crack.length)
+        )
+        t = crack.tangents()
+        gt_h = np.einsum("sd,sd->s", t, gh[own])
+        gex_s = exact.gradient(spts.reshape(-1, 2)).reshape(spts.shape)
+        gt_ex = np.einsum("sd,sqd->sq", t, gex_s)
+        tdiff2 = (gt_h[:, None] - gt_ex) ** 2
+        wl = crack.length * crack.permeability()
+        energy_sq += float(np.einsum("sq,q,s->", tdiff2, _GAUSS2_W, wl))
+        diam = triangle_diameters_norm(mesh, crack.crossed_triangles())
+        h_crack = float(diam.max())
+    return NormReport(
+        level=level,
+        h=h,
+        h_crack=h_crack,
+        n_dofs=mesh.n_vertices,
+        l2=float(np.sqrt(l2_sq)),
+        h1_semi=float(np.sqrt(h1_sq)),
+        l2_crack=float(np.sqrt(l2c_sq)),
+        energy=float(np.sqrt(energy_sq)),
+    )

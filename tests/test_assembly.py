@@ -92,21 +92,23 @@ class TestCoefficients:
         with pytest.raises(ValueError, match="positive"):
             Coefficients(a2=-1.0)
 
-    def test_two_regions_need_a_classifier(self):
+    def test_two_regions_need_a_classifier(self, square_mesh):
         c = Coefficients(a1=1.0, a2=5.0)
         with pytest.raises(ValueError, match="classifier"):
-            c.element_permeability([[0.5, 0.5]])
+            c.element_permeability(square_mesh)
 
-    def test_classifier_labels_must_be_one_or_two(self):
+    def test_classifier_labels_must_be_one_or_two(self, square_mesh):
         c = Coefficients(a1=1.0, a2=5.0, region=lambda p: np.zeros(len(p), int))
         with pytest.raises(ValueError, match="labels"):
-            c.element_permeability([[0.5, 0.5]])
+            c.element_permeability(square_mesh)
 
-    def test_classifier_selects_values(self):
+    def test_classifier_selects_values(self, square_mesh):
         region = lambda p: np.where(p[:, 0] < 0.5, 1, 2)
         c = Coefficients(a1=2.0, a2=7.0, region=region)
-        got = c.element_permeability([[0.1, 0.0], [0.9, 0.0]])
-        assert np.array_equal(got, [2.0, 7.0])
+        got = c.element_permeability(square_mesh)
+        centroid_x = square_mesh.vertices[square_mesh.triangles, 0].mean(axis=1)
+        assert np.array_equal(got, np.where(centroid_x < 0.5, 2.0, 7.0))
+        assert set(got) == {2.0, 7.0}
 
 
 class TestAssembleOperator:

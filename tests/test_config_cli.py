@@ -376,6 +376,21 @@ class TestStudies:
         for a, b in zip(serial.reports, parallel.reports):
             assert a.as_csv_row() == b.as_csv_row()
 
+    def test_pool_has_at_most_one_worker_per_level(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(config_module.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(config_module, "ProcessPoolExecutor", RecordingPool)
+        config = build_preset("poisson-square")
+        assert len(config.study["levels"]) == 4
+        result = run_convergence_study(config, threads=6)
+        assert sizes == [4]
+        assert len(result.reports) == 4
+
     def test_study_requires_sections(self):
         no_study = build_preset("crack-network")
         with pytest.raises(ConfigError, match="no study"):

@@ -1,0 +1,189 @@
+"""Whole-mesh P1 kernels against their einsum, gather and product forms.
+
+The package computes stiffness blocks, the Dirichlet elimination, field
+gradients, the bulk quadrature of the error norms, diameters and grid boxes
+column by column; ``tests/oracles.py`` keeps the forms they replaced. The
+results must agree bit for bit, signed zeros included, so every float array
+is compared through its int64 view.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from conftest import polylines
+from crackfem import (
+    BoundarySpec,
+    Chain,
+    Coefficients,
+    CrackGraph,
+    Mesh,
+    SineProductSolution,
+    SolutionField,
+    assemble,
+    build_rectangle_mesh,
+    cut_chains,
+    error_norms,
+    mark_crack_elements,
+    refine_marked,
+)
+from crackfem._geom import SpatialGrid, corners
+from crackfem.analysis import _edge_midpoint_values
+from crackfem.assembly import _bulk_stiffness
+from crackfem.mesh import RECTANGLE_TAGS
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype == np.float64:
+        got, want = got.view(np.int64), want.view(np.int64)
+    assert np.array_equal(got, want)
+
+
+def assert_same_csr(got, want):
+    for name in ("data", "indices", "indptr"):
+        assert_bitwise(getattr(got, name), getattr(want, name))
+    assert got.shape == want.shape
+
+
+def assert_same_grid(got, want):
+    for name in ("_origin", "_shape", "_codes", "_boxes"):
+        assert_bitwise(getattr(got, name), getattr(want, name))
+
+
+def turned(mesh):
+    """The mesh turned by 180 degrees about the origin: still
+    counterclockwise, and every zero coordinate becomes -0.0."""
+    return Mesh(-mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags)
+
+
+def check_kernels(mesh, crack, coeffs, boundary, values):
+    """Every kernel against its oracle on one mesh, crack and field."""
+    assert_bitwise(mesh.triangle_areas(), oracles.triangle_areas_rows(mesh))
+    assert_bitwise(mesh.hat_gradients(), oracles.hat_gradients_rows(mesh))
+    band = np.arange(0, mesh.n_triangles, 3)
+    assert_bitwise(mesh.hat_gradients(band), oracles.hat_gradients_rows(mesh, band))
+    assert_bitwise(mesh.triangle_diameters(), oracles.triangle_diameters_norm(mesh))
+    assert_bitwise(
+        mesh.triangle_diameters(band), oracles.triangle_diameters_norm(mesh, band)
+    )
+    cell = 0.5 * mesh.h_max
+    lo, hi = oracles.triangle_boxes(mesh.vertices, mesh.triangles)
+    assert_same_grid(
+        SpatialGrid.for_triangles(mesh.vertices, mesh.triangles, cell),
+        SpatialGrid(lo, hi, cell),
+    )
+
+    local = np.empty((mesh.n_triangles, 3, 3))
+    weight = coeffs.element_permeability(mesh) * mesh.triangle_areas()
+    _bulk_stiffness(weight, mesh.hat_gradients(), local)
+    assert_bitwise(local, oracles.bulk_stiffness_einsum(mesh, coeffs))
+
+    system = assemble(mesh, crack, coeffs, boundary)
+    assert_same_csr(
+        system.matrix,
+        oracles.eliminate_by_products(system.operator, system.constrained),
+    )
+
+    field = SolutionField(mesh, values)
+    assert_bitwise(field.gradients(), oracles.solution_gradients_einsum(field))
+    pts, uh = np.empty((mesh.n_triangles, 3, 2)), np.empty((mesh.n_triangles, 3))
+    for d, corner in enumerate(corners(mesh.vertices, mesh.triangles)):
+        _edge_midpoint_values(corner, pts[:, :, d])
+    _edge_midpoint_values(values[mesh.triangles.T], uh)
+    want_pts, want_uh = oracles.midpoint_rule_values(field)
+    assert_bitwise(pts, want_pts)
+    assert_bitwise(uh, want_uh)
+    exact = SineProductSolution()
+    got = error_norms(field, exact, crack, coeffs, level=2)
+    want = oracles.error_norms_einsum(field, exact, crack, coeffs, level=2)
+    for name in ("level", "n_dofs", "h", "h_crack"):
+        assert getattr(got, name) == getattr(want, name)
+    for name in ("l2", "h1_semi", "l2_crack", "energy"):
+        assert_bitwise(getattr(got, name), getattr(want, name))
+    return system
+
+
+_FIELD_VALUES = st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(
+    -1e3, 1e3, allow_nan=False, allow_subnormal=False
+)
+
+
+@st.composite
+def _problems(draw):
+    """A random rectangle mesh, possibly turned by 180 degrees so that its
+    zero coordinates are -0.0, refined 0-3 generations near random chains;
+    two bulk regions split at a random x; a random Dirichlet tag subset."""
+    x0 = draw(st.floats(-4.0, 4.0))
+    y0 = draw(st.floats(-4.0, 4.0))
+    width = draw(st.floats(0.25, 4.0))
+    height = draw(st.floats(0.25, 4.0))
+    cells = draw(st.integers(1, 6))
+    mesh = build_rectangle_mesh(
+        (x0, x0 + width, y0, y0 + height), min(width, height) / cells
+    )
+    if draw(st.booleans()):
+        mesh = turned(mesh)
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    fractions = draw(polylines(st.floats(0.02, 0.98)))
+    permeability = st.sampled_from([0.0, 0.5, 3.0])
+    crack = CrackGraph(
+        [Chain(lo + f * (hi - lo), permeability=draw(permeability)) for f in fractions]
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        mesh, _ = refine_marked(mesh, mark_crack_elements(mesh, crack))
+    split = lo[0] + draw(st.floats(0.0, 1.0)) * (hi[0] - lo[0])
+    coeffs = Coefficients(
+        a1=draw(st.sampled_from([1.0, 0.3])),
+        a2=draw(st.sampled_from([1.0, 7.0])),
+        source=draw(st.sampled_from([0.0, 1.0])),
+        region=lambda p: np.where(p[:, 0] < split, 1, 2),
+    )
+    tags = draw(st.lists(st.sampled_from(RECTANGLE_TAGS), min_size=1, unique=True))
+    value = st.sampled_from([0.0, -0.0, 1.0, -0.5])
+    boundary = BoundarySpec(
+        dirichlet={tag: draw(value) for tag in tags},
+        neumann=tuple(t for t in RECTANGLE_TAGS if t not in tags),
+    )
+    n = mesh.n_vertices
+    values = np.array(draw(st.lists(_FIELD_VALUES, min_size=n, max_size=n)))
+    return mesh, cut_chains(mesh, crack), coeffs, boundary, values
+
+
+class TestKernelsMatchOracles:
+    @settings(deadline=None, max_examples=60)
+    @given(_problems())
+    def test_random_refined_problems(self, problem):
+        check_kernels(*problem)
+
+    def test_explicit_zero_couplings_are_dropped(self):
+        # across each cell diagonal of the structured mesh both triangles
+        # have their right angle opposite the diagonal: K0 holds exact zeros
+        mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 0.25)
+        chain = Chain(np.array([[0.3, 0.4], [0.7, 0.6]]))
+        crack = cut_chains(mesh, CrackGraph([chain]))
+        boundary = BoundarySpec(
+            dirichlet={"left": 0.0, "right": 1.0}, neumann=("bottom", "top")
+        )
+        values = np.linspace(-1.0, 1.0, mesh.n_vertices)
+        system = check_kernels(mesh, crack, Coefficients(), boundary, values)
+        assert (system.operator.data == 0.0).any()
+        assert (system.matrix.data != 0.0).all()
+        cons = system.constrained
+        identity = np.eye(mesh.n_vertices)[cons]
+        assert np.array_equal(system.matrix[cons].toarray(), identity)
+
+    @pytest.mark.parametrize("h", [0.5, 0.125])
+    def test_rotated_mesh_with_negative_zero_coordinates(self, h):
+        mesh = turned(build_rectangle_mesh((0.0, 1.0, 0.0, 2.0), h))
+        assert np.signbit(mesh.vertices[mesh.vertices == 0.0]).all()
+        chain = Chain(np.array([[-0.2, -0.3], [-0.8, -1.5]]))
+        crack = cut_chains(mesh, CrackGraph([chain]))
+        boundary = BoundarySpec(
+            dirichlet={"bottom": -0.0}, neumann=("top", "left", "right")
+        )
+        values = np.where(np.arange(mesh.n_vertices) % 2 == 0, -0.0, 0.0)
+        check_kernels(mesh, crack, Coefficients(), boundary, values)

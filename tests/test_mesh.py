@@ -609,6 +609,18 @@ class TestExports:
         expected = "".join(f"{float(x)!r} {float(y)!r}\n" for x, y in rows)
         assert _render("%r %r\n", rows) == expected
 
+    def test_solution_field_point_data(self, square_mesh, fine_square_mesh, tmp_path):
+        values = np.linspace(-1.0, 1.0, square_mesh.n_vertices)
+        field = SolutionField(square_mesh, values)
+        export_vtk(square_mesh, tmp_path / "a.vtk", point_data={"u": field})
+        export_vtk(square_mesh, tmp_path / "b.vtk", point_data={"u": values})
+        assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()
+        assert field.value_rows() is field.value_rows()
+        other = SolutionField(fine_square_mesh, np.zeros(fine_square_mesh.n_vertices))
+        with pytest.raises(ValueError, match="'u'"):
+            export_vtk(square_mesh, tmp_path / "c.vtk", point_data={"u": other})
+        assert not (tmp_path / "c.vtk").exists()
+
     def test_text_rows_are_rendered_once(self, square_mesh):
         first = square_mesh.text_rows()
         second = square_mesh.text_rows()
