@@ -2,7 +2,10 @@
 
 Configs are plain JSON documents with a schema_version; ``from_dict`` fills
 defaults and validates strictly, ``to_dict`` emits the canonical form, and
-the two round-trip losslessly. The refinement and solver sections are the
+the two round-trip losslessly. ``from_dict`` checks JSON shapes and types
+itself; range checks are those of the runtime objects it builds once
+(``Chain``, ``Coefficients``, ``BoundarySpec``, ``rectangle_cells``, ...),
+reported under the config path. The refinement and solver sections are the
 ``RefinementConfig`` and ``SolverConfig`` dataclasses they configure. Scalar
 fields accept either numbers or names from the function registry.
 """
@@ -44,6 +47,7 @@ from .mesh import (
     build_rectangle_mesh,
     export_mesh_text,
     export_vtk,
+    rectangle_cells,
     refine_near_crack,
 )
 from .solve import SolutionField, SolverConfig, solve
@@ -116,10 +120,10 @@ def _float(value, path: str) -> float:
     return float(value)
 
 
-def _floats(value, path: str) -> list:
+def _list(value, path: str, item=_float) -> list:
     if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{path}: expected a list of numbers")
-    return [_float(v, path) for v in value]
+        raise ConfigError(f"{path}: expected a list")
+    return [item(v, path) for v in value]
 
 
 def _int(value, path: str) -> int:
@@ -168,44 +172,51 @@ def _section(cls, raw, path: str):
     return _checked(path, cls, **values)
 
 
-def _check_fits(domain: list, h: float, path: str) -> None:
-    """Reject a global_h that the structured mesh of the domain cannot take."""
-    side = min(domain[1] - domain[0], domain[3] - domain[2])
-    if h > side * (1.0 + 1e-12):  # the bound of build_rectangle_mesh
-        raise ConfigError(f"{path}: {h!r} exceeds the shorter domain side {side!r}")
+def _pair(value, path: str) -> list:
+    pair = _list(value, path)
+    if len(pair) != 2:
+        raise ConfigError(f"{path}: expected two numbers")
+    return pair
+
+
+def _points(value, path: str) -> list:
+    return _list(value, path, _pair)
+
+
+# the keys of each geometry kind besides "kind", in canonical order, and
+# their value checks
+_GEOMETRY_CHECKS = {
+    "segment": {"points": _points},
+    "polyline": {"points": _points},
+    "arc": {"center": _pair, "radius": _float, "angles": _pair},
+    "circle": {"center": _pair, "radius": _float},
+}
 
 
 def _normalize_geometry(geo: dict, path: str) -> dict:
     _expect_keys(geo, path, {"kind"}, {"points", "center", "radius", "angles"})
     kind = geo["kind"]
-    if kind in ("segment", "polyline"):
-        _expect_keys(geo, path, {"kind", "points"}, set())
-        pts = geo["points"]
-        if not isinstance(pts, list) or len(pts) < 2:
-            raise ConfigError(f"{path}.points: need at least two points")
-        if kind == "segment" and len(pts) != 2:
-            raise ConfigError(f"{path}.points: a segment has exactly two points")
-        norm = [_floats(p, f"{path}.points") for p in pts]
-        if any(len(p) != 2 for p in norm):
-            raise ConfigError(f"{path}.points: points are [x, y] pairs")
-        return {"kind": kind, "points": norm}
-    if kind in ("arc", "circle"):
-        needed = {"kind", "center", "radius"} | ({"angles"} if kind == "arc" else set())
-        _expect_keys(geo, path, needed, set())
-        center = _floats(geo["center"], f"{path}.center")
-        if len(center) != 2:
-            raise ConfigError(f"{path}.center: expected [x, y]")
-        radius = _float(geo["radius"], f"{path}.radius")
-        if radius <= 0.0:
-            raise ConfigError(f"{path}.radius: must be positive")
-        out = {"kind": kind, "center": center, "radius": radius}
-        if kind == "arc":
-            angles = _floats(geo["angles"], f"{path}.angles")
-            if len(angles) != 2 or angles[0] == angles[1]:
-                raise ConfigError(f"{path}.angles: two distinct angles required")
-            out["angles"] = angles
-        return out
-    raise ConfigError(f"{path}.kind: unknown geometry kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _GEOMETRY_CHECKS:
+        raise ConfigError(f"{path}.kind: unknown geometry kind {kind!r}")
+    checks = _GEOMETRY_CHECKS[kind]
+    _expect_keys(geo, path, {"kind", *checks}, set())
+    out = {"kind": kind, **{k: check(geo[k], f"{path}.{k}") for k, check in checks.items()}}
+    if kind == "segment" and len(out["points"]) != 2:
+        raise ConfigError(f"{path}.points: a segment has exactly two points")
+    return out
+
+
+def _chain(ch: dict, global_h: float) -> Chain:
+    """The Chain of one config chain; curved kinds are sampled at global_h / 10."""
+    geo, spacing = ch["geometry"], global_h / 10.0
+    if geo["kind"] == "arc":
+        points = sample_curve(arc_curve(geo["center"], geo["radius"], *geo["angles"]), spacing)
+    elif geo["kind"] == "circle":
+        points = sample_curve(circle_curve(geo["center"], geo["radius"]), spacing)
+    else:
+        points = geo["points"]
+    source = resolve_scalar(ch["source"], "chain source")
+    return Chain(points, permeability=ch["permeability"], source=source)
 
 
 @dataclass
@@ -225,18 +236,20 @@ class ProblemConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ProblemConfig":
         # the top-level keys are the fields; domain and refinement are required
-        keys = {f.name for f in fields(cls)}
-        _expect_keys(raw, "config", {"domain", "refinement"}, keys)
+        _expect_keys(raw, "config", {"domain", "refinement"}, {f.name for f in fields(cls)})
         version = raw.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigError(
                 f"schema_version: {version} unsupported (expected {SCHEMA_VERSION})"
             )
-        domain = _floats(raw["domain"], "domain")
+        domain = _list(raw["domain"], "domain")
         if len(domain) != 4:
             raise ConfigError("domain: expected [xmin, xmax, ymin, ymax]")
-        if domain[1] <= domain[0] or domain[3] <= domain[2]:
-            raise ConfigError("domain: empty rectangle")
+        side = min(domain[1] - domain[0], domain[3] - domain[2])
+        _checked("domain", rectangle_cells, domain, side)  # fails only if empty
+        refinement = _section(RefinementConfig, raw["refinement"], "refinement")
+        _checked("refinement.global_h", rectangle_cells, domain, refinement.global_h)
+        solver = _section(SolverConfig, raw.get("solver", {}), "solver")
 
         raw_chains = raw.get("chains", [])
         if not isinstance(raw_chains, list):
@@ -245,52 +258,37 @@ class ProblemConfig:
         for i, ch in enumerate(raw_chains):
             path = f"chains[{i}]"
             _expect_keys(ch, path, {"geometry"}, {"permeability", "source"})
-            perm = _float(ch.get("permeability", 0.0), f"{path}.permeability")
-            if perm < 0.0:
-                raise ConfigError(f"{path}.permeability: must be >= 0")
-            chains.append(
-                {
-                    "geometry": _normalize_geometry(ch["geometry"], f"{path}.geometry"),
-                    "permeability": perm,
-                    "source": _check_scalar_spec(
-                        ch.get("source", 0.0), f"{path}.source"
-                    ),
-                }
-            )
+            chain = {
+                "geometry": _normalize_geometry(ch["geometry"], f"{path}.geometry"),
+                "permeability": _float(ch.get("permeability", 0.0), f"{path}.permeability"),
+                "source": _check_scalar_spec(ch.get("source", 0.0), f"{path}.source"),
+            }
+            _checked(path, _chain, chain, refinement.global_h)
+            chains.append(chain)
 
         co = raw.get("coefficients", {})
         _expect_keys(co, "coefficients", set(), {"a1", "a2", "source"})
-        coefficients = {
-            "a1": _float(co.get("a1", 1.0), "coefficients.a1"),
-            "a2": _float(co.get("a2", 1.0), "coefficients.a2"),
-            "source": _check_scalar_spec(co.get("source", 0.0), "coefficients.source"),
-        }
-        if coefficients["a1"] <= 0.0 or coefficients["a2"] <= 0.0:
-            raise ConfigError("coefficients: permeabilities must be positive")
+        coefficients = {k: _float(co.get(k, 1.0), f"coefficients.{k}") for k in ("a1", "a2")}
+        coefficients["source"] = _check_scalar_spec(
+            co.get("source", 0.0), "coefficients.source"
+        )
+        _checked("coefficients", Coefficients, coefficients["a1"], coefficients["a2"])
 
         boundary = {}
         raw_boundary = raw.get("boundary", {"left": {"dirichlet": 0.0}})
-        if not isinstance(raw_boundary, dict) or not raw_boundary:
-            raise ConfigError("boundary: expected a non-empty object")
+        if not isinstance(raw_boundary, dict):
+            raise ConfigError("boundary: expected an object")
         for tag, cond in raw_boundary.items():
             path = f"boundary.{tag}"
             if tag not in RECTANGLE_TAGS:
                 raise ConfigError(f"{path}: unknown tag (known: {list(RECTANGLE_TAGS)})")
-            if cond == "neumann":
-                boundary[str(tag)] = "neumann"
-            elif isinstance(cond, dict):
+            if cond != "neumann":
+                if not isinstance(cond, dict):
+                    raise ConfigError(f"{path}: expected 'neumann' or {{'dirichlet': g}}")
                 _expect_keys(cond, path, {"dirichlet"}, set())
-                boundary[str(tag)] = {
-                    "dirichlet": _check_scalar_spec(cond["dirichlet"], path)
-                }
-            else:
-                raise ConfigError(f"{path}: expected 'neumann' or {{'dirichlet': g}}")
-        if all(cond == "neumann" for cond in boundary.values()):
-            raise ConfigError("boundary: at least one Dirichlet tag is required")
-
-        refinement = _section(RefinementConfig, raw["refinement"], "refinement")
-        _check_fits(domain, refinement.global_h, "refinement.global_h")
-        solver = _section(SolverConfig, raw.get("solver", {}), "solver")
+                cond = {"dirichlet": _check_scalar_spec(cond["dirichlet"], path)}
+            boundary[tag] = cond
+        _checked("boundary", _build_boundary, boundary)
 
         exact = raw.get("exact_solution")
         if exact not in (None, *EXACT_SOLUTIONS):
@@ -301,26 +299,20 @@ class ProblemConfig:
         study = raw.get("study")
         if study is not None:
             _expect_keys(study, "study", {"levels"}, set())
-            levels = _floats(study["levels"], "study.levels")
+            levels = _list(study["levels"], "study.levels")
             if len(levels) < 3:
                 raise ConfigError("study.levels: at least three levels required")
-            if not all(b < a for a, b in zip(levels, levels[1:])):
-                raise ConfigError("study.levels: must be strictly decreasing")
-            for h in levels:
-                _checked("study.levels", replace, refinement, global_h=h)
-                _check_fits(domain, h, "study.levels")
+            cells = [_checked("study.levels", rectangle_cells, domain, h) for h in levels]
+            for (a, ca), (b, cb) in zip(zip(levels, cells), zip(levels[1:], cells[1:])):
+                if not b < a:
+                    raise ConfigError("study.levels: must be strictly decreasing")
+                if ca == cb:
+                    raise ConfigError(
+                        f"study.levels: {a!r} and {b!r} give the same {ca[0]} x {ca[1]} mesh"
+                    )
             study = {"levels": levels}
 
-        return cls(
-            domain=domain,
-            chains=chains,
-            coefficients=coefficients,
-            boundary=boundary,
-            refinement=refinement,
-            solver=solver,
-            exact_solution=exact,
-            study=study,
-        )
+        return cls(domain, chains, coefficients, boundary, refinement, solver, exact, study)
 
     def to_dict(self) -> dict:
         """The canonical JSON object, schema_version first."""
@@ -329,7 +321,7 @@ class ProblemConfig:
     def with_global_h(self, h: float) -> "ProblemConfig":
         """Copy at another global_h, without study; other sections are shared."""
         refinement = _checked("refinement", replace, self.refinement, global_h=float(h))
-        _check_fits(self.domain, refinement.global_h, "refinement.global_h")
+        _checked("refinement.global_h", rectangle_cells, self.domain, refinement.global_h)
         return replace(self, refinement=refinement, study=None)
 
 
@@ -358,29 +350,13 @@ def build_crack_graph(config: ProblemConfig, global_h: float) -> CrackGraph:
     """
     corners = np.reshape(config.domain, (2, 2)).T  # [[xmin, ymin], [xmax, ymax]]
     tol = REL_TOL * max(bbox_diameter(corners), 1.0)
-    chains = []
-    spacing = global_h / 10.0
-    for j, ch in enumerate(config.chains):
-        geo = ch["geometry"]
-        if geo["kind"] in ("segment", "polyline"):
-            pts = np.asarray(geo["points"], dtype=float)
-        elif geo["kind"] == "arc":
-            curve = arc_curve(geo["center"], geo["radius"], *geo["angles"])
-            pts = sample_curve(curve, spacing)
-        else:
-            curve = circle_curve(geo["center"], geo["radius"])
-            pts = sample_curve(curve, spacing)
+    chains = [_chain(ch, global_h) for ch in config.chains]
+    for j, chain in enumerate(chains):
+        pts = chain.points
         outside = ((pts < corners[0] - tol) | (pts > corners[1] + tol)).any(axis=1)
         if outside.any():
             near = pts[np.argmax(outside)].tolist()
             raise CrackGeometryError(f"chain {j} leaves the domain near {near}")
-        chains.append(
-            Chain(
-                pts,
-                permeability=ch["permeability"],
-                source=resolve_scalar(ch["source"], "chain source"),
-            )
-        )
     return CrackGraph(chains)
 
 
@@ -404,12 +380,12 @@ def _build_coefficients(config: ProblemConfig, graph: CrackGraph) -> Coefficient
     )
 
 
-def _build_boundary(config: ProblemConfig) -> BoundarySpec:
+def _build_boundary(boundary: dict) -> BoundarySpec:
     """Conditions by tag; sides the config leaves out get the natural one."""
     dirichlet = {}
     neumann = []
     for tag in RECTANGLE_TAGS:
-        cond = config.boundary.get(tag, "neumann")
+        cond = boundary.get(tag, "neumann")
         if cond == "neumann":
             neumann.append(tag)
         else:
@@ -443,7 +419,7 @@ def run_single(config: ProblemConfig, out_dir=None, level: int = 0) -> RunResult
     mesh, hits = refine_near_crack(mesh, graph, config.refinement)
     segments = cut_chains(mesh, graph, hits)
     coeffs = _build_coefficients(config, graph)
-    boundary = _build_boundary(config)
+    boundary = _build_boundary(config.boundary)
     system = assemble(mesh, segments, coeffs, boundary)
     solution = solve(system, config.solver)
     report = None

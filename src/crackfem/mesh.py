@@ -256,21 +256,11 @@ class Mesh:
 RECTANGLE_TAGS = ("bottom", "top", "left", "right")
 
 
-def build_rectangle_mesh(bounds, target_h: float) -> Mesh:
-    """Structured triangulation of an axis-aligned rectangle.
+def rectangle_cells(bounds, target_h: float) -> tuple:
+    """(nx, ny): ceil(side / target_h) lattice cells along each side.
 
-    The rectangle is split into ceil(side / target_h) cells per direction,
-    so the grid spacing never exceeds target_h, and each square cell is cut
-    along its up diagonal. Cell diagonals are the refinement edges, which
-    makes the mesh compatible with newest-vertex bisection from the start.
-    Element diameters are the cell diagonals, at most sqrt(2) * target_h.
-
-    Parameters
-    ----------
-    bounds : (xmin, xmax, ymin, ymax)
-    target_h : float
-        Grid spacing bound; must be positive and no larger than the shorter
-        rectangle side.
+    Raises MeshError unless the bounds (xmin, xmax, ymin, ymax) are a
+    non-empty rectangle and 0 < target_h <= its shorter side.
     """
     xmin, xmax, ymin, ymax = (float(b) for b in bounds)
     w, h = xmax - xmin, ymax - ymin
@@ -279,9 +269,29 @@ def build_rectangle_mesh(bounds, target_h: float) -> Mesh:
     if not target_h > 0.0:
         raise MeshError("target_h must be positive")
     if target_h > min(w, h) * (1.0 + 1e-12):
-        raise MeshError("target_h exceeds the shorter rectangle side")
-    nx = max(1, int(np.ceil(w / target_h - 1e-12)))
-    ny = max(1, int(np.ceil(h / target_h - 1e-12)))
+        raise MeshError(
+            f"target_h {target_h!r} exceeds the shorter rectangle side {min(w, h)!r}"
+        )
+    return tuple(max(1, int(np.ceil(side / target_h - 1e-12))) for side in (w, h))
+
+
+def build_rectangle_mesh(bounds, target_h: float) -> Mesh:
+    """Structured triangulation of an axis-aligned rectangle.
+
+    The rectangle is split into the ``rectangle_cells(bounds, target_h)``
+    lattice, whose spacing never exceeds target_h, and each cell is cut
+    along its up diagonal. Cell diagonals are the refinement edges, which
+    makes the mesh compatible with newest-vertex bisection from the start.
+    Element diameters are the cell diagonals, at most sqrt(2) * target_h.
+
+    Parameters
+    ----------
+    bounds : (xmin, xmax, ymin, ymax)
+    target_h : float
+        Grid spacing bound, checked by ``rectangle_cells``.
+    """
+    nx, ny = rectangle_cells(bounds, target_h)
+    xmin, xmax, ymin, ymax = (float(b) for b in bounds)
     xs = np.linspace(xmin, xmax, nx + 1)
     ys = np.linspace(ymin, ymax, ny + 1)
     xg, yg = np.meshgrid(xs, ys)

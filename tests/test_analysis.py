@@ -216,7 +216,7 @@ class TestGalerkinOrthogonality:
         mesh, _ = refine_near_crack(mesh, graph, rc)
         segments = cut_chains(mesh, graph)
         coeffs = _build_coefficients(config, graph)
-        system = assemble(mesh, segments, coeffs, _build_boundary(config))
+        system = assemble(mesh, segments, coeffs, _build_boundary(config.boundary))
         u = solve(system, SolverConfig(method="direct"))
         exact = EXACT_SOLUTIONS[config.exact_solution]
 

@@ -48,6 +48,29 @@ OVERSIZED = [
     ({"study": {"levels": [2.0, 0.5, 0.25]}}, "study.levels"),
 ]
 
+# range checks the runtime objects make (Chain, arc_curve, sample_curve,
+# Coefficients, BoundarySpec, rectangle_cells), reported under the config path
+RUNTIME_CHECKED = [
+    (
+        {
+            "chains": [
+                {
+                    "geometry": {"kind": "segment", "points": [[0, 0], [1, 0]]},
+                    "permeability": -2,
+                }
+            ]
+        },
+        "chains[0]",
+    ),
+    ({"chains": one_chain(kind="arc", center=[0, 0], radius=0, angles=[0, 1])}, "chains[0]"),
+    ({"chains": one_chain(kind="arc", center=[0, 0], radius=0.5, angles=[1, 1])}, "chains[0]"),
+    ({"coefficients": {"a1": 0}}, "coefficients"),
+    ({"boundary": {tag: "neumann" for tag in ("left", "right", "top", "bottom")}}, "boundary"),
+    ({"domain": [0.0, 1.0, 0.5, 0.5]}, "domain"),
+    # 0.4 and 0.34 both give the 3 x 3 lattice of the unit square
+    ({"study": {"levels": [0.4, 0.34, 0.25]}}, "study.levels"),
+]
+
 # (overrides of the minimal config, dotted path the error must name)
 MALFORMED = [
     ({"refinement": {"global_h": 0.5, "max_generations": "abc"}}, "refinement.max_generations"),
@@ -75,6 +98,7 @@ MALFORMED = [
     ({"exact_solution": []}, "exact_solution"),
     ({"boundary": {"lft": {"dirichlet": 0.0}}}, "boundary.lft"),
     *OVERSIZED,
+    *RUNTIME_CHECKED,
 ]
 
 # the unit square's geometric tolerance
@@ -247,7 +271,7 @@ class TestConfigValidation:
                 }
             ]
         )
-        with pytest.raises(ConfigError, match="distinct angles"):
+        with pytest.raises(ConfigError, match=r"^chains\[0\]: curve has zero length"):
             ProblemConfig.from_dict(flat_arc)
 
     def test_negative_chain_permeability(self):
@@ -259,7 +283,8 @@ class TestConfigValidation:
                 }
             ]
         )
-        with pytest.raises(ConfigError, match=r"chains\[0\].permeability"):
+        message = r"^chains\[0\]: chain permeability must be >= 0"
+        with pytest.raises(ConfigError, match=message):
             ProblemConfig.from_dict(bad)
 
     def test_nonpositive_bulk_permeability(self):
@@ -267,7 +292,7 @@ class TestConfigValidation:
             ProblemConfig.from_dict(raw(coefficients={"a1": 0.0}))
 
     def test_boundary_needs_dirichlet(self):
-        with pytest.raises(ConfigError, match="at least one Dirichlet"):
+        with pytest.raises(ConfigError, match="^boundary: no Dirichlet boundary"):
             ProblemConfig.from_dict(raw(boundary={"left": "neumann"}))
         with pytest.raises(ConfigError, match="boundary.left"):
             ProblemConfig.from_dict(raw(boundary={"left": 3}))
@@ -300,6 +325,15 @@ class TestConfigValidation:
         result = run_single(ProblemConfig.from_dict(d))
         x = result.mesh.vertices[:, 0]
         assert np.allclose(result.solution.values, 1.0 - x, atol=1e-12)
+
+    def test_study_levels_must_give_distinct_meshes(self):
+        with pytest.raises(
+            ConfigError, match=r"^study.levels: 0.4 and 0.34 give the same 3 x 3 mesh$"
+        ):
+            ProblemConfig.from_dict(raw(study={"levels": [0.4, 0.34, 0.2]}))
+        # one cell apart is enough
+        config = ProblemConfig.from_dict(raw(study={"levels": [0.5, 1 / 3, 0.25]}))
+        assert config.study["levels"] == [0.5, 1 / 3, 0.25]
 
     def test_study_levels_validation(self):
         with pytest.raises(ConfigError, match="three levels"):
@@ -347,7 +381,7 @@ class TestPresetsAndRoundTrips:
 
     def test_with_global_h_must_fit_the_domain(self):
         config = build_preset("poisson-square")
-        with pytest.raises(ConfigError, match="^refinement.global_h: 2.0 exceeds"):
+        with pytest.raises(ConfigError, match="^refinement.global_h: target_h 2.0 exceeds"):
             config.with_global_h(2.0)
 
     def test_invalid_json_file(self, tmp_path):
@@ -529,10 +563,22 @@ class TestCli:
         path.write_text(json.dumps(raw(refinement={"global_h": float("nan")})))
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: refinement.global_h:")
-        for overrides, where in OVERSIZED:
+        for overrides, where in OVERSIZED + RUNTIME_CHECKED:
             path.write_text(json.dumps(raw(**overrides)))
             assert main(["run", str(path)]) == 2
             assert capsys.readouterr().err.startswith(f"error: {where}: ")
+
+    def test_study_levels_giving_one_mesh_exit_two(self, capsys, tmp_path):
+        d = build_preset("poisson-square").to_dict()
+        d["refinement"]["global_h"] = 0.4
+        d["study"] = {"levels": [0.4, 0.34, 0.2]}
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(d))
+        assert main(["study", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "error: study.levels: 0.4 and 0.34 give the same 3 x 3 mesh\n"
+        assert captured.err == message
 
     def test_geometry_failure_exits_one(self, capsys, tmp_path):
         # a chain leaving the domain, and one shorter than the mesh tolerance

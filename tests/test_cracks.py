@@ -307,6 +307,34 @@ class TestCutChains:
 _CUT_H = st.sampled_from([0.1, 0.2, 0.125, 1.0 / 3.0])
 _CUT_RULE = st.sampled_from(["none", "quadratic"])
 
+# 1/20-lattice chains moved by up to 3e-12 (found by a seeded search over
+# such chains). Each crosses an element edge's line at a small angle, just
+# above the parallel bound; the two triangles of the edge evaluate its edge
+# function from their own base vertex and orientation, so their crossing
+# parameters differ and the gap between them has no owner.
+_NEAR_PARALLEL = [
+    pytest.param(
+        [
+            [0.19999999999873, 0.8500000000005167],
+            [0.2500000000003245, 0.2500000000018583],
+            [0.15000000000036284, 0.1499999999987305],
+        ],
+        1.0 / 3.0,
+        "none",
+        id="h-1/3-none",
+    ),
+    pytest.param(
+        [
+            [0.5999999999981971, 0.6000000000026526],
+            [0.8999999999991907, 0.29999999999763294],
+            [0.9000000000007746, 0.650000000002563],
+        ],
+        0.1,
+        "quadratic",
+        id="h-0.1-quadratic",
+    ),
+]
+
 
 class TestOnePassCut:
     """The one-pass cut against the per-part oracle, and its invariants."""
@@ -362,6 +390,22 @@ class TestOnePassCut:
     @example([np.array([[4, 3], [13, 0], [10, 11], [18, 3]]) / 20.0], 0.1, "quadratic")
     def test_lattice_chains(self, chains, h, rule):
         self.check(chains, h, rule)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=CrackGeometryError,
+        reason="near-parallel crossings leave an unowned gap at an element edge",
+    )
+    @pytest.mark.parametrize("points, h, rule", _NEAR_PARALLEL)
+    @pytest.mark.parametrize("with_hits", [True, False], ids=["hits", "no-hits"])
+    def test_near_parallel_lattice_chains(self, points, h, rule, with_hits):
+        if with_hits:  # the cut fed by refinement's hits, and its invariants
+            self.check([np.array(points)], h, rule)
+        else:  # the cut that searches its own candidates
+            crack = CrackGraph([Chain(points)])
+            mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), h)
+            rc = RefinementConfig(global_h=h, rule=rule)
+            cut_chains(refine_near_crack(mesh, crack, rc)[0], crack)
 
 
 class TestSignedDistance:

@@ -65,7 +65,7 @@ def pipeline_system(config):
     mesh, hits = refine_near_crack(mesh, graph, rc)
     segments = cut_chains(mesh, graph, hits)
     system = assemble(
-        mesh, segments, _build_coefficients(config, graph), _build_boundary(config)
+        mesh, segments, _build_coefficients(config, graph), _build_boundary(config.boundary)
     )
     return segments, system
 
