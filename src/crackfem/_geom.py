@@ -120,57 +120,33 @@ def expand_ranges(start, count) -> np.ndarray:
 
 
 class SpatialGrid:
-    """Uniform grid over axis-aligned boxes, for candidate queries.
+    """Candidate index of triangles that each lie in one lattice cell: cell
+    (i, j), code j * nx + i, is [xs[i], xs[i + 1]] x [ys[j], ys[j + 1]]. With
+    codes sorted by triangle, cell c holds triangles first[c] to first[c + 1] - 1."""
 
-    The index holds one entry per (cell, box) overlap, sorted by cell code,
-    so a query finds the boxes of each cell it covers by binary search.
-    """
-
-    def __init__(self, lo, hi, cell_size: float):
-        lo = np.asarray(lo, dtype=float).reshape(-1, 2)
-        hi = np.asarray(hi, dtype=float).reshape(-1, 2)
-        self._origin = lo.min(axis=0)
-        self._cell = float(cell_size)
-        if self._cell <= 0.0:
-            raise ValueError("cell_size must be positive")
-        self._n = len(lo)
-        ihi = self._cells(hi)
-        self._shape = ihi.max(axis=0) + 1
-        box, code = self._cover(self._cells(lo), ihi)
-        order = np.argsort(code, kind="stable")
-        self._codes = code[order]
-        self._boxes = box[order]
+    def __init__(self, xs, ys, first):
+        self._lines, self._first = (xs, ys), first
 
     @classmethod
-    def for_triangles(cls, vertices, triangles, cell_size):
-        x, y = corners(vertices, triangles)
-        lo = np.column_stack([x.min(axis=0), y.min(axis=0)])
-        hi = np.column_stack([x.max(axis=0), y.max(axis=0)])
-        return cls(lo, hi, cell_size)
-
-    def _cells(self, points) -> np.ndarray:
-        return np.floor((points - self._origin) / self._cell).astype(np.int64)
-
-    def _cover(self, ilo, ihi):
-        """(box, cell code) of every grid cell inside each cell range."""
-        ilo = np.maximum(ilo, 0)
-        ihi = np.minimum(ihi, self._shape - 1)
-        span = np.maximum(ihi - ilo + 1, 0)
-        count = span[:, 0] * span[:, 1]
-        box = np.repeat(np.arange(len(ilo)), count)
-        local = expand_ranges(np.zeros_like(count), count)
-        ix = ilo[box, 0] + local // span[box, 1]
-        iy = ilo[box, 1] + local % span[box, 1]
-        return box, ix * self._shape[1] + iy
+    def for_triangles(cls, xs, ys, cells):
+        """Index of triangles with the non-decreasing cell codes ``cells``."""
+        n_cells = (len(xs) - 1) * (len(ys) - 1)
+        return cls(xs, ys, np.searchsorted(cells, np.arange(n_cells + 1)))
 
     def query(self, lo, hi):
-        """Pairs (k, box) of query box k = [lo[k], hi[k]] and the stored
-        boxes sharing a cell with it, unique and sorted by (k, box)."""
-        lo = np.asarray(lo, dtype=float).reshape(-1, 2)
-        hi = np.asarray(hi, dtype=float).reshape(-1, 2)
-        query, code = self._cover(self._cells(lo), self._cells(hi))
-        first = np.searchsorted(self._codes, code, side="left")
-        count = np.searchsorted(self._codes, code, side="right") - first
-        boxes = self._boxes[expand_ranges(first, count)]
-        pairs = np.unique(np.repeat(query, count) * self._n + boxes)
-        return pairs // self._n, pairs % self._n
+        """Pairs (k, tri) of the (k, 2) query boxes [lo[k], hi[k]] and the
+        triangles of every cell a closed box meets, sorted by (k, tri)."""
+        spans = []
+        for lines, a, b in zip(self._lines, lo.T, hi.T):
+            # the cells i with lines[i + 1] >= a and lines[i] <= b
+            first = np.maximum(np.searchsorted(lines, a) - 1, 0)
+            end = np.minimum(np.searchsorted(lines, b, side="right"), len(lines) - 1)
+            spans += [first, np.maximum(end - first, 0)]
+        i0, ni, j0, nj = spans
+        query = np.repeat(np.arange(len(lo)), ni * nj)
+        # row by row, so the codes, and with them the triangle ids, rise
+        row, col = np.divmod(expand_ranges(np.zeros_like(ni), ni * nj), ni[query])
+        code = (j0[query] + row) * (len(self._lines[0]) - 1) + i0[query] + col
+        first = self._first[code]
+        count = self._first[code + 1] - first
+        return np.repeat(query, count), expand_ranges(first, count)

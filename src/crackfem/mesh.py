@@ -83,6 +83,7 @@ class Mesh:
         self._tolerance = None
         self._edges = None
         self._rows = None
+        self._lattice = self._grid = None
 
     @property
     def n_vertices(self) -> int:
@@ -164,14 +165,28 @@ class Mesh:
         ends = np.asarray(ends, dtype=float).reshape(-1, 2)
         return self.clip_pairs(starts, ends, *self.candidate_pairs(starts, ends))[0]
 
+    def lattice(self):
+        """Lattice lines (xs, ys) and each triangle's cell code j * nx + i,
+        non-decreasing: the triangle lies in [xs[i], xs[i + 1]] x [ys[j],
+        ys[j + 1]], two per cell on a rectangle mesh. A mesh from raw arrays
+        is one cell over its vertex bounding box, so every triangle is a
+        candidate of every segment near it: exact, and cheap at test sizes."""
+        if self._lattice is None:
+            box = np.stack([self.vertices.min(axis=0), self.vertices.max(axis=0)], 1)
+            self._lattice = (*box, np.zeros(self.n_triangles, dtype=np.int64))
+        xs, ys, cells = self._lattice
+        return xs, ys, np.arange(self.n_triangles) // 2 if cells is None else cells
+
     def candidate_pairs(self, starts, ends):
         """Pairs (part, tri), unique and sorted, of each segment
-        starts[k] -> ends[k] and every triangle whose grid cells meet the
-        segment's box padded by ``REACH * tolerance``: a superset of the
+        starts[k] -> ends[k] and every triangle in a lattice cell that meets
+        the segment's box padded by ``REACH * tolerance``: a superset of the
         triangles the segment passes within that distance of."""
+        if self._grid is None:
+            self._grid = SpatialGrid.for_triangles(*self.lattice())
         pad = REACH * self.tolerance
-        grid = SpatialGrid.for_triangles(self.vertices, self.triangles, self.h_max)
-        return grid.query(np.minimum(starts, ends) - pad, np.maximum(starts, ends) + pad)
+        lo, hi = np.minimum(starts, ends) - pad, np.maximum(starts, ends) + pad
+        return self._grid.query(lo, hi)
 
     def clip_pairs(self, starts, ends, part, tri):
         """Clip segment part[i] against triangle tri[i], over candidate pairs
@@ -260,7 +275,7 @@ def rectangle_cells(bounds, target_h: float) -> tuple:
     """(nx, ny): ceil(side / target_h) lattice cells along each side.
 
     Raises MeshError unless the bounds (xmin, xmax, ymin, ymax) are a
-    non-empty rectangle and 0 < target_h <= its shorter side.
+    non-empty rectangle, 0 < target_h <= its shorter side and the counts finite.
     """
     xmin, xmax, ymin, ymax = (float(b) for b in bounds)
     w, h = xmax - xmin, ymax - ymin
@@ -272,7 +287,11 @@ def rectangle_cells(bounds, target_h: float) -> tuple:
         raise MeshError(
             f"target_h {target_h!r} exceeds the shorter rectangle side {min(w, h)!r}"
         )
-    return tuple(max(1, int(np.ceil(side / target_h - 1e-12))) for side in (w, h))
+    # finite bounds can give a side, and with it a count, that overflows to inf
+    cells = [np.ceil(side / target_h - 1e-12) for side in (w, h)]
+    if not np.isfinite(cells).all():
+        raise MeshError(f"bounds and target_h {target_h!r} give infinitely many cells")
+    return tuple(max(1, int(n)) for n in cells)
 
 
 def build_rectangle_mesh(bounds, target_h: float) -> Mesh:
@@ -318,7 +337,9 @@ def build_rectangle_mesh(bounds, target_h: float) -> Mesh:
     starts = np.concatenate([vid(i, 0), vid(i, ny), vid(0, j), vid(nx, j)])
     steps = np.repeat([1, 1, nx + 1, nx + 1], [nx, nx, ny, ny])
     tags = np.repeat(RECTANGLE_TAGS, [nx, nx, ny, ny])
-    return Mesh(vertices, triangles, np.column_stack([starts, starts + steps]), tags)
+    mesh = Mesh(vertices, triangles, np.column_stack([starts, starts + steps]), tags)
+    mesh._lattice = (xs, ys, None)  # cell code c holds triangles 2c and 2c + 1
+    return mesh
 
 
 def refine_marked(mesh: Mesh, marked):
@@ -331,7 +352,7 @@ def refine_marked(mesh: Mesh, marked):
     children. Vertices of the input keep their indices, and the midpoints
     follow in (a, b) order of the split edges (a < b).
 
-    The output carries its edge table (``Mesh.edge_table``) and tolerance.
+    The output carries its edge table (``Mesh.edge_table``), lattice and tolerance.
     Kept edges keep their ids; a split edge (a, b) with midpoint m keeps its
     id for (a, m), and (b, m) is appended, in midpoint order; then come the
     edges (apex, midpoint) each bisection adds, first those of the input's
@@ -414,6 +435,8 @@ def refine_marked(mesh: Mesh, marked):
     edges[bfirst[bsplit] + 1, 0] = bmid
     refined = Mesh(vertices, out, edges, np.repeat(mesh.boundary_tags, reps))
     refined._set_edges(out_pairs, out_t2e)
+    xs, ys, cells = mesh.lattice()
+    refined._lattice = (xs, ys, cells[parent])
     # midpoints lie in their edges' bounding boxes: the mesh's box is unchanged
     refined._tolerance = mesh.tolerance
     return refined, parent

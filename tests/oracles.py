@@ -644,12 +644,6 @@ def triangle_diameters_norm(mesh: Mesh, tri_ids=slice(None)) -> np.ndarray:
     return np.linalg.norm(np.roll(v, -1, axis=1) - v, axis=2).max(axis=1)
 
 
-def triangle_boxes(vertices, triangles):
-    """Bounding boxes (lo, hi) of triangles, reduced over the corner axis."""
-    coords = vertices[triangles]
-    return coords.min(axis=1), coords.max(axis=1)
-
-
 def bulk_stiffness_einsum(mesh: Mesh, coeffs) -> np.ndarray:
     """Local bulk stiffness blocks, (m, 3, 3), as one einsum."""
     weight = coeffs.element_permeability(mesh) * mesh.triangle_areas()

@@ -69,6 +69,9 @@ RUNTIME_CHECKED = [
     ({"domain": [0.0, 1.0, 0.5, 0.5]}, "domain"),
     # 0.4 and 0.34 both give the 3 x 3 lattice of the unit square
     ({"study": {"levels": [0.4, 0.34, 0.25]}}, "study.levels"),
+    # finite numbers whose width, or cell count, overflows to inf
+    ({"domain": [-1e308, 1e308, 0.0, 1.0]}, "domain"),
+    ({"refinement": {"global_h": 1e-320}}, "refinement.global_h"),
 ]
 
 # (overrides of the minimal config, dotted path the error must name)

@@ -1,10 +1,13 @@
-"""Whole-mesh P1 kernels against their einsum, gather and product forms.
+"""Whole-mesh P1 kernels against their einsum, gather and product forms,
+and lattice candidates against clipping every triangle.
 
 The package computes stiffness blocks, the Dirichlet elimination, field
-gradients, the bulk quadrature of the error norms, diameters and grid boxes
-column by column; ``tests/oracles.py`` keeps the forms they replaced. The
-results must agree bit for bit, signed zeros included, so every float array
-is compared through its int64 view.
+gradients, the bulk quadrature of the error norms and diameters column by
+column; ``tests/oracles.py`` keeps the forms they replaced. The results
+must agree bit for bit, signed zeros included, so every float array is
+compared through its int64 view. Crack–triangle candidates come from
+lattice cells; the incidence clipped from them must equal the one clipped
+from every (segment, triangle) pair.
 """
 
 import numpy as np
@@ -20,6 +23,7 @@ from crackfem import (
     Coefficients,
     CrackGraph,
     Mesh,
+    RefinementConfig,
     SineProductSolution,
     SolutionField,
     assemble,
@@ -28,8 +32,14 @@ from crackfem import (
     error_norms,
     mark_crack_elements,
     refine_marked,
+    refine_near_crack,
 )
-from crackfem._geom import SpatialGrid, corners
+from crackfem._geom import (
+    REACH,
+    clip_segments_to_triangles,
+    corners,
+    point_segment_distances,
+)
 from crackfem.analysis import _edge_midpoint_values
 from crackfem.assembly import _bulk_stiffness
 from crackfem.mesh import RECTANGLE_TAGS
@@ -49,9 +59,47 @@ def assert_same_csr(got, want):
     assert got.shape == want.shape
 
 
-def assert_same_grid(got, want):
-    for name in ("_origin", "_shape", "_codes", "_boxes"):
-        assert_bitwise(getattr(got, name), getattr(want, name))
+def check_lattice(mesh, starts, ends):
+    """Each triangle lies in its lattice cell; the candidates of the
+    segments starts[k] -> ends[k] are unique, sorted by (part, tri), and
+    hold every triangle within ``REACH`` tolerances of a segment (less a
+    thousandth, for rounding) and every one it touches; the incidence
+    equals the clip of every (segment, triangle) pair, bit for bit."""
+    xs, ys, cells = mesh.lattice()
+    assert (np.diff(cells) >= 0).all()
+    i, j = cells % (len(xs) - 1), cells // (len(xs) - 1)
+    for c, lines, at in zip(corners(mesh.vertices, mesh.triangles), (xs, ys), (i, j)):
+        assert ((lines[at] <= c) & (c <= lines[at + 1])).all()
+
+    k, m = len(starts), mesh.n_triangles
+    part, tri = mesh.candidate_pairs(starts, ends)
+    code = part * m + tri
+    assert (np.diff(code) > 0).all()
+    found = np.zeros((k, m), dtype=bool)
+    found[part, tri] = True
+
+    all_part, all_tri = np.repeat(np.arange(k), m), np.tile(np.arange(m), k)
+    want, _ = mesh.clip_pairs(starts, ends, all_part, all_tri)
+    for got, expected in zip(mesh.incidence(starts, ends), want):
+        assert_bitwise(got, expected)
+    assert found[want.part, want.tri].all()
+
+    # distance from each segment to each triangle: zero when they meet, else
+    # the least distance of an end to an edge or of a corner to the segment
+    tris = mesh.vertices[mesh.triangles]
+    meet = clip_segments_to_triangles(
+        starts[all_part], ends[all_part], tris[all_tri], 0.0
+    )[2].reshape(k, m)
+    x, y = corners(mesh.vertices, mesh.triangles)
+    points = np.stack([x, y], axis=-1).reshape(-1, 2)
+    distance = point_segment_distances(points, starts, ends).reshape(3, m, k)
+    distance = distance.min(axis=0).T
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        for end in (starts, ends):
+            to_edge = point_segment_distances(end, tris[:, a], tris[:, b])
+            distance = np.minimum(distance, to_edge)
+    near = meet | (distance <= REACH * (1.0 - 1e-3) * mesh.tolerance)
+    assert found[near].all()
 
 
 def turned(mesh):
@@ -70,12 +118,7 @@ def check_kernels(mesh, crack, coeffs, boundary, values):
     assert_bitwise(
         mesh.triangle_diameters(band), oracles.triangle_diameters_norm(mesh, band)
     )
-    cell = 0.5 * mesh.h_max
-    lo, hi = oracles.triangle_boxes(mesh.vertices, mesh.triangles)
-    assert_same_grid(
-        SpatialGrid.for_triangles(mesh.vertices, mesh.triangles, cell),
-        SpatialGrid(lo, hi, cell),
-    )
+    check_lattice(mesh, crack.points[:, 0], crack.points[:, 1])
 
     local = np.empty((mesh.n_triangles, 3, 3))
     weight = coeffs.element_permeability(mesh) * mesh.triangle_areas()
@@ -151,6 +194,73 @@ def _problems(draw):
     n = mesh.n_vertices
     values = np.array(draw(st.lists(_FIELD_VALUES, min_size=n, max_size=n)))
     return mesh, cut_chains(mesh, crack), coeffs, boundary, values
+
+
+@st.composite
+def _lattice_cases(draw):
+    """A non-square rectangle mesh, maybe refined near random chains by
+    ``refine_near_crack``, maybe rebuilt from its raw arrays (one lattice
+    cell); 1-4 segments whose ends are mesh vertices or points whose
+    coordinates lie on lattice lines, up to ten tolerances off them, or
+    anywhere in the domain grown by a fifth on each side, some of them
+    points."""
+    x0, y0 = draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))
+    width, height = draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0))
+    h = min(width, height) / draw(st.integers(1, 6))
+    mesh = build_rectangle_mesh((x0, x0 + width, y0, y0 + height), h)
+    xs, ys, _ = mesh.lattice()
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    if draw(st.booleans()):
+        fractions = draw(polylines(st.floats(0.02, 0.98)))
+        crack = CrackGraph([Chain(lo + f * (hi - lo)) for f in fractions])
+        config = RefinementConfig(
+            global_h=h, rule="fixed", crack_h=h / draw(st.sampled_from([2.0, 5.0]))
+        )
+        mesh, _ = refine_near_crack(mesh, crack, config)
+    if draw(st.booleans()):
+        mesh = Mesh(
+            mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags
+        )
+    grown_lo, grown_hi = lo - (hi - lo) / 5, hi + (hi - lo) / 5
+    offsets = st.sampled_from([0.0, 0.0, 1.0, -1.0, 7.5, -7.5, 10.0, -10.0])
+    offsets = offsets.map(lambda d: d * mesh.tolerance)
+    coord_x = st.builds(float.__add__, st.sampled_from(xs.tolist()), offsets)
+    coord_y = st.builds(float.__add__, st.sampled_from(ys.tolist()), offsets)
+    coord_x |= st.floats(grown_lo[0], grown_hi[0])
+    coord_y |= st.floats(grown_lo[1], grown_hi[1])
+    point = st.integers(0, mesh.n_vertices - 1).map(lambda v: tuple(mesh.vertices[v]))
+    point = point | st.tuples(coord_x, coord_y)
+    segment = st.tuples(point, point) | point.map(lambda p: (p, p))
+    segments = np.array(draw(st.lists(segment, min_size=1, max_size=4)))
+    return mesh, segments[:, 0], segments[:, 1]
+
+
+class TestLatticeCandidates:
+    @settings(deadline=None, max_examples=150)
+    @given(_lattice_cases())
+    def test_candidates_hold_every_clipped_triangle(self, case):
+        check_lattice(*case)
+
+    def test_rectangle_cells_hold_two_triangles(self):
+        mesh = build_rectangle_mesh((0.0, 3.0, -1.0, 0.0), 0.5)
+        xs, ys, cells = mesh.lattice()
+        assert np.array_equal(xs, np.linspace(0.0, 3.0, 7))
+        assert np.array_equal(ys, np.linspace(-1.0, 0.0, 3))
+        assert np.array_equal(cells, np.arange(24) // 2)
+        refined, parent = refine_marked(mesh, [5, 17])
+        assert np.array_equal(refined.lattice()[2], cells[parent])
+
+    def test_raw_mesh_is_one_cell_over_its_vertices(self, square_mesh):
+        mesh = turned(square_mesh)
+        xs, ys, cells = mesh.lattice()
+        assert np.array_equal(xs, [-1.0, 0.0]) and np.array_equal(ys, [-1.0, 0.0])
+        assert np.array_equal(cells, np.zeros(mesh.n_triangles))
+        start, end = np.array([[-0.5, -0.5]]), np.array([[-0.4, -0.5]])
+        _, tri = mesh.candidate_pairs(start, end)
+        assert np.array_equal(tri, np.arange(mesh.n_triangles))
+        # a segment beyond the padded box meets no cell
+        far = np.array([[0.1, 0.1]])
+        assert mesh.candidate_pairs(far, far)[0].size == 0
 
 
 class TestKernelsMatchOracles:
