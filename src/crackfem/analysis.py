@@ -159,7 +159,7 @@ def error_norms(
     energy_sq = float(np.einsum("mq,q,m->", gdiff2, bw, area * a_elem))
 
     l2c_sq = 0.0
-    h_crack = mesh.h_max
+    h = h_crack = mesh.h_max
     if crack is not None and crack.n_segments:
         st, sw = _GAUSS2_T, _GAUSS2_W
         a = crack.points[:, 0, :]
@@ -173,18 +173,18 @@ def error_norms(
             np.einsum("sq,q,s->", (uh_s - uex_s) ** 2, sw, crack.length)
         )
         t = crack.tangents()
-        gt_h = np.einsum("sd,sd->s", t, gh[own])
+        gt_h = solution.tangential_derivative(crack)
         gex_s = exact.gradient(spts.reshape(-1, 2)).reshape(spts.shape)
         gt_ex = np.einsum("sd,sqd->sq", t, gex_s)
         tdiff2 = (gt_h[:, None] - gt_ex) ** 2
         energy_sq += float(
             np.einsum("sq,q,s->", tdiff2, sw, crack.length * crack.permeability())
         )
-        h_crack = float(mesh.triangle_diameters()[crack.crossed_triangles()].max())
+        h_crack = float(mesh.triangle_diameters(crack.crossed_triangles()).max())
 
     return NormReport(
         level=level,
-        h=mesh.h_max,
+        h=h,
         h_crack=h_crack,
         n_dofs=mesh.n_vertices,
         l2=float(np.sqrt(l2_sq)),

@@ -104,15 +104,17 @@ class BoundarySpec:
 
 @dataclass
 class LinearSystem:
-    """Constrained sparse system K u = b with Dirichlet bookkeeping.
+    """Free-vertex system ``matrix @ u[free] = rhs`` with Dirichlet bookkeeping.
 
-    ``matrix`` has identity rows and columns at constrained vertices and
-    ``rhs`` carries the eliminated couplings; ``operator`` is the raw
-    unconstrained stiffness, kept for energy evaluations.
+    ``matrix`` is the free-free block of the stiffness and ``rhs`` carries
+    the couplings to the constrained vertices; ``operator`` is the raw
+    unconstrained stiffness, kept for energy evaluations. ``n`` counts all
+    vertices.
     """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
+    free: np.ndarray
     constrained: np.ndarray
     values: np.ndarray
     operator: sp.csr_matrix
@@ -120,17 +122,7 @@ class LinearSystem:
 
     @property
     def n(self) -> int:
-        return self.rhs.shape[0]
-
-    def free_indices(self) -> np.ndarray:
-        mask = np.ones(self.n, dtype=bool)
-        mask[self.constrained] = False
-        return np.nonzero(mask)[0]
-
-    def reduced(self):
-        """Free-vertex block and right-hand side."""
-        free = self.free_indices()
-        return self.matrix[free][:, free].tocsr(), self.rhs[free], free
+        return self.mesh.n_vertices
 
 
 def _canonical_segment_order(crack: SegmentedCrack) -> np.ndarray:
@@ -190,16 +182,13 @@ def assemble_operator(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
     # rows and columns in the index type the CSR matrix keeps, which the
     # COO constructor would otherwise copy them into
     tri = tri.astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
-    K = sp.coo_matrix(
+    return sp.coo_matrix(
         (
             local.ravel(),
             (np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()),
         ),
         shape=(n, n),
     ).tocsr()
-    K.sum_duplicates()
-    K.sort_indices()
-    return K
 
 
 def assemble_load(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
@@ -234,11 +223,11 @@ def assemble(
     coeffs: Coefficients,
     boundary: BoundarySpec,
 ) -> LinearSystem:
-    """Build the constrained linear system for the crack-diffusion problem.
+    """Build the free-vertex linear system for the crack-diffusion problem.
 
     Dirichlet values are interpolated at boundary vertices and eliminated
-    symmetrically: constrained rows and columns become identity, their
-    couplings move to the right-hand side.
+    symmetrically: their couplings move to the right-hand side and only the
+    free-free block of the stiffness, without explicit zeros, is kept.
     """
     K0 = assemble_operator(mesh, crack, coeffs)
     b = assemble_load(mesh, crack, coeffs)
@@ -247,36 +236,11 @@ def assemble(
         raise SingularSystemError("Dirichlet tags matched no boundary vertices")
     lift = np.zeros(mesh.n_vertices)
     lift[cons] = vals
-    b = b - K0 @ lift
-    b[cons] = vals
-    K = _eliminate(K0, cons)
+    free = np.delete(np.arange(mesh.n_vertices), cons)
+    # slicing copies, so the operator keeps its explicit zeros
+    K = K0[free][:, free]
+    K.eliminate_zeros()
+    b = (b - K0 @ lift)[free]
     return LinearSystem(
-        matrix=K, rhs=b, constrained=cons, values=vals, operator=K0, mesh=mesh
+        matrix=K, rhs=b, free=free, constrained=cons, values=vals, operator=K0, mesh=mesh
     )
-
-
-def _eliminate(K0, cons):
-    """K0 with identity rows and columns at the constrained vertices, in
-    canonical CSR, built from K0's arrays without sparse products: entries
-    in constrained rows and columns are dropped, and so are zero couplings,
-    and each constrained row holds 1.0 on its diagonal alone."""
-    n = K0.shape[0]
-    free = np.ones(n, dtype=bool)
-    free[cons] = False
-    keep = np.repeat(free, np.diff(K0.indptr)) & free[K0.indices] & (K0.data != 0.0)
-    # a row starts after the entries kept before it and one diagonal per
-    # constrained row before it; a constrained row keeps nothing else
-    kept = np.zeros(K0.nnz + 1, dtype=K0.indptr.dtype)
-    np.cumsum(keep, out=kept[1:])
-    indptr = kept[K0.indptr]
-    indptr[1:] += np.cumsum(~free, dtype=indptr.dtype)
-    diagonal = indptr[cons]
-    slots = np.ones(indptr[-1], dtype=bool)
-    slots[diagonal] = False
-    indices = np.empty(indptr[-1], dtype=K0.indices.dtype)
-    data = np.empty(indptr[-1])
-    indices[slots] = K0.indices[keep]
-    data[slots] = K0.data[keep]
-    indices[diagonal] = cons
-    data[diagonal] = 1.0
-    return sp.csr_matrix((data, indices, indptr), shape=K0.shape)

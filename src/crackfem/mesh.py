@@ -79,7 +79,6 @@ class Mesh:
         for arr in (self.vertices, self.triangles, self.boundary_edges):
             arr.setflags(write=False)
         self._areas = None
-        self._diameters = None
         self._tolerance = None
         self._edges = None
         self._rows = None
@@ -131,13 +130,8 @@ class Mesh:
         grads = self.hat_gradients(tri_ids)
         return 1.0 / 3.0 + np.einsum("kid,k...d->k...i", grads, pts - centroids)
 
-    def triangle_diameters(self, tri_ids=None) -> np.ndarray:
-        """Longest edge of each triangle (cached), or of the triangles tri_ids."""
-        if tri_ids is None:
-            if self._diameters is None:
-                self._diameters = self.triangle_diameters(slice(None))
-                self._diameters.setflags(write=False)
-            return self._diameters
+    def triangle_diameters(self, tri_ids=slice(None)) -> np.ndarray:
+        """Longest edge of each selected triangle, shape (k,)."""
         x, y = corners(self.vertices, self.triangles[tri_ids])
         dx, dy = x[[1, 2, 0]] - x, y[[1, 2, 0]] - y
         # sqrt is monotone: the root of the longest square is the longest root

@@ -43,14 +43,14 @@ class SolverConfig:
 
 
 def solve(system: LinearSystem, config: SolverConfig | None = None) -> "SolutionField":
-    """Solve the constrained system and wrap the result as a field.
+    """Solve the free-vertex system and wrap the result as a field.
 
     Constrained vertices carry their prescribed values exactly; the free
     block is solved to the configured relative residual.
     """
     if config is None:
         config = SolverConfig()
-    A, rhs, free = system.reduced()
+    A, rhs = system.matrix, system.rhs
     if config.method == "cg":
         diag = A.diagonal()
         if (diag <= 0.0).any():
@@ -82,7 +82,7 @@ def solve(system: LinearSystem, config: SolverConfig | None = None) -> "Solution
             f"|b| {bnorm:.3e} (relative target {tol:.1e}, n={len(rhs)})"
         )
     u = np.zeros(system.n)
-    u[free] = x
+    u[system.free] = x
     u[system.constrained] = system.values
     return SolutionField(system.mesh, u)
 
@@ -128,26 +128,3 @@ class SolutionField:
         t = crack.tangents()
         g = self.gradients()[crack.triangle_index]
         return np.einsum("sd,sd->s", t, g)
-
-    def locate(self, points) -> np.ndarray:
-        """Containing triangle per point (lowest index wins), -1 if outside."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        hits = self.mesh.incidence(pts, pts)
-        # pairs are sorted by (point, triangle): the first of each point wins
-        found, first = np.unique(hits.part, return_index=True)
-        where = np.full(len(pts), -1, dtype=np.int64)
-        where[found] = hits.tri[first]
-        return where
-
-    def evaluate(self, points) -> np.ndarray:
-        """Point evaluation by barycentric interpolation."""
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = pts.reshape(-1, 2)
-        where = self.locate(pts)
-        if (where < 0).any():
-            bad = pts[where < 0][0]
-            raise ValueError(f"point {bad.tolist()} lies outside the mesh")
-        phi = self.mesh.hat_values(where, pts)
-        vals = np.einsum("pi,pi->p", phi, self.values[self.mesh.triangles[where]])
-        return float(vals[0]) if single else vals

@@ -10,8 +10,9 @@ bisection as a table of six child cases, the chain cut one part at a time,
 straight parametric segments, the one-sided branches of the radial exact
 solution, the smallest angle of a mesh, the three text exports written one
 f-string per line, the direct solve with SuperLU's default column
-ordering and partial pivoting, and the whole-mesh P1 kernels in their
-einsum, (m, 3, 2)-gather and sparse-product forms.
+ordering and partial pivoting, point location and point evaluation of a
+P1 field, and the whole-mesh P1 kernels in their einsum, (m, 3, 2)-gather
+and sparse-product forms.
 """
 
 from __future__ import annotations
@@ -304,6 +305,33 @@ def points_in_triangle(points, tri, tol):
         f = e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0])
         inside &= f >= -tol * np.hypot(e[0], e[1])
     return inside
+
+
+def locate_points(mesh: Mesh, points) -> np.ndarray:
+    """Containing triangle per point (lowest index wins), -1 if outside."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    hits = mesh.incidence(pts, pts)
+    # pairs are sorted by (point, triangle): the first of each point wins
+    found, first = np.unique(hits.part, return_index=True)
+    where = np.full(len(pts), -1, dtype=np.int64)
+    where[found] = hits.tri[first]
+    return where
+
+
+def evaluate_field(solution, points):
+    """Point values of a P1 field by barycentric interpolation: a float
+    for one point, else (k,)."""
+    mesh = solution.mesh
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    pts = pts.reshape(-1, 2)
+    where = locate_points(mesh, pts)
+    if (where < 0).any():
+        bad = pts[where < 0][0]
+        raise ValueError(f"point {bad.tolist()} lies outside the mesh")
+    phi = mesh.hat_values(where, pts)
+    vals = np.einsum("pi,pi->p", phi, solution.values[mesh.triangles[where]])
+    return float(vals[0]) if single else vals
 
 
 def node_chains(graph: CrackGraph, node: int) -> list[int]:

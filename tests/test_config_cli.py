@@ -601,3 +601,13 @@ class TestCli:
             path.write_text(json.dumps(d))
             assert main(["run", str(path)]) == 1
             assert message in capsys.readouterr().err
+
+    def test_out_of_memory_exits_one(self, capsys, monkeypatch):
+        def huge_mesh(*args):
+            raise MemoryError("Unable to allocate 7.45 GiB")
+
+        monkeypatch.setattr(config_module, "build_rectangle_mesh", huge_mesh)
+        assert main(["run", "poisson-square"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate 7.45 GiB\n"

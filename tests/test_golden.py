@@ -2,12 +2,18 @@
 
 Each case runs mesh, crack graph, refinement, cutting and assembly for one
 preset level and hashes the mesh arrays, the segment arrays, the
-constrained matrix (CSR data/indices/indptr) and the right-hand side. The
+free-vertex matrix the solver factors (CSR data/indices/indptr), its
+right-hand side and the free vertex ids. The mesh and segment
 digests were recorded before the P1 geometry was folded into ``Mesh``, the
 graph node digests before ``CrackGraph`` derived its nodes in one pass, and
 the radial-local level 3 and crack-network h=0.25 cases before refinement
-updated its crack incidence incrementally; a change that moves any of them
-on purpose must say so and re-record them.
+updated its crack incidence incrementally. The ``matrix.*`` and ``rhs``
+digests were re-recorded, and ``free`` added, when ``assemble`` stopped
+building an n x n matrix with identity rows at the Dirichlet vertices and
+returned only its free-free block: they are the digests of the older
+system's ``reduced()`` block, right-hand side and free ids, so the system
+the solver sees is bitwise unchanged. A change that moves any digest on
+purpose must say so and re-record it.
 
 The export digests hash the files ``run_single`` writes with ``out_dir``;
 they were recorded while each file was still written one f-string per line
@@ -90,6 +96,7 @@ def pipeline_digests(config) -> dict:
         "matrix.indices": system.matrix.indices,
         "matrix.indptr": system.matrix.indptr,
         "rhs": system.rhs,
+        "free": system.free,
     }
     return {name: _digest(a) for name, a in arrays.items()}
 
@@ -108,10 +115,11 @@ GOLDEN = {
         "segments.chain_length": "64578373a8a80ad1",
         "segments.nodes": "dece51c5195f408a",
         "segments.chain_nodes": "8a8cb1c2daab50f5",
-        "matrix.data": "69eccd66b6427ba6",
-        "matrix.indices": "b982082a57c27655",
-        "matrix.indptr": "4b9b641947524f3e",
-        "rhs": "1a13562df8b00c19",
+        "matrix.data": "68a6fd58bda81cef",
+        "matrix.indices": "c1803b6cb65ba71a",
+        "matrix.indptr": "6305230032333fcc",
+        "rhs": "f708a109ed9309ce",
+        "free": "b1988405f4b97e16",
     },
     "poisson-square:1": {
         "mesh.vertices": "1cbe111ce5cae83d",
@@ -125,10 +133,11 @@ GOLDEN = {
         "segments.chain_length": "64578373a8a80ad1",
         "segments.nodes": "dece51c5195f408a",
         "segments.chain_nodes": "8a8cb1c2daab50f5",
-        "matrix.data": "776e292e25883a12",
-        "matrix.indices": "6d5fa81ace7c7416",
-        "matrix.indptr": "b204d85b97ecdafe",
-        "rhs": "a9c169fc293a6bfe",
+        "matrix.data": "0ef8c81055246e48",
+        "matrix.indices": "be94deef1f309582",
+        "matrix.indptr": "44c137b94a2993d7",
+        "rhs": "8a1f8125130b9a56",
+        "free": "34ccb4179720a853",
     },
     "radial-uniform:0": {
         "mesh.vertices": "25cbcf6ebd03e397",
@@ -142,10 +151,11 @@ GOLDEN = {
         "segments.chain_length": "7438d1304042273c",
         "segments.nodes": "05ecf13088bfd6ba",
         "segments.chain_nodes": "7b29175914f14d24",
-        "matrix.data": "e826dc27338f4656",
-        "matrix.indices": "5c786453e8c686a3",
-        "matrix.indptr": "6c78319fc559e6b3",
-        "rhs": "f5973f15f006e73a",
+        "matrix.data": "839aec2d8166a569",
+        "matrix.indices": "944dcdae2df219f1",
+        "matrix.indptr": "d458ae0e3ad66a68",
+        "rhs": "5e6f6889a1c663c0",
+        "free": "b1988405f4b97e16",
     },
     "radial-uniform:1": {
         "mesh.vertices": "a175821989a37ca2",
@@ -159,10 +169,11 @@ GOLDEN = {
         "segments.chain_length": "df6e0d67b24cb24a",
         "segments.nodes": "05ecf13088bfd6ba",
         "segments.chain_nodes": "7b29175914f14d24",
-        "matrix.data": "346b6003ba9482fd",
-        "matrix.indices": "c27070c090553bf5",
-        "matrix.indptr": "e15276ffe72293f5",
-        "rhs": "2ede00c95f8e0105",
+        "matrix.data": "abdebdf36ebfb4f3",
+        "matrix.indices": "8c781ff6c812aa13",
+        "matrix.indptr": "1c72188ff70342ca",
+        "rhs": "af862e3eb9fc4847",
+        "free": "34ccb4179720a853",
     },
     "radial-local:0": {
         "mesh.vertices": "2c11f94a614ec1ab",
@@ -176,10 +187,11 @@ GOLDEN = {
         "segments.chain_length": "7438d1304042273c",
         "segments.nodes": "05ecf13088bfd6ba",
         "segments.chain_nodes": "7b29175914f14d24",
-        "matrix.data": "8e747cc45f9066c1",
-        "matrix.indices": "b945c63a8510e76a",
-        "matrix.indptr": "526600247fcb61ad",
-        "rhs": "9b7d08a06aaaf93b",
+        "matrix.data": "a9ee7d129d386f8a",
+        "matrix.indices": "b602e94f6138c951",
+        "matrix.indptr": "47898e53e3133188",
+        "rhs": "0d3f79549042c26c",
+        "free": "e808ae133256d62d",
     },
     "radial-local:1": {
         "mesh.vertices": "45f1222020f085d6",
@@ -193,10 +205,11 @@ GOLDEN = {
         "segments.chain_length": "df6e0d67b24cb24a",
         "segments.nodes": "05ecf13088bfd6ba",
         "segments.chain_nodes": "7b29175914f14d24",
-        "matrix.data": "e2f9c8a52bd100f8",
-        "matrix.indices": "4a3fb409cacde6ba",
-        "matrix.indptr": "8066a7a06bea9bf2",
-        "rhs": "1bb7077d2c94dee4",
+        "matrix.data": "954efdce3b8f6cd8",
+        "matrix.indices": "bda0e0f9f49c23c9",
+        "matrix.indptr": "18b9eefea5db8f39",
+        "rhs": "9e9bb0fd4a4f89f8",
+        "free": "852efc7d9fdb8a35",
     },
     "radial-local:3": {
         "mesh.vertices": "32822181384d5e54",
@@ -210,10 +223,11 @@ GOLDEN = {
         "segments.chain_length": "5866f9d9145fbd01",
         "segments.nodes": "05ecf13088bfd6ba",
         "segments.chain_nodes": "7b29175914f14d24",
-        "matrix.data": "0e95572c4845910c",
-        "matrix.indices": "f05dc0ade9d5743d",
-        "matrix.indptr": "4a054e532b77f7c5",
-        "rhs": "4ec9a84020ff6f5e",
+        "matrix.data": "08da2927cc2dc314",
+        "matrix.indices": "0bb43492e878451b",
+        "matrix.indptr": "2cb42a1d68bbbee9",
+        "rhs": "45921c6eba261e29",
+        "free": "bc0efcc0761f61fa",
     },
     "crack-network:default": {
         "mesh.vertices": "13a28b3b7b7549e0",
@@ -227,10 +241,11 @@ GOLDEN = {
         "segments.chain_length": "df795a5a52c87449",
         "segments.nodes": "56b1a72272a89021",
         "segments.chain_nodes": "90243e8b4813d976",
-        "matrix.data": "97a377687d2ec7d8",
-        "matrix.indices": "fa24c09b575a8e4e",
-        "matrix.indptr": "0b1c57c5e58cca55",
-        "rhs": "e555d9d6612f0ec5",
+        "matrix.data": "84b1ced2bea9387f",
+        "matrix.indices": "80e1f26974de60d6",
+        "matrix.indptr": "33161381d40a7bae",
+        "rhs": "657847345cde6954",
+        "free": "9ffb104848af9169",
     },
     "crack-network:h=0.25": {
         "mesh.vertices": "8f6af4d6902ff501",
@@ -244,10 +259,11 @@ GOLDEN = {
         "segments.chain_length": "3bd95af079a9d3c3",
         "segments.nodes": "56b1a72272a89021",
         "segments.chain_nodes": "90243e8b4813d976",
-        "matrix.data": "52d516b751dfde3d",
-        "matrix.indices": "ea1685f78ff2dc0c",
-        "matrix.indptr": "6375ac8334451af0",
-        "rhs": "e67377119394bfd1",
+        "matrix.data": "cf4a2c8cd71e065c",
+        "matrix.indices": "4c4414f74e1a724b",
+        "matrix.indptr": "f5909f795ac5b6c6",
+        "rhs": "7b3472f28cc3475d",
+        "free": "e904e5f90ed71040",
     },
 }
 

@@ -126,9 +126,14 @@ def check_kernels(mesh, crack, coeffs, boundary, values):
     assert_bitwise(local, oracles.bulk_stiffness_einsum(mesh, coeffs))
 
     system = assemble(mesh, crack, coeffs, boundary)
+    assert system.operator.has_canonical_format
+    free, cons = system.free, system.constrained
+    assert len(free) + len(cons) == mesh.n_vertices
+    assert np.array_equal(np.union1d(free, cons), np.arange(mesh.n_vertices))
+    assert system.matrix.shape == (len(free), len(free))
     assert_same_csr(
         system.matrix,
-        oracles.eliminate_by_products(system.operator, system.constrained),
+        oracles.eliminate_by_products(system.operator, cons)[free][:, free],
     )
 
     field = SolutionField(mesh, values)
@@ -282,9 +287,6 @@ class TestKernelsMatchOracles:
         system = check_kernels(mesh, crack, Coefficients(), boundary, values)
         assert (system.operator.data == 0.0).any()
         assert (system.matrix.data != 0.0).all()
-        cons = system.constrained
-        identity = np.eye(mesh.n_vertices)[cons]
-        assert np.array_equal(system.matrix[cons].toarray(), identity)
 
     @pytest.mark.parametrize("h", [0.5, 0.125])
     def test_rotated_mesh_with_negative_zero_coordinates(self, h):

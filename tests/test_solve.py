@@ -1,4 +1,4 @@
-"""Linear solvers and point evaluation of the solution field."""
+"""Linear solvers, the solution field, and its point evaluation oracle."""
 
 import importlib
 
@@ -20,7 +20,12 @@ from crackfem import (
     solve,
 )
 from crackfem.cracks import SegmentedCrack
-from oracles import points_in_triangle, splu_default_solve
+from oracles import (
+    evaluate_field,
+    locate_points,
+    points_in_triangle,
+    splu_default_solve,
+)
 from test_golden import case_config, pipeline_system
 
 # ``crackfem.solve`` as a package attribute is the function, not the module
@@ -49,6 +54,7 @@ def embedded_system(mesh, block, rhs):
     return LinearSystem(
         matrix=matrix,
         rhs=rhs,
+        free=np.arange(mesh.n_vertices),
         constrained=np.empty(0, dtype=np.int64),
         values=np.empty(0),
         operator=matrix,
@@ -83,12 +89,11 @@ class TestSolve:
         sys = assemble(
             square_mesh, SegmentedCrack.empty(), Coefficients(source=1.0), ZERO_WALLS
         )
-        A, rhs, free = sys.reduced()
-        assert A.shape == (1, 1)
-        want = float(rhs[0] / A.toarray()[0, 0])
+        assert sys.matrix.shape == (1, 1)
+        want = float(sys.rhs[0] / sys.matrix.toarray()[0, 0])
         for method in ("cg", "direct"):
             u = solve(sys, SolverConfig(method=method))
-            assert u.values[free[0]] == pytest.approx(want, rel=1e-15)
+            assert u.values[sys.free[0]] == pytest.approx(want, rel=1e-15)
 
     def test_identity_system_returns_rhs(self, square_mesh, rng):
         n = square_mesh.n_vertices
@@ -179,9 +184,8 @@ class TestDirectFactorization:
     @pytest.mark.parametrize("case", ["radial-local:1", "crack-network:default"])
     def test_agrees_with_default_ordering(self, case):
         _, system = pipeline_system(case_config(case))
-        A, rhs, free = system.reduced()
-        want = splu_default_solve(A, rhs)
-        got = solve(system, SolverConfig("direct")).values[free]
+        want = splu_default_solve(system.matrix, system.rhs)
+        got = solve(system, SolverConfig("direct")).values[system.free]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_symmetric_ordering_cuts_fill(self, monkeypatch):
@@ -195,9 +199,8 @@ class TestDirectFactorization:
 
         monkeypatch.setattr(solve_module.spla, "splu", recording_splu)
         _, system = pipeline_system(case_config("radial-local:1"))
-        A, rhs, _ = system.reduced()
         solve(system, SolverConfig("direct"))
-        splu_default_solve(A, rhs)
+        splu_default_solve(system.matrix, system.rhs)
         ours, default = fill
         assert ours <= 0.7 * default
 
@@ -253,23 +256,22 @@ class TestSolutionField:
         u = SolutionField(fine_square_mesh, 2.0 * v[:, 0] + 3.0 * v[:, 1] - 1.0)
         pts = rng.uniform(0.0, 1.0, size=(40, 2))
         want = 2.0 * pts[:, 0] + 3.0 * pts[:, 1] - 1.0
-        assert np.allclose(u.evaluate(pts), want, atol=1e-12)
-        assert u.evaluate(pts[0]) == pytest.approx(want[0], abs=1e-12)
+        assert np.allclose(evaluate_field(u, pts), want, atol=1e-12)
+        assert evaluate_field(u, pts[0]) == pytest.approx(want[0], abs=1e-12)
 
     def test_evaluate_outside_raises(self, square_mesh):
         u = SolutionField(square_mesh, np.zeros(square_mesh.n_vertices))
         with pytest.raises(ValueError, match="outside"):
-            u.evaluate([3.0, 3.0])
+            evaluate_field(u, [3.0, 3.0])
 
     def test_locate_prefers_lowest_triangle_on_shared_edges(self, square_mesh):
-        u = SolutionField(square_mesh, np.zeros(square_mesh.n_vertices))
         coords = square_mesh.vertices[square_mesh.triangles]
         # midpoint of the edge shared by triangles 0 and 1
         shared = sorted(
             set(map(tuple, coords[0])) & set(map(tuple, coords[1]))
         )
         mid = 0.5 * (np.array(shared[0]) + np.array(shared[1]))
-        assert u.locate(mid[None])[0] == 0
+        assert locate_points(square_mesh, mid[None])[0] == 0
 
     def test_locate_matches_brute_force_on_refined_mesh(self, fine_square_mesh, rng):
         mesh = fine_square_mesh
@@ -292,5 +294,4 @@ class TestSolutionField:
         # lowest containing triangle, -1 for none
         want = np.where(inside.any(axis=1), np.argmax(inside, axis=1), -1)
         assert want[-1] == -1 and (want[:-1] >= 0).all()
-        u = SolutionField(mesh, np.zeros(mesh.n_vertices))
-        assert u.locate(pts).tolist() == want.tolist()
+        assert locate_points(mesh, pts).tolist() == want.tolist()
