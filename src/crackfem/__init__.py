@@ -21,7 +21,6 @@ from .cracks import (
     circle_curve,
     cut_chains,
     sample_curve,
-    signed_distance_to_crack,
 )
 from .assembly import (
     BoundarySpec,

@@ -1,12 +1,12 @@
 """Low-level geometry shared by the mesh and crack modules.
 
-Everything here works on plain numpy arrays. Incidence predicates use a
-tolerance that callers derive from the domain diameter (REL_TOL * diameter),
-while crossing parameters are computed at threshold zero so that points
-lying exactly on element edges come out exact. A segment moving less than
-the tolerance across an edge's line is parallel to it: no crossing there,
-and wholly inside the edge's half-plane when either end is, so a crack along
-a rounded element edge is not cut at an arbitrary point.
+Everything here works on plain numpy arrays. Incidence predicates use the
+``tolerance`` of the domain's points (REL_TOL times their diameter), while
+crossing parameters are computed at threshold zero so that points lying
+exactly on element edges come out exact. A segment moving less than the
+tolerance across an edge's line is parallel to it: no crossing there, and
+wholly inside the edge's half-plane when either end is, so a crack along a
+rounded element edge is not cut at an arbitrary point.
 """
 
 from __future__ import annotations
@@ -24,32 +24,30 @@ REACH = 8.0
 
 
 def bbox_diameter(points: np.ndarray) -> float:
-    """Diagonal length of the axis-aligned bounding box of a point set."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    span = pts.max(axis=0) - pts.min(axis=0)
+    """Diagonal length of the axis-aligned bounding box of (n, 2) points."""
+    span = points.max(axis=0) - points.min(axis=0)
     return float(np.hypot(span[0], span[1]))
+
+
+def tolerance(points: np.ndarray) -> float:
+    """Absolute geometric tolerance of (n, 2) points: REL_TOL times their
+    bounding-box diameter, and at least REL_TOL."""
+    return REL_TOL * max(bbox_diameter(points), 1.0)
 
 
 def clip_segments_to_triangles(p, q, tris, tol):
     """Closed-set clip of segments against triangles.
 
-    p and q are (2,) endpoints of one segment clipped against every
-    triangle, or (k, 2) arrays pairing segment i with triangle i; the
-    triangles are (k, 3, 2), counterclockwise. Returns (lo, hi, touched,
-    near): parameter intervals at threshold zero, a boolean mask of
-    triangles the segment touches when each is fattened by ``tol``, and the
-    mask of those it passes when fattened by ``REACH * tol``, which
-    contains ``touched``. Grazing contacts (touched but empty
+    p and q are (k, 2) float arrays of segment ends, segment i paired with
+    triangle i of the (k, 3, 2) float array ``tris``, counterclockwise.
+    Returns (lo, hi, touched, near): parameter intervals at threshold zero,
+    a boolean mask of triangles the segment touches when each is fattened
+    by ``tol``, and the mask of those it passes when fattened by ``REACH *
+    tol``, which contains ``touched``. Grazing contacts (touched but empty
     zero-interval) report the degenerate interval midpoint in both lo and
     hi.
     """
-    tris = np.asarray(tris, dtype=float).reshape(-1, 3, 2)
     k = tris.shape[0]
-    if k == 0:
-        empty = np.empty(0, dtype=bool)
-        return np.empty(0), np.empty(0), empty, empty
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
     # row 0 clips against the closed triangle, rows 1 and 2 against it with
     # each edge moved out by tol and by REACH * tol: unnormalized signed
     # distances >= -tol * |e|
@@ -59,8 +57,8 @@ def clip_segments_to_triangles(p, q, tris, tol):
         a = tris[:, i, :]
         e = tris[:, (i + 1) % 3, :] - a
         # inward normal of a CCW triangle edge, not normalized
-        f0 = e[:, 0] * (p[..., 1] - a[:, 1]) - e[:, 1] * (p[..., 0] - a[:, 0])
-        f1 = e[:, 0] * (q[..., 1] - a[:, 1]) - e[:, 1] * (q[..., 0] - a[:, 0])
+        f0 = e[:, 0] * (p[:, 1] - a[:, 1]) - e[:, 1] * (p[:, 0] - a[:, 0])
+        f1 = e[:, 0] * (q[:, 1] - a[:, 1]) - e[:, 1] * (q[:, 0] - a[:, 0])
         length = np.linalg.norm(e, axis=1)
         theta = np.stack([np.zeros(k), -tol * length, -REACH * tol * length])
         denom = f1 - f0
@@ -83,21 +81,6 @@ def clip_segments_to_triangles(p, q, tris, tol):
     lo = np.where(exact, lo0, np.where(graze, mid, 1.0))
     hi = np.where(exact, hi0, np.where(graze, mid, -1.0))
     return lo, hi, touched, lo_r <= hi_r
-
-
-def point_segment_distances(points, a, b):
-    """Distances from each point to each segment. Returns (n, m)."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    a = np.asarray(a, dtype=float).reshape(-1, 2)
-    b = np.asarray(b, dtype=float).reshape(-1, 2)
-    d = b - a  # (m, 2)
-    len2 = np.einsum("ij,ij->i", d, d)
-    len2 = np.where(len2 == 0.0, 1.0, len2)
-    rel = pts[:, None, :] - a[None, :, :]  # (n, m, 2)
-    t = np.einsum("nmj,mj->nm", rel, d) / len2
-    t = np.clip(t, 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
-    return np.linalg.norm(pts[:, None, :] - proj, axis=2)
 
 
 def corners(vertices, triangles):

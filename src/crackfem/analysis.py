@@ -121,8 +121,8 @@ def _edge_midpoint_values(corner, out) -> None:
 def error_norms(
     solution,
     exact,
-    crack: SegmentedCrack | None = None,
-    coeffs: Coefficients | None = None,
+    crack: SegmentedCrack,
+    coeffs: Coefficients,
     level: int = 0,
 ) -> NormReport:
     """L2, H1-seminorm, interface L2 and energy error of a discrete field.
@@ -132,8 +132,6 @@ def error_norms(
     field chooses its branch per quadrature point.
     """
     mesh = solution.mesh
-    if coeffs is None:
-        coeffs = Coefficients()
     bw = _TRI_MID_W
     m = mesh.n_triangles
     area = mesh.triangle_areas()
@@ -160,7 +158,7 @@ def error_norms(
 
     l2c_sq = 0.0
     h = h_crack = mesh.h_max
-    if crack is not None and crack.n_segments:
+    if crack.n_segments:
         st, sw = _GAUSS2_T, _GAUSS2_W
         a = crack.points[:, 0, :]
         d = crack.points[:, 1, :] - crack.points[:, 0, :]

@@ -107,9 +107,8 @@ class LinearSystem:
     """Free-vertex system ``matrix @ u[free] = rhs`` with Dirichlet bookkeeping.
 
     ``matrix`` is the free-free block of the stiffness and ``rhs`` carries
-    the couplings to the constrained vertices; ``operator`` is the raw
-    unconstrained stiffness, kept for energy evaluations. ``n`` counts all
-    vertices.
+    the couplings to the constrained vertices, which take ``values``. ``n``
+    counts all vertices.
     """
 
     matrix: sp.csr_matrix
@@ -117,7 +116,6 @@ class LinearSystem:
     free: np.ndarray
     constrained: np.ndarray
     values: np.ndarray
-    operator: sp.csr_matrix
     mesh: Mesh
 
     @property
@@ -237,10 +235,7 @@ def assemble(
     lift = np.zeros(mesh.n_vertices)
     lift[cons] = vals
     free = np.delete(np.arange(mesh.n_vertices), cons)
-    # slicing copies, so the operator keeps its explicit zeros
     K = K0[free][:, free]
     K.eliminate_zeros()
     b = (b - K0 @ lift)[free]
-    return LinearSystem(
-        matrix=K, rhs=b, free=free, constrained=cons, values=vals, operator=K0, mesh=mesh
-    )
+    return LinearSystem(matrix=K, rhs=b, free=free, constrained=cons, values=vals, mesh=mesh)

@@ -27,18 +27,18 @@ from .analysis import (
     eoc,
     error_norms,
 )
-from ._geom import REL_TOL, bbox_diameter
+from ._geom import tolerance
 from .assembly import BoundarySpec, Coefficients, assemble
 from .cracks import (
     Chain,
     CrackGeometryError,
     CrackGraph,
     SegmentedCrack,
+    _points_in_polygon,
     arc_curve,
     circle_curve,
     cut_chains,
     sample_curve,
-    signed_distance_to_crack,
 )
 from .mesh import (
     RECTANGLE_TAGS,
@@ -349,7 +349,7 @@ def build_crack_graph(config: ProblemConfig, global_h: float) -> CrackGraph:
     unrefined mesh raises CrackGeometryError naming the chain.
     """
     corners = np.reshape(config.domain, (2, 2)).T  # [[xmin, ymin], [xmax, ymax]]
-    tol = REL_TOL * max(bbox_diameter(corners), 1.0)
+    tol = tolerance(corners)
     chains = [_chain(ch, global_h) for ch in config.chains]
     for j, chain in enumerate(chains):
         pts = chain.points
@@ -366,8 +366,7 @@ def _build_coefficients(config: ProblemConfig, graph: CrackGraph) -> Coefficient
     if co["a1"] != co["a2"]:
         if graph.n_chains == 1 and graph.chains[0].is_closed:
             def region(points):
-                rho = signed_distance_to_crack(points, graph)
-                return np.where(rho > 0.0, 2, 1)
+                return np.where(_points_in_polygon(points, graph.chains[0].points), 2, 1)
         else:
             raise ConfigError(
                 "coefficients: a1 != a2 needs a single closed chain to split regions"
@@ -438,7 +437,7 @@ def run_single(config: ProblemConfig, out_dir=None, level: int = 0) -> RunResult
         export_mesh_text(mesh, out / "mesh.txt")
         export_vtk(mesh, out / "mesh.vtk")
         _export_solution_text(solution, out / "solution.txt")
-        export_vtk(mesh, out / "solution.vtk", point_data={"u": solution})
+        export_vtk(mesh, out / "solution.vtk", solution)
         outputs = {
             "mesh_text": str(out / "mesh.txt"),
             "mesh_vtk": str(out / "mesh.vtk"),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._geom import REL_TOL, bbox_diameter, expand_ranges, point_segment_distances
+from ._geom import REL_TOL, expand_ranges, tolerance
 # not called here; bound because bench/tracing.py wraps this module attribute
 from ._geom import clip_segments_to_triangles  # noqa: F401
 
@@ -71,10 +71,9 @@ class CrackGraph:
 
     def __init__(self, chains):
         self.chains: list[Chain] = list(chains)
-        scale = 1.0
+        tol = REL_TOL
         if self.chains:
-            scale = bbox_diameter(np.vstack([c.points for c in self.chains]))
-        tol = REL_TOL * max(scale, 1.0)
+            tol = tolerance(np.vstack([c.points for c in self.chains]))
         for j, c in enumerate(self.chains):
             if c.length <= tol:
                 raise CrackGeometryError(
@@ -169,7 +168,7 @@ def sample_curve(curve, spacing: float) -> np.ndarray:
     pts = np.asarray(curve(t), dtype=float)
     closed = getattr(curve, "is_closed", False)
     if not closed:
-        closed = np.hypot(*(pts[0] - pts[-1])) <= REL_TOL * max(bbox_diameter(pts), 1.0)
+        closed = np.hypot(*(pts[0] - pts[-1])) <= tolerance(pts)
     if closed:
         pts[-1] = pts[0]
     return pts
@@ -194,10 +193,6 @@ class SegmentedCrack:
     @property
     def n_segments(self) -> int:
         return int(self.triangle_index.shape[0])
-
-    @property
-    def n_chains(self) -> int:
-        return self.graph.n_chains
 
     def segments_of_chain(self, j: int) -> np.ndarray:
         return np.nonzero(self.chain_index == j)[0]
@@ -305,43 +300,23 @@ def cut_chains(mesh, crack: CrackGraph, hits=None) -> SegmentedCrack:
     )
 
 
-def signed_distance_to_crack(points, crack: CrackGraph):
-    """Distance to the nearest chain; signed for a single closed chain.
-
-    With exactly one closed chain the distance is positive inside the
-    enclosed region and negative outside it. For open chains and networks
-    the unsigned distance is returned. Points on a chain give zero.
-    """
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = pts.reshape(-1, 2)
-    if crack.n_chains == 0:
-        raise CrackGeometryError("empty crack has no distance function")
-    best = np.full(len(pts), np.inf)
-    for chain in crack.chains:
-        a = chain.points[:-1]
-        b = chain.points[1:]
-        d = point_segment_distances(pts, a, b).min(axis=1)
-        best = np.minimum(best, d)
-    if crack.n_chains == 1 and crack.chains[0].is_closed:
-        poly = crack.chains[0].points
-        inside = _points_in_polygon(pts, poly)
-        best = np.where(inside, best, -best)
-    if single:
-        return float(best[0])
-    return best
-
-
 def _points_in_polygon(pts, poly):
-    """Even-odd rule against a closed polyline (first point == last)."""
+    """Even-odd rule against a closed polyline (first point == last).
+
+    An edge from a to b is crossed by the rightward ray of each point with
+    y in [min(ay, by), max(ay, by)) and x left of the edge; the points in
+    that range are one run of the points sorted by y.
+    """
     x, y = pts[:, 0], pts[:, 1]
+    order = np.argsort(y, kind="stable")
+    ys = y[order]
     inside = np.zeros(len(pts), dtype=bool)
     ax, ay = poly[:-1, 0], poly[:-1, 1]
     bx, by = poly[1:, 0], poly[1:, 1]
+    first = np.searchsorted(ys, np.minimum(ay, by))
+    end = np.searchsorted(ys, np.maximum(ay, by))
     for i in range(len(ax)):
-        crosses = (ay[i] > y) != (by[i] > y)
-        if not crosses.any():
-            continue
-        xs = ax[i] + (y - ay[i]) / (by[i] - ay[i]) * (bx[i] - ax[i])
-        inside ^= crosses & (x < xs)
+        run = order[first[i] : end[i]]
+        xs = ax[i] + (y[run] - ay[i]) / (by[i] - ay[i]) * (bx[i] - ax[i])
+        inside[run] ^= x[run] < xs
     return inside

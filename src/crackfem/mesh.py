@@ -12,19 +12,17 @@ classes, so minimum angles stay bounded away from zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from ._geom import (
     REACH,
-    REL_TOL,
     SpatialGrid,
-    bbox_diameter,
     clip_segments_to_triangles,
     corners,
     expand_ranges,
+    tolerance,
 )
 from .cracks import CrackGraph
 
@@ -145,18 +143,17 @@ class Mesh:
     def tolerance(self) -> float:
         """Absolute geometric tolerance of incidence tests on this mesh."""
         if self._tolerance is None:
-            self._tolerance = REL_TOL * max(bbox_diameter(self.vertices), 1.0)
+            self._tolerance = tolerance(self.vertices)
         return self._tolerance
 
     def incidence(self, starts, ends) -> Incidence:
-        """Triangles touched by the segments starts[k] -> ends[k].
+        """Triangles touched by the segments starts[k] -> ends[k], two (k, 2)
+        float arrays.
 
         The one full query: every candidate pair is clipped. Returns the
         ``Incidence`` of the closed segments within ``tolerance``; a point
         is the segment with starts[k] == ends[k].
         """
-        starts = np.asarray(starts, dtype=float).reshape(-1, 2)
-        ends = np.asarray(ends, dtype=float).reshape(-1, 2)
         return self.clip_pairs(starts, ends, *self.candidate_pairs(starts, ends))[0]
 
     def lattice(self):
@@ -231,35 +228,6 @@ class Mesh:
                 _render("%d %d %d\n", self.triangles),
             )
         return self._rows
-
-    def validate(self) -> None:
-        """Raise MeshError on any violated invariant."""
-        if not np.isfinite(self.vertices).all():
-            raise MeshError("non-finite vertex coordinates")
-        if self.triangles.min(initial=0) < 0 or (
-            self.triangles.max(initial=-1) >= self.n_vertices
-        ):
-            raise MeshError("triangle vertex index out of range")
-        if (self.triangle_areas() <= 0.0).any():
-            raise MeshError("non-positive triangle area (orientation broken)")
-        unique, t2e = self.edge_codes()
-        counts = np.bincount(t2e.ravel(), minlength=len(unique))
-        if (counts > 2).any():
-            raise MeshError("edge shared by more than two triangles")
-        be = np.sort(self.boundary_edges, axis=1)
-        bcodes = be[:, 0] * self.n_vertices + be[:, 1]
-        if len(np.unique(bcodes)) != len(bcodes):
-            raise MeshError("duplicate boundary edge")
-        boundary_set = np.isin(unique, bcodes)
-        if not (counts[boundary_set] == 1).all():
-            raise MeshError("boundary edge shared by two triangles")
-        # an interior (count 1) edge missing from the boundary list means a
-        # hanging node or a hole
-        once = counts == 1
-        if not np.isin(unique[once], bcodes).all():
-            raise MeshError("non-conforming mesh: unmatched single edge")
-        if not np.isin(bcodes, unique).all():
-            raise MeshError("boundary edge not part of the triangulation")
 
 
 RECTANGLE_TAGS = ("bottom", "top", "left", "right")
@@ -340,11 +308,11 @@ def refine_marked(mesh: Mesh, marked):
     """One generation of newest-vertex bisection with conforming closure.
 
     The closure marks the refinement edge of any triangle with a marked
-    edge, starting from those of the ``marked`` triangles (ids or a boolean
-    mask). Each triangle whose refinement edge is marked is bisected at its
-    midpoint, then each child whose refinement edge is marked, giving 2 to 4
-    children. Vertices of the input keep their indices, and the midpoints
-    follow in (a, b) order of the split edges (a < b).
+    edge, starting from those of the ``marked`` triangle ids. Each triangle
+    whose refinement edge is marked is bisected at its midpoint, then each
+    child whose refinement edge is marked, giving 2 to 4 children. Vertices
+    of the input keep their indices, and the midpoints follow in (a, b)
+    order of the split edges (a < b).
 
     The output carries its edge table (``Mesh.edge_table``), lattice and tolerance.
     Kept edges keep their ids; a split edge (a, b) with midpoint m keeps its
@@ -358,10 +326,6 @@ def refine_marked(mesh: Mesh, marked):
     """
     marked = np.asarray(marked)
     m = mesh.n_triangles
-    if marked.dtype == bool:
-        if marked.shape != (m,):
-            raise MeshError("a boolean marking needs one entry per triangle")
-        marked = np.nonzero(marked)[0]
     if marked.size == 0:
         return mesh, np.arange(m)
     if marked.min() < 0 or marked.max() >= m:
@@ -436,16 +400,12 @@ def refine_marked(mesh: Mesh, marked):
     return refined, parent
 
 
-def mark_crack_elements(mesh: Mesh, crack: CrackGraph, hits=None):
-    """Indices of triangles the crack touches, closed-set semantics.
-
-    A triangle is marked when any chain part intersects it, including
-    touching its boundary within the geometric tolerance. ``hits`` is the
-    ``mesh.incidence`` of ``crack.parts()``, as refinement keeps it; None
-    queries it here. Returns a sorted integer array.
+def mark_crack_elements(hits: Incidence):
+    """Indices of the triangles a crack touches, closed-set semantics, from
+    its incidence ``hits``: a triangle is marked when any chain part
+    intersects it, including touching its boundary within the geometric
+    tolerance. Returns a sorted integer array.
     """
-    if hits is None:
-        hits = mesh.incidence(*crack.parts())
     return np.unique(hits.tri)
 
 
@@ -523,7 +483,7 @@ def refine_near_crack(mesh: Mesh, crack: CrackGraph, config: RefinementConfig):
     part, tri = mesh.candidate_pairs(starts, ends)
     for _ in range(config.max_generations):
         hits, (near_part, near_tri) = current.clip_pairs(starts, ends, part, tri)
-        band = _vertex_neighborhood(current, mark_crack_elements(current, crack, hits))
+        band = _vertex_neighborhood(current, mark_crack_elements(hits))
         band_diameters = current.triangle_diameters(band)
         need = band[band_diameters > target]
         if need.size == 0:
@@ -560,25 +520,11 @@ def export_mesh_text(mesh: Mesh, path) -> None:
         f.writelines(mesh.text_rows())
 
 
-def export_vtk(mesh: Mesh, path, point_data: dict | None = None) -> None:
-    """Legacy ASCII VTK unstructured grid, with optional vertex scalars. A
-    ``point_data`` field needs a name without whitespace and one real value
-    per vertex, else ValueError is raised before the file is opened. A
-    ``SolutionField`` as a field is written from its cached ``value_rows``."""
+def export_vtk(mesh: Mesh, path, solution=None) -> None:
+    """Legacy ASCII VTK unstructured grid; a ``solution`` on the mesh adds
+    its vertex values as the point scalars ``u``, from its cached
+    ``value_rows``."""
     n, nt = mesh.n_vertices, mesh.n_triangles
-    blocks = {}
-    for name, field in (point_data or {}).items():
-        cached = getattr(field, "value_rows", None)
-        values = np.asarray(field.values if cached else field)
-        named = isinstance(name, str) and name.split() == [name]
-        if not named or values.shape != (n,) or values.dtype.kind not in "biuf":
-            raise ValueError(
-                f"point_data field {name!r}: need a name without whitespace "
-                f"and {n} real values, got {values.dtype} {values.shape}"
-            )
-        blocks[name] = cached or partial(
-            _render, "%r\n", values.astype(np.float64)[:, None]
-        )
     vertex_rows, triangle_rows = mesh.text_rows()
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\ncrackfem mesh\nASCII\n")
@@ -587,8 +533,6 @@ def export_vtk(mesh: Mesh, path, point_data: dict | None = None) -> None:
         f.write(f"CELLS {nt} {4 * nt}\n")
         f.write(("3 " + triangle_rows).replace("\n", "\n3 ")[:-2])
         f.write(f"CELL_TYPES {nt}\n" + "5\n" * nt)
-        if blocks:
-            f.write(f"POINT_DATA {n}\n")
-        for name, rows in blocks.items():
-            f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            f.write(rows())
+        if solution is not None:
+            f.write(f"POINT_DATA {n}\nSCALARS u double 1\nLOOKUP_TABLE default\n")
+            f.write(solution.value_rows())

@@ -42,14 +42,12 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
 
 
-def solve(system: LinearSystem, config: SolverConfig | None = None) -> "SolutionField":
+def solve(system: LinearSystem, config: SolverConfig) -> "SolutionField":
     """Solve the free-vertex system and wrap the result as a field.
 
     Constrained vertices carry their prescribed values exactly; the free
     block is solved to the configured relative residual.
     """
-    if config is None:
-        config = SolverConfig()
     A, rhs = system.matrix, system.rhs
     if config.method == "cg":
         diag = A.diagonal()

@@ -12,7 +12,9 @@ solution, the smallest angle of a mesh, the three text exports written one
 f-string per line, the direct solve with SuperLU's default column
 ordering and partial pivoting, point location and point evaluation of a
 P1 field, and the whole-mesh P1 kernels in their einsum, (m, 3, 2)-gather
-and sparse-product forms.
+and sparse-product forms; also point-to-segment distances, the signed
+distance to a crack with its even-odd loop over all points, and the mesh
+invariants.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from crackfem import (
     CrackGeometryError,
     CrackGraph,
     Mesh,
+    MeshError,
     SegmentedCrack,
     mark_crack_elements,
 )
@@ -288,7 +291,7 @@ def segment_triangle_intersection(p, q, triangle, tol: float | None = None):
         tol = REL_TOL * max(bbox_diameter(np.vstack([tri, p, q])), 1.0)
     if tuple(q) < tuple(p):
         p, q = q, p
-    lo, hi, touched, _ = clip_segments_to_triangles(p, q, tri[None, :, :], tol)
+    lo, hi, touched, _ = clip_segments_to_triangles(p[None], q[None], tri[None], tol)
     if not touched[0]:
         return None
     d = q - p
@@ -305,6 +308,94 @@ def points_in_triangle(points, tri, tol):
         f = e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0])
         inside &= f >= -tol * np.hypot(e[0], e[1])
     return inside
+
+
+def point_segment_distances(points, a, b):
+    """Distances from each point to each segment. Returns (n, m)."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    d = b - a  # (m, 2)
+    len2 = np.einsum("ij,ij->i", d, d)
+    len2 = np.where(len2 == 0.0, 1.0, len2)
+    rel = pts[:, None, :] - a[None, :, :]  # (n, m, 2)
+    t = np.einsum("nmj,mj->nm", rel, d) / len2
+    t = np.clip(t, 0.0, 1.0)
+    proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
+    return np.linalg.norm(pts[:, None, :] - proj, axis=2)
+
+
+def points_in_polygon_loop(pts, poly):
+    """Even-odd rule against a closed polyline (first point == last), every
+    edge tested against every point."""
+    x, y = pts[:, 0], pts[:, 1]
+    inside = np.zeros(len(pts), dtype=bool)
+    ax, ay = poly[:-1, 0], poly[:-1, 1]
+    bx, by = poly[1:, 0], poly[1:, 1]
+    for i in range(len(ax)):
+        crosses = (ay[i] > y) != (by[i] > y)
+        if not crosses.any():
+            continue
+        xs = ax[i] + (y - ay[i]) / (by[i] - ay[i]) * (bx[i] - ax[i])
+        inside ^= crosses & (x < xs)
+    return inside
+
+
+def signed_distance_to_crack(points, crack: CrackGraph):
+    """Distance to the nearest chain; signed for a single closed chain.
+
+    With exactly one closed chain the distance is positive inside the
+    enclosed region and negative outside it. For open chains and networks
+    the unsigned distance is returned. Points on a chain give zero.
+    """
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    pts = pts.reshape(-1, 2)
+    if crack.n_chains == 0:
+        raise CrackGeometryError("empty crack has no distance function")
+    best = np.full(len(pts), np.inf)
+    for chain in crack.chains:
+        a = chain.points[:-1]
+        b = chain.points[1:]
+        d = point_segment_distances(pts, a, b).min(axis=1)
+        best = np.minimum(best, d)
+    if crack.n_chains == 1 and crack.chains[0].is_closed:
+        poly = crack.chains[0].points
+        inside = points_in_polygon_loop(pts, poly)
+        best = np.where(inside, best, -best)
+    if single:
+        return float(best[0])
+    return best
+
+
+def validate_mesh(mesh: Mesh) -> None:
+    """Raise MeshError on any violated invariant of a conforming mesh."""
+    if not np.isfinite(mesh.vertices).all():
+        raise MeshError("non-finite vertex coordinates")
+    if mesh.triangles.min(initial=0) < 0 or (
+        mesh.triangles.max(initial=-1) >= mesh.n_vertices
+    ):
+        raise MeshError("triangle vertex index out of range")
+    if (mesh.triangle_areas() <= 0.0).any():
+        raise MeshError("non-positive triangle area (orientation broken)")
+    unique, t2e = mesh.edge_codes()
+    counts = np.bincount(t2e.ravel(), minlength=len(unique))
+    if (counts > 2).any():
+        raise MeshError("edge shared by more than two triangles")
+    be = np.sort(mesh.boundary_edges, axis=1)
+    bcodes = be[:, 0] * mesh.n_vertices + be[:, 1]
+    if len(np.unique(bcodes)) != len(bcodes):
+        raise MeshError("duplicate boundary edge")
+    boundary_set = np.isin(unique, bcodes)
+    if not (counts[boundary_set] == 1).all():
+        raise MeshError("boundary edge shared by two triangles")
+    # an interior (count 1) edge missing from the boundary list means a
+    # hanging node or a hole
+    once = counts == 1
+    if not np.isin(unique[once], bcodes).all():
+        raise MeshError("non-conforming mesh: unmatched single edge")
+    if not np.isin(bcodes, unique).all():
+        raise MeshError("boundary edge not part of the triangulation")
 
 
 def locate_points(mesh: Mesh, points) -> np.ndarray:
@@ -355,7 +446,7 @@ class DofProfile:
 
 def dof_count_profile(mesh: Mesh, crack: CrackGraph) -> DofProfile:
     """Counts backing the N ~ h^-2 + crack_h^-1 storage accounting."""
-    marked = mark_crack_elements(mesh, crack)
+    marked = mark_crack_elements(mesh.incidence(*crack.parts()))
     if marked.size == 0:
         return DofProfile(mesh.n_vertices, mesh.n_triangles, 0, 0)
     band = _vertex_neighborhood(mesh, marked)
@@ -383,8 +474,6 @@ def refine_marked_table(mesh: Mesh, marked):
     parent order, so ``parent`` is non-decreasing.
     """
     marked = np.asarray(marked)
-    if marked.dtype == bool:
-        marked = np.nonzero(marked)[0]
     if marked.size == 0:
         return mesh, np.arange(mesh.n_triangles)
     t = mesh.triangles
@@ -604,7 +693,7 @@ def export_mesh_text(mesh: Mesh, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def export_vtk(mesh: Mesh, path, point_data: dict | None = None) -> None:
+def export_vtk(mesh: Mesh, path, solution=None) -> None:
     """The legacy ASCII VTK grid written one f-string per line."""
     lines = [
         "# vtk DataFile Version 3.0",
@@ -620,12 +709,11 @@ def export_vtk(mesh: Mesh, path, point_data: dict | None = None) -> None:
         lines.append(f"3 {a} {b} {c}")
     lines.append(f"CELL_TYPES {mesh.n_triangles}")
     lines.extend(["5"] * mesh.n_triangles)
-    if point_data:
+    if solution is not None:
         lines.append(f"POINT_DATA {mesh.n_vertices}")
-        for name, values in point_data.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{float(v)!r}" for v in np.asarray(values))
+        lines.append("SCALARS u double 1")
+        lines.append("LOOKUP_TABLE default")
+        lines.extend(f"{float(v)!r}" for v in solution.values)
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 

@@ -9,10 +9,12 @@ from crackfem import (
     CrackGraph,
     ExactRadialSolution,
     NormReport,
+    SegmentedCrack,
     SineProductSolution,
     SolutionField,
     SolverConfig,
     assemble,
+    assemble_operator,
     build_preset,
     build_rectangle_mesh,
     cut_chains,
@@ -122,7 +124,7 @@ class TestErrorNorms:
         u = SolutionField(fine_square_mesh, ex.value(v))
         chain = Chain(np.array([[0.1, 0.2], [0.8, 0.6]]), permeability=2.0)
         cut = cut_chains(fine_square_mesh, CrackGraph([chain]))
-        rep = error_norms(u, ex, cut, level=3)
+        rep = error_norms(u, ex, cut, Coefficients(), level=3)
         assert rep.l2 <= 1e-13 and rep.h1_semi <= 1e-13
         assert rep.l2_crack <= 1e-13 and rep.energy <= 1e-13
         assert rep.level == 3
@@ -132,11 +134,11 @@ class TestErrorNorms:
     def test_h_crack_tracks_crossed_triangles(self, fine_square_mesh):
         ex = ConstantGradientField([1.0, 0.0])
         u = SolutionField(fine_square_mesh, ex.value(fine_square_mesh.vertices))
-        rep_plain = error_norms(u, ex)
+        rep_plain = error_norms(u, ex, SegmentedCrack.empty(), Coefficients())
         assert rep_plain.h_crack == fine_square_mesh.h_max
         chain = Chain(np.array([[0.1, 0.2], [0.8, 0.6]]))
         cut = cut_chains(fine_square_mesh, CrackGraph([chain]))
-        rep = error_norms(u, ex, cut)
+        rep = error_norms(u, ex, cut, Coefficients())
         diam = fine_square_mesh.triangle_diameters()
         assert rep.h_crack == diam[cut.crossed_triangles()].max()
 
@@ -146,7 +148,7 @@ class TestErrorNorms:
         for h in (0.125, 0.0625, 0.03125):
             mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), h)
             u = SolutionField(mesh, ex.value(mesh.vertices))
-            reports.append(error_norms(u, ex))
+            reports.append(error_norms(u, ex, SegmentedCrack.empty(), Coefficients()))
         for coarse, fine in zip(reports, reports[1:]):
             assert 3.0 <= coarse.l2 / fine.l2 <= 5.4
             assert 1.7 <= coarse.h1_semi / fine.h1_semi <= 2.3
@@ -231,7 +233,7 @@ class TestGalerkinOrthogonality:
             refine_triangles=segments.crossed_triangles(),
             levels=6,
         )
-        K0 = system.operator
+        K0 = assemble_operator(mesh, segments, coeffs)
         rhs = vectors @ (K0 @ u.values)
         uu = np.sqrt(u.values @ (K0 @ u.values))
         vv = np.sqrt(np.einsum("kn,kn->k", vectors, (K0 @ vectors.T).T))

@@ -28,6 +28,7 @@ from crackfem import config as config_module
 from crackfem.cli import main
 from crackfem.config import FUNCTIONS, resolve_scalar
 from crackfem.cracks import CrackGeometryError
+from oracles import signed_distance_to_crack
 
 MINIMAL = {"domain": [0.0, 1.0, 0.0, 1.0], "refinement": {"global_h": 0.5}}
 
@@ -446,6 +447,25 @@ class TestStudies:
         assert set(slopes) == {"l2", "h1_semi", "l2_crack", "energy"}
 
 
+def _star_polygon(k, seed):
+    """A closed star-shaped k-gon about the unit square's center."""
+    rng = np.random.default_rng(seed)
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+    radii = rng.uniform(0.15, 0.35, k)
+    points = 0.5 + radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+    return np.vstack([points, points[:1]]).tolist()
+
+
+# closed chains and global_h of the two-region runs
+SQUARE = [[0.3, 0.3], [0.7, 0.3], [0.7, 0.7], [0.3, 0.7], [0.3, 0.3]]
+TWO_REGIONS = [
+    ({"kind": "circle", "center": [0.5, 0.5], "radius": 0.3}, 1 / 16),
+    ({"kind": "circle", "center": [0.5, 0.5], "radius": 0.3}, 1 / 32),
+    ({"kind": "polyline", "points": SQUARE}, 1 / 32),
+    ({"kind": "polyline", "points": _star_polygon(12, 12)}, 1 / 16),
+]
+
+
 class TestRunSingle:
     def test_repeat_runs_are_bitwise_identical(self, tmp_path):
         config = build_preset("poisson-square")
@@ -477,6 +497,55 @@ class TestRunSingle:
         config = ProblemConfig.from_dict(raw(chains=chains, refinement=refinement))
         with pytest.raises(CrackGeometryError, match=f"^chain {bad} leaves the domain"):
             run_single(config)
+
+    @pytest.mark.parametrize(
+        "geometry, h", TWO_REGIONS, ids=["circle-16", "circle-32", "square-32", "12-gon-16"]
+    )
+    def test_closed_chain_splits_the_bulk_into_two_regions(self, geometry, h):
+        # with a1 != a2 a centroid inside the single closed chain by the
+        # even-odd rule gets a2; the labels match the signed distance
+        config = ProblemConfig.from_dict(
+            raw(
+                chains=[{"geometry": geometry, "permeability": 1.0}],
+                coefficients={"a1": 1.0, "a2": 10.0},
+                boundary={"left": {"dirichlet": 0.0}, "right": {"dirichlet": 1.0}},
+                refinement={"global_h": h, "rule": "quadratic"},
+            )
+        )
+        result = run_single(config)
+        mesh = result.mesh
+        centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+        # in chunks: the oracle holds (points x chain parts x 2) floats
+        inside = np.concatenate(
+            [
+                signed_distance_to_crack(chunk, result.crack) > 0.0
+                for chunk in np.array_split(centroids, len(centroids) // 2048 + 1)
+            ]
+        )
+        assert inside.any() and not inside.all()
+        coeffs = config_module._build_coefficients(config, result.crack)
+        want = np.where(inside, 10.0, 1.0)
+        assert np.array_equal(coeffs.element_permeability(mesh), want)
+        assert np.isfinite(result.solution.values).all()
+
+    def test_centroid_on_the_chain_follows_the_even_odd_rule(self):
+        # the lower triangle of the h = 0.5 mesh's first cell has centroid
+        # (1/3, 1/6), the chain's lower left corner: inside by the even-odd
+        # rule, while the sign of its distance 0 put it outside
+        left, bottom = 1.0 / 3.0, 1.0 / 6.0
+        points = [[left, bottom], [0.9, bottom], [0.9, 0.9], [left, 0.9], [left, bottom]]
+        config = ProblemConfig.from_dict(
+            raw(
+                chains=[{"geometry": {"kind": "polyline", "points": points}}],
+                coefficients={"a1": 1.0, "a2": 10.0},
+            )
+        )
+        result = run_single(config)
+        centroid = result.mesh.vertices[result.mesh.triangles[0]].mean(axis=0)
+        assert centroid.tolist() == [left, bottom]
+        assert signed_distance_to_crack(centroid, result.crack) == 0.0
+        coeffs = config_module._build_coefficients(config, result.crack)
+        assert coeffs.element_permeability(result.mesh)[0] == 10.0
 
     def test_chain_ending_on_the_boundary_within_rounding_runs(self):
         end = [1.0 + 0.5 * _TOL, 0.5]

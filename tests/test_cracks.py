@@ -14,22 +14,19 @@ from crackfem import (
     cut_chains,
     refine_near_crack,
 )
-from crackfem._geom import REL_TOL, bbox_diameter
-from crackfem.cracks import (
-    arc_curve,
-    circle_curve,
-    sample_curve,
-    signed_distance_to_crack,
-)
+from crackfem._geom import REL_TOL, bbox_diameter, clip_segments_to_triangles
+from crackfem.cracks import _points_in_polygon, arc_curve, circle_curve, sample_curve
 from crackfem.mesh import Incidence
 from conftest import make_y_crack, polylines
 from oracles import (
     cut_chains_per_part,
     node_chains,
     node_degree,
+    points_in_polygon_loop,
     points_in_triangle,
     segment_curve,
     segment_triangle_intersection,
+    signed_distance_to_crack,
 )
 
 
@@ -126,6 +123,17 @@ class TestSampleCurve:
         assert np.array_equal(pts[0], pts[-1])
         assert np.allclose(np.linalg.norm(pts - [1.0, 2.0], axis=1), 0.7, atol=1e-12)
 
+    @pytest.mark.parametrize("turns, closed", [(1.0, True), (1.0 - 1e-9, False)])
+    def test_ends_within_the_tolerance_close_exactly(self, turns, closed):
+        # no is_closed attribute: sin(2 pi) is 2.4e-16, within the points'
+        # tolerance of 2.8e-12, while a gap of 6e-9 stays open
+        def curve(t):
+            angle = 2.0 * np.pi * turns * np.asarray(t, dtype=float)
+            return np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+
+        pts = sample_curve(curve, 0.1)
+        assert np.array_equal(pts[0], pts[-1]) == closed
+
     def test_coarse_spacing_gives_two_points(self):
         pts = sample_curve(segment_curve([0.0, 0.0], [1.0, 1.0]), 10.0)
         assert pts.shape == (2, 2)
@@ -185,6 +193,13 @@ class TestSegmentTriangleIntersection:
             lo, hi = min(lo, hi), max(lo, hi)
             assert (tt >= lo - 1e-9).all() and (tt <= hi + 1e-9).all()
             assert points_in_triangle(part.mean(axis=0)[None], tri, 1e-9)[0]
+
+
+    def test_no_pairs_give_empty_arrays(self):
+        ends, tris = np.empty((0, 2)), np.empty((0, 3, 2))
+        lo, hi, touched, near = clip_segments_to_triangles(ends, ends, tris, 1e-12)
+        for got, dtype in ((lo, float), (hi, float), (touched, bool), (near, bool)):
+            assert got.shape == (0,) and got.dtype == dtype
 
 
 class TestCutChains:
@@ -406,6 +421,42 @@ class TestOnePassCut:
             mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), h)
             rc = RefinementConfig(global_h=h, rule=rule)
             cut_chains(refine_near_crack(mesh, crack, rc)[0], crack)
+
+
+@st.composite
+def _closed_chains_and_points(draw):
+    """A closed chain of 3-12 vertices, its coordinates on a coarse
+    grid (horizontal edges and shared y-levels are common) or anywhere in
+    [-1, 1]; points with vertex coordinates or coordinates drawn alike, plus
+    every vertex and every edge midpoint."""
+    coord = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]) | st.floats(-1.0, 1.0)
+    ring = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=12))
+    poly = np.array(ring + ring[:1])
+    x = st.sampled_from(poly[:, 0].tolist()) | coord
+    y = st.sampled_from(poly[:, 1].tolist()) | coord
+    pts = np.array(draw(st.lists(st.tuples(x, y), min_size=1, max_size=40)))
+    return poly, np.vstack([pts, poly, 0.5 * (poly[1:] + poly[:-1])])
+
+
+class TestPointsInPolygon:
+    @settings(deadline=None, max_examples=150)
+    @given(_closed_chains_and_points())
+    def test_matches_the_loop_over_all_points(self, case):
+        poly, pts = case
+        # the loop also evaluates edges at points outside their y-range,
+        # where the quotient may overflow; those values are masked out
+        with np.errstate(all="ignore"):
+            want = points_in_polygon_loop(pts, poly)
+        assert np.array_equal(_points_in_polygon(pts, poly), want)
+
+    def test_points_on_a_horizontal_edge_and_at_vertex_levels(self):
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+        pts = np.array([[0.5, 0.0], [0.5, 1.0], [0.5, 0.5], [-0.5, 0.0], [1.0, 0.5]])
+        got = _points_in_polygon(pts, square)
+        assert got.tolist() == points_in_polygon_loop(pts, square).tolist()
+        # half-open y-ranges: the bottom edge's points are in, the top's out;
+        # a point on the right edge is out
+        assert got.tolist() == [True, False, True, False, False]
 
 
 class TestSignedDistance:
