@@ -246,7 +246,7 @@ class ProblemConfig:
         if len(domain) != 4:
             raise ConfigError("domain: expected [xmin, xmax, ymin, ymax]")
         side = min(domain[1] - domain[0], domain[3] - domain[2])
-        _checked("domain", rectangle_cells, domain, side)  # fails only if empty
+        _checked("domain", rectangle_cells, domain, side)  # empty, or too long to mesh
         refinement = _section(RefinementConfig, raw["refinement"], "refinement")
         _checked("refinement.global_h", rectangle_cells, domain, refinement.global_h)
         solver = _section(SolverConfig, raw.get("solver", {}), "solver")

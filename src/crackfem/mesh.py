@@ -49,6 +49,23 @@ class Incidence(NamedTuple):
     hi: np.ndarray
 
 
+class Lattice(NamedTuple):
+    """Lattice lines xs, ys and each triangle's cell code j * nx + i,
+    non-decreasing: the triangle lies in [xs[i], xs[i + 1]] x [ys[j], ys[j + 1]];
+    ``cells`` None means triangles 2c and 2c + 1 fill cell c. Meshes from
+    ``build_rectangle_mesh`` and ``refine_marked`` keep the len(xs) * len(ys)
+    lattice points as their leading vertices, in ``np.meshgrid(xs, ys)``
+    order, and are unrefined exactly when they have no other vertex."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    cells: np.ndarray | None
+
+    def triangle_cells(self, m: int) -> np.ndarray:
+        """Cell codes of the m triangles of a mesh on this lattice."""
+        return np.arange(m) // 2 if self.cells is None else self.cells
+
+
 class Mesh:
     """Immutable conforming triangulation.
 
@@ -61,9 +78,13 @@ class Mesh:
     boundary_edges : (b, 2) int array
         Vertex pairs tracing the domain boundary.
     boundary_tags : sequence of str, one tag per boundary edge.
+    lattice : Lattice, optional
+        Default one cell over the vertex box, exact and cheap at test sizes.
+        Its box, the vertex box (midpoints stay in their edges' boxes), gives
+        ``tolerance``, the absolute tolerance of incidence tests.
     """
 
-    def __init__(self, vertices, triangles, boundary_edges, boundary_tags):
+    def __init__(self, vertices, triangles, boundary_edges, boundary_tags, lattice=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
@@ -76,11 +97,13 @@ class Mesh:
             raise MeshError("one tag per boundary edge required")
         for arr in (self.vertices, self.triangles, self.boundary_edges):
             arr.setflags(write=False)
-        self._areas = None
-        self._tolerance = None
-        self._edges = None
-        self._rows = None
-        self._lattice = self._grid = None
+        if lattice is None:
+            box = np.stack([self.vertices.min(axis=0), self.vertices.max(axis=0)], 1)
+            lattice = Lattice(*box, np.zeros(self.n_triangles, dtype=np.int64))
+        xs, ys, _ = self.lattice = lattice
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite vertices
+            self.tolerance = tolerance(np.array([[xs[0], ys[0]], [xs[-1], ys[-1]]]))
+        self._areas = self._edges = self._rows = self._grid = None
 
     @property
     def n_vertices(self) -> int:
@@ -139,13 +162,6 @@ class Mesh:
     def h_max(self) -> float:
         return float(self.triangle_diameters().max())
 
-    @property
-    def tolerance(self) -> float:
-        """Absolute geometric tolerance of incidence tests on this mesh."""
-        if self._tolerance is None:
-            self._tolerance = tolerance(self.vertices)
-        return self._tolerance
-
     def incidence(self, starts, ends) -> Incidence:
         """Triangles touched by the segments starts[k] -> ends[k], two (k, 2)
         float arrays.
@@ -156,25 +172,14 @@ class Mesh:
         """
         return self.clip_pairs(starts, ends, *self.candidate_pairs(starts, ends))[0]
 
-    def lattice(self):
-        """Lattice lines (xs, ys) and each triangle's cell code j * nx + i,
-        non-decreasing: the triangle lies in [xs[i], xs[i + 1]] x [ys[j],
-        ys[j + 1]], two per cell on a rectangle mesh. A mesh from raw arrays
-        is one cell over its vertex bounding box, so every triangle is a
-        candidate of every segment near it: exact, and cheap at test sizes."""
-        if self._lattice is None:
-            box = np.stack([self.vertices.min(axis=0), self.vertices.max(axis=0)], 1)
-            self._lattice = (*box, np.zeros(self.n_triangles, dtype=np.int64))
-        xs, ys, cells = self._lattice
-        return xs, ys, np.arange(self.n_triangles) // 2 if cells is None else cells
-
     def candidate_pairs(self, starts, ends):
         """Pairs (part, tri), unique and sorted, of each segment
         starts[k] -> ends[k] and every triangle in a lattice cell that meets
         the segment's box padded by ``REACH * tolerance``: a superset of the
         triangles the segment passes within that distance of."""
         if self._grid is None:
-            self._grid = SpatialGrid.for_triangles(*self.lattice())
+            cells = self.lattice.triangle_cells(self.n_triangles)
+            self._grid = SpatialGrid.for_triangles(*self.lattice[:2], cells)
         pad = REACH * self.tolerance
         lo, hi = np.minimum(starts, ends) - pad, np.maximum(starts, ends) + pad
         return self._grid.query(lo, hi)
@@ -237,7 +242,8 @@ def rectangle_cells(bounds, target_h: float) -> tuple:
     """(nx, ny): ceil(side / target_h) lattice cells along each side.
 
     Raises MeshError unless the bounds (xmin, xmax, ymin, ymax) are a
-    non-empty rectangle, 0 < target_h <= its shorter side and the counts finite.
+    non-empty rectangle, 0 < target_h <= its shorter side and the lattice has
+    at most 2**31 - 1 vertices.
     """
     xmin, xmax, ymin, ymax = (float(b) for b in bounds)
     w, h = xmax - xmin, ymax - ymin
@@ -249,11 +255,11 @@ def rectangle_cells(bounds, target_h: float) -> tuple:
         raise MeshError(
             f"target_h {target_h!r} exceeds the shorter rectangle side {min(w, h)!r}"
         )
-    # finite bounds can give a side, and with it a count, that overflows to inf
-    cells = [np.ceil(side / target_h - 1e-12) for side in (w, h)]
-    if not np.isfinite(cells).all():
-        raise MeshError(f"bounds and target_h {target_h!r} give infinitely many cells")
-    return tuple(max(1, int(n)) for n in cells)
+    # counted in floats: finite bounds can give a side, and a count, of inf
+    nx, ny = (np.ceil(side / target_h - 1e-12) for side in (w, h))
+    if not (nx + 1) * (ny + 1) <= 2**31 - 1:  # also false for inf and NaN
+        raise MeshError(f"{nx:.0f} x {ny:.0f} cells have more than 2**31 - 1 vertices")
+    return max(1, int(nx)), max(1, int(ny))
 
 
 def build_rectangle_mesh(bounds, target_h: float) -> Mesh:
@@ -290,18 +296,15 @@ def build_rectangle_mesh(bounds, target_h: float) -> Mesh:
     # per cell: two triangles whose refinement edge is the cell diagonal
     lower = np.column_stack([p10, p11, p00])
     upper = np.column_stack([p01, p00, p11])
-    triangles = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
+    triangles = np.stack([lower, upper], axis=1).reshape(-1, 3)
 
     # boundary edges (start, start + step), side by side in RECTANGLE_TAGS order
     i, j = np.arange(nx), np.arange(ny)
     starts = np.concatenate([vid(i, 0), vid(i, ny), vid(0, j), vid(nx, j)])
     steps = np.repeat([1, 1, nx + 1, nx + 1], [nx, nx, ny, ny])
     tags = np.repeat(RECTANGLE_TAGS, [nx, nx, ny, ny])
-    mesh = Mesh(vertices, triangles, np.column_stack([starts, starts + steps]), tags)
-    mesh._lattice = (xs, ys, None)  # cell code c holds triangles 2c and 2c + 1
-    return mesh
+    edges = np.column_stack([starts, starts + steps])
+    return Mesh(vertices, triangles, edges, tags, Lattice(xs, ys, None))
 
 
 def refine_marked(mesh: Mesh, marked):
@@ -314,7 +317,7 @@ def refine_marked(mesh: Mesh, marked):
     of the input keep their indices, and the midpoints follow in (a, b)
     order of the split edges (a < b).
 
-    The output carries its edge table (``Mesh.edge_table``), lattice and tolerance.
+    The output carries its edge table (``Mesh.edge_table``) and the input's lattice.
     Kept edges keep their ids; a split edge (a, b) with midpoint m keeps its
     id for (a, m), and (b, m) is appended, in midpoint order; then come the
     edges (apex, midpoint) each bisection adds, first those of the input's
@@ -391,12 +394,9 @@ def refine_marked(mesh: Mesh, marked):
     edges = np.repeat(mesh.boundary_edges, reps, axis=0)
     edges[bfirst[bsplit], 1] = bmid
     edges[bfirst[bsplit] + 1, 0] = bmid
-    refined = Mesh(vertices, out, edges, np.repeat(mesh.boundary_tags, reps))
+    lattice = mesh.lattice._replace(cells=mesh.lattice.triangle_cells(m)[parent])
+    refined = Mesh(vertices, out, edges, np.repeat(mesh.boundary_tags, reps), lattice)
     refined._set_edges(out_pairs, out_t2e)
-    xs, ys, cells = mesh.lattice()
-    refined._lattice = (xs, ys, cells[parent])
-    # midpoints lie in their edges' bounding boxes: the mesh's box is unchanged
-    refined._tolerance = mesh.tolerance
     return refined, parent
 
 

@@ -563,8 +563,6 @@ def refine_marked_table(mesh: Mesh, marked):
     edges[bfirst[bsplit] + 1, 0] = bmid
     refined = Mesh(vertices, out, edges, np.repeat(mesh.boundary_tags, reps))
     refined._set_edges(out_pairs, out_t2e)
-    # midpoints lie in their edges' bounding boxes: the mesh's box is unchanged
-    refined._tolerance = mesh.tolerance
     return refined, np.repeat(np.arange(m), counts)
 
 

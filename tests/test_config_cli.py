@@ -73,6 +73,9 @@ RUNTIME_CHECKED = [
     # finite numbers whose width, or cell count, overflows to inf
     ({"domain": [-1e308, 1e308, 0.0, 1.0]}, "domain"),
     ({"refinement": {"global_h": 1e-320}}, "refinement.global_h"),
+    # a 10^9 x 10^9 lattice: more than 2**31 - 1 vertices, rejected before
+    # a 7.45 GiB allocation
+    ({"refinement": {"global_h": 1e-9}}, "refinement.global_h"),
 ]
 
 # (overrides of the minimal config, dotted path the error must name)
@@ -379,8 +382,13 @@ class TestPresetsAndRoundTrips:
 
     def test_with_global_h_rejects_a_bad_h(self):
         config = build_preset("poisson-square")
-        for h in (0.0, -0.25, float("nan")):
-            with pytest.raises(ConfigError, match="^refinement: global_h"):
+        for h, where in [
+            (0.0, "refinement: global_h"),
+            (-0.25, "refinement: global_h"),
+            (float("nan"), "refinement: global_h"),
+            (1e-9, "refinement.global_h: "),
+        ]:
+            with pytest.raises(ConfigError, match="^" + re.escape(where)):
                 config.with_global_h(h)
 
     def test_with_global_h_must_fit_the_domain(self):

@@ -61,7 +61,8 @@ def check_lattice(mesh, starts, ends):
     hold every triangle within ``REACH`` tolerances of a segment (less a
     thousandth, for rounding) and every one it touches; the incidence
     equals the clip of every (segment, triangle) pair, bit for bit."""
-    xs, ys, cells = mesh.lattice()
+    xs, ys, _ = mesh.lattice
+    cells = mesh.lattice.triangle_cells(mesh.n_triangles)
     assert (np.diff(cells) >= 0).all()
     i, j = cells % (len(xs) - 1), cells // (len(xs) - 1)
     for c, lines, at in zip(corners(mesh.vertices, mesh.triangles), (xs, ys), (i, j)):
@@ -202,16 +203,16 @@ def _problems(draw):
 @st.composite
 def _lattice_cases(draw):
     """A non-square rectangle mesh, maybe refined near random chains by
-    ``refine_near_crack``, maybe rebuilt from its raw arrays (one lattice
-    cell); 1-4 segments whose ends are mesh vertices or points whose
-    coordinates lie on lattice lines, up to ten tolerances off them, or
-    anywhere in the domain grown by a fifth on each side, some of them
-    points."""
+    ``refine_near_crack``, maybe rebuilt from its raw arrays with its
+    lattice or with the default one cell; 1-4 segments whose ends are mesh
+    vertices or points whose coordinates lie on lattice lines, up to ten
+    tolerances off them, or anywhere in the domain grown by a fifth on each
+    side, some of them points."""
     x0, y0 = draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))
     width, height = draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0))
     h = min(width, height) / draw(st.integers(1, 6))
     mesh = build_rectangle_mesh((x0, x0 + width, y0, y0 + height), h)
-    xs, ys, _ = mesh.lattice()
+    xs, ys, _ = mesh.lattice
     lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
     if draw(st.booleans()):
         fractions = draw(polylines(st.floats(0.02, 0.98)))
@@ -221,8 +222,13 @@ def _lattice_cases(draw):
         )
         mesh, _ = refine_near_crack(mesh, crack, config)
     if draw(st.booleans()):
+        lattice = draw(st.sampled_from([None, mesh.lattice]))
         mesh = Mesh(
-            mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags
+            mesh.vertices,
+            mesh.triangles,
+            mesh.boundary_edges,
+            mesh.boundary_tags,
+            lattice,
         )
     grown_lo, grown_hi = lo - (hi - lo) / 5, hi + (hi - lo) / 5
     offsets = st.sampled_from([0.0, 0.0, 1.0, -1.0, 7.5, -7.5, 10.0, -10.0])
@@ -246,16 +252,20 @@ class TestLatticeCandidates:
 
     def test_rectangle_cells_hold_two_triangles(self):
         mesh = build_rectangle_mesh((0.0, 3.0, -1.0, 0.0), 0.5)
-        xs, ys, cells = mesh.lattice()
+        xs, ys, cells = mesh.lattice
         assert np.array_equal(xs, np.linspace(0.0, 3.0, 7))
         assert np.array_equal(ys, np.linspace(-1.0, 0.0, 3))
-        assert np.array_equal(cells, np.arange(24) // 2)
+        # the cells are implicit, read through the one resolver
+        assert cells is None
+        assert np.array_equal(mesh.lattice.triangle_cells(24), np.arange(24) // 2)
         refined, parent = refine_marked(mesh, [5, 17])
-        assert np.array_equal(refined.lattice()[2], cells[parent])
+        assert refined.lattice.xs is xs and refined.lattice.ys is ys
+        got = refined.lattice.triangle_cells(refined.n_triangles)
+        assert np.array_equal(got, parent // 2)
 
     def test_raw_mesh_is_one_cell_over_its_vertices(self, square_mesh):
         mesh = turned(square_mesh)
-        xs, ys, cells = mesh.lattice()
+        xs, ys, cells = mesh.lattice
         assert np.array_equal(xs, [-1.0, 0.0]) and np.array_equal(ys, [-1.0, 0.0])
         assert np.array_equal(cells, np.zeros(mesh.n_triangles))
         start, end = np.array([[-0.5, -0.5]]), np.array([[-0.4, -0.5]])
@@ -264,6 +274,25 @@ class TestLatticeCandidates:
         # a segment beyond the padded box meets no cell
         far = np.array([[0.1, 0.1]])
         assert mesh.candidate_pairs(far, far)[0].size == 0
+
+    def test_mesh_from_arrays_and_lattice_matches_the_refined_mesh(self, rng):
+        mesh = build_rectangle_mesh((-1.0, 2.0, 0.0, 0.7), 0.1)
+        for _ in range(4):
+            marked = rng.choice(mesh.n_triangles, size=9, replace=False)
+            mesh, _ = refine_marked(mesh, marked)
+        again = Mesh(
+            mesh.vertices,
+            mesh.triangles,
+            mesh.boundary_edges,
+            mesh.boundary_tags,
+            mesh.lattice,
+        )
+        assert_bitwise(again.tolerance, mesh.tolerance)
+        lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+        starts, ends = lo + rng.random((2, 20, 2)) * (hi - lo)
+        want = mesh.candidate_pairs(starts, ends)
+        for got, expected in zip(again.candidate_pairs(starts, ends), want):
+            assert_bitwise(got, expected)
 
 
 class TestKernelsMatchOracles:

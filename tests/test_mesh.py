@@ -383,6 +383,26 @@ class TestRefineNearCrack:
         assert counts["touched"] == touched
         assert counts["candidates"] <= 0.25 * vertex_ring_candidates
 
+    @pytest.mark.parametrize(
+        "preset, levels", [("radial-local", _radial_levels()), ("crack-network", [0.5])]
+    )
+    def test_lattice_points_lead_the_vertices(self, preset, levels):
+        # the Lattice invariant: a rectangle mesh's lattice points stay its
+        # leading vertices, bit for bit, and only refinement adds others
+        for h in levels:
+            config = build_preset(preset).with_global_h(h)
+            mesh = build_rectangle_mesh(config.domain, h)
+            crack = build_crack_graph(config, h)
+            refined, _ = refine_near_crack(mesh, crack, config.refinement)
+            assert refined is not mesh
+            for m in (mesh, refined):
+                xs, ys, _ = m.lattice
+                assert xs is mesh.lattice.xs and ys is mesh.lattice.ys
+                xg, yg = np.meshgrid(xs, ys)
+                points = np.column_stack([xg.ravel(), yg.ravel()])
+                assert m.vertices[: len(points)].tobytes() == points.tobytes()
+                assert (m.n_vertices == len(points)) == (m is mesh)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RefinementConfig(global_h=0.0)
