@@ -17,10 +17,8 @@ from .cracks import (
     CrackGeometryError,
     CrackGraph,
     SegmentedCrack,
-    arc_curve,
-    circle_curve,
+    arc_points,
     cut_chains,
-    sample_curve,
 )
 from .assembly import (
     BoundarySpec,

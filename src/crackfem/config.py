@@ -2,12 +2,12 @@
 
 Configs are plain JSON documents with a schema_version; ``from_dict`` fills
 defaults and validates strictly, ``to_dict`` emits the canonical form, and
-the two round-trip losslessly. ``from_dict`` checks JSON shapes and types
-itself; range checks are those of the runtime objects it builds once
-(``Chain``, ``Coefficients``, ``BoundarySpec``, ``rectangle_cells``, ...),
-reported under the config path. The refinement and solver sections are the
-``RefinementConfig`` and ``SolverConfig`` dataclasses they configure. Scalar
-fields accept either numbers or names from the function registry.
+the two round-trip losslessly. ``from_dict`` checks JSON shapes, types and
+the arc-length bound itself; other range checks are those of the runtime
+objects it builds once (``Chain``, ``Coefficients``, ``BoundarySpec``,
+``rectangle_cells``, ...), reported under the config path. The refinement
+and solver sections are the ``RefinementConfig`` and ``SolverConfig``
+dataclasses they configure. Scalar fields accept numbers or registry names.
 """
 
 from __future__ import annotations
@@ -35,10 +35,8 @@ from .cracks import (
     CrackGraph,
     SegmentedCrack,
     _points_in_polygon,
-    arc_curve,
-    circle_curve,
+    arc_points,
     cut_chains,
-    sample_curve,
 )
 from .mesh import (
     RECTANGLE_TAGS,
@@ -206,15 +204,15 @@ def _normalize_geometry(geo: dict, path: str) -> dict:
     return out
 
 
+def _arc(geo: dict):
+    """(center, radius, angles) of a curved geometry; a circle is the arc over (0, 2 pi)."""
+    return geo["center"], geo["radius"], geo.get("angles", (0.0, 2.0 * np.pi))
+
+
 def _chain(ch: dict, global_h: float) -> Chain:
     """The Chain of one config chain; curved kinds are sampled at global_h / 10."""
-    geo, spacing = ch["geometry"], global_h / 10.0
-    if geo["kind"] == "arc":
-        points = sample_curve(arc_curve(geo["center"], geo["radius"], *geo["angles"]), spacing)
-    elif geo["kind"] == "circle":
-        points = sample_curve(circle_curve(geo["center"], geo["radius"]), spacing)
-    else:
-        points = geo["points"]
+    geo = ch["geometry"]
+    points = arc_points(*_arc(geo), global_h / 10.0) if "radius" in geo else geo["points"]
     source = resolve_scalar(ch["source"], "chain source")
     return Chain(points, permeability=ch["permeability"], source=source)
 
@@ -254,15 +252,28 @@ class ProblemConfig:
         raw_chains = raw.get("chains", [])
         if not isinstance(raw_chains, list):
             raise ConfigError("chains: expected a list")
+        # one turn of an arc in the rectangle is a convex curve in a convex
+        # set, so no longer than its perimeter; more turns hold a full circle
+        perimeter = 2.0 * (domain[1] - domain[0] + domain[3] - domain[2])
+        slack = tolerance(np.reshape(domain, (2, 2)).T)
         chains = []
         for i, ch in enumerate(raw_chains):
             path = f"chains[{i}]"
             _expect_keys(ch, path, {"geometry"}, {"permeability", "source"})
+            geo = _normalize_geometry(ch["geometry"], f"{path}.geometry")
             chain = {
-                "geometry": _normalize_geometry(ch["geometry"], f"{path}.geometry"),
+                "geometry": geo,
                 "permeability": _float(ch.get("permeability", 0.0), f"{path}.permeability"),
                 "source": _check_scalar_spec(ch.get("source", 0.0), f"{path}.source"),
             }
+            if "radius" in geo:
+                _, radius, (a0, a1) = _arc(geo)
+                turn = radius * min(abs(a1 - a0), 2.0 * np.pi)
+                if turn > perimeter + slack:
+                    raise ConfigError(
+                        f"{path}: an arc turn of length {turn:.6g} is longer "
+                        f"than the domain perimeter {perimeter:.6g}"
+                    )
             _checked(path, _chain, chain, refinement.global_h)
             chains.append(chain)
 

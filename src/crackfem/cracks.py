@@ -112,64 +112,22 @@ class CrackGraph:
         return starts, ends
 
 
-def arc_curve(center, radius, angle0, angle1):
-    """Circular arc, angles in radians, traversed from angle0 to angle1."""
-    center = np.asarray(center, dtype=float)
+def arc_points(center, radius, angles, spacing) -> np.ndarray:
+    """(n + 1, 2) points of the circular arc from angles[0] to angles[1]
+    (radians): n = ceil(arc length / spacing) parts of equal angle. Ends
+    within the points' tolerance close exactly, so (0, 2 pi) is a circle."""
     if not radius > 0.0:  # also false for NaN
         raise CrackGeometryError("arc radius must be positive")
-
-    def curve(t):
-        t = np.asarray(t, dtype=float)
-        ang = angle0 + t * (angle1 - angle0)
-        return center + radius * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-
-    curve.arc_length = abs(angle1 - angle0) * radius
-    curve.is_closed = False
-    return curve
-
-
-def circle_curve(center, radius):
-    """Full circle, closed, starting and ending at angle zero."""
-    curve = arc_curve(center, radius, 0.0, 2.0 * np.pi)
-    curve.is_closed = True
-    return curve
-
-
-def sample_curve(curve, spacing: float) -> np.ndarray:
-    """Sample a parametric curve into a polyline with parts of equal arc length.
-
-    Parameters
-    ----------
-    curve : callable
-        Maps parameter arrays in [0, 1] to (..., 2) points. Optional
-        attributes ``arc_length`` (exact length) and ``is_closed`` are honored.
-    spacing : float
-        Upper bound for the arc length of every polyline part.
-
-    Returns
-    -------
-    (k, 2) array. Closed curves come back with an exactly repeated last point.
-    """
     if not spacing > 0.0:
         raise CrackGeometryError("spacing must be positive")
-    dense_t = np.linspace(0.0, 1.0, 4097)
-    dense = curve(dense_t)
-    seg = np.linalg.norm(np.diff(dense, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    length = getattr(curve, "arc_length", float(cum[-1]))
+    (a0, a1), center = angles, np.asarray(center, dtype=float)
+    length = radius * abs(a1 - a0)
     if length <= 0.0:
         raise CrackGeometryError("curve has zero length")
     n = max(1, int(np.ceil(length / spacing - 1e-12)))
-    # invert the cumulative-length table to get equal-arc parameters
-    targets = np.linspace(0.0, cum[-1], n + 1)
-    t = np.interp(targets, cum, dense_t)
-    t[0] = 0.0
-    t[-1] = 1.0
-    pts = np.asarray(curve(t), dtype=float)
-    closed = getattr(curve, "is_closed", False)
-    if not closed:
-        closed = np.hypot(*(pts[0] - pts[-1])) <= tolerance(pts)
-    if closed:
+    theta = a0 + np.linspace(0.0, 1.0, n + 1) * (a1 - a0)
+    pts = center + radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    if np.hypot(*(pts[0] - pts[-1])) <= tolerance(pts):
         pts[-1] = pts[0]
     return pts
 

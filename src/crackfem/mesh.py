@@ -160,6 +160,10 @@ class Mesh:
 
     @property
     def h_max(self) -> float:
+        xs, ys, cells = self.lattice
+        if cells is None:  # two triangles per cell: the longest is a cell diagonal
+            dx, dy = np.diff(xs), np.diff(ys)
+            return float(np.sqrt((dx * dx).max() + (dy * dy).max()))
         return float(self.triangle_diameters().max())
 
     def incidence(self, starts, ends) -> Incidence:

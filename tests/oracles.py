@@ -7,14 +7,13 @@ and stiffness matrices of a single element, a single segment/triangle clip,
 point membership in one triangle, node incidence of a crack graph,
 near-crack degree-of-freedom counts, one generation of newest-vertex
 bisection as a table of six child cases, the chain cut one part at a time,
-straight parametric segments, the one-sided branches of the radial exact
-solution, the smallest angle of a mesh, the three text exports written one
-f-string per line, the direct solve with SuperLU's default column
-ordering and partial pivoting, point location and point evaluation of a
-P1 field, and the whole-mesh P1 kernels in their einsum, (m, 3, 2)-gather
-and sparse-product forms; also point-to-segment distances, the signed
-distance to a crack with its even-odd loop over all points, and the mesh
-invariants.
+the one-sided branches of the radial exact solution, the smallest angle of a
+mesh, the three text exports written one f-string per line, the direct solve
+with SuperLU's default column ordering and partial pivoting, point location
+and point evaluation of a P1 field, and the whole-mesh P1 kernels in their
+einsum, (m, 3, 2)-gather and sparse-product forms; also point-to-segment
+distances, the signed distance to a crack with its even-odd loop over all
+points, and the mesh invariants.
 """
 
 from __future__ import annotations
@@ -629,20 +628,6 @@ def cut_chains_per_part(mesh, crack: CrackGraph, hits) -> SegmentedCrack:
         chain_index=np.concatenate(seg_chain),
         graph=crack,
     )
-
-
-def segment_curve(p, q):
-    """Parametric straight segment from p to q."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-
-    def curve(t):
-        t = np.asarray(t, dtype=float)
-        return p + t[..., None] * (q - p)
-
-    curve.arc_length = float(np.hypot(*(q - p)))
-    curve.is_closed = False
-    return curve
 
 
 def gradient_inner(exact, points) -> np.ndarray:

@@ -14,14 +14,13 @@ from crackfem import (
     ProblemConfig,
     RefinementConfig,
     SolverConfig,
-    arc_curve,
+    arc_points,
     build_preset,
     list_presets,
     load_config,
     run_convergence_study,
     run_single,
     build_rectangle_mesh,
-    sample_curve,
     save_config,
 )
 from crackfem import config as config_module
@@ -49,8 +48,9 @@ OVERSIZED = [
     ({"study": {"levels": [2.0, 0.5, 0.25]}}, "study.levels"),
 ]
 
-# range checks the runtime objects make (Chain, arc_curve, sample_curve,
-# Coefficients, BoundarySpec, rectangle_cells), reported under the config path
+# range checks the runtime objects make (Chain, arc_points, Coefficients,
+# BoundarySpec, rectangle_cells) and the arc-length bound, reported under the
+# config path
 RUNTIME_CHECKED = [
     (
         {
@@ -76,6 +76,9 @@ RUNTIME_CHECKED = [
     # a 10^9 x 10^9 lattice: more than 2**31 - 1 vertices, rejected before
     # a 7.45 GiB allocation
     ({"refinement": {"global_h": 1e-9}}, "refinement.global_h"),
+    # a circle far longer than the domain perimeter, rejected before a
+    # 93.6 GiB sampling allocation
+    ({"chains": one_chain(kind="circle", center=[0.5, 0.5], radius=1e8)}, "chains[0]"),
 ]
 
 # (overrides of the minimal config, dotted path the error must name)
@@ -152,10 +155,6 @@ class TestResolveScalar:
 NAN = float("nan")
 
 
-def x_axis(t):
-    return np.stack([t, 0.0 * t], axis=-1)
-
-
 # library entry points the config does not reach with NaN or a non-integer
 # count
 NAN_INPUTS = [
@@ -184,13 +183,13 @@ NAN_INPUTS = [
         id="mesh-target_h",
     ),
     pytest.param(
-        lambda: sample_curve(x_axis, NAN),
+        lambda: arc_points([0.0, 0.0], 1.0, (0.0, 1.0), NAN),
         CrackGeometryError,
         "spacing must be positive",
         id="curve-spacing",
     ),
     pytest.param(
-        lambda: arc_curve([0.0, 0.0], NAN, 0.0, 1.0),
+        lambda: arc_points([0.0, 0.0], NAN, (0.0, 1.0), 0.1),
         CrackGeometryError,
         "arc radius must be positive",
         id="arc-radius",
@@ -322,6 +321,21 @@ class TestConfigValidation:
     def test_malformed_values_name_their_path(self, overrides, path):
         with pytest.raises(ConfigError, match="^" + re.escape(path) + ":"):
             ProblemConfig.from_dict(raw(**overrides))
+
+    def test_arcs_longer_than_the_domain_perimeter_fail_at_load(self):
+        # one turn of radius 3 is 6 pi long, the unit square's perimeter 4
+        big = one_chain(kind="circle", center=[0.5, 0.5], radius=3)
+        message = (
+            "chains[0]: an arc turn of length 18.8496 is longer than the domain perimeter 4"
+        )
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            ProblemConfig.from_dict(raw(chains=big))
+        # an arc longer than the perimeter by less than the domain tolerance
+        # loads (it leaves the square at run time), and so does an arc of two
+        # turns whose one turn fits
+        for radius, angles in ((1.0, [0.0, 4.0 + 1e-12]), (0.3, [0.0, 4.0 * np.pi])):
+            arc = one_chain(kind="arc", center=[0.5, 0.5], radius=radius, angles=angles)
+            ProblemConfig.from_dict(raw(chains=arc))
 
     def test_unnamed_sides_are_natural(self):
         # the minimal config's one Dirichlet side is enough to run

@@ -1,4 +1,4 @@
-"""Crack graphs, curve sampling, and the chain-to-triangle cutter."""
+"""Crack graphs, arc sampling, and the chain-to-triangle cutter."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,14 @@ from crackfem import (
     CrackGeometryError,
     CrackGraph,
     RefinementConfig,
+    build_preset,
     build_rectangle_mesh,
     cut_chains,
     refine_near_crack,
 )
 from crackfem._geom import REL_TOL, bbox_diameter, clip_segments_to_triangles
-from crackfem.cracks import _points_in_polygon, arc_curve, circle_curve, sample_curve
+from crackfem.config import build_crack_graph
+from crackfem.cracks import _points_in_polygon, arc_points
 from crackfem.mesh import Incidence
 from conftest import make_y_crack, polylines
 from oracles import (
@@ -24,7 +26,6 @@ from oracles import (
     node_degree,
     points_in_polygon_loop,
     points_in_triangle,
-    segment_curve,
     segment_triangle_intersection,
     signed_distance_to_crack,
 )
@@ -93,56 +94,75 @@ class TestCrackGraph:
         assert graph.nodes.shape == (0, 2)
 
 
-class TestSampleCurve:
-    def test_straight_segment_equal_parts(self):
-        pts = sample_curve(segment_curve([0.0, 0.0], [1.0, 0.0]), 0.25)
-        assert pts.shape == (5, 2)
-        assert np.allclose(pts[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-9)
-        assert np.array_equal(pts[0], [0.0, 0.0])
-        assert np.array_equal(pts[-1], [1.0, 0.0])
+# sampled point counts of each preset arc at the radial study levels and at
+# crack-network global_h 0.5 and 0.25, as the arc-length table sampler gave them
+PRESET_ARC_POINTS = {
+    "radial-local": [[73], [144], [287], [572], [1143]],
+    "crack-network": [[74, 106, 115], [146, 210, 229]],
+}
 
-    def test_spacing_bounds_every_part(self):
-        curve = arc_curve([0.0, 0.0], 2.0, 0.3, 2.4)
-        pts = sample_curve(curve, 0.17)
-        # chord length never exceeds arc length, which the sampler bounds
+
+class TestArcPoints:
+    @pytest.mark.parametrize("angles", [(0.3, 2.4), (2.4, -1.1), (-1.05, 0.7)])
+    def test_end_points_are_the_end_angles_bitwise(self, angles):
+        center, r = np.array([1.5, -0.25]), 2.0
+        a0, a1 = angles
+        pts = arc_points(center, r, angles, 0.17)
+        for p, a in ((pts[0], a0), (pts[-1], a0 + 1.0 * (a1 - a0))):
+            assert np.array_equal(p, center + r * np.array([np.cos(a), np.sin(a)]))
+
+    @pytest.mark.parametrize("r, spacing", [(2.0, 0.17), (0.35, 0.005), (5.5, 0.05)])
+    def test_every_chord_is_at_most_the_spacing(self, r, spacing):
+        pts = arc_points([0.0, 0.0], r, (0.3, 2.4), spacing)
         chord = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        assert chord.max() <= 0.17 * (1.0 + 1e-6)
-        ang = np.arctan2(pts[:, 1], pts[:, 0])
-        assert (np.diff(ang) * 2.0 <= 0.17 * (1.0 + 1e-3)).all()
+        assert chord.max() <= spacing
+        # n is the fewest equal-angle parts whose arcs are at most the spacing
+        assert len(pts) - 1 == np.ceil(r * 2.1 / spacing - 1e-12)
+
+    def test_points_lie_on_the_circle(self):
+        center, r = np.array([3.5, 4.5]), 5.0
+        pts = arc_points(center, r, (-1.05, 2.0), 0.01)
+        gap = np.abs(np.linalg.norm(pts - center, axis=1) - r)
+        assert gap.max() <= 4 * np.spacing(r)
 
     def test_arc_sagitta_bound(self):
         r, s = 2.0, 0.17
-        curve = arc_curve([0.0, 0.0], r, 0.3, 2.4)
-        pts = sample_curve(curve, s)
+        pts = arc_points([0.0, 0.0], r, (0.3, 2.4), s)
         mids = 0.5 * (pts[:-1] + pts[1:])
         gap = np.abs(np.linalg.norm(mids, axis=1) - r)
         assert gap.max() <= s * s / (8.0 * r) * (1.0 + 1e-3)
 
-    def test_circle_closes_exactly(self):
-        pts = sample_curve(circle_curve([1.0, 2.0], 0.7), 0.3)
-        assert np.array_equal(pts[0], pts[-1])
-        assert np.allclose(np.linalg.norm(pts - [1.0, 2.0], axis=1), 0.7, atol=1e-12)
-
-    @pytest.mark.parametrize("turns, closed", [(1.0, True), (1.0 - 1e-9, False)])
-    def test_ends_within_the_tolerance_close_exactly(self, turns, closed):
-        # no is_closed attribute: sin(2 pi) is 2.4e-16, within the points'
-        # tolerance of 2.8e-12, while a gap of 6e-9 stays open
-        def curve(t):
-            angle = 2.0 * np.pi * turns * np.asarray(t, dtype=float)
-            return np.stack([np.cos(angle), np.sin(angle)], axis=-1)
-
-        pts = sample_curve(curve, 0.1)
+    @pytest.mark.parametrize(
+        "span, closed", [(2.0 * np.pi, True), (2.0 * np.pi - 1e-9, False)]
+    )
+    def test_ends_within_the_tolerance_close_exactly(self, span, closed):
+        # 0.7 sin(2 pi) is 1.7e-16, within the points' tolerance of 2e-12,
+        # while a gap of 7e-10 stays open
+        pts = arc_points([1.0, 2.0], 0.7, (0.0, span), 0.1)
         assert np.array_equal(pts[0], pts[-1]) == closed
 
     def test_coarse_spacing_gives_two_points(self):
-        pts = sample_curve(segment_curve([0.0, 0.0], [1.0, 1.0]), 10.0)
+        pts = arc_points([0.0, 0.0], 1.0, (0.0, 1.0), 10.0)
         assert pts.shape == (2, 2)
 
-    def test_rejects_bad_spacing_and_degenerate_curve(self):
+    def test_rejects_bad_radius_spacing_and_degenerate_arc(self):
+        with pytest.raises(CrackGeometryError, match="radius"):
+            arc_points([0.0, 0.0], -1.0, (0.0, 1.0), 0.1)
         with pytest.raises(CrackGeometryError, match="spacing"):
-            sample_curve(segment_curve([0.0, 0.0], [1.0, 0.0]), 0.0)
+            arc_points([0.0, 0.0], 1.0, (0.0, 1.0), 0.0)
         with pytest.raises(CrackGeometryError, match="zero length"):
-            sample_curve(segment_curve([1.0, 1.0], [1.0, 1.0]), 0.5)
+            arc_points([1.0, 1.0], 1.0, (0.5, 0.5), 0.1)
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_ARC_POINTS))
+    def test_preset_arc_point_counts(self, preset):
+        config = build_preset(preset)
+        levels = config.study["levels"] if config.study else [0.5, 0.25]
+        curved = [j for j, ch in enumerate(config.chains) if "radius" in ch["geometry"]]
+        got = [
+            [len(build_crack_graph(config, h).chains[j].points) for j in curved]
+            for h in levels
+        ]
+        assert got == PRESET_ARC_POINTS[preset]
 
 
 class TestSegmentTriangleIntersection:
@@ -232,7 +252,7 @@ class TestCutChains:
 
     def test_per_chain_length_conservation(self, fine_square_mesh):
         arc = Chain(
-            sample_curve(arc_curve([0.5, 0.5], 0.35, 0.2, 4.5), 0.05),
+            arc_points([0.5, 0.5], 0.35, (0.2, 4.5), 0.05),
             permeability=1.0,
         )
         diag = Chain(np.array([[0.05, 0.1], [0.9, 0.85]]), permeability=3.0)
@@ -243,7 +263,7 @@ class TestCutChains:
             assert total == pytest.approx(cut.graph.chains[j].length, rel=1e-10)
 
     def test_midpoints_sit_in_their_owner(self, fine_square_mesh):
-        arc = Chain(sample_curve(circle_curve([0.5, 0.5], 0.3), 0.04))
+        arc = Chain(arc_points([0.5, 0.5], 0.3, (0.0, 2.0 * np.pi), 0.04))
         cut = cut_chains(fine_square_mesh, CrackGraph([arc]))
         coords = fine_square_mesh.vertices[fine_square_mesh.triangles]
         tol = REL_TOL * bbox_diameter(fine_square_mesh.vertices)
@@ -461,7 +481,7 @@ class TestPointsInPolygon:
 
 class TestSignedDistance:
     def test_sign_convention_for_closed_chain(self):
-        circle = Chain(sample_curve(circle_curve([0.0, 0.0], 1.0), 0.01))
+        circle = Chain(arc_points([0.0, 0.0], 1.0, (0.0, 2.0 * np.pi), 0.01))
         crack = CrackGraph([circle])
         assert signed_distance_to_crack([0.0, 0.0], crack) == pytest.approx(1.0, abs=2e-5)
         assert signed_distance_to_crack([2.0, 0.0], crack) == pytest.approx(-1.0, abs=2e-5)

@@ -12,15 +12,25 @@ digests were re-recorded, and ``free`` added, when ``assemble`` stopped
 building an n x n matrix with identity rows at the Dirichlet vertices and
 returned only its free-free block: they are the digests of the older
 system's ``reduced()`` block, right-hand side and free ids, so the system
-the solver sees is bitwise unchanged. A change that moves any digest on
-purpose must say so and re-record it.
+the solver sees is bitwise unchanged. The ``segments.points``,
+``segments.length``, ``matrix.data`` and ``rhs`` digests of the radial and
+crack-network cases, ``segments.chain_length`` of the crack-network cases,
+and ``matrix.indices`` and ``matrix.indptr`` of radial-local level 3 were
+re-recorded when arcs came to be sampled at equal angles in closed form
+(``arc_points``) instead of by inverting a 4097-point arc-length table: the
+end points and point counts stayed, interior arc points moved by a few
+hundred ulps, and at radial-local level 3 two couplings became exact zeros
+(nnz 164 245 -> 164 243). No mesh, owner, node or free-vertex digest moved.
+A change that moves any digest on purpose must say so and re-record it.
 
 The export digests hash the files ``run_single`` writes with ``out_dir``;
 they were recorded while each file was still written one f-string per line
 (``tests/oracles.py`` keeps those writers). The solution and norm digests of
 the two crack cases were re-recorded when the direct solve switched to a
 symmetric ordering; ``tests/test_solve.py`` pins that solution to the old
-ordering's within a relative 1e-12.
+ordering's within a relative 1e-12. They were re-recorded again, with the
+radial-local norms, for the closed-form arc sampling above; the mesh
+exports did not move.
 """
 
 import hashlib
@@ -145,16 +155,16 @@ GOLDEN = {
         "mesh.boundary_edges": "1caf4d5d8cf827b9",
         "mesh.boundary_tags": "6b1fa4daf0df564d",
         "segments.triangle_index": "eb42c8bf45bc72f7",
-        "segments.points": "fd18d01a5edc643d",
-        "segments.length": "de9d7d7fb18d2885",
+        "segments.points": "9440fefcec75567e",
+        "segments.length": "2163ba771d2d0d37",
         "segments.chain_index": "d4398635ea67737a",
         "segments.chain_length": "7438d1304042273c",
         "segments.nodes": "05ecf13088bfd6ba",
         "segments.chain_nodes": "7b29175914f14d24",
-        "matrix.data": "839aec2d8166a569",
+        "matrix.data": "aad8e718dc6b909f",
         "matrix.indices": "944dcdae2df219f1",
         "matrix.indptr": "d458ae0e3ad66a68",
-        "rhs": "5e6f6889a1c663c0",
+        "rhs": "aa54eadc7a4d997a",
         "free": "b1988405f4b97e16",
     },
     "radial-uniform:1": {
@@ -163,16 +173,16 @@ GOLDEN = {
         "mesh.boundary_edges": "d2a82997e10be073",
         "mesh.boundary_tags": "93ef3f21c7247cdc",
         "segments.triangle_index": "18cbabfed6c6110c",
-        "segments.points": "8234ae310e9221aa",
-        "segments.length": "955562759bf7e6dd",
+        "segments.points": "f1c153615821efce",
+        "segments.length": "8b8c3e986d174c83",
         "segments.chain_index": "75b94ed717c3140a",
         "segments.chain_length": "df6e0d67b24cb24a",
         "segments.nodes": "05ecf13088bfd6ba",
         "segments.chain_nodes": "7b29175914f14d24",
-        "matrix.data": "abdebdf36ebfb4f3",
+        "matrix.data": "b15e795fabc43a9d",
         "matrix.indices": "8c781ff6c812aa13",
         "matrix.indptr": "1c72188ff70342ca",
-        "rhs": "af862e3eb9fc4847",
+        "rhs": "ac13588d72d034dc",
         "free": "34ccb4179720a853",
     },
     "radial-local:0": {
@@ -181,16 +191,16 @@ GOLDEN = {
         "mesh.boundary_edges": "ba96ccee0b67e0ae",
         "mesh.boundary_tags": "43c90a925a0022da",
         "segments.triangle_index": "8f830ca5d67c9870",
-        "segments.points": "71df3dedde3da358",
-        "segments.length": "56929b5001b7bedb",
+        "segments.points": "fd11b42701392d58",
+        "segments.length": "5f0a789a44d573be",
         "segments.chain_index": "e458b0598003c087",
         "segments.chain_length": "7438d1304042273c",
         "segments.nodes": "05ecf13088bfd6ba",
         "segments.chain_nodes": "7b29175914f14d24",
-        "matrix.data": "a9ee7d129d386f8a",
+        "matrix.data": "519445f32395b7b0",
         "matrix.indices": "b602e94f6138c951",
         "matrix.indptr": "47898e53e3133188",
-        "rhs": "0d3f79549042c26c",
+        "rhs": "e791d29619e5f71c",
         "free": "e808ae133256d62d",
     },
     "radial-local:1": {
@@ -199,16 +209,16 @@ GOLDEN = {
         "mesh.boundary_edges": "5e3cd4e0fed16b2b",
         "mesh.boundary_tags": "04e875fc7bf1b6da",
         "segments.triangle_index": "4cca9d3551c7dfae",
-        "segments.points": "b3497b56ec7fafd7",
-        "segments.length": "9f5f778062f4a0b4",
+        "segments.points": "2f02b945b8028aa7",
+        "segments.length": "90470eb90befe519",
         "segments.chain_index": "ae818d29d2678260",
         "segments.chain_length": "df6e0d67b24cb24a",
         "segments.nodes": "05ecf13088bfd6ba",
         "segments.chain_nodes": "7b29175914f14d24",
-        "matrix.data": "954efdce3b8f6cd8",
+        "matrix.data": "8802f92e724ccfe3",
         "matrix.indices": "bda0e0f9f49c23c9",
         "matrix.indptr": "18b9eefea5db8f39",
-        "rhs": "9e9bb0fd4a4f89f8",
+        "rhs": "b81aea623f03c569",
         "free": "852efc7d9fdb8a35",
     },
     "radial-local:3": {
@@ -217,16 +227,16 @@ GOLDEN = {
         "mesh.boundary_edges": "043a49d3d2228eec",
         "mesh.boundary_tags": "005a893a230d97e5",
         "segments.triangle_index": "531b61526aa78a3c",
-        "segments.points": "0869399521fb5e2d",
-        "segments.length": "31fa9ca1d2537a4d",
+        "segments.points": "a3bf3d4828dff3dc",
+        "segments.length": "6c70f5781a680c6a",
         "segments.chain_index": "a7b4f80c1e7d4408",
         "segments.chain_length": "5866f9d9145fbd01",
         "segments.nodes": "05ecf13088bfd6ba",
         "segments.chain_nodes": "7b29175914f14d24",
-        "matrix.data": "08da2927cc2dc314",
-        "matrix.indices": "0bb43492e878451b",
-        "matrix.indptr": "2cb42a1d68bbbee9",
-        "rhs": "45921c6eba261e29",
+        "matrix.data": "bf5249df7d5428a4",
+        "matrix.indices": "d53178d19bda6236",
+        "matrix.indptr": "01d58a596016c65e",
+        "rhs": "08fed1f2553be787",
         "free": "bc0efcc0761f61fa",
     },
     "crack-network:default": {
@@ -235,16 +245,16 @@ GOLDEN = {
         "mesh.boundary_edges": "9e1ec647e9acb815",
         "mesh.boundary_tags": "bc1a58e66268e4ee",
         "segments.triangle_index": "d4e9210dd3d31cec",
-        "segments.points": "f2386aad8f42b597",
-        "segments.length": "371298881a620f17",
+        "segments.points": "0d4214b4516aa601",
+        "segments.length": "8514ba42b0d3aad1",
         "segments.chain_index": "43af2ad4725f5e0a",
-        "segments.chain_length": "df795a5a52c87449",
+        "segments.chain_length": "ce63dfbc1e5603e0",
         "segments.nodes": "56b1a72272a89021",
         "segments.chain_nodes": "90243e8b4813d976",
-        "matrix.data": "84b1ced2bea9387f",
+        "matrix.data": "e2f73dd4644e6727",
         "matrix.indices": "80e1f26974de60d6",
         "matrix.indptr": "33161381d40a7bae",
-        "rhs": "657847345cde6954",
+        "rhs": "ea4d85323015fbc5",
         "free": "9ffb104848af9169",
     },
     "crack-network:h=0.25": {
@@ -253,16 +263,16 @@ GOLDEN = {
         "mesh.boundary_edges": "120b600536f3d95d",
         "mesh.boundary_tags": "abe19699023b1fe3",
         "segments.triangle_index": "63689b64e94884e9",
-        "segments.points": "15226675efafa53e",
-        "segments.length": "294689b42d0977c7",
+        "segments.points": "41cea5f531057114",
+        "segments.length": "cfc69e6bc197b749",
         "segments.chain_index": "04e5e0a0c2929313",
-        "segments.chain_length": "3bd95af079a9d3c3",
+        "segments.chain_length": "533cb4570e4767ca",
         "segments.nodes": "56b1a72272a89021",
         "segments.chain_nodes": "90243e8b4813d976",
-        "matrix.data": "cf4a2c8cd71e065c",
+        "matrix.data": "980dba0d55e6cce7",
         "matrix.indices": "4c4414f74e1a724b",
         "matrix.indptr": "f5909f795ac5b6c6",
-        "rhs": "7b3472f28cc3475d",
+        "rhs": "010479f2315f1a3e",
         "free": "e904e5f90ed71040",
     },
 }
@@ -289,15 +299,15 @@ GOLDEN_EXPORTS = {
     "radial-local:1": {
         "mesh.txt": "3e1447e30a1bdf12",
         "mesh.vtk": "80b886024af5e95a",
-        "solution.txt": "c9bbbe1a73629807",
-        "solution.vtk": "7c40465fed168963",
-        "norms.csv": "eda328bca83f46fc",
+        "solution.txt": "36e928b39679071e",
+        "solution.vtk": "b9045a9cd4499668",
+        "norms.csv": "76c7441d94dc433f",
     },
     "crack-network:default": {
         "mesh.txt": "dc7bdeb7c773e02d",
         "mesh.vtk": "36ace2bc40fc272b",
-        "solution.txt": "07ee549d75f95817",
-        "solution.vtk": "777ed0240e380d54",
+        "solution.txt": "dd8f9227712942ca",
+        "solution.vtk": "c5a4ee2406aed657",
         "norms.csv": None,
     },
 }

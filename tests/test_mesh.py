@@ -90,6 +90,27 @@ class TestBuildRectangleMesh:
         # angles stay comfortably above the refinement floor
         assert min_angle(mesh) >= 15.0
 
+    @pytest.mark.parametrize("preset", ["radial-uniform", "poisson-square", "crack-network"])
+    def test_lattice_h_max_is_the_longest_diameter_bitwise(self, preset):
+        # every study level and, past the study, the radial level a quarter
+        # of the finest and the poisson-square level 1/512
+        config = build_preset(preset)
+        levels = config.study["levels"] if config.study else [config.refinement.global_h]
+        finer = {"radial-uniform": levels[-1] / 4, "poisson-square": 1 / 512}
+        for h in levels + [finer.get(preset, levels[-1])]:
+            mesh = build_rectangle_mesh(config.domain, h)
+            assert mesh.lattice.cells is None
+            assert mesh.h_max == mesh.triangle_diameters().max()
+
+    def test_h_max_off_the_lattice_is_the_longest_diameter(self):
+        # four vertices, but not a rectangle: the default lattice is only
+        # their box, whose diagonal sqrt(2) no triangle spans
+        vertices = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.0, 1.0]]
+        mesh = Mesh(vertices, [[0, 1, 2], [0, 2, 3]], np.empty((0, 2)), [])
+        assert mesh.h_max == np.sqrt(1.25)
+        refined, _ = refine_marked(build_rectangle_mesh((0.0, 2.0, 0.0, 1.0), 0.5), [0])
+        assert refined.h_max == refined.triangle_diameters().max()
+
     def test_rejects_oversized_target(self):
         with pytest.raises(MeshError):
             build_rectangle_mesh((0.0, 13.0, 0.0, 9.5), 9.6)
