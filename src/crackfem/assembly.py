@@ -108,7 +108,7 @@ class LinearSystem:
 
     ``matrix`` is the free-free block of the stiffness and ``rhs`` carries
     the couplings to the constrained vertices, which take ``values``. ``n``
-    counts all vertices.
+    counts all vertices. ``a`` is the one bulk permeability, None if a1 != a2.
     """
 
     matrix: sp.csr_matrix
@@ -117,6 +117,7 @@ class LinearSystem:
     constrained: np.ndarray
     values: np.ndarray
     mesh: Mesh
+    a: float | None = None
 
     @property
     def n(self) -> int:
@@ -238,4 +239,5 @@ def assemble(
     K = K0[free][:, free]
     K.eliminate_zeros()
     b = (b - K0 @ lift)[free]
-    return LinearSystem(matrix=K, rhs=b, free=free, constrained=cons, values=vals, mesh=mesh)
+    a = float(coeffs.a1) if coeffs.a1 == coeffs.a2 else None
+    return LinearSystem(K, b, free, cons, vals, mesh, a)

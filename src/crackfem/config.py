@@ -630,7 +630,7 @@ def _preset_poisson() -> dict:
 
 
 _PRESETS = {
-    "radial-uniform": lambda: _preset_radial("none"),
+    "radial-uniform": lambda: {**_preset_radial("none"), "solver": {"method": "cg"}},
     "radial-local": lambda: _preset_radial("quadratic"),
     "crack-network": _preset_network,
     "poisson-square": _preset_poisson,

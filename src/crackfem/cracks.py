@@ -124,6 +124,8 @@ def arc_points(center, radius, angles, spacing) -> np.ndarray:
     length = radius * abs(a1 - a0)
     if length <= 0.0:
         raise CrackGeometryError("curve has zero length")
+    if not np.isfinite(length):
+        raise CrackGeometryError("arc length is not finite")
     n = max(1, int(np.ceil(length / spacing - 1e-12)))
     theta = a0 + np.linspace(0.0, 1.0, n + 1) * (a1 - a0)
     pts = center + radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)

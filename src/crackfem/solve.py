@@ -18,13 +18,13 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Solver selection: a direct factorization or Jacobi-preconditioned CG.
+    """Solver selection: a direct factorization or preconditioned CG.
 
-    method is "direct" (SuperLU ordering A + A^T by minimum degree and
-    pivoting on the diagonal, as suits the SPD reduced systems) or "cg"
-    (``scipy.sparse.linalg.cg`` with a Jacobi preconditioner, at most
-    max_iterations steps). rel_tolerance bounds the final true residual
-    relative to the right-hand side; the direct method takes at least 1e-10.
+    method is "direct" (SuperLU, see ``_factor``) or "cg"
+    (``scipy.sparse.linalg.cg``, at most max_iterations steps, with the
+    ``_lattice_preconditioner`` where it applies and Jacobi elsewhere).
+    rel_tolerance bounds the final true residual relative to the
+    right-hand side; the direct method takes at least 1e-10.
     """
 
     method: str = "direct"
@@ -54,22 +54,12 @@ def solve(system: LinearSystem, config: SolverConfig) -> "SolutionField":
         if (diag <= 0.0).any():
             raise SolverError("matrix diagonal has non-positive entries")
         tol = config.rel_tolerance
-        x, _ = spla.cg(
-            A, rhs, rtol=tol, maxiter=config.max_iterations, M=sp.diags(1.0 / diag)
-        )
+        lattice = _lattice_preconditioner(system)
+        M = sp.diags(1.0 / diag) if lattice is None else lattice[0]
+        x, _ = spla.cg(A, rhs, rtol=tol, maxiter=config.max_iterations, M=M)
     else:
         tol = max(config.rel_tolerance, 1e-10)
-        try:
-            # assembled systems are SPD; a zero diagonal still pivots off it
-            lu = spla.splu(
-                A.tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-        except RuntimeError as exc:
-            raise SolverError(f"direct factorization failed: {exc}") from exc
-        x = lu.solve(rhs)
+        x = _factor(A).solve(rhs)
     # cg stops on its recursively updated residual, so both methods are
     # judged on the true one; a nan or inf solution fails the test too
     bnorm = float(np.linalg.norm(rhs))
@@ -83,6 +73,72 @@ def solve(system: LinearSystem, config: SolverConfig) -> "SolutionField":
     u[system.free] = x
     u[system.constrained] = system.values
     return SolutionField(system.mesh, u)
+
+
+def _factor(A):
+    """SuperLU factor of A; assembled systems are SPD, so it orders A + A^T
+    by minimum degree and pivots on the diagonal (a zero one pivots off)."""
+    try:
+        return spla.splu(
+            A.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise SolverError(f"direct factorization failed: {exc}") from exc
+
+
+def _dst1(x):
+    """Minus the DST-I of each row of x: the imaginary part of the rfft of
+    the row after one zero, padded to length 2 (n + 1)."""
+    ext = np.zeros((x.shape[0], x.shape[1] + 1))
+    ext[:, 1:] = x  # C order, so rows are contiguous also for a transposed x
+    return np.fft.rfft(ext, 2 * ext.shape[1])[:, 1:-1].imag
+
+
+def _stencil_solver(nx, ny, hx, hy, a):
+    """Inverse of ``a`` times the 5-point stencil of P1 on an nx x ny-cell
+    lattice, on its (nx - 1) x (ny - 1) interior with x fastest, by a 2-D
+    DST-I, which diagonalises the stencil under Dirichlet sides."""
+    lam = lambda n, r: r * (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n) / n))
+    # DST-I applied twice is (n / 2) times the identity along each axis
+    scale = 4.0 / (nx * ny) / (a * (lam(ny, hx / hy)[:, None] + lam(nx, hy / hx)))
+    dst2 = lambda x: _dst1(_dst1(x.T).T)  # along y, then x; the signs cancel
+    return lambda r: dst2(dst2(r.reshape(ny - 1, nx - 1)) * scale).ravel()
+
+
+def _lattice_preconditioner(system: LinearSystem):
+    """(M, B) for CG on an unrefined lattice, or None where it does not apply.
+
+    It applies when the mesh is its lattice, the bulk has one permeability
+    ``system.a`` and the free vertices are the interior grid (only boundary
+    vertices are ever constrained, so the count shows every side Dirichlet).
+    Off the crack the matrix is then ``a`` times the 5-point stencil; the
+    crack adds positive semidefinite blocks, so B, the rows whose diagonal
+    differs from the stencil's, holds all of it. One step of M solves the
+    B block, the stencil and the B block again."""
+    mesh, A, a = system.mesh, system.matrix, system.a
+    xs, ys, cells = mesh.lattice
+    nx, ny = len(xs) - 1, len(ys) - 1
+    unrefined = cells is None and mesh.n_vertices == len(xs) * len(ys)
+    if a is None or not unrefined or len(system.free) != (nx - 1) * (ny - 1):
+        return None
+    hx, hy = (xs[-1] - xs[0]) / nx, (ys[-1] - ys[0]) / ny
+    apply = stencil = _stencil_solver(nx, ny, hx, hy, a)
+    d0 = 2.0 * a * (hy / hx + hx / hy)
+    block = np.flatnonzero(np.abs(A.diagonal() - d0) > 1e-12 * d0)
+    if block.size:
+        rows = A[block]
+        lu = _factor(rows[:, block])
+        # on B, r - A(z + zb) is -A z, as the first solve made A zb equal r there
+        def apply(r):
+            zb = lu.solve(r[block])
+            z = stencil(r - rows.T @ zb)
+            z[block] += zb - lu.solve(rows @ z)
+            return z
+
+    return spla.LinearOperator(A.shape, matvec=apply, dtype=float), block
 
 
 class SolutionField:

@@ -79,6 +79,11 @@ RUNTIME_CHECKED = [
     # a circle far longer than the domain perimeter, rejected before a
     # 93.6 GiB sampling allocation
     ({"chains": one_chain(kind="circle", center=[0.5, 0.5], radius=1e8)}, "chains[0]"),
+    # an angle difference that overflows to inf passes the one-turn bound
+    (
+        {"chains": one_chain(kind="arc", center=[0.5, 0.5], radius=0.25, angles=[-1e308, 1e308])},
+        "chains[0]",
+    ),
 ]
 
 # (overrides of the minimal config, dotted path the error must name)

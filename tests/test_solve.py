@@ -1,23 +1,28 @@
 """Linear solvers, the solution field, and its point evaluation oracle."""
 
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from crackfem import (
     BoundarySpec,
     Coefficients,
     LinearSystem,
     Mesh,
+    ProblemConfig,
     SolutionField,
     SolverConfig,
     SolverError,
     assemble,
     assemble_operator,
+    build_preset,
     build_rectangle_mesh,
     refine_marked,
+    run_single,
     solve,
 )
 from crackfem.cracks import SegmentedCrack
@@ -163,12 +168,14 @@ class TestSolve:
         assert u.values.argmax() in interior
 
     def test_iteration_cap_raises(self):
-        # a sine load is an exact eigenvector here and converges in one
-        # sweep, so use a constant source to keep cg honest
+        # the lattice solve inverts a crack-free system with every side
+        # Dirichlet exactly, and a sine load is an eigenvector of the Jacobi
+        # one; a Neumann top side and a constant source keep cg honest
         mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 0.0625)
-        sys = assemble(
-            mesh, SegmentedCrack.empty(), Coefficients(source=1.0), ZERO_WALLS
+        walls = BoundarySpec(
+            dirichlet={"left": 0.0, "right": 0.0, "bottom": 0.0}, neumann=("top",)
         )
+        sys = assemble(mesh, SegmentedCrack.empty(), Coefficients(source=1.0), walls)
         with pytest.raises(SolverError, match="did not converge"):
             solve(sys, SolverConfig(method="cg", max_iterations=1))
 
@@ -180,6 +187,113 @@ class TestSolve:
         sys = embedded_system(fine_square_mesh, sp.identity(n), b)
         with pytest.raises(SolverError, match="did not converge"):
             solve(sys, SolverConfig(method=method))
+
+
+def stencil(nx, ny, hx, hy, a):
+    """``a`` times the 5-point stencil on the interior of an nx x ny-cell
+    lattice, x fastest."""
+    second = lambda n: sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n - 1, n - 1))
+    eye = lambda n: sp.identity(n - 1)
+    return a * (
+        (hy / hx) * sp.kron(eye(ny), second(nx)) + (hx / hy) * sp.kron(second(ny), eye(nx))
+    ).tocsr()
+
+
+def radial_uniform(level, permeability=1.0):
+    """Config of the radial-uniform preset at a study level index, or at
+    the finest level's global_h / 4 for level "fine"."""
+    raw = build_preset("radial-uniform").to_dict()
+    raw["chains"][0]["permeability"] = permeability
+    config = ProblemConfig.from_dict(raw)
+    levels = config.study["levels"]
+    return config.with_global_h(levels[-1] / 4.0 if level == "fine" else levels[level])
+
+
+# a circle splitting the unit square into two bulk regions, every side Dirichlet
+TWO_REGIONS = {
+    "domain": [0.0, 1.0, 0.0, 1.0],
+    "chains": [
+        {"geometry": {"kind": "circle", "center": [0.5, 0.5], "radius": 0.3}, "permeability": 1.0}
+    ],
+    "coefficients": {"a1": 1.0, "a2": 10.0, "source": 1.0},
+    "boundary": {tag: {"dirichlet": 0.0} for tag in ZERO_WALLS.dirichlet},
+    "refinement": {"global_h": 0.125},
+}
+
+
+class TestLatticePreconditioner:
+    @pytest.mark.parametrize("top", [1.0, 0.7], ids=["square", "hx-ne-hy"])
+    def test_bulk_is_the_five_point_stencil(self, top):
+        mesh = build_rectangle_mesh((0.0, 1.0, 0.0, top), 0.125)
+        xs, ys, _ = mesh.lattice
+        nx, ny = len(xs) - 1, len(ys) - 1
+        hx, hy = 1.0 / nx, top / ny
+        assert (hx == hy) == (top == 1.0)
+        sys = assemble(mesh, SegmentedCrack.empty(), Coefficients(a1=2.5, a2=2.5), ZERO_WALLS)
+        assert sys.a == 2.5
+        want = stencil(nx, ny, hx, hy, 2.5)
+        assert abs(sys.matrix - want).max() <= 1e-14 * abs(want).max()
+
+    def test_stencil_solve_matches_spsolve(self, rng):
+        nx, ny, hx, hy, a = 7, 5, 0.3, 0.2, 1.7
+        r = rng.standard_normal((nx - 1) * (ny - 1))
+        got = solve_module._stencil_solver(nx, ny, hx, hy, a)(r)
+        want = spla.spsolve(stencil(nx, ny, hx, hy, a).tocsc(), r)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("level", range(5))
+    def test_crack_block_is_the_free_vertices_of_crossed_triangles(self, level):
+        segments, sys = pipeline_system(radial_uniform(level))
+        _, block = solve_module._lattice_preconditioner(sys)
+        crossed = sys.mesh.triangles[segments.triangle_index]
+        assert np.array_equal(block, np.flatnonzero(np.isin(sys.free, crossed)))
+
+    @pytest.mark.parametrize("permeability", [1.0, 100.0])
+    def test_cg_iterations_are_bounded(self, permeability, monkeypatch):
+        real_cg = solve_module.spla.cg
+        counts = []
+
+        def counting_cg(*args, **kwargs):
+            steps = []
+            assert isinstance(kwargs["M"], spla.LinearOperator)
+            x = real_cg(*args, callback=steps.append, **kwargs)
+            counts.append(len(steps))
+            return x
+
+        monkeypatch.setattr(solve_module.spla, "cg", counting_cg)
+        for level in [*range(5), "fine"]:
+            _, sys = pipeline_system(radial_uniform(level, permeability))
+            solve(sys, SolverConfig("cg"))
+        assert len(counts) == 6 and max(counts) <= 40
+
+    def test_iteration_cap_raises(self):
+        _, sys = pipeline_system(radial_uniform(0))
+        with pytest.raises(SolverError, match="did not converge"):
+            solve(sys, SolverConfig("cg", max_iterations=1))
+
+    @pytest.mark.parametrize("level", range(5))
+    def test_norms_match_the_direct_solve(self, level):
+        config = radial_uniform(level)
+        cg = run_single(config).report
+        direct = run_single(replace(config, solver=SolverConfig("direct"))).report
+        for name in ("l2", "h1_semi", "l2_crack", "energy"):
+            assert getattr(cg, name) == pytest.approx(getattr(direct, name), rel=1e-6)
+
+    @pytest.mark.parametrize("case", ["refined", "neumann", "two-regions"])
+    def test_other_systems_fall_back_to_jacobi(self, case):
+        if case == "refined":
+            config = case_config("radial-local:1")
+        else:
+            # crack-network has Neumann top and bottom sides
+            raw = TWO_REGIONS if case == "two-regions" else build_preset("crack-network").to_dict()
+            unrefined = {**raw["refinement"], "rule": "none"}
+            config = ProblemConfig.from_dict({**raw, "refinement": unrefined})
+        _, sys = pipeline_system(config)
+        if case == "neumann":  # an unrefined lattice with one permeability
+            assert sys.mesh.lattice.cells is None and sys.a == 1.0
+        assert (sys.a is None) == (case == "two-regions")
+        assert solve_module._lattice_preconditioner(sys) is None
+        solve(sys, SolverConfig("cg"))
 
 
 class TestDirectFactorization:
