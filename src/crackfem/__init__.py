@@ -29,7 +29,7 @@ from .assembly import (
     assemble_load,
     assemble_operator,
 )
-from .solve import SolutionField, SolverConfig, SolverError, solve
+from .solve import SolutionField, SolverError, solve
 from .analysis import (
     ExactRadialSolution,
     NormReport,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .analysis import NormReport
@@ -25,27 +24,20 @@ from .solve import SolverError
 
 
 def _resolve_config(args) -> ProblemConfig:
-    """The config file or preset named on the command line, with --solver."""
+    """The config file or preset named on the command line."""
     if Path(args.config).is_file():
-        config = load_config(args.config)
-    elif args.config in list_presets():
-        config = build_preset(args.config)
-    else:
-        raise ConfigError(
-            f"{args.config!r} is neither a config file nor a preset "
-            f"(presets: {list_presets()})"
-        )
-    if args.solver is not None:
-        config = replace(config, solver=replace(config.solver, method=args.solver))
-    return config
+        return load_config(args.config)
+    if args.config in list_presets():
+        return build_preset(args.config)
+    raise ConfigError(
+        f"{args.config!r} is neither a config file nor a preset "
+        f"(presets: {list_presets()})"
+    )
 
 
 def _add_common(parser):
     parser.add_argument("config", help="config file path or preset name")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument(
-        "--solver", choices=("cg", "direct"), default=None, help="override the solver"
-    )
     return parser
 
 

@@ -6,8 +6,8 @@ the two round-trip losslessly. ``from_dict`` checks JSON shapes, types and
 the arc-length bound itself; other range checks are those of the runtime
 objects it builds once (``Chain``, ``Coefficients``, ``BoundarySpec``,
 ``rectangle_cells``, ...), reported under the config path. The refinement
-and solver sections are the ``RefinementConfig`` and ``SolverConfig``
-dataclasses they configure. Scalar fields accept numbers or registry names.
+section is the ``RefinementConfig`` dataclass it configures. Scalar fields
+accept numbers or registry names.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .mesh import (
     rectangle_cells,
     refine_near_crack,
 )
-from .solve import SolutionField, SolverConfig, solve
+from .solve import SolutionField, solve
 
 
 class ConfigError(ValueError):
@@ -226,7 +226,6 @@ class ProblemConfig:
     coefficients: dict
     boundary: dict
     refinement: RefinementConfig
-    solver: SolverConfig
     exact_solution: str | None = None
     study: dict | None = None
     schema_version: int = SCHEMA_VERSION
@@ -247,13 +246,12 @@ class ProblemConfig:
         _checked("domain", rectangle_cells, domain, side)  # empty, or too long to mesh
         refinement = _section(RefinementConfig, raw["refinement"], "refinement")
         _checked("refinement.global_h", rectangle_cells, domain, refinement.global_h)
-        solver = _section(SolverConfig, raw.get("solver", {}), "solver")
 
         raw_chains = raw.get("chains", [])
         if not isinstance(raw_chains, list):
             raise ConfigError("chains: expected a list")
-        # one turn of an arc in the rectangle is a convex curve in a convex
-        # set, so no longer than its perimeter; more turns hold a full circle
+        # an arc that does not retrace itself is a convex curve in the
+        # rectangle, so no longer than its perimeter
         perimeter = 2.0 * (domain[1] - domain[0] + domain[3] - domain[2])
         slack = tolerance(np.reshape(domain, (2, 2)).T)
         chains = []
@@ -268,10 +266,10 @@ class ProblemConfig:
             }
             if "radius" in geo:
                 _, radius, (a0, a1) = _arc(geo)
-                turn = radius * min(abs(a1 - a0), 2.0 * np.pi)
-                if turn > perimeter + slack:
+                length = radius * abs(a1 - a0)
+                if length > perimeter + slack:
                     raise ConfigError(
-                        f"{path}: an arc turn of length {turn:.6g} is longer "
+                        f"{path}: an arc of length {length:.6g} is longer "
                         f"than the domain perimeter {perimeter:.6g}"
                     )
             _checked(path, _chain, chain, refinement.global_h)
@@ -323,7 +321,7 @@ class ProblemConfig:
                     )
             study = {"levels": levels}
 
-        return cls(domain, chains, coefficients, boundary, refinement, solver, exact, study)
+        return cls(domain, chains, coefficients, boundary, refinement, exact, study)
 
     def to_dict(self) -> dict:
         """The canonical JSON object, schema_version first."""
@@ -431,7 +429,7 @@ def run_single(config: ProblemConfig, out_dir=None, level: int = 0) -> RunResult
     coeffs = _build_coefficients(config, graph)
     boundary = _build_boundary(config.boundary)
     system = assemble(mesh, segments, coeffs, boundary)
-    solution = solve(system, config.solver)
+    solution = solve(system)
     report = None
     if config.exact_solution is not None:
         report = error_norms(
@@ -623,14 +621,13 @@ def _preset_poisson() -> dict:
             tag: {"dirichlet": 0.0} for tag in ("left", "right", "top", "bottom")
         },
         "refinement": {"global_h": 0.125},
-        "solver": {"method": "cg"},
         "exact_solution": "sine-product",
         "study": {"levels": [0.125, 0.0625, 0.03125, 0.015625]},
     }
 
 
 _PRESETS = {
-    "radial-uniform": lambda: {**_preset_radial("none"), "solver": {"method": "cg"}},
+    "radial-uniform": lambda: _preset_radial("none"),
     "radial-local": lambda: _preset_radial("quadratic"),
     "crack-network": _preset_network,
     "poisson-square": _preset_poisson,

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import LinearSystem
@@ -16,58 +13,36 @@ class SolverError(RuntimeError):
     pass
 
 
-@dataclass
-class SolverConfig:
-    """Solver selection: a direct factorization or preconditioned CG.
-
-    method is "direct" (SuperLU, see ``_factor``) or "cg"
-    (``scipy.sparse.linalg.cg``, at most max_iterations steps, with the
-    ``_lattice_preconditioner`` where it applies and Jacobi elsewhere).
-    rel_tolerance bounds the final true residual relative to the
-    right-hand side; the direct method takes at least 1e-10.
-    """
-
-    method: str = "direct"
-    rel_tolerance: float = 1e-10
-    max_iterations: int = 20000
-
-    def __post_init__(self):
-        if self.method not in ("cg", "direct"):
-            raise ValueError(f"unknown solver method {self.method!r}")
-        if not 0.0 < self.rel_tolerance < 1.0:
-            raise ValueError("rel_tolerance must be in (0, 1)")
-        # NaN and non-integers such as 2.5 fail the integer test
-        n = self.max_iterations
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
-            raise ValueError("max_iterations must be >= 1")
+# the relative true residual every solve must reach, and the cap on CG steps
+REL_TOLERANCE = 1e-10
+MAX_CG_STEPS = 20000
 
 
-def solve(system: LinearSystem, config: SolverConfig) -> "SolutionField":
+def solve(system: LinearSystem) -> "SolutionField":
     """Solve the free-vertex system and wrap the result as a field.
 
-    Constrained vertices carry their prescribed values exactly; the free
-    block is solved to the configured relative residual.
+    Where ``_lattice_preconditioner`` applies, the free block goes to
+    ``scipy.sparse.linalg.cg`` with it; every other system, hand-built ones
+    included, to the SuperLU factor of ``_factor``. Constrained vertices
+    carry their prescribed values exactly; the free block is solved to the
+    relative residual REL_TOLERANCE.
     """
     A, rhs = system.matrix, system.rhs
-    if config.method == "cg":
-        diag = A.diagonal()
-        if (diag <= 0.0).any():
-            raise SolverError("matrix diagonal has non-positive entries")
-        tol = config.rel_tolerance
-        lattice = _lattice_preconditioner(system)
-        M = sp.diags(1.0 / diag) if lattice is None else lattice[0]
-        x, _ = spla.cg(A, rhs, rtol=tol, maxiter=config.max_iterations, M=M)
-    else:
-        tol = max(config.rel_tolerance, 1e-10)
+    lattice = _lattice_preconditioner(system)
+    if lattice is None:
+        path = "SuperLU"
         x = _factor(A).solve(rhs)
-    # cg stops on its recursively updated residual, so both methods are
+    else:
+        path = "lattice CG"
+        x, _ = spla.cg(A, rhs, rtol=REL_TOLERANCE, maxiter=MAX_CG_STEPS, M=lattice[0])
+    # cg stops on its recursively updated residual, so both paths are
     # judged on the true one; a nan or inf solution fails the test too
     bnorm = float(np.linalg.norm(rhs))
     res = float(np.linalg.norm(rhs - A @ x))
-    if not res <= tol * bnorm:
+    if not res <= REL_TOLERANCE * bnorm:
         raise SolverError(
-            f"{config.method} did not converge: residual {res:.3e} against "
-            f"|b| {bnorm:.3e} (relative target {tol:.1e}, n={len(rhs)})"
+            f"{path} did not converge: residual {res:.3e} against |b| "
+            f"{bnorm:.3e} (relative target {REL_TOLERANCE:.1e}, n={len(rhs)})"
         )
     u = np.zeros(system.n)
     u[system.free] = x

@@ -1,4 +1,7 @@
-"""Shared fixtures: small meshes, the reference triangle, cheap pipeline runs."""
+"""Shared fixtures: small meshes, the reference triangle, cheap pipeline runs,
+the solver calls a test makes."""
+
+import importlib
 
 import numpy as np
 import pytest
@@ -12,6 +15,25 @@ from crackfem import (
     run_single,
 )
 from crackfem.config import _radial_levels
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """The ``spla.cg`` and ``spla.splu`` calls the solves of a test make, in
+    order: ("cg", its preconditioner M) or ("splu", None)."""
+    spla = importlib.import_module("crackfem.solve").spla
+    calls = []
+
+    def recording(name, real):
+        def call(*args, **kwargs):
+            calls.append((name, kwargs.get("M")))
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("cg", "splu"):
+        monkeypatch.setattr(spla, name, recording(name, getattr(spla, name)))
+    return calls
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ from crackfem import (
     SegmentedCrack,
     SineProductSolution,
     SolutionField,
-    SolverConfig,
     assemble,
     assemble_operator,
     build_preset,
@@ -219,7 +218,7 @@ class TestGalerkinOrthogonality:
         segments = cut_chains(mesh, graph)
         coeffs = _build_coefficients(config, graph)
         system = assemble(mesh, segments, coeffs, _build_boundary(config.boundary))
-        u = solve(system, SolverConfig(method="direct"))
+        u = solve(system)
         exact = EXACT_SOLUTIONS[config.exact_solution]
 
         vectors = rng.standard_normal((5, system.n))

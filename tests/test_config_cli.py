@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 from crackfem import (
     Chain,
@@ -13,7 +14,6 @@ from crackfem import (
     MeshError,
     ProblemConfig,
     RefinementConfig,
-    SolverConfig,
     arc_points,
     build_preset,
     list_presets,
@@ -28,6 +28,7 @@ from crackfem.cli import main
 from crackfem.config import FUNCTIONS, resolve_scalar
 from crackfem.cracks import CrackGeometryError
 from oracles import signed_distance_to_crack
+from test_golden import case_config
 
 MINIMAL = {"domain": [0.0, 1.0, 0.0, 1.0], "refinement": {"global_h": 0.5}}
 
@@ -79,9 +80,15 @@ RUNTIME_CHECKED = [
     # a circle far longer than the domain perimeter, rejected before a
     # 93.6 GiB sampling allocation
     ({"chains": one_chain(kind="circle", center=[0.5, 0.5], radius=1e8)}, "chains[0]"),
-    # an angle difference that overflows to inf passes the one-turn bound
+    # an angle difference that overflows to inf
     (
         {"chains": one_chain(kind="arc", center=[0.5, 0.5], radius=0.25, angles=[-1e308, 1e308])},
+        "chains[0]",
+    ),
+    # 3.2e9 turns of a circle that fits, rejected before a 745 GiB sampling
+    # allocation
+    (
+        {"chains": one_chain(kind="arc", center=[0.5, 0.5], radius=0.25, angles=[-1e10, 1e10])},
         "chains[0]",
     ),
 ]
@@ -94,7 +101,6 @@ MALFORMED = [
     ({"refinement": {"global_h": float("nan")}}, "refinement.global_h"),
     ({"refinement": {"global_h": float("inf")}}, "refinement.global_h"),
     ({"refinement": [1, 2]}, "refinement"),
-    ({"solver": {"max_iterations": None}}, "solver.max_iterations"),
     ({"domain": 5}, "domain"),
     ({"coefficients": "x"}, "coefficients"),
     ({"study": {"levels": 3}}, "study.levels"),
@@ -210,15 +216,6 @@ NAN_INPUTS = [
         )
         for n in (NAN, 2.5)
     ),
-    *(
-        pytest.param(
-            lambda n=n: SolverConfig(method="cg", max_iterations=n),
-            ValueError,
-            "max_iterations must be >= 1",
-            id=f"max_iterations-{n}",
-        )
-        for n in (NAN, 2.5)
-    ),
 ]
 
 
@@ -232,7 +229,6 @@ class TestConfigValidation:
     def test_minimal_config_fills_defaults(self):
         config = ProblemConfig.from_dict(raw())
         assert config.coefficients["a1"] == 1.0
-        assert config.solver.method == "direct"
         assert config.refinement.rule == "none"
         assert config.boundary == {"left": {"dirichlet": 0.0}}
 
@@ -308,13 +304,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="boundary.left"):
             ProblemConfig.from_dict(raw(boundary={"left": 3}))
 
-    def test_refinement_and_solver_errors_are_wrapped(self):
+    def test_refinement_errors_are_wrapped(self):
         with pytest.raises(ConfigError, match="refinement:"):
             ProblemConfig.from_dict(
                 raw(refinement={"global_h": 0.5, "rule": "cubic"})
             )
-        with pytest.raises(ConfigError, match="solver:"):
-            ProblemConfig.from_dict(raw(solver={"method": "gmres"}))
+
+    def test_solver_is_not_a_config_key(self):
+        # the system picks its solver; there is nothing to configure
+        with pytest.raises(ConfigError, match=re.escape("config: unknown keys ['solver']")):
+            ProblemConfig.from_dict(raw(solver={"method": "direct"}))
 
     def test_unknown_exact_solution(self):
         with pytest.raises(ConfigError, match="exact_solution"):
@@ -331,13 +330,13 @@ class TestConfigValidation:
         # one turn of radius 3 is 6 pi long, the unit square's perimeter 4
         big = one_chain(kind="circle", center=[0.5, 0.5], radius=3)
         message = (
-            "chains[0]: an arc turn of length 18.8496 is longer than the domain perimeter 4"
+            "chains[0]: an arc of length 18.8496 is longer than the domain perimeter 4"
         )
         with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
             ProblemConfig.from_dict(raw(chains=big))
         # an arc longer than the perimeter by less than the domain tolerance
         # loads (it leaves the square at run time), and so does an arc of two
-        # turns whose one turn fits
+        # turns no longer than the perimeter
         for radius, angles in ((1.0, [0.0, 4.0 + 1e-12]), (0.3, [0.0, 4.0 * np.pi])):
             arc = one_chain(kind="arc", center=[0.5, 0.5], radius=radius, angles=angles)
             ProblemConfig.from_dict(raw(chains=arc))
@@ -574,6 +573,21 @@ class TestRunSingle:
         coeffs = config_module._build_coefficients(config, result.crack)
         assert coeffs.element_permeability(result.mesh)[0] == 10.0
 
+    @pytest.mark.parametrize(
+        "case",
+        ["poisson-square:0", "radial-uniform:0", "radial-local:1", "crack-network:default"],
+    )
+    def test_each_preset_takes_its_solver(self, case, solver_calls):
+        # unrefined lattices with every side Dirichlet run lattice CG (whose
+        # crack block is a SuperLU factor); refined meshes and Neumann sides
+        # run one SuperLU factor
+        run_single(case_config(case))
+        cg = [M for name, M in solver_calls if name == "cg"]
+        if case.startswith(("poisson-square", "radial-uniform")):
+            assert len(cg) == 1 and isinstance(cg[0], LinearOperator)
+        else:
+            assert solver_calls == [("splu", None)]
+
     def test_chain_ending_on_the_boundary_within_rounding_runs(self):
         end = [1.0 + 0.5 * _TOL, 0.5]
         chains = [{"geometry": {"kind": "segment", "points": [[0.5, 0.5], end]}}]
@@ -598,33 +612,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "errors: l2=" in out
         assert (tmp_path / "norms.csv").exists()
-
-    def test_solver_override(self, capsys):
-        assert main(["run", "poisson-square", "--solver", "direct"]) == 0
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("command", ["run", "study"])
-    def test_solver_flag_reaches_solve(self, command, monkeypatch, tmp_path, capsys):
-        methods = []
-        real_solve = config_module.solve
-
-        def recording_solve(system, config):
-            methods.append(config.method)
-            return real_solve(system, config)
-
-        monkeypatch.setattr(config_module, "solve", recording_solve)
-        d = build_preset("poisson-square").to_dict()  # configured for cg
-        d["refinement"]["global_h"] = 0.25
-        d["study"] = {"levels": [0.25, 0.125, 0.0625]}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(d))
-        n_solves = 3 if command == "study" else 1
-        assert main([command, str(path)]) == 0
-        assert methods == ["cg"] * n_solves
-        methods.clear()
-        assert main([command, str(path), "--solver", "direct"]) == 0
-        assert methods == ["direct"] * n_solves
-        capsys.readouterr()
 
     def test_study_prints_csv_and_slopes(self, capsys, tmp_path):
         d = build_preset("poisson-square").to_dict()

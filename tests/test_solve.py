@@ -15,7 +15,6 @@ from crackfem import (
     Mesh,
     ProblemConfig,
     SolutionField,
-    SolverConfig,
     SolverError,
     assemble,
     assemble_operator,
@@ -68,53 +67,32 @@ def embedded_system(mesh, block, rhs):
     )
 
 
-class TestSolverConfig:
-    def test_cholesky_alias(self):
-        # the direct path is SuperLU; there is no Cholesky alias for it
-        with pytest.raises(ValueError, match="unknown solver"):
-            SolverConfig(method="direct-cholesky")
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown solver"):
-            SolverConfig(method="gmres")
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError, match="rel_tolerance"):
-            SolverConfig(rel_tolerance=0.0)
-        with pytest.raises(ValueError, match="rel_tolerance"):
-            SolverConfig(rel_tolerance=2.0)
-
-    def test_rejects_bad_iteration_cap(self):
-        with pytest.raises(ValueError, match="max_iterations"):
-            SolverConfig(max_iterations=0)
-
-
 class TestSolve:
     def test_single_free_vertex_solved_exactly(self, square_mesh):
-        # h = 0.5 with all walls clamped leaves only the center vertex free
+        # h = 0.5 with all walls clamped leaves only the center vertex free;
+        # as assembled it is a lattice system, without ``a`` a hand-built one
         sys = assemble(
             square_mesh, SegmentedCrack.empty(), Coefficients(source=1.0), ZERO_WALLS
         )
         assert sys.matrix.shape == (1, 1)
         want = float(sys.rhs[0] / sys.matrix.toarray()[0, 0])
-        for method in ("cg", "direct"):
-            u = solve(sys, SolverConfig(method=method))
+        for system in (sys, replace(sys, a=None)):
+            u = solve(system)
             assert u.values[sys.free[0]] == pytest.approx(want, rel=1e-15)
 
     def test_identity_system_returns_rhs(self, square_mesh, rng):
         n = square_mesh.n_vertices
         b = rng.standard_normal(n)
         sys = embedded_system(square_mesh, sp.identity(n), b)
-        for method in ("cg", "direct"):
-            u = solve(sys, SolverConfig(method=method))
-            assert np.allclose(u.values, b, atol=1e-14)
+        u = solve(sys)
+        assert np.allclose(u.values, b, atol=1e-14)
 
     def test_nodal_errors_shrink_quadratically(self):
         exact = lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
         errs = []
         for h in (0.25, 0.125, 0.0625):
             sys = sine_system(h)
-            u = solve(sys, SolverConfig(method="direct"))
+            u = solve(sys)
             v = sys.mesh.vertices
             errs.append(np.abs(u.values - exact(v)).max())
         for coarse, fine in zip(errs, errs[1:]):
@@ -122,8 +100,9 @@ class TestSolve:
 
     def test_cg_matches_direct_in_energy(self):
         sys = sine_system(0.0625)
-        u_cg = solve(sys, SolverConfig(method="cg", rel_tolerance=1e-12)).values
-        u_dir = solve(sys, SolverConfig(method="direct")).values
+        u_cg = solve(sys).values
+        u_dir = u_cg.copy()
+        u_dir[sys.free] = solve_module._factor(sys.matrix).solve(sys.rhs)
         d = u_cg - u_dir
         K0 = assemble_operator(sys.mesh, SegmentedCrack.empty(), Coefficients())
         gap = np.sqrt(d @ (K0 @ d))
@@ -147,7 +126,7 @@ class TestSolve:
             sys = assemble(
                 m, SegmentedCrack.empty(), Coefficients(source=1.0), ZERO_WALLS
             )
-            return solve(sys, SolverConfig(method="direct")).values
+            return solve(sys).values
 
         assert np.allclose(run(shuffled)[inv], run(mesh), atol=1e-12)
 
@@ -157,36 +136,26 @@ class TestSolve:
             dirichlet={"left": 1.25, "right": -0.5, "bottom": 0.75, "top": 2.0}
         )
         sys = assemble(mesh, SegmentedCrack.empty(), Coefficients(), spec)
-        u = solve(sys, SolverConfig(method="direct"))
+        u = solve(sys)
         assert np.array_equal(u.values[sys.constrained], sys.values)
 
     def test_discrete_maximum_principle(self):
         sys = sine_system(0.125)
-        u = solve(sys, SolverConfig(method="direct"))
+        u = solve(sys)
         assert (u.values >= -1e-14).all()
         interior = np.setdiff1d(np.arange(sys.n), sys.constrained)
         assert u.values.argmax() in interior
 
-    def test_iteration_cap_raises(self):
-        # the lattice solve inverts a crack-free system with every side
-        # Dirichlet exactly, and a sine load is an eigenvector of the Jacobi
-        # one; a Neumann top side and a constant source keep cg honest
-        mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 0.0625)
-        walls = BoundarySpec(
-            dirichlet={"left": 0.0, "right": 0.0, "bottom": 0.0}, neumann=("top",)
-        )
-        sys = assemble(mesh, SegmentedCrack.empty(), Coefficients(source=1.0), walls)
-        with pytest.raises(SolverError, match="did not converge"):
-            solve(sys, SolverConfig(method="cg", max_iterations=1))
-
-    @pytest.mark.parametrize("method", ["cg", "direct"])
-    def test_non_finite_solution_raises(self, fine_square_mesh, method):
-        n = fine_square_mesh.n_vertices
-        b = np.ones(n)
-        b[n // 2] = np.nan
-        sys = embedded_system(fine_square_mesh, sp.identity(n), b)
-        with pytest.raises(SolverError, match="did not converge"):
-            solve(sys, SolverConfig(method=method))
+    @pytest.mark.parametrize("path", ["lattice CG", "SuperLU"])
+    def test_non_finite_solution_raises(self, fine_square_mesh, path):
+        if path == "lattice CG":
+            sys = sine_system(0.125)
+        else:
+            n = fine_square_mesh.n_vertices
+            sys = embedded_system(fine_square_mesh, sp.identity(n), np.ones(n))
+        sys.rhs[len(sys.rhs) // 2] = np.nan
+        with pytest.raises(SolverError, match=f"^{path} did not converge"):
+            solve(sys)
 
 
 def stencil(nx, ny, hx, hy, a):
@@ -263,24 +232,27 @@ class TestLatticePreconditioner:
         monkeypatch.setattr(solve_module.spla, "cg", counting_cg)
         for level in [*range(5), "fine"]:
             _, sys = pipeline_system(radial_uniform(level, permeability))
-            solve(sys, SolverConfig("cg"))
+            solve(sys)
         assert len(counts) == 6 and max(counts) <= 40
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         _, sys = pipeline_system(radial_uniform(0))
-        with pytest.raises(SolverError, match="did not converge"):
-            solve(sys, SolverConfig("cg", max_iterations=1))
+        monkeypatch.setattr(solve_module, "MAX_CG_STEPS", 1)
+        with pytest.raises(SolverError, match="^lattice CG did not converge"):
+            solve(sys)
 
     @pytest.mark.parametrize("level", range(5))
-    def test_norms_match_the_direct_solve(self, level):
+    def test_norms_match_the_direct_solve(self, level, monkeypatch):
         config = radial_uniform(level)
         cg = run_single(config).report
-        direct = run_single(replace(config, solver=SolverConfig("direct"))).report
+        # without the preconditioner, solve factors the system with SuperLU
+        monkeypatch.setattr(solve_module, "_lattice_preconditioner", lambda system: None)
+        direct = run_single(config).report
         for name in ("l2", "h1_semi", "l2_crack", "energy"):
             assert getattr(cg, name) == pytest.approx(getattr(direct, name), rel=1e-6)
 
     @pytest.mark.parametrize("case", ["refined", "neumann", "two-regions"])
-    def test_other_systems_fall_back_to_jacobi(self, case):
+    def test_other_systems_take_superlu(self, case, solver_calls):
         if case == "refined":
             config = case_config("radial-local:1")
         else:
@@ -293,7 +265,8 @@ class TestLatticePreconditioner:
             assert sys.mesh.lattice.cells is None and sys.a == 1.0
         assert (sys.a is None) == (case == "two-regions")
         assert solve_module._lattice_preconditioner(sys) is None
-        solve(sys, SolverConfig("cg"))
+        solve(sys)
+        assert solver_calls == [("splu", None)]
 
 
 class TestDirectFactorization:
@@ -301,7 +274,7 @@ class TestDirectFactorization:
     def test_agrees_with_default_ordering(self, case):
         _, system = pipeline_system(case_config(case))
         want = splu_default_solve(system.matrix, system.rhs)
-        got = solve(system, SolverConfig("direct")).values[system.free]
+        got = solve(system).values[system.free]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_symmetric_ordering_cuts_fill(self, monkeypatch):
@@ -315,7 +288,7 @@ class TestDirectFactorization:
 
         monkeypatch.setattr(solve_module.spla, "splu", recording_splu)
         _, system = pipeline_system(case_config("radial-local:1"))
-        solve(system, SolverConfig("direct"))
+        solve(system)
         splu_default_solve(system.matrix, system.rhs)
         ours, default = fill
         assert ours <= 0.7 * default
@@ -331,7 +304,7 @@ class TestDirectFactorization:
     def test_solves_without_a_usable_diagonal(self, square_mesh, block):
         b = np.array([1.0, 2.0])
         sys = embedded_system(square_mesh, block, b)
-        u = solve(sys, SolverConfig("direct")).values
+        u = solve(sys).values
         assert np.array_equal(u[:2], np.linalg.solve(block, b))
         assert np.array_equal(u[2:], np.ones(sys.n - 2))
 
@@ -342,13 +315,13 @@ class TestDirectFactorization:
         A = off + sp.diags(np.abs(off).sum(axis=1).A1 + 1.0)
         assert (A != A.T).nnz > 0
         b = rng.standard_normal(n)
-        u = solve(embedded_system(fine_square_mesh, A, b), SolverConfig("direct"))
+        u = solve(embedded_system(fine_square_mesh, A, b))
         assert np.linalg.norm(A @ u.values - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_singular_matrix_raises(self, square_mesh):
         sys = embedded_system(square_mesh, [[1.0, 1.0], [1.0, 1.0]], np.ones(2))
         with pytest.raises(SolverError, match="factorization failed"):
-            solve(sys, SolverConfig("direct"))
+            solve(sys)
 
 
 class TestSolutionField:
