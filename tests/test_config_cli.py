@@ -613,6 +613,42 @@ class TestCli:
         assert "errors: l2=" in out
         assert (tmp_path / "norms.csv").exists()
 
+    def test_solver_flag_is_gone(self, capsys):
+        # the system picks its solver; the command line has none to set
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "poisson-square", "--solver", "direct"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --solver direct" in capsys.readouterr().err
+
+    def test_config_with_a_solver_section_exits_two(self, capsys, tmp_path):
+        d = build_preset("poisson-square").to_dict()
+        d["solver"] = {"method": "cg"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config: unknown keys ['solver']\n"
+
+    @pytest.mark.parametrize("command", ["run", "study"])
+    def test_commands_reach_the_chosen_solver(self, command, solver_calls, tmp_path, capsys):
+        # a crack-free lattice runs lattice CG with nothing to factor while
+        # every side is Dirichlet, and one SuperLU factor with a Neumann top
+        d = build_preset("poisson-square").to_dict()
+        d["refinement"]["global_h"] = 0.25
+        d["study"] = {"levels": [0.25, 0.125, 0.0625]}
+        path = tmp_path / "cfg.json"
+        n_solves = 3 if command == "study" else 1
+        for top, want in (({"dirichlet": 0.0}, "cg"), ("neumann", "splu")):
+            d["boundary"]["top"] = top
+            path.write_text(json.dumps(d))
+            solver_calls.clear()
+            assert main([command, str(path)]) == 0
+            assert [name for name, _ in solver_calls] == [want] * n_solves
+            if want == "cg":
+                assert all(isinstance(M, LinearOperator) for _, M in solver_calls)
+        capsys.readouterr()
+
     def test_study_prints_csv_and_slopes(self, capsys, tmp_path):
         d = build_preset("poisson-square").to_dict()
         d["study"] = {"levels": [0.25, 0.125, 0.0625]}

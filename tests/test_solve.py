@@ -2,6 +2,7 @@
 
 import importlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -156,6 +157,28 @@ class TestSolve:
         sys.rhs[len(sys.rhs) // 2] = np.nan
         with pytest.raises(SolverError, match=f"^{path} did not converge"):
             solve(sys)
+
+    def test_inexact_superlu_solve_raises(self, monkeypatch):
+        # a finite answer whose residual misses REL_TOLERANCE fails the same
+        # check as an unconverged CG
+        real = solve_module._factor
+        monkeypatch.setattr(
+            solve_module,
+            "_factor",
+            lambda A: SimpleNamespace(solve=lambda b: real(A).solve(b) * (1.0 + 1e-6)),
+        )
+        with pytest.raises(SolverError, match="^SuperLU did not converge"):
+            solve(replace(sine_system(0.125), a=None))
+
+    def test_hand_built_systems_take_superlu(self, solver_calls):
+        # without ``a`` the lattice preconditioner does not apply, however
+        # regular the system; as assembled, the same system runs lattice CG
+        sys = sine_system(0.125)
+        solve(replace(sys, a=None))
+        assert solver_calls == [("splu", None)]
+        solver_calls.clear()
+        solve(sys)
+        assert [name for name, _ in solver_calls] == ["cg"]
 
 
 def stencil(nx, ny, hx, hy, a):
