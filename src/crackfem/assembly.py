@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cracks import SegmentedCrack
-from .mesh import Mesh
+from .mesh import RECTANGLE_TAGS, Mesh
 
 
 class SingularSystemError(ValueError):
@@ -24,9 +24,15 @@ class SingularSystemError(ValueError):
 
 def _values_at(value, points) -> np.ndarray:
     """A number, or a function of (k, 2) points, evaluated at points: (k,)."""
-    if callable(value):
-        return np.asarray(value(points), dtype=float)
-    return np.full(len(points), float(value))
+    if not callable(value):
+        return np.full(len(points), float(value))
+    values = np.asarray(value(points), dtype=float)
+    if values.shape != (len(points),):
+        raise ValueError(
+            "a function of position must return one value per point: "
+            f"expected ({len(points)},), got {values.shape}"
+        )
+    return values
 
 
 @dataclass
@@ -62,44 +68,42 @@ class Coefficients:
 
 @dataclass
 class BoundarySpec:
-    """Boundary conditions by edge tag.
+    """Dirichlet conditions by side of the mesh's lattice box.
 
-    ``dirichlet`` maps tags to values: numbers, or functions of one (k, 2)
-    point array returning (k,) values. ``neumann`` lists tags with natural
-    (zero-flux) conditions. Every tag on the mesh must be covered and at
-    least one Dirichlet tag is required.
+    ``dirichlet`` maps sides in ``RECTANGLE_TAGS`` to values: numbers, or
+    functions of one (k, 2) point array returning (k,) values. The other
+    sides are natural (zero flux). At least one side is required.
     """
 
     dirichlet: dict = field(default_factory=dict)
-    neumann: tuple = ()
 
     def __post_init__(self):
         if not self.dirichlet:
             raise SingularSystemError(
                 "no Dirichlet boundary: the system would be singular"
             )
-        overlap = set(self.dirichlet) & set(self.neumann)
-        if overlap:
-            raise ValueError(f"tags in both maps: {sorted(overlap)}")
+        unknown = set(self.dirichlet) - set(RECTANGLE_TAGS)
+        if unknown:
+            known = list(RECTANGLE_TAGS)
+            raise ValueError(f"unknown sides {sorted(unknown)} (known: {known})")
 
     def constrained_vertices(self, mesh: Mesh):
-        """Dirichlet vertex ids and values, tags applied in sorted order."""
-        present = set(str(t) for t in mesh.boundary_tags)
-        covered = set(self.dirichlet) | set(self.neumann)
-        missing = present - covered
-        if missing:
-            raise ValueError(f"boundary tags without a condition: {sorted(missing)}")
-        values = {}
-        for tag in sorted(self.dirichlet):
-            on_tag = mesh.boundary_edges[mesh.boundary_tags == tag]
-            verts = np.unique(on_tag.ravel())
-            if verts.size == 0:
-                continue
-            vals = _values_at(self.dirichlet[tag], mesh.vertices[verts])
-            for v, val in zip(verts, vals):
-                values[int(v)] = float(val)
-        idx = np.array(sorted(values), dtype=np.int64)
-        return idx, np.array([values[i] for i in idx])
+        """Dirichlet vertex ids and values, sides in sorted order, so a corner
+        takes the later side's value. Side left is x == xs[0] of the mesh's
+        lattice, right x == xs[-1], bottom y == ys[0] and top y == ys[-1]:
+        exact, as lattice ends are ``linspace`` end points and a midpoint of
+        two equal coordinates is that coordinate."""
+        x, y = mesh.vertices.T
+        (x0, x1), (y0, y1) = mesh.lattice.xs[[0, -1]], mesh.lattice.ys[[0, -1]]
+        lines = {"left": (x, x0), "right": (x, x1), "bottom": (y, y0), "top": (y, y1)}
+        values = np.empty(mesh.n_vertices)
+        on = np.zeros(mesh.n_vertices, dtype=bool)
+        for side in sorted(self.dirichlet):
+            coord, end = lines[side]
+            verts = np.flatnonzero(coord == end)
+            values[verts] = _values_at(self.dirichlet[side], mesh.vertices[verts])
+            on[verts] = True
+        return np.flatnonzero(on), values[on]
 
 
 @dataclass

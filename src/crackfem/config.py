@@ -389,16 +389,15 @@ def _build_coefficients(config: ProblemConfig, graph: CrackGraph) -> Coefficient
 
 
 def _build_boundary(boundary: dict) -> BoundarySpec:
-    """Conditions by tag; sides the config leaves out get the natural one."""
-    dirichlet = {}
-    neumann = []
-    for tag in RECTANGLE_TAGS:
-        cond = boundary.get(tag, "neumann")
-        if cond == "neumann":
-            neumann.append(tag)
-        else:
-            dirichlet[tag] = resolve_scalar(cond["dirichlet"], f"boundary.{tag}")
-    return BoundarySpec(dirichlet=dirichlet, neumann=tuple(sorted(neumann)))
+    """Dirichlet conditions by side; the other sides, named ``"neumann"``
+    or left out, are natural."""
+    return BoundarySpec(
+        {
+            tag: resolve_scalar(cond["dirichlet"], f"boundary.{tag}")
+            for tag, cond in boundary.items()
+            if cond != "neumann"
+        }
+    )
 
 
 @dataclass

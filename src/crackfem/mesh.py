@@ -75,27 +75,20 @@ class Mesh:
     triangles : (m, 3) int array
         Counterclockwise; vertex 0 is the newest vertex, edge (1, 2) the
         refinement edge.
-    boundary_edges : (b, 2) int array
-        Vertex pairs tracing the domain boundary.
-    boundary_tags : sequence of str, one tag per boundary edge.
     lattice : Lattice, optional
         Default one cell over the vertex box, exact and cheap at test sizes.
         Its box, the vertex box (midpoints stay in their edges' boxes), gives
         ``tolerance``, the absolute tolerance of incidence tests.
     """
 
-    def __init__(self, vertices, triangles, boundary_edges, boundary_tags, lattice=None):
+    def __init__(self, vertices, triangles, lattice=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
-        self.boundary_tags = np.asarray(boundary_tags)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be (n, 2)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangles must be (m, 3)")
-        if len(self.boundary_edges) != len(self.boundary_tags):
-            raise MeshError("one tag per boundary edge required")
-        for arr in (self.vertices, self.triangles, self.boundary_edges):
+        for arr in (self.vertices, self.triangles):
             arr.setflags(write=False)
         if lattice is None:
             box = np.stack([self.vertices.min(axis=0), self.vertices.max(axis=0)], 1)
@@ -301,14 +294,7 @@ def build_rectangle_mesh(bounds, target_h: float) -> Mesh:
     lower = np.column_stack([p10, p11, p00])
     upper = np.column_stack([p01, p00, p11])
     triangles = np.stack([lower, upper], axis=1).reshape(-1, 3)
-
-    # boundary edges (start, start + step), side by side in RECTANGLE_TAGS order
-    i, j = np.arange(nx), np.arange(ny)
-    starts = np.concatenate([vid(i, 0), vid(i, ny), vid(0, j), vid(nx, j)])
-    steps = np.repeat([1, 1, nx + 1, nx + 1], [nx, nx, ny, ny])
-    tags = np.repeat(RECTANGLE_TAGS, [nx, nx, ny, ny])
-    edges = np.column_stack([starts, starts + steps])
-    return Mesh(vertices, triangles, edges, tags, Lattice(xs, ys, None))
+    return Mesh(vertices, triangles, Lattice(xs, ys, None))
 
 
 def refine_marked(mesh: Mesh, marked):
@@ -350,11 +336,8 @@ def refine_marked(mesh: Mesh, marked):
         edge_marked[t2e[need, 0]] = True
 
     split = np.nonzero(edge_marked)[0]
-    split_codes = pairs[split, 0] * n + pairs[split, 1]
-    order = np.argsort(split_codes)
-    split, split_codes = split[order], split_codes[order]
-    n_split = len(split)
-    new_ids = n + np.arange(n_split)
+    split = split[np.argsort(pairs[split, 0] * n + pairs[split, 1])]
+    new_ids = n + np.arange(len(split))
     edge_newv = np.full(n_edges, -1, dtype=np.int64)
     edge_newv[split] = new_ids
     vertices = np.vstack([mesh.vertices, mesh.vertices[pairs[split]].mean(axis=1)])
@@ -385,21 +368,8 @@ def refine_marked(mesh: Mesh, marked):
         out_pairs.append(np.sort(np.column_stack([v0, mid]), axis=1))
     out_pairs = np.concatenate(out_pairs)
     out_pairs[split, 1] = new_ids
-
-    # split boundary edges in place, inheriting tags
-    be = np.sort(mesh.boundary_edges, axis=1)
-    bcodes = be[:, 0] * n + be[:, 1]
-    pos = np.minimum(np.searchsorted(split_codes, bcodes), n_split - 1)
-    bsplit = split_codes[pos] == bcodes
-    bmid = new_ids[pos[bsplit]]
-    reps = 1 + bsplit
-    # edge (a, b) through midpoint m becomes (a, m), (m, b)
-    bfirst = np.cumsum(reps) - reps
-    edges = np.repeat(mesh.boundary_edges, reps, axis=0)
-    edges[bfirst[bsplit], 1] = bmid
-    edges[bfirst[bsplit] + 1, 0] = bmid
     lattice = mesh.lattice._replace(cells=mesh.lattice.triangle_cells(m)[parent])
-    refined = Mesh(vertices, out, edges, np.repeat(mesh.boundary_tags, reps), lattice)
+    refined = Mesh(vertices, out, lattice)
     refined._set_edges(out_pairs, out_t2e)
     return refined, parent
 

@@ -381,20 +381,36 @@ def validate_mesh(mesh: Mesh) -> None:
     counts = np.bincount(t2e.ravel(), minlength=len(unique))
     if (counts > 2).any():
         raise MeshError("edge shared by more than two triangles")
-    be = np.sort(mesh.boundary_edges, axis=1)
-    bcodes = be[:, 0] * mesh.n_vertices + be[:, 1]
-    if len(np.unique(bcodes)) != len(bcodes):
-        raise MeshError("duplicate boundary edge")
-    boundary_set = np.isin(unique, bcodes)
-    if not (counts[boundary_set] == 1).all():
-        raise MeshError("boundary edge shared by two triangles")
-    # an interior (count 1) edge missing from the boundary list means a
-    # hanging node or a hole
-    once = counts == 1
-    if not np.isin(unique[once], bcodes).all():
-        raise MeshError("non-conforming mesh: unmatched single edge")
-    if not np.isin(bcodes, unique).all():
-        raise MeshError("boundary edge not part of the triangulation")
+    # an edge of one triangle must lie on a side of the lattice box;
+    # elsewhere it means a hanging node or a hole
+    once = unique[counts == 1]
+    ends = mesh.vertices[np.stack([once // mesh.n_vertices, once % mesh.n_vertices])]
+    xs, ys, _ = mesh.lattice
+    on_box = np.zeros(len(once), dtype=bool)
+    for axis, line in ((0, xs[0]), (0, xs[-1]), (1, ys[0]), (1, ys[-1])):
+        on_box |= (ends[:, :, axis] == line).all(axis=0)
+    if not on_box.all():
+        raise MeshError("non-conforming mesh: single edge off the lattice box")
+
+
+def side_vertices(mesh: Mesh, bounds) -> dict:
+    """Vertex ids, sorted, on each side of the rectangle bounds (xmin, xmax,
+    ymin, ymax), by name: the end points of the edges of one triangle whose
+    two end points lie on that side's line."""
+    unique, t2e = mesh.edge_codes()
+    once = unique[np.bincount(t2e.ravel(), minlength=len(unique)) == 1]
+    ends = np.column_stack([once // mesh.n_vertices, once % mesh.n_vertices])
+    xmin, xmax, ymin, ymax = bounds
+    sides = {}
+    for side, axis, line in (
+        ("left", 0, xmin),
+        ("right", 0, xmax),
+        ("bottom", 1, ymin),
+        ("top", 1, ymax),
+    ):
+        on = (mesh.vertices[ends][:, :, axis] == line).all(axis=1)
+        sides[side] = np.unique(ends[on])
+    return sides
 
 
 def locate_points(mesh: Mesh, points) -> np.ndarray:
@@ -548,19 +564,7 @@ def refine_marked_table(mesh: Mesh, marked):
     )
     out_pairs[split, 1] = new_ids
 
-    # split boundary edges in place, inheriting tags
-    be = np.sort(mesh.boundary_edges, axis=1)
-    bcodes = be[:, 0] * n + be[:, 1]
-    pos = np.minimum(np.searchsorted(split_codes, bcodes), n_split - 1)
-    bsplit = split_codes[pos] == bcodes
-    bmid = new_ids[pos[bsplit]]
-    reps = 1 + bsplit
-    # edge (a, b) through midpoint m becomes (a, m), (m, b)
-    bfirst = np.cumsum(reps) - reps
-    edges = np.repeat(mesh.boundary_edges, reps, axis=0)
-    edges[bfirst[bsplit], 1] = bmid
-    edges[bfirst[bsplit] + 1, 0] = bmid
-    refined = Mesh(vertices, out, edges, np.repeat(mesh.boundary_tags, reps))
+    refined = Mesh(vertices, out)
     refined._set_edges(out_pairs, out_t2e)
     return refined, np.repeat(np.arange(m), counts)
 

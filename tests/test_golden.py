@@ -97,8 +97,6 @@ def pipeline_digests(config) -> dict:
     arrays = {
         "mesh.vertices": mesh.vertices,
         "mesh.triangles": mesh.triangles,
-        "mesh.boundary_edges": mesh.boundary_edges,
-        "mesh.boundary_tags": mesh.boundary_tags,
         "segments.triangle_index": segments.triangle_index,
         "segments.points": segments.points,
         "segments.length": segments.length,
@@ -120,8 +118,6 @@ GOLDEN = {
     "poisson-square:0": {
         "mesh.vertices": "6763299e86f80e67",
         "mesh.triangles": "0fd17c72a55eda41",
-        "mesh.boundary_edges": "1caf4d5d8cf827b9",
-        "mesh.boundary_tags": "6b1fa4daf0df564d",
         "segments.triangle_index": "55ae42cc1e37a5eb",
         "segments.points": "9c4afed728a26b1d",
         "segments.length": "64578373a8a80ad1",
@@ -138,8 +134,6 @@ GOLDEN = {
     "poisson-square:1": {
         "mesh.vertices": "1cbe111ce5cae83d",
         "mesh.triangles": "3d25a2fcdc966f1e",
-        "mesh.boundary_edges": "d2a82997e10be073",
-        "mesh.boundary_tags": "93ef3f21c7247cdc",
         "segments.triangle_index": "55ae42cc1e37a5eb",
         "segments.points": "9c4afed728a26b1d",
         "segments.length": "64578373a8a80ad1",
@@ -156,8 +150,6 @@ GOLDEN = {
     "radial-uniform:0": {
         "mesh.vertices": "25cbcf6ebd03e397",
         "mesh.triangles": "0fd17c72a55eda41",
-        "mesh.boundary_edges": "1caf4d5d8cf827b9",
-        "mesh.boundary_tags": "6b1fa4daf0df564d",
         "segments.triangle_index": "eb42c8bf45bc72f7",
         "segments.points": "9440fefcec75567e",
         "segments.length": "2163ba771d2d0d37",
@@ -174,8 +166,6 @@ GOLDEN = {
     "radial-uniform:1": {
         "mesh.vertices": "a175821989a37ca2",
         "mesh.triangles": "3d25a2fcdc966f1e",
-        "mesh.boundary_edges": "d2a82997e10be073",
-        "mesh.boundary_tags": "93ef3f21c7247cdc",
         "segments.triangle_index": "18cbabfed6c6110c",
         "segments.points": "f1c153615821efce",
         "segments.length": "8b8c3e986d174c83",
@@ -192,8 +182,6 @@ GOLDEN = {
     "radial-local:0": {
         "mesh.vertices": "2c11f94a614ec1ab",
         "mesh.triangles": "d3e14456fe59550f",
-        "mesh.boundary_edges": "ba96ccee0b67e0ae",
-        "mesh.boundary_tags": "43c90a925a0022da",
         "segments.triangle_index": "8f830ca5d67c9870",
         "segments.points": "fd11b42701392d58",
         "segments.length": "5f0a789a44d573be",
@@ -210,8 +198,6 @@ GOLDEN = {
     "radial-local:1": {
         "mesh.vertices": "45f1222020f085d6",
         "mesh.triangles": "d0b971f2c9729400",
-        "mesh.boundary_edges": "5e3cd4e0fed16b2b",
-        "mesh.boundary_tags": "04e875fc7bf1b6da",
         "segments.triangle_index": "4cca9d3551c7dfae",
         "segments.points": "2f02b945b8028aa7",
         "segments.length": "90470eb90befe519",
@@ -228,8 +214,6 @@ GOLDEN = {
     "radial-local:3": {
         "mesh.vertices": "32822181384d5e54",
         "mesh.triangles": "aef218afc9dd927d",
-        "mesh.boundary_edges": "043a49d3d2228eec",
-        "mesh.boundary_tags": "005a893a230d97e5",
         "segments.triangle_index": "531b61526aa78a3c",
         "segments.points": "a3bf3d4828dff3dc",
         "segments.length": "6c70f5781a680c6a",
@@ -246,8 +230,6 @@ GOLDEN = {
     "crack-network:default": {
         "mesh.vertices": "13a28b3b7b7549e0",
         "mesh.triangles": "847d78d674f0a6f8",
-        "mesh.boundary_edges": "9e1ec647e9acb815",
-        "mesh.boundary_tags": "bc1a58e66268e4ee",
         "segments.triangle_index": "d4e9210dd3d31cec",
         "segments.points": "0d4214b4516aa601",
         "segments.length": "8514ba42b0d3aad1",
@@ -264,8 +246,6 @@ GOLDEN = {
     "crack-network:h=0.25": {
         "mesh.vertices": "8f6af4d6902ff501",
         "mesh.triangles": "69a9db978fe5fbdf",
-        "mesh.boundary_edges": "120b600536f3d95d",
-        "mesh.boundary_tags": "abe19699023b1fe3",
         "segments.triangle_index": "63689b64e94884e9",
         "segments.points": "41cea5f531057114",
         "segments.length": "cfc69e6bc197b749",

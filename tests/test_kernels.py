@@ -102,7 +102,7 @@ def check_lattice(mesh, starts, ends):
 def turned(mesh):
     """The mesh turned by 180 degrees about the origin: still
     counterclockwise, and every zero coordinate becomes -0.0."""
-    return Mesh(-mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags)
+    return Mesh(-mesh.vertices, mesh.triangles)
 
 
 def check_kernels(mesh, crack, coeffs, boundary, values):
@@ -191,10 +191,7 @@ def _problems(draw):
     )
     tags = draw(st.lists(st.sampled_from(RECTANGLE_TAGS), min_size=1, unique=True))
     value = st.sampled_from([0.0, -0.0, 1.0, -0.5])
-    boundary = BoundarySpec(
-        dirichlet={tag: draw(value) for tag in tags},
-        neumann=tuple(t for t in RECTANGLE_TAGS if t not in tags),
-    )
+    boundary = BoundarySpec(dirichlet={tag: draw(value) for tag in tags})
     n = mesh.n_vertices
     values = np.array(draw(st.lists(_FIELD_VALUES, min_size=n, max_size=n)))
     return mesh, cut_chains(mesh, crack), coeffs, boundary, values
@@ -223,13 +220,7 @@ def _lattice_cases(draw):
         mesh, _ = refine_near_crack(mesh, crack, config)
     if draw(st.booleans()):
         lattice = draw(st.sampled_from([None, mesh.lattice]))
-        mesh = Mesh(
-            mesh.vertices,
-            mesh.triangles,
-            mesh.boundary_edges,
-            mesh.boundary_tags,
-            lattice,
-        )
+        mesh = Mesh(mesh.vertices, mesh.triangles, lattice)
     grown_lo, grown_hi = lo - (hi - lo) / 5, hi + (hi - lo) / 5
     offsets = st.sampled_from([0.0, 0.0, 1.0, -1.0, 7.5, -7.5, 10.0, -10.0])
     offsets = offsets.map(lambda d: d * mesh.tolerance)
@@ -280,13 +271,7 @@ class TestLatticeCandidates:
         for _ in range(4):
             marked = rng.choice(mesh.n_triangles, size=9, replace=False)
             mesh, _ = refine_marked(mesh, marked)
-        again = Mesh(
-            mesh.vertices,
-            mesh.triangles,
-            mesh.boundary_edges,
-            mesh.boundary_tags,
-            mesh.lattice,
-        )
+        again = Mesh(mesh.vertices, mesh.triangles, mesh.lattice)
         assert_bitwise(again.tolerance, mesh.tolerance)
         lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
         starts, ends = lo + rng.random((2, 20, 2)) * (hi - lo)
@@ -307,9 +292,7 @@ class TestKernelsMatchOracles:
         mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 0.25)
         chain = Chain(np.array([[0.3, 0.4], [0.7, 0.6]]))
         crack = cut_chains(mesh, CrackGraph([chain]))
-        boundary = BoundarySpec(
-            dirichlet={"left": 0.0, "right": 1.0}, neumann=("bottom", "top")
-        )
+        boundary = BoundarySpec(dirichlet={"left": 0.0, "right": 1.0})
         values = np.linspace(-1.0, 1.0, mesh.n_vertices)
         K0, system = check_kernels(mesh, crack, Coefficients(), boundary, values)
         assert (K0.data == 0.0).any()
@@ -321,8 +304,6 @@ class TestKernelsMatchOracles:
         assert np.signbit(mesh.vertices[mesh.vertices == 0.0]).all()
         chain = Chain(np.array([[-0.2, -0.3], [-0.8, -1.5]]))
         crack = cut_chains(mesh, CrackGraph([chain]))
-        boundary = BoundarySpec(
-            dirichlet={"bottom": -0.0}, neumann=("top", "left", "right")
-        )
+        boundary = BoundarySpec(dirichlet={"bottom": -0.0})
         values = np.where(np.arange(mesh.n_vertices) % 2 == 0, -0.0, 0.0)
         check_kernels(mesh, crack, Coefficients(), boundary, values)

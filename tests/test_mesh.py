@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from crackfem import (
+    BoundarySpec,
     Chain,
     CrackGraph,
     Mesh,
@@ -25,6 +26,7 @@ from crackfem import (
 from crackfem._geom import REL_TOL, bbox_diameter
 from crackfem.config import _radial_levels, build_crack_graph
 from crackfem.mesh import (
+    RECTANGLE_TAGS,
     _vertex_neighborhood,
     _render,
     export_mesh_text,
@@ -65,23 +67,6 @@ class TestBuildRectangleMesh:
         np.testing.assert_allclose(mesh.triangle_areas(), 0.125)
         validate_mesh(mesh)
 
-    def test_network_domain_side_tags(self):
-        mesh = build_rectangle_mesh((0.0, 13.0, 0.0, 9.5), 0.7)
-        for tag, axis, value in (
-            ("left", 0, 0.0),
-            ("right", 0, 13.0),
-            ("bottom", 1, 0.0),
-            ("top", 1, 9.5),
-        ):
-            edges = mesh.boundary_edges[mesh.boundary_tags == tag]
-            assert edges.size > 0
-            np.testing.assert_array_equal(
-                mesh.vertices[edges.ravel()][:, axis], value
-            )
-        # conversely, every x = 0 edge carries the left tag
-        on_left = np.all(mesh.vertices[mesh.boundary_edges][:, :, 0] == 0.0, axis=1)
-        assert set(mesh.boundary_tags[on_left]) == {"left"}
-
     def test_spacing_bound_and_diameter(self):
         mesh = build_rectangle_mesh((0.0, 2.0, 0.0, 1.0), 0.3)
         # diameters are cell diagonals, at most sqrt(2) times the target
@@ -106,7 +91,7 @@ class TestBuildRectangleMesh:
         # four vertices, but not a rectangle: the default lattice is only
         # their box, whose diagonal sqrt(2) no triangle spans
         vertices = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.0, 1.0]]
-        mesh = Mesh(vertices, [[0, 1, 2], [0, 2, 3]], np.empty((0, 2)), [])
+        mesh = Mesh(vertices, [[0, 1, 2], [0, 2, 3]])
         assert mesh.h_max == np.sqrt(1.25)
         refined, _ = refine_marked(build_rectangle_mesh((0.0, 2.0, 0.0, 1.0), 0.5), [0])
         assert refined.h_max == refined.triangle_diameters().max()
@@ -127,12 +112,7 @@ class TestMeshValidate:
     def test_detects_clockwise_triangle(self, square_mesh):
         flipped = square_mesh.triangles.copy()
         flipped[0] = flipped[0, ::-1]
-        bad = Mesh(
-            square_mesh.vertices,
-            flipped,
-            square_mesh.boundary_edges,
-            square_mesh.boundary_tags,
-        )
+        bad = Mesh(square_mesh.vertices, flipped)
         with pytest.raises(MeshError, match="area"):
             validate_mesh(bad)
 
@@ -142,20 +122,14 @@ class TestMeshValidate:
             [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.0, 1.0]]
         )
         triangles = np.array([[0, 1, 2], [3, 1, 4]])
-        edges = np.array([[0, 1], [1, 4], [4, 3], [2, 0], [3, 2]])
-        mesh = Mesh(vertices, triangles, edges, ["b"] * 5)
+        mesh = Mesh(vertices, triangles)
         with pytest.raises(MeshError):
             validate_mesh(mesh)
 
     def test_detects_index_out_of_range(self, square_mesh):
         tris = square_mesh.triangles.copy()
         tris[0, 0] = 99
-        bad = Mesh(
-            square_mesh.vertices,
-            tris,
-            square_mesh.boundary_edges,
-            square_mesh.boundary_tags,
-        )
+        bad = Mesh(square_mesh.vertices, tris)
         with pytest.raises(MeshError, match="range"):
             validate_mesh(bad)
 
@@ -266,13 +240,23 @@ class TestRefineMarked:
             assert min_angle(mesh) >= 15.0
             validate_mesh(mesh)
 
-    def test_boundary_tags_survive_refinement(self, square_mesh):
-        refined, _ = refine_marked(square_mesh, np.arange(square_mesh.n_triangles))
-        for tag in ("left", "right", "top", "bottom"):
-            assert (refined.boundary_tags == tag).sum() >= (
-                square_mesh.boundary_tags == tag
-            ).sum()
-        validate_mesh(refined)
+
+def markings(n):
+    """A few of n triangle ids, or any subset of them."""
+    return st.one_of(
+        st.lists(st.integers(0, n - 1), max_size=8), arrays(bool, n).map(np.flatnonzero)
+    )
+
+
+# rectangles (0, width) x (0, height) of 1 to 4 cells across the shorter
+# side, refined over 3 to 5 generations of ``markings``
+refinement_runs = given(
+    st.floats(0.5, 2.0),
+    st.floats(0.5, 2.0),
+    st.integers(1, 4),
+    st.integers(3, 5),
+    st.data(),
+)
 
 
 class TestBisectionMatchesTable:
@@ -280,33 +264,50 @@ class TestBisectionMatchesTable:
     bitwise, over several generations of random markings."""
 
     @settings(deadline=None, max_examples=60)
-    @given(
-        st.floats(0.5, 2.0),
-        st.floats(0.5, 2.0),
-        st.integers(1, 4),
-        st.integers(3, 5),
-        st.data(),
-    )
+    @refinement_runs
     def test_matches_the_table(self, width, height, cells, generations, data):
         h = min(width, height) / cells
         mesh = table = build_rectangle_mesh((0.0, width, 0.0, height), h)
         for _ in range(generations):
-            n = mesh.n_triangles
-            # a few ids, or any subset of the triangles
-            marked = data.draw(
-                st.one_of(
-                    st.lists(st.integers(0, n - 1), max_size=8),
-                    arrays(bool, n).map(np.flatnonzero),
-                )
-            )
+            marked = data.draw(markings(mesh.n_triangles))
             mesh, parent = refine_marked(mesh, marked)
             table, table_parent = oracles.refine_marked_table(table, marked)
-            for name in ("vertices", "triangles", "boundary_edges", "boundary_tags"):
+            for name in ("vertices", "triangles"):
                 a, b = getattr(mesh, name), getattr(table, name)
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes(), name
             assert parent.tobytes() == table_parent.tobytes()
             assert_carried_edges_are_fresh(mesh)
+
+
+class TestBoundarySides:
+    """``BoundarySpec.constrained_vertices`` reads the sides off the
+    lattice box; the oracle reads them off the edges of one triangle."""
+
+    @settings(deadline=None, max_examples=40)
+    @refinement_runs
+    def test_sides_are_the_single_edges_on_each_side_line(
+        self, width, height, cells, generations, data
+    ):
+        bounds = (0.0, width, 0.0, height)
+        mesh = build_rectangle_mesh(bounds, min(width, height) / cells)
+        for _ in range(generations):
+            mesh, _ = refine_marked(mesh, data.draw(markings(mesh.n_triangles)))
+            sides = oracles.side_vertices(mesh, bounds)
+            for side, want in sides.items():
+                got, _ = BoundarySpec({side: 0.0}).constrained_vertices(mesh)
+                assert got.tolist() == want.tolist(), side
+            # distinct values per side: a corner takes the later side's value
+            chosen = data.draw(
+                st.lists(st.sampled_from(RECTANGLE_TAGS), min_size=1, unique=True)
+            )
+            spec = BoundarySpec({side: float(k) for k, side in enumerate(chosen)})
+            want = {}
+            for side in sorted(chosen):
+                want.update(dict.fromkeys(sides[side].tolist(), spec.dirichlet[side]))
+            idx, values = spec.constrained_vertices(mesh)
+            assert idx.tolist() == sorted(want)
+            assert values.tolist() == [want[v] for v in sorted(want)]
 
 
 class TestRefineNearCrack:
@@ -659,7 +660,7 @@ class TestExports:
                 arrays(np.int64, n, elements=st.integers(-(2**60), 2**60)),
             )
         )
-        mesh = Mesh(vertices, triangles, np.empty((0, 2), dtype=np.int64), [])
+        mesh = Mesh(vertices, triangles)
         field = SolutionField(mesh, values)
         writers = [
             (export_mesh_text, oracles.export_mesh_text, (mesh,)),

@@ -115,12 +115,7 @@ class TestSolve:
         perm = rng.permutation(mesh.n_vertices)
         inv = np.empty_like(perm)
         inv[perm] = np.arange(mesh.n_vertices)
-        shuffled = Mesh(
-            mesh.vertices[perm],
-            inv[mesh.triangles],
-            inv[mesh.boundary_edges],
-            mesh.boundary_tags,
-        )
+        shuffled = Mesh(mesh.vertices[perm], inv[mesh.triangles])
         validate_mesh(shuffled)
 
         def run(m):
