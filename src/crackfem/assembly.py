@@ -84,8 +84,7 @@ class BoundarySpec:
             )
         unknown = set(self.dirichlet) - set(RECTANGLE_TAGS)
         if unknown:
-            known = list(RECTANGLE_TAGS)
-            raise ValueError(f"unknown sides {sorted(unknown)} (known: {known})")
+            raise ValueError(f"unknown sides {sorted(unknown)} (known: {list(RECTANGLE_TAGS)})")
 
     def constrained_vertices(self, mesh: Mesh):
         """Dirichlet vertex ids and values, sides in sorted order, so a corner

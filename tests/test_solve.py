@@ -155,15 +155,36 @@ class TestSolve:
 
     def test_inexact_superlu_solve_raises(self, monkeypatch):
         # a finite answer whose residual misses REL_TOLERANCE fails the same
-        # check as an unconverged CG
+        # check as an unconverged CG; an offset in every solve survives the
+        # one step of iterative refinement
         real = solve_module._factor
         monkeypatch.setattr(
             solve_module,
             "_factor",
-            lambda A: SimpleNamespace(solve=lambda b: real(A).solve(b) * (1.0 + 1e-6)),
+            lambda A: SimpleNamespace(solve=lambda b: real(A).solve(b) + 1e-6),
         )
         with pytest.raises(SolverError, match="^SuperLU did not converge"):
             solve(replace(sine_system(0.125), a=None))
+
+    @pytest.mark.parametrize("error, n_solves", [(1e-6, 2), (0.0, 1)])
+    def test_superlu_refines_a_solve_that_misses_once(self, monkeypatch, error, n_solves):
+        # a relative error of 1e-6 in each solve leaves 1e-12 after one step
+        # of iterative refinement; a solve that meets the target is not refined
+        sys = replace(sine_system(0.125), a=None)
+        exact = solve(sys).values
+        real, solves = solve_module._factor, []
+
+        def scaled(A):
+            lu = real(A)
+            return SimpleNamespace(
+                solve=lambda b: solves.append(b) or lu.solve(b) * (1.0 + error)
+            )
+
+        monkeypatch.setattr(solve_module, "_factor", scaled)
+        values = solve(sys).values
+        assert len(solves) == n_solves
+        assert np.abs(values - exact).max() <= 1e-10 * np.abs(exact).max()
+        assert error or np.array_equal(values, exact)
 
     def test_hand_built_systems_take_superlu(self, solver_calls):
         # without ``a`` the lattice preconditioner does not apply, however
@@ -256,6 +277,17 @@ class TestLatticePreconditioner:
     def test_iteration_cap_raises(self, monkeypatch):
         _, sys = pipeline_system(radial_uniform(0))
         monkeypatch.setattr(solve_module, "MAX_CG_STEPS", 1)
+        with pytest.raises(SolverError, match="^lattice CG did not converge"):
+            solve(sys)
+
+    def test_cg_stopped_short_of_the_target_raises(self, monkeypatch):
+        # cg stopping at 1e-7 leaves a true residual of 2.6e-9 |b| here, which
+        # the check against 1e-10 |b| must reject whatever cg's info says
+        _, sys = pipeline_system(radial_uniform(1))
+        real_cg = solve_module.spla.cg
+        monkeypatch.setattr(
+            solve_module.spla, "cg", lambda *a, **kw: real_cg(*a, **{**kw, "rtol": 1e-7})
+        )
         with pytest.raises(SolverError, match="^lattice CG did not converge"):
             solve(sys)
 
