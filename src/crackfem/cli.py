@@ -38,7 +38,6 @@ def _resolve_config(args) -> ProblemConfig:
 def _add_common(parser):
     parser.add_argument("config", help="config file path or preset name")
     parser.add_argument("--out", default=None, help="output directory")
-    return parser
 
 
 def _cmd_run(args) -> int:
@@ -59,9 +58,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    result = run_convergence_study(
-        _resolve_config(args), out_dir=args.out, threads=args.threads
-    )
+    result = run_convergence_study(_resolve_config(args), out_dir=args.out)
     print(NormReport.CSV_HEADER)
     for report in result.reports:
         print(report.as_csv_row())
@@ -88,10 +85,7 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     _add_common(sub.add_parser("run", help="solve one problem"))
-    study = _add_common(sub.add_parser("study", help="run a convergence study"))
-    study.add_argument(
-        "--threads", type=int, default=1, help="process count for study levels"
-    )
+    _add_common(sub.add_parser("study", help="run a convergence study"))
     pre = sub.add_parser("presets", help="inspect built-in presets")
     pre_sub = pre.add_subparsers(dest="action", required=True)
     pre_sub.add_parser("list", help="list preset names")
@@ -99,8 +93,6 @@ def main(argv=None) -> int:
     show.add_argument("name")
 
     args = parser.parse_args(argv)
-    if args.command == "study" and args.threads < 1:
-        study.error(f"argument --threads: must be at least 1, got {args.threads}")
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -136,13 +135,13 @@ def _str(value, path: str) -> str:
     return value
 
 
-# value check per declared field type of a section dataclass; the section
-# modules postpone annotations, so the types are their source strings
-_FIELD_CHECKS = {
-    "float": _float,
-    "int": _int,
-    "str": _str,
-    "float | None": lambda value, path: None if value is None else _float(value, path),
+# the value check of each refinement key; global_h is the required one
+_REFINEMENT_CHECKS = {
+    "global_h": _float,
+    "rule": _str,
+    "crack_h": lambda value, path: None if value is None else _float(value, path),
+    "coefficient": _float,
+    "max_generations": _int,
 }
 
 
@@ -153,21 +152,6 @@ def _checked(path: str, make, *args, **kwargs):
         return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _section(cls, raw, path: str):
-    """The flat section dataclass ``cls`` built from its JSON object.
-
-    Fields without a default are the required keys; each given value is
-    type-checked by its field's declared type, and the range checks of
-    ``cls.__post_init__`` report under ``path``.
-    """
-    specs = fields(cls)
-    required = {f.name for f in specs if f.default is MISSING}
-    _expect_keys(raw, path, required, {f.name for f in specs} - required)
-    check = {f.name: _FIELD_CHECKS[f.type] for f in specs}
-    values = {k: check[k](v, f"{path}.{k}") for k, v in raw.items()}
-    return _checked(path, cls, **values)
 
 
 def _pair(value, path: str) -> list:
@@ -244,7 +228,10 @@ class ProblemConfig:
             raise ConfigError("domain: expected [xmin, xmax, ymin, ymax]")
         side = min(domain[1] - domain[0], domain[3] - domain[2])
         _checked("domain", rectangle_cells, domain, side)  # empty, or too long to mesh
-        refinement = _section(RefinementConfig, raw["refinement"], "refinement")
+        section = raw["refinement"]
+        _expect_keys(section, "refinement", {"global_h"}, set(_REFINEMENT_CHECKS))
+        values = {k: _REFINEMENT_CHECKS[k](v, f"refinement.{k}") for k, v in section.items()}
+        refinement = _checked("refinement", RefinementConfig, **values)
         _checked("refinement.global_h", rectangle_cells, domain, refinement.global_h)
 
         raw_chains = raw.get("chains", [])
@@ -469,35 +456,26 @@ def _export_solution_text(solution: SolutionField, path) -> None:
         f.write(template % tuple(solution.value_rows().splitlines()))
 
 
-def _study_level(payload):
-    config, index, out_dir = payload
-    level_config = config.with_global_h(config.study["levels"][index])
-    return run_single(level_config, out_dir=out_dir, level=index).report
-
-
 def run_convergence_study(
     config: ProblemConfig, out_dir=None, threads: int = 1
 ) -> StudyResult:
-    """Run every study level, collect norm reports, fit convergence slopes.
+    """Run the study levels one after another, collect norm reports, fit
+    convergence slopes. A level failure aborts the study with the
+    underlying error.
 
-    Levels are independent; with threads > 1 they run as separate
-    processes, at most one per level. A level failure aborts the study with
-    the underlying error.
+    ``threads`` remains only because ``bench/workloads.py`` passes
+    ``threads=1``; any other value raises ValueError.
     """
+    if threads != 1:
+        raise ValueError(f"study levels run in one process, not threads={threads!r}")
     if config.study is None:
         raise ConfigError("config has no study section")
     if config.exact_solution is None:
         raise ConfigError("a study needs an exact_solution for its error norms")
-    levels = config.study["levels"]
-    payloads = []
-    for i in range(len(levels)):
-        sub = None if out_dir is None else str(Path(out_dir) / f"level_{i:02d}")
-        payloads.append((config, i, sub))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(levels))) as pool:
-            reports = list(pool.map(_study_level, payloads))
-    else:
-        reports = [_study_level(p) for p in payloads]
+    reports = []
+    for i, h in enumerate(config.study["levels"]):
+        level_dir = None if out_dir is None else Path(out_dir) / f"level_{i:02d}"
+        reports.append(run_single(config.with_global_h(h), out_dir=level_dir, level=i).report)
     slopes = eoc(reports)
     outputs = {}
     if out_dir is not None:

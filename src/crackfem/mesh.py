@@ -407,6 +407,9 @@ class RefinementConfig:
     def __post_init__(self):
         if not self.global_h > 0.0:  # also false for NaN
             raise ValueError("global_h must be positive")
+        for name in ("crack_h", "coefficient"):
+            if not abs(getattr(self, name) or 0.0) < np.inf:  # an inf target refines nothing
+                raise ValueError(f"{name} must be finite")
         if self.rule not in ("none", "fixed", "quadratic"):
             raise ValueError(f"unknown refinement rule {self.rule!r}")
         if self.rule == "fixed":
@@ -414,9 +417,9 @@ class RefinementConfig:
                 raise ValueError("rule 'fixed' needs a positive crack_h")
         if self.rule == "quadratic" and not self.coefficient > 0.0:
             raise ValueError("rule 'quadratic' needs a positive coefficient")
-        # NaN and non-integers such as 2.5 fail the integer test
+        # NaN, non-integers such as 2.5 and booleans fail the integer test
         n = self.max_generations
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
+        if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
             raise ValueError("max_generations must be >= 1")
 
     def crack_target(self) -> float | None:

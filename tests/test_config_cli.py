@@ -106,6 +106,11 @@ MALFORMED = [
     ({"study": {"levels": 3}}, "study.levels"),
     ({"study": {"levels": [0.25, 0.125, -0.0625]}}, "study.levels"),
     ({"refinement": {"global_h": 0.5, "rule": 5}}, "refinement.rule"),
+    ({"refinement": {"global_h": 0.5, "crack_h": "x"}}, "refinement.crack_h"),
+    ({"refinement": {"global_h": 0.5, "coefficient": "x"}}, "refinement.coefficient"),
+    ({"refinement": {}}, "refinement"),
+    ({"refinement": {"global_h": 0.5, "depth": 3}}, "refinement"),
+    ({"refinement": {"global_h": 0.5, "rule": "fixed", "crack_h": None}}, "refinement"),
     ({"chains": 5}, "chains"),
     ({"chains": one_chain(kind="polyline", points=[1, 2])}, "chains[0].geometry.points"),
     (
@@ -433,27 +438,10 @@ class TestStudies:
         assert result.slopes["l2"] == pytest.approx(2.0, abs=0.2)
         assert [r.level for r in result.reports] == [0, 1, 2]
 
-    def test_parallel_levels_match_serial_bitwise(self):
-        config = self.small_poisson()
-        serial = run_convergence_study(config, threads=1)
-        parallel = run_convergence_study(config, threads=2)
-        for a, b in zip(serial.reports, parallel.reports):
-            assert a.as_csv_row() == b.as_csv_row()
-
-    def test_pool_has_at_most_one_worker_per_level(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool(config_module.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(config_module, "ProcessPoolExecutor", RecordingPool)
-        config = build_preset("poisson-square")
-        assert len(config.study["levels"]) == 4
-        result = run_convergence_study(config, threads=6)
-        assert sizes == [4]
-        assert len(result.reports) == 4
+    def test_levels_run_in_one_process(self):
+        # threads=1 is the only value the keyword still takes
+        with pytest.raises(ValueError, match="threads=2"):
+            run_convergence_study(self.small_poisson(), threads=2)
 
     def test_study_requires_sections(self):
         no_study = build_preset("crack-network")
@@ -661,18 +649,13 @@ class TestCli:
         slopes = json.loads(lines[4][len("slopes: "):])
         assert slopes["l2"] == pytest.approx(2.0, abs=0.2)
 
-    def test_threads_is_a_study_option(self, capsys):
+    @pytest.mark.parametrize("command", ["run", "study"])
+    def test_threads_flag_is_gone(self, command, capsys):
+        # study levels run one after another in this process
         with pytest.raises(SystemExit) as exc:
-            main(["run", "poisson-square", "--threads", "2"])
+            main([command, "poisson-square", "--threads", "2"])
         assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_study_rejects_fewer_than_one_thread(self, threads, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["study", "poisson-square", "--threads", threads])
-        assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_bad_config_exits_two(self, capsys, tmp_path):
         assert main(["run", "definitely-not-a-preset"]) == 2

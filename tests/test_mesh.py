@@ -435,6 +435,20 @@ class TestRefineNearCrack:
         with pytest.raises(ValueError):
             RefinementConfig(global_h=0.5, rule="quadratic", coefficient=0.0)
 
+    # a bool is an int to isinstance, and an infinite target refines nothing
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"rule": "quadratic", "max_generations": True}, "max_generations must be >= 1"),
+            ({"rule": "fixed", "crack_h": np.inf}, "crack_h must be finite"),
+            ({"rule": "quadratic", "coefficient": np.inf}, "coefficient must be finite"),
+        ],
+        ids=["max_generations-bool", "crack_h-inf", "coefficient-inf"],
+    )
+    def test_config_rejects_bool_budget_and_infinite_targets(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RefinementConfig(global_h=0.1, **kwargs)
+
 
 UNIT_TOL = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 1.0).tolerance
 
