@@ -12,6 +12,7 @@ from .assembly import Coefficients
 
 # degree-2 exact rule: edge midpoints, equal weights; point q is the midpoint
 # of the edge from corner q to corner q + 1 (mod 3)
+_TRI_MID_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 _TRI_MID_W = np.array([1.0, 1.0, 1.0]) / 3.0
 
 # two-point Gauss rule on [0, 1]
@@ -105,19 +106,6 @@ class NormReport:
         )
 
 
-def _edge_midpoint_values(corner, out) -> None:
-    """out[k, q] = the mean of corner[q, k] and corner[q + 1 (mod 3), k]:
-    the P1 values at the bulk rule's points, from (3, m) corner values.
-    The halves are summed and +0.0 is added, which for finite values gives
-    the bits of the einsum over the rule's barycentric weights: its sum
-    starts from +0.0, so it never ends on -0.0."""
-    half = 0.5 * corner
-    for q in range(3):
-        column = out[:, q]
-        np.add(half[q], half[(q + 1) % 3], out=column)
-        column += 0.0
-
-
 def error_norms(
     solution,
     exact,
@@ -137,9 +125,8 @@ def error_norms(
     area = mesh.triangle_areas()
     pts = np.empty((m, 3, 2))
     for d, corner in enumerate(corners(mesh.vertices, mesh.triangles)):
-        _edge_midpoint_values(corner, pts[:, :, d])
-    uh = np.empty((m, 3))
-    _edge_midpoint_values(solution.values[mesh.triangles.T], uh)
+        np.einsum("qi,im->mq", _TRI_MID_BARY, corner, out=pts[:, :, d])
+    uh = np.einsum("qi,im->mq", _TRI_MID_BARY, solution.values[mesh.triangles.T])
     uex = exact.value(pts.reshape(-1, 2)).reshape(uh.shape)
     diff2 = (uh - uex) ** 2
     l2_sq = float(np.einsum("mq,q,m->", diff2, bw, area))

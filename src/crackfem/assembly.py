@@ -134,23 +134,6 @@ def _canonical_segment_order(crack: SegmentedCrack) -> np.ndarray:
     return np.lexsort((mids[:, 1], mids[:, 0], crack.triangle_index))
 
 
-def _bulk_stiffness(weight, grads, out) -> None:
-    """out[t, i, j] = weight[t] (g_i . g_j) for the (m, 3, 2) hat gradients
-    g of each triangle, one column at a time. The arithmetic is that of
-    einsum("t,tid,tjd->tij"): the products (w g_i) g_j, summed over the two
-    components from +0.0."""
-    wx, wy, py = np.empty((3, len(weight)))
-    for i in range(3):
-        np.multiply(weight, grads[:, i, 0], out=wx)
-        np.multiply(weight, grads[:, i, 1], out=wy)
-        for j in range(3):
-            np.multiply(wx, grads[:, j, 0], out=out[:, i, j])
-            np.multiply(wy, grads[:, j, 1], out=py)
-            out[:, i, j] += py
-    # a sum from +0.0 is the plain sum with -0.0 made +0.0
-    out += 0.0
-
-
 def assemble_operator(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
     """Unconstrained stiffness: bulk diffusion plus crack superposition.
 
@@ -178,7 +161,9 @@ def assemble_operator(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
     # bulk blocks first, then segment blocks, each row-major (t, i, j)
     local = np.empty((len(tri), 3, 3))
     weight = coeffs.element_permeability(mesh) * mesh.triangle_areas()
-    _bulk_stiffness(weight, mesh.hat_gradients(), local[:m])
+    grads = mesh.hat_gradients()
+    np.einsum("t,tid,tjd->tij", weight, grads, grads, out=local[:m])
+    del grads
     local[m:] = seg_local
     n = mesh.n_vertices
     # rows and columns in the index type the CSR matrix keeps, which the
@@ -235,7 +220,7 @@ def assemble(
     b = assemble_load(mesh, crack, coeffs)
     cons, vals = boundary.constrained_vertices(mesh)
     if cons.size == 0:
-        raise SingularSystemError("Dirichlet tags matched no boundary vertices")
+        raise SingularSystemError("Dirichlet sides matched no mesh vertices")
     lift = np.zeros(mesh.n_vertices)
     lift[cons] = vals
     free = np.delete(np.arange(mesh.n_vertices), cons)

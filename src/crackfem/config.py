@@ -241,7 +241,7 @@ class ProblemConfig:
         # rectangle, so no longer than its perimeter
         perimeter = 2.0 * (domain[1] - domain[0] + domain[3] - domain[2])
         slack = tolerance(np.reshape(domain, (2, 2)).T)
-        chains = []
+        chains, closed = [], []
         for i, ch in enumerate(raw_chains):
             path = f"chains[{i}]"
             _expect_keys(ch, path, {"geometry"}, {"permeability", "source"})
@@ -259,7 +259,7 @@ class ProblemConfig:
                         f"{path}: an arc of length {length:.6g} is longer "
                         f"than the domain perimeter {perimeter:.6g}"
                     )
-            _checked(path, _chain, chain, refinement.global_h)
+            closed.append(_checked(path, _chain, chain, refinement.global_h).is_closed)
             chains.append(chain)
 
         co = raw.get("coefficients", {})
@@ -269,6 +269,10 @@ class ProblemConfig:
             co.get("source", 0.0), "coefficients.source"
         )
         _checked("coefficients", Coefficients, coefficients["a1"], coefficients["a2"])
+        if coefficients["a1"] != coefficients["a2"] and closed != [True]:
+            raise ConfigError(
+                "coefficients: a1 != a2 needs a single closed chain to split regions"
+            )
 
         boundary = {}
         raw_boundary = raw.get("boundary", {"left": {"dirichlet": 0.0}})
@@ -359,14 +363,9 @@ def build_crack_graph(config: ProblemConfig, global_h: float) -> CrackGraph:
 def _build_coefficients(config: ProblemConfig, graph: CrackGraph) -> Coefficients:
     co = config.coefficients
     region = None
-    if co["a1"] != co["a2"]:
-        if graph.n_chains == 1 and graph.chains[0].is_closed:
-            def region(points):
-                return np.where(_points_in_polygon(points, graph.chains[0].points), 2, 1)
-        else:
-            raise ConfigError(
-                "coefficients: a1 != a2 needs a single closed chain to split regions"
-            )
+    if co["a1"] != co["a2"]:  # from_dict checked that one closed chain splits them
+        def region(points):
+            return np.where(_points_in_polygon(points, graph.chains[0].points), 2, 1)
     return Coefficients(
         a1=co["a1"],
         a2=co["a2"],

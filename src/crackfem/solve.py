@@ -135,16 +135,8 @@ class SolutionField:
     def gradients(self) -> np.ndarray:
         """Constant gradient per triangle, shape (m, 2)."""
         if self._grads is None:
-            u = self.values[self.mesh.triangles.T]
-            g = self.mesh.hat_gradients()
-            grads = np.empty((len(g), 2))
-            # the corner sum as einsum("ti,tid->td") forms it: in corner
-            # order from +0.0, which is the plain sum with -0.0 made +0.0
-            for d, col in enumerate(grads.T):
-                np.multiply(u[0], g[:, 0, d], out=col)
-                col += u[1] * g[:, 1, d]
-                col += u[2] * g[:, 2, d]
-            grads += 0.0
+            u = self.values[self.mesh.triangles]
+            grads = np.einsum("ti,tid->td", u, self.mesh.hat_gradients())
             grads.setflags(write=False)
             self._grads = grads
         return self._grads

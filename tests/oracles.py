@@ -34,11 +34,14 @@ from crackfem import (
     mark_crack_elements,
 )
 from crackfem._geom import REL_TOL, bbox_diameter, clip_segments_to_triangles
-from crackfem.analysis import _GAUSS2_T, _GAUSS2_W, _TRI_MID_W, NormReport
+from crackfem.analysis import (
+    _GAUSS2_T,
+    _GAUSS2_W,
+    _TRI_MID_BARY,
+    _TRI_MID_W,
+    NormReport,
+)
 from crackfem.mesh import _vertex_neighborhood
-
-# the edge-midpoint rule of error_norms as barycentric weights
-_TRI_MID_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 
 # degree-5 exact 7-point rule
 _S15 = np.sqrt(15.0)
@@ -745,13 +748,6 @@ def triangle_diameters_norm(mesh: Mesh, tri_ids=slice(None)) -> np.ndarray:
     """Longest edge per triangle as the largest of three edge norms."""
     v = mesh.vertices[mesh.triangles[tri_ids]]
     return np.linalg.norm(np.roll(v, -1, axis=1) - v, axis=2).max(axis=1)
-
-
-def bulk_stiffness_einsum(mesh: Mesh, coeffs) -> np.ndarray:
-    """Local bulk stiffness blocks, (m, 3, 3), as one einsum."""
-    weight = coeffs.element_permeability(mesh) * mesh.triangle_areas()
-    grads = mesh.hat_gradients()
-    return np.einsum("t,tid,tjd->tij", weight, grads, grads)
 
 
 def eliminate_by_products(K0, cons):

@@ -10,6 +10,7 @@ from crackfem import (
     Chain,
     Coefficients,
     CrackGraph,
+    Mesh,
     SingularSystemError,
     assemble,
     assemble_load,
@@ -18,6 +19,7 @@ from crackfem import (
     cut_chains,
 )
 from crackfem.cracks import SegmentedCrack
+from crackfem.mesh import Lattice
 from conftest import make_y_crack
 from oracles import bulk_element_matrix, element_gradients, interface_segment_matrix
 
@@ -308,6 +310,15 @@ def test_chain_sources_must_give_one_value_per_point(fine_square_mesh):
 
 
 class TestAssemble:
+    def test_sides_matching_no_vertex_are_singular(self):
+        # the lattice box's left side x == -1 misses the unit square
+        xs, ys = np.array([-1.0, 2.0]), np.array([0.0, 1.0])
+        square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+        mesh = Mesh(square, [[0, 1, 2], [0, 2, 3]], Lattice(xs, ys, np.zeros(2, dtype=np.int64)))
+        message = "^Dirichlet sides matched no mesh vertices$"
+        with pytest.raises(SingularSystemError, match=message):
+            assemble(mesh, SegmentedCrack.empty(), Coefficients(), BoundarySpec({"left": 0.0}))
+
     def test_matrix_is_free_block_of_operator(self, fine_square_mesh, y_crack):
         cut = cut_chains(fine_square_mesh, y_crack)
         spec = BoundarySpec(

@@ -125,6 +125,14 @@ MALFORMED = [
     ({"boundary": {"lft": {"dirichlet": 0.0}}}, "boundary.lft"),
     *OVERSIZED,
     *RUNTIME_CHECKED,
+    # two bulk regions without one closed chain to split them, before meshing
+    ({"coefficients": {"a1": 1, "a2": 2}}, "coefficients"),
+    ({"coefficients": {"source": [1]}}, "coefficients.source"),
+    (
+        {"chains": one_chain(kind="arc", center=[0.5], radius=0.2, angles=[0, 1])},
+        "chains[0].geometry.center",
+    ),
+    ({"boundary": []}, "boundary"),
 ]
 
 # the unit square's geometric tolerance
@@ -330,6 +338,30 @@ class TestConfigValidation:
     def test_malformed_values_name_their_path(self, overrides, path):
         with pytest.raises(ConfigError, match="^" + re.escape(path) + ":"):
             ProblemConfig.from_dict(raw(**overrides))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"coefficients": {"source": [1]}}, "expected number or function name"),
+            (
+                {"chains": one_chain(kind="arc", center=[0.5], radius=0.2, angles=[0, 1])},
+                "expected two numbers",
+            ),
+            (
+                {"coefficients": {"a1": 1, "a2": 2}},
+                "a1 != a2 needs a single closed chain to split regions",
+            ),
+        ],
+        ids=["source", "center", "regions"],
+    )
+    def test_malformed_values_say_what_is_wrong(self, overrides, message):
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            ProblemConfig.from_dict(raw(**overrides))
+
+    def test_unreadable_files_name_the_reason(self, tmp_path):
+        for path in (tmp_path / "missing.json", tmp_path):
+            with pytest.raises(ConfigError, match=re.escape(f"{path}: cannot read (")):
+                load_config(path)
 
     def test_arcs_longer_than_the_domain_perimeter_fail_at_load(self):
         # one turn of radius 3 is 6 pi long, the unit square's perimeter 4
@@ -642,12 +674,18 @@ class TestCli:
         d["study"] = {"levels": [0.25, 0.125, 0.0625]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(d))
-        assert main(["study", str(path)]) == 0
+        out = tmp_path / "out"
+        assert main(["study", str(path), "--out", str(out)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "level,h,h_crack,n_dofs,l2,h1_semi,l2_crack,energy"
         assert lines[4].startswith("slopes: ")
         slopes = json.loads(lines[4][len("slopes: "):])
         assert slopes["l2"] == pytest.approx(2.0, abs=0.2)
+        # then the files written, one line each
+        assert lines[5:] == [
+            f"rates_csv: {out / 'rates.csv'}",
+            f"slopes_json: {out / 'slopes.json'}",
+        ]
 
     @pytest.mark.parametrize("command", ["run", "study"])
     def test_threads_flag_is_gone(self, command, capsys):
