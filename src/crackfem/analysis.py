@@ -19,6 +19,10 @@ _TRI_MID_W = np.array([1.0, 1.0, 1.0]) / 3.0
 _GAUSS2_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _GAUSS2_W = np.array([0.5, 0.5])
 
+# triangles per block of the bulk norms, which bounds their whole-mesh
+# memory to the two (m, 3) squared-error arrays
+_NORM_BLOCK = 1 << 16
+
 
 class ExactRadialSolution:
     """Closed-form radial field with a conducting circular interface.
@@ -123,22 +127,24 @@ def error_norms(
     bw = _TRI_MID_W
     m = mesh.n_triangles
     area = mesh.triangle_areas()
-    pts = np.empty((m, 3, 2))
-    for d, corner in enumerate(corners(mesh.vertices, mesh.triangles)):
-        np.einsum("qi,im->mq", _TRI_MID_BARY, corner, out=pts[:, :, d])
-    uh = np.einsum("qi,im->mq", _TRI_MID_BARY, solution.values[mesh.triangles.T])
-    uex = exact.value(pts.reshape(-1, 2)).reshape(uh.shape)
-    diff2 = (uh - uex) ** 2
+    diff2, gdiff2 = np.empty((m, 3)), np.empty((m, 3))
+    for start in range(0, m, _NORM_BLOCK):
+        blk = slice(start, start + _NORM_BLOCK)
+        tris = mesh.triangles[blk]
+        pts = np.empty((len(tris), 3, 2))
+        for d, corner in enumerate(corners(mesh.vertices, tris)):
+            np.einsum("qi,im->mq", _TRI_MID_BARY, corner, out=pts[:, :, d])
+        uh = np.einsum("qi,im->mq", _TRI_MID_BARY, solution.values[tris.T])
+        uex = exact.value(pts.reshape(-1, 2)).reshape(uh.shape)
+        diff2[blk] = (uh - uex) ** 2
+        gh = solution.gradients(blk)  # (k, 2)
+        gex = exact.gradient(pts.reshape(-1, 2)).reshape(pts.shape)
+        for q in range(3):
+            dx = gh[:, 0] - gex[:, q, 0]
+            dy = gh[:, 1] - gex[:, q, 1]
+            np.multiply(dx, dx, out=gdiff2[blk, q])
+            gdiff2[blk, q] += dy * dy
     l2_sq = float(np.einsum("mq,q,m->", diff2, bw, area))
-
-    gh = solution.gradients()  # (m, 2)
-    gex = exact.gradient(pts.reshape(-1, 2)).reshape(pts.shape)
-    gdiff2 = np.empty((m, 3))
-    for q in range(3):
-        dx = gh[:, 0] - gex[:, q, 0]
-        dy = gh[:, 1] - gex[:, q, 1]
-        np.multiply(dx, dx, out=gdiff2[:, q])
-        gdiff2[:, q] += dy * dy
     h1_sq = float(np.einsum("mq,q,m->", gdiff2, bw, area))
     a_elem = coeffs.element_permeability(mesh)
     energy_sq = float(np.einsum("mq,q,m->", gdiff2, bw, area * a_elem))

@@ -223,10 +223,17 @@ class Mesh:
     def text_rows(self) -> tuple[str, str]:
         """Vertex rows ``"x y\n"`` (``%r``) and triangle rows ``"a b c\n"``
         (``%d``), each as one string, rendered once (cached); every export
-        layout is derived from them."""
+        layout is derived from them. Leading vertices that are the lattice
+        points, bit for bit, are rendered as the x reprs joined once per y."""
         if self._rows is None:
+            xs, ys = self.lattice.xs.tolist(), self.lattice.ys.tolist()
+            pts = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+            if not np.array_equal(self.vertices[: len(pts)].view(np.int64), pts.view(np.int64)):
+                ys = []  # they are not: every row goes through _render
+            xreprs = [repr(x) for x in xs]
+            lead = "".join((tail := " " + repr(y) + "\n").join(xreprs) + tail for y in ys)
             self._rows = (
-                _render("%r %r\n", self.vertices),
+                lead + _render("%r %r\n", self.vertices[len(xs) * len(ys) :]),
                 _render("%d %d %d\n", self.triangles),
             )
         return self._rows

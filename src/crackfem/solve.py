@@ -129,17 +129,12 @@ class SolutionField:
         if self.values.shape != (mesh.n_vertices,):
             raise ValueError("one value per vertex required")
         self.values.setflags(write=False)
-        self._grads = None
         self._rows = None
 
-    def gradients(self) -> np.ndarray:
-        """Constant gradient per triangle, shape (m, 2)."""
-        if self._grads is None:
-            u = self.values[self.mesh.triangles]
-            grads = np.einsum("ti,tid->td", u, self.mesh.hat_gradients())
-            grads.setflags(write=False)
-            self._grads = grads
-        return self._grads
+    def gradients(self, tri_ids=slice(None)) -> np.ndarray:
+        """Constant gradient of each selected triangle, shape (k, 2)."""
+        u = self.values[self.mesh.triangles[tri_ids]]
+        return np.einsum("ti,tid->td", u, self.mesh.hat_gradients(tri_ids))
 
     def value_rows(self) -> str:
         """The values as rows ``"u\n"`` (``%r``), one string, rendered once
@@ -151,5 +146,5 @@ class SolutionField:
     def tangential_derivative(self, crack) -> np.ndarray:
         """Directional derivative along each crack segment, shape (s,)."""
         t = crack.tangents()
-        g = self.gradients()[crack.triangle_index]
+        g = self.gradients(crack.triangle_index)
         return np.einsum("sd,sd->s", t, g)

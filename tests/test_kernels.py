@@ -8,7 +8,12 @@ norms over that gather. The results must agree bit for bit, signed zeros
 included, so every float array is compared through its int64 view.
 Crack–triangle candidates come from lattice cells; the incidence clipped
 from them must equal the one clipped from every (segment, triangle) pair.
+The error norms run over fixed blocks of triangles: every block size gives
+the same bits, and the stage holds only two whole-mesh arrays of three
+values per triangle.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,18 +29,23 @@ from crackfem import (
     CrackGraph,
     Mesh,
     RefinementConfig,
+    SegmentedCrack,
     SineProductSolution,
     SolutionField,
     assemble,
     assemble_operator,
+    build_preset,
     build_rectangle_mesh,
     cut_chains,
     error_norms,
     mark_crack_elements,
     refine_marked,
     refine_near_crack,
+    run_single,
 )
+from crackfem import analysis
 from crackfem._geom import REACH, clip_segments_to_triangles, corners
+from crackfem.config import EXACT_SOLUTIONS, _build_coefficients, _radial_levels
 from crackfem.mesh import RECTANGLE_TAGS
 
 
@@ -293,3 +303,74 @@ class TestKernelsMatchOracles:
         boundary = BoundarySpec(dirichlet={"bottom": -0.0})
         values = np.where(np.arange(mesh.n_vertices) % 2 == 0, -0.0, 0.0)
         check_kernels(mesh, crack, Coefficients(), boundary, values)
+
+
+@pytest.fixture(scope="module", params=["radial-local:1", "crack-network"])
+def norm_case(request):
+    """A solved run with its exact field (sine-product where the preset has
+    none) and coefficients."""
+    config = build_preset(request.param.split(":")[0])
+    if request.param == "radial-local:1":
+        config = config.with_global_h(_radial_levels()[1])
+    res = run_single(config)
+    exact = EXACT_SOLUTIONS.get(config.exact_solution, SineProductSolution())
+    return res, exact, _build_coefficients(config, res.crack)
+
+
+class TestBlockedNorms:
+    @pytest.mark.parametrize("block", [1, 7, "above m"])
+    def test_every_block_size_gives_the_same_bits(self, norm_case, block, monkeypatch):
+        res, exact, coeffs = norm_case
+        m = res.mesh.n_triangles
+        if block == "above m":
+            block = m + 1
+        elif block == 7:
+            assert m % 7  # a ragged last block
+        monkeypatch.setattr(analysis, "_NORM_BLOCK", block)
+        got = error_norms(res.solution, exact, res.segments, coeffs, level=1)
+        want = oracles.error_norms_einsum(res.solution, exact, res.segments, coeffs, 1)
+        for name in ("level", "n_dofs", "h", "h_crack"):
+            assert getattr(got, name) == getattr(want, name)
+        for name in ("l2", "h1_semi", "l2_crack", "energy"):
+            assert_bitwise(getattr(got, name), getattr(want, name))
+
+    def test_stage_holds_two_arrays_per_triangle(self, monkeypatch):
+        # the whole-mesh share is 64 B per triangle: the two (m, 3) squared
+        # errors, the permeabilities and the weighted areas; the rest is one
+        # block's points, values and gradients
+        block = 1 << 12
+        monkeypatch.setattr(analysis, "_NORM_BLOCK", block)
+        mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 1.0 / 256.0)
+        exact = SineProductSolution()
+        field = SolutionField(mesh, exact.value(mesh.vertices))
+        mesh.triangle_areas()  # cached, as assembly leaves them in a run
+        crack, coeffs = SegmentedCrack.empty(), Coefficients()
+        tracemalloc.start()
+        try:
+            error_norms(field, exact, crack, coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mesh.n_triangles == 131072
+        assert peak <= 100 * mesh.n_triangles + 400 * block
+
+
+class TestFieldGradients:
+    def test_gradients_of_ids_are_rows_of_all(self, network_run, rng):
+        field = network_run.solution
+        full = field.gradients()
+        m = len(full)
+        assert_bitwise(full, oracles.solution_gradients_einsum(field))
+        for ids in (
+            rng.integers(0, m, 200),
+            rng.permutation(m)[:17],
+            np.array([], dtype=np.int64),
+            slice(5, 40, 3),
+        ):
+            assert_bitwise(field.gradients(ids), full[ids])
+
+    def test_tangential_derivative_uses_the_owner_gradients(self, network_run):
+        field, crack = network_run.solution, network_run.segments
+        g = oracles.solution_gradients_einsum(field)[crack.triangle_index]
+        want = np.einsum("sd,sd->s", crack.tangents(), g)
+        assert_bitwise(field.tangential_derivative(crack), want)

@@ -656,6 +656,20 @@ class TestExports:
         assert (tmp_path / "a.vtk").read_bytes() == (tmp_path / "b.vtk").read_bytes()
         assert field.value_rows() is field.value_rows()
 
+    def test_lattice_vertex_rows_match_one_fstring_per_row(self, rng):
+        # leading lattice points take the joined-reprs path; vertices that
+        # are not the lattice points, if only by the sign of a zero, do not
+        mesh = build_rectangle_mesh((-0.3, 0.0, 0.1, 0.77), 0.07)
+        mesh, _ = refine_marked(mesh, rng.choice(mesh.n_triangles, 9, replace=False))
+        xs = mesh.lattice.xs.copy()
+        assert xs[-1] == 0.0 and not np.signbit(xs[-1])
+        xs[-1] = -0.0
+        signed = Mesh(mesh.vertices, mesh.triangles, mesh.lattice._replace(xs=xs))
+        turned = Mesh(-mesh.vertices, mesh.triangles, mesh.lattice)
+        for m in (mesh, signed, turned):
+            want = "".join(f"{float(x)!r} {float(y)!r}\n" for x, y in m.vertices)
+            assert m.text_rows()[0] == want
+
     def test_text_rows_are_rendered_once(self, square_mesh):
         first = square_mesh.text_rows()
         second = square_mesh.text_rows()
