@@ -127,6 +127,11 @@ class LinearSystem:
         return self.mesh.n_vertices
 
 
+# stiffness rows summed per CSR block, which bounds the COO entries alive
+# at once to those of one block
+_ROW_BLOCK = 1 << 15
+
+
 def _canonical_segment_order(crack: SegmentedCrack) -> np.ndarray:
     """Order segments by owner triangle, then midpoint: independent of chain
     numbering, so permuting chains yields a bitwise-identical matrix."""
@@ -139,10 +144,12 @@ def assemble_operator(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
 
     Chains with permeability exactly zero contribute nothing, not even
     explicit zeros, so the sparsity pattern matches the crack-free matrix.
+    Rows are summed ``_ROW_BLOCK`` at a time, each meeting its entries in
+    the order of one COO matrix of all element blocks (triangles, then
+    segments, each row-major), so the bits do not depend on the block size.
     """
-    m = mesh.n_triangles
-    tri = mesh.triangles
-    seg_local = np.empty((0, 3, 3))
+    m, n = mesh.n_triangles, mesh.n_vertices
+    elems, seg_local = mesh.triangles, np.empty((0, 9))
     if crack.n_segments:
         order = _canonical_segment_order(crack)
         perm = crack.permeability()[order]
@@ -155,26 +162,57 @@ def assemble_operator(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
             length = np.linalg.norm(d, axis=1)
             t = d / length[:, None]
             w = np.einsum("sid,sd->si", mesh.hat_gradients(own), t)
-            seg_local = np.einsum("s,si,sj->sij", perm * length, w, w)
-            tri = np.concatenate([tri, tri[own]])
+            seg_local = np.einsum("s,si,sj->sij", perm * length, w, w).reshape(-1, 9)
+            elems = np.concatenate([elems, elems[own]])
 
-    # bulk blocks first, then segment blocks, each row-major (t, i, j)
-    local = np.empty((len(tri), 3, 3))
+    # vertex and corner ids in the index type of a COO matrix of all the
+    # entries, which its CSR conversion keeps; corner i of element e is 3e + i
+    big = max(n, 9 * len(elems)) > np.iinfo(np.int32).max
+    elems = elems.astype(np.int64 if big else np.int32)
+
+    local = _element_blocks(mesh, coeffs, seg_local)
+
+    # a stable sort by row block keeps each block's corners in COO order
+    n_blocks = -(-n // _ROW_BLOCK)
+    blocks = (elems.ravel() // _ROW_BLOCK).astype(np.min_scalar_type(n_blocks))
+    order = np.argsort(blocks, kind="stable").astype(elems.dtype)
+    cuts = np.cumsum(np.bincount(blocks, minlength=n_blocks))[:-1]
+    row_blocks = [
+        _summed_rows(first, corners, elems, local, n)
+        for first, corners in zip(range(0, n, _ROW_BLOCK), np.split(order, cuts))
+    ]
+    del local, order
+    return sp.vstack(row_blocks, format="csr")
+
+
+def _element_blocks(mesh: Mesh, coeffs: Coefficients, seg_local) -> np.ndarray:
+    """Component-major element blocks, (9, m + s): entry (i, j) of triangle
+    t is [3i + j, t], then the (s, 9) segment blocks. Summing d = 0, 1 onto
+    zeros gives the bits of einsum("t,tid,tjd->tij"), signed zeros included."""
+    m = mesh.n_triangles
     weight = coeffs.element_permeability(mesh) * mesh.triangle_areas()
-    grads = mesh.hat_gradients()
-    np.einsum("t,tid,tjd->tij", weight, grads, grads, out=local[:m])
-    del grads
-    local[m:] = seg_local
-    n = mesh.n_vertices
-    # rows and columns in the index type the CSR matrix keeps, which the
-    # COO constructor would otherwise copy them into
-    tri = tri.astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    g = mesh.hat_gradients().transpose(1, 2, 0).copy()
+    local = np.zeros((9, m + len(seg_local)))
+    local[:, m:] = seg_local.T
+    wg, term = np.empty(m), np.empty(m)
+    for i in range(3):
+        for d in range(2):
+            np.multiply(weight, g[i, d], out=wg)
+            for j in range(3):
+                local[3 * i + j, :m] += np.multiply(wg, g[j, d], out=term)
+    return local
+
+
+def _summed_rows(first, corners, elems, local, n) -> sp.csr_matrix:
+    """Rows ``first`` on, at most ``_ROW_BLOCK`` of them, from the element
+    corners in them in COO order: their entries, summed by scipy."""
+    e, i = np.divmod(corners, 3)
+    size = local.shape[1]
+    values = np.take(local, (3 * size * i + e)[:, None] + np.arange(0, 3 * size, size))
+    rows = np.repeat(np.take(elems, corners) - first, 3)
     return sp.coo_matrix(
-        (
-            local.ravel(),
-            (np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()),
-        ),
-        shape=(n, n),
+        (values.ravel(), (rows, np.take(elems, e, axis=0).ravel())),
+        shape=(min(_ROW_BLOCK, n - first), n),
     ).tocsr()
 
 
@@ -182,12 +220,11 @@ def assemble_load(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
     """Load vector: vertex rule for the bulk source, midpoint rule on segments."""
     n = mesh.n_vertices
     b = np.zeros(n)
-    area = mesh.triangle_areas()
-    # skip a zero source, whose np.add.at over every triangle would cost
-    # time for nothing; a function never equals 0
+    # a zero source adds nothing; a function never equals 0
     if coeffs.source != 0.0:
         fv = _values_at(coeffs.source, mesh.vertices)[mesh.triangles]
-        np.add.at(b, mesh.triangles, (area / 3.0)[:, None] * fv)
+        w = (mesh.triangle_areas() / 3.0)[:, None] * fv
+        b = np.bincount(mesh.triangles.ravel(), w.ravel(), minlength=n)
 
     if crack.n_segments:
         mids = crack.midpoints()

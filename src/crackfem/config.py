@@ -59,6 +59,10 @@ SCHEMA_VERSION = 1
 _RADIAL = ExactRadialSolution()
 _SINE = SineProductSolution()
 
+# vertex rows per write of solution.txt, which bounds the rows held as
+# separate strings at once
+_TEXT_BLOCK = 1 << 16
+
 
 # every function of position takes one (k, 2) point array and returns (k,)
 FUNCTIONS = {
@@ -446,13 +450,23 @@ def run_single(config: ProblemConfig, out_dir=None, level: int = 0) -> RunResult
 
 
 def _export_solution_text(solution: SolutionField, path) -> None:
-    """Rows ``"x y u"`` from the cached vertex and value rows."""
+    """Rows ``"x y u"`` from the cached vertex and value rows, written
+    ``_TEXT_BLOCK`` rows at a time."""
     vertex_rows, _ = solution.mesh.text_rows()
-    # a float's repr holds no "%", so each vertex row takes its value by "%s"
-    template = vertex_rows.replace("\n", " %s\n")
+    value_rows = solution.value_rows()
     with open(path, "w") as f:
         f.write("# x y u\n")
-        f.write(template % tuple(solution.value_rows().splitlines()))
+        for (a, b), (c, d) in zip(_row_blocks(vertex_rows), _row_blocks(value_rows)):
+            # a float's repr holds no "%", so each vertex row takes its value by "%s"
+            template = vertex_rows[a:b].replace("\n", " %s\n")
+            f.write(template % tuple(value_rows[c:d].splitlines()))
+
+
+def _row_blocks(rows: str):
+    """(start, end) offsets of each ``_TEXT_BLOCK`` of ASCII ``"...\n"`` rows."""
+    ends = np.flatnonzero(np.frombuffer(rows.encode("ascii"), np.uint8) == ord("\n"))
+    cuts = [0, *(ends[_TEXT_BLOCK - 1 : -1 : _TEXT_BLOCK] + 1).tolist(), len(rows)]
+    return zip(cuts[:-1], cuts[1:])
 
 
 def run_convergence_study(

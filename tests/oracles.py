@@ -10,8 +10,9 @@ bisection as a table of six child cases, the chain cut one part at a time,
 the one-sided branches of the radial exact solution, the smallest angle of a
 mesh, the three text exports written one f-string per line, the direct solve
 with SuperLU's default column ordering and partial pivoting, point location
-and point evaluation of a P1 field, and the whole-mesh P1 kernels in their
-einsum, (m, 3, 2)-gather and sparse-product forms; also point-to-segment
+and point evaluation of a P1 field, the whole-mesh P1 kernels in their
+einsum, (m, 3, 2)-gather and sparse-product forms, and the stiffness summed
+from one COO matrix of all its element blocks; also point-to-segment
 distances, the signed distance to a crack with its even-odd loop over all
 points, and the mesh invariants.
 """
@@ -41,6 +42,7 @@ from crackfem.analysis import (
     _TRI_MID_W,
     NormReport,
 )
+from crackfem.assembly import _canonical_segment_order
 from crackfem.mesh import _vertex_neighborhood
 
 # degree-5 exact 7-point rule
@@ -761,6 +763,43 @@ def eliminate_by_products(K0, cons):
     K.sum_duplicates()
     K.sort_indices()
     return K
+
+
+def assemble_operator_coo(mesh: Mesh, crack: SegmentedCrack, coeffs) -> sp.csr_matrix:
+    """The unconstrained stiffness as one COO matrix of every element block,
+    (m, 3, 3) by einsum then the segment blocks, each row-major, summed by
+    one CSR conversion."""
+    m = mesh.n_triangles
+    tri = mesh.triangles
+    seg_local = np.empty((0, 3, 3))
+    if crack.n_segments:
+        order = _canonical_segment_order(crack)
+        perm = crack.permeability()[order]
+        active = perm > 0.0
+        order = order[active]
+        if order.size:
+            perm = perm[active]
+            own = crack.triangle_index[order]
+            d = crack.points[order, 1, :] - crack.points[order, 0, :]
+            length = np.linalg.norm(d, axis=1)
+            t = d / length[:, None]
+            w = np.einsum("sid,sd->si", mesh.hat_gradients(own), t)
+            seg_local = np.einsum("s,si,sj->sij", perm * length, w, w)
+            tri = np.concatenate([tri, tri[own]])
+    local = np.empty((len(tri), 3, 3))
+    weight = coeffs.element_permeability(mesh) * mesh.triangle_areas()
+    grads = mesh.hat_gradients()
+    np.einsum("t,tid,tjd->tij", weight, grads, grads, out=local[:m])
+    local[m:] = seg_local
+    n = mesh.n_vertices
+    tri = tri.astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    return sp.coo_matrix(
+        (
+            local.ravel(),
+            (np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()),
+        ),
+        shape=(n, n),
+    ).tocsr()
 
 
 def solution_gradients_einsum(solution) -> np.ndarray:

@@ -8,9 +8,10 @@ norms over that gather. The results must agree bit for bit, signed zeros
 included, so every float array is compared through its int64 view.
 Crack–triangle candidates come from lattice cells; the incidence clipped
 from them must equal the one clipped from every (segment, triangle) pair.
-The error norms run over fixed blocks of triangles: every block size gives
-the same bits, and the stage holds only two whole-mesh arrays of three
-values per triangle.
+The error norms run over fixed blocks of triangles, and the stiffness is
+summed over fixed blocks of rows: every block size gives the same bits as
+the single-block form (for the stiffness, one COO matrix of all element
+blocks), and each stage holds a bounded number of bytes per triangle.
 """
 
 import tracemalloc
@@ -43,7 +44,7 @@ from crackfem import (
     refine_near_crack,
     run_single,
 )
-from crackfem import analysis
+from crackfem import analysis, assembly
 from crackfem._geom import REACH, clip_segments_to_triangles, corners
 from crackfem.config import EXACT_SOLUTIONS, _build_coefficients, _radial_levels
 from crackfem.mesh import RECTANGLE_TAGS
@@ -113,6 +114,17 @@ def turned(mesh):
     return Mesh(-mesh.vertices, mesh.triangles)
 
 
+def check_row_blocks(mesh, crack, coeffs):
+    """The stiffness equals the one-COO oracle bit for bit, index dtypes
+    included, in row blocks of 1 and 7 rows, of more than n and of the
+    default size."""
+    want = oracles.assemble_operator_coo(mesh, crack, coeffs)
+    for block in (1, 7, mesh.n_vertices + 1, assembly._ROW_BLOCK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(assembly, "_ROW_BLOCK", block)
+            assert_same_csr(assemble_operator(mesh, crack, coeffs), want)
+
+
 def check_kernels(mesh, crack, coeffs, boundary, values):
     """Every kernel against its oracle on one mesh, crack and field."""
     assert_bitwise(mesh.triangle_areas(), oracles.triangle_areas_rows(mesh))
@@ -124,6 +136,7 @@ def check_kernels(mesh, crack, coeffs, boundary, values):
         mesh.triangle_diameters(band), oracles.triangle_diameters_norm(mesh, band)
     )
     check_lattice(mesh, crack.points[:, 0], crack.points[:, 1])
+    check_row_blocks(mesh, crack, coeffs)
 
     K0 = assemble_operator(mesh, crack, coeffs)
     system = assemble(mesh, crack, coeffs, boundary)
@@ -353,6 +366,52 @@ class TestBlockedNorms:
             tracemalloc.stop()
         assert mesh.n_triangles == 131072
         assert peak <= 100 * mesh.n_triangles + 400 * block
+
+
+class TestRowBlocks:
+    def test_every_block_size_gives_the_same_bits(self, norm_case):
+        res, _, coeffs = norm_case
+        check_row_blocks(res.mesh, res.segments, coeffs)
+        # the segment blocks reach several blocks of 7 rows
+        rows = res.mesh.triangles[res.segments.triangle_index]
+        assert len(np.unique(rows // 7)) > 1
+
+    def test_kernel_is_the_einsum_with_its_signed_zeros(self, rng):
+        # the structured mesh's legs lie along the axes, so its hat
+        # gradients hold exact zeros of both signs
+        mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 2.0), 0.25)
+        coeffs = Coefficients(a1=1.0, a2=3.0, region=lambda p: np.where(p[:, 0] < 0.4, 1, 2))
+        weight = coeffs.element_permeability(mesh) * mesh.triangle_areas()
+        grads = mesh.hat_gradients()
+        want = np.einsum("t,tid,tjd->tij", weight, grads, grads).reshape(-1, 9).T
+        seg_local = rng.standard_normal((5, 9))
+        got = assembly._element_blocks(mesh, coeffs, seg_local)
+        assert got.shape == (9, mesh.n_triangles + 5)
+        assert_bitwise(got[:, : mesh.n_triangles], want)
+        assert_bitwise(got[:, mesh.n_triangles :], seg_local.T)
+        # the mesh springs the trap: adding the two products without the
+        # zero start gives -0.0 where the einsum gives +0.0
+        terms = weight[:, None, None, None] * grads[:, :, None, :] * grads[:, None, :, :]
+        sums = (terms[..., 0] + terms[..., 1]).reshape(-1, 9).T
+        assert np.signbit(sums[want == 0.0]).any()
+
+    def test_stage_holds_the_blocks_and_one_row_block(self, monkeypatch):
+        # the whole-mesh share is about 165 B per triangle: the (9, m)
+        # blocks (72), the transposed hat gradients (48), the int32
+        # elements (12), the areas, weights and two scratch arrays (32);
+        # the rest is one row block's COO entries and its CSR rows
+        block = 1 << 12
+        monkeypatch.setattr(assembly, "_ROW_BLOCK", block)
+        mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 1.0 / 256.0)
+        crack, coeffs = SegmentedCrack.empty(), Coefficients()
+        tracemalloc.start()
+        try:
+            assemble_operator(mesh, crack, coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mesh.n_triangles == 131072
+        assert peak <= 170 * mesh.n_triangles + 600 * block
 
 
 class TestFieldGradients:

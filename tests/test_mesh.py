@@ -32,6 +32,7 @@ from crackfem.mesh import (
     export_mesh_text,
     export_vtk,
 )
+from crackfem import config as config_module
 from crackfem.config import _export_solution_text
 from crackfem.solve import SolutionField
 from crackfem import mesh as mesh_module
@@ -669,6 +670,23 @@ class TestExports:
         for m in (mesh, signed, turned):
             want = "".join(f"{float(x)!r} {float(y)!r}\n" for x, y in m.vertices)
             assert m.text_rows()[0] == want
+
+    @pytest.mark.parametrize("block", [1, 7, "above n"])
+    def test_solution_text_in_blocks_matches_one_fstring_per_row(
+        self, block, rng, monkeypatch, tmp_path
+    ):
+        # lattice rows first, then midpoint rows rendered one by one
+        mesh = build_rectangle_mesh((-0.3, 0.0, 0.1, 0.77), 0.07)
+        mesh, _ = refine_marked(mesh, rng.choice(mesh.n_triangles, 9, replace=False))
+        if block == "above n":
+            block = mesh.n_vertices + 1
+        elif block == 7:
+            assert mesh.n_vertices % 7  # a ragged last block
+        monkeypatch.setattr(config_module, "_TEXT_BLOCK", block)
+        field = SolutionField(mesh, rng.normal(size=mesh.n_vertices))
+        _export_solution_text(field, tmp_path / "got")
+        oracles.export_solution_text(field, tmp_path / "want")
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
 
     def test_text_rows_are_rendered_once(self, square_mesh):
         first = square_mesh.text_rows()
