@@ -112,6 +112,9 @@ class LinearSystem:
     ``matrix`` is the free-free block of the stiffness and ``rhs`` carries
     the couplings to the constrained vertices, which take ``values``. ``n``
     counts all vertices. ``a`` is the one bulk permeability, None if a1 != a2.
+    ``crack_rows`` are the rows the crack's segment blocks reach: the
+    positions in ``free`` of the vertices of triangles that own a segment
+    of positive permeability.
     """
 
     matrix: sp.csr_matrix
@@ -121,6 +124,7 @@ class LinearSystem:
     values: np.ndarray
     mesh: Mesh
     a: float | None = None
+    crack_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     @property
     def n(self) -> int:
@@ -144,29 +148,29 @@ def assemble_operator(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
 
     Chains with permeability exactly zero contribute nothing, not even
     explicit zeros, so the sparsity pattern matches the crack-free matrix.
-    Rows are summed ``_ROW_BLOCK`` at a time, each meeting its entries in
-    the order of one COO matrix of all element blocks (triangles, then
-    segments, each row-major), so the bits do not depend on the block size.
+    On a mesh that is its lattice (``Mesh.is_lattice``) the bulk comes in
+    closed form from the lattice spacings (``_lattice_stiffness``) and the
+    segment blocks are added as a CSR matrix of their own; no zero is
+    stored. Elsewhere rows are summed ``_ROW_BLOCK`` at a time, each
+    meeting its entries in the order of one COO matrix of all element
+    blocks (triangles, then segments, each row-major), so the bits do not
+    depend on the block size.
     """
-    m, n = mesh.n_triangles, mesh.n_vertices
-    elems, seg_local = mesh.triangles, np.empty((0, 9))
-    if crack.n_segments:
-        order = _canonical_segment_order(crack)
-        perm = crack.permeability()[order]
-        active = perm > 0.0
-        order = order[active]
-        if order.size:
-            perm = perm[active]
-            own = crack.triangle_index[order]
-            d = crack.points[order, 1, :] - crack.points[order, 0, :]
-            length = np.linalg.norm(d, axis=1)
-            t = d / length[:, None]
-            w = np.einsum("sid,sd->si", mesh.hat_gradients(own), t)
-            seg_local = np.einsum("s,si,sj->sij", perm * length, w, w).reshape(-1, 9)
-            elems = np.concatenate([elems, elems[own]])
+    n = mesh.n_vertices
+    seg_elems, seg_local = _segment_blocks(mesh, crack)
+    if mesh.is_lattice:
+        K0 = _lattice_stiffness(mesh, coeffs)
+        if len(seg_local):
+            rows, cols = np.repeat(seg_elems, 3, axis=1), np.tile(seg_elems, (1, 3))
+            segments = sp.coo_matrix(
+                (seg_local.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
+            )
+            K0 = K0 + segments.tocsr()  # the sum drops entries that cancel to zero
+        return K0
 
     # vertex and corner ids in the index type of a COO matrix of all the
     # entries, which its CSR conversion keeps; corner i of element e is 3e + i
+    elems = np.concatenate([mesh.triangles, seg_elems])
     big = max(n, 9 * len(elems)) > np.iinfo(np.int32).max
     elems = elems.astype(np.int64 if big else np.int32)
 
@@ -183,6 +187,95 @@ def assemble_operator(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
     ]
     del local, order
     return sp.vstack(row_blocks, format="csr")
+
+
+def _segment_blocks(mesh: Mesh, crack: SegmentedCrack):
+    """Owner triangles (s, 3) and row-major (s, 9) blocks of the segments
+    of positive permeability, in canonical order: a_seg |S| (t . grad
+    phi_i)(t . grad phi_j) with the hats of the owner triangle."""
+    elems, blocks = np.empty((0, 3), dtype=np.int64), np.empty((0, 9))
+    if crack.n_segments:
+        order = _canonical_segment_order(crack)
+        perm = crack.permeability()[order]
+        active = perm > 0.0
+        order = order[active]
+        if order.size:
+            perm = perm[active]
+            own = crack.triangle_index[order]
+            d = crack.points[order, 1, :] - crack.points[order, 0, :]
+            length = np.linalg.norm(d, axis=1)
+            t = d / length[:, None]
+            w = np.einsum("sid,sd->si", mesh.hat_gradients(own), t)
+            elems = mesh.triangles[own]
+            blocks = np.einsum("s,si,sj->sij", perm * length, w, w).reshape(-1, 9)
+    return elems, blocks
+
+
+def _lattice_stiffness(mesh: Mesh, coeffs: Coefficients) -> sp.csr_matrix:
+    """Bulk stiffness of a mesh that is its lattice: the 5-point rows of
+    ``_lattice_rows``, columns sorted, without the slots off the lattice or
+    any zero entry. The zero couplings across cell diagonals have no slot."""
+    n = mesh.n_vertices
+    # no view of the padded rows outlives this del, so they are freed
+    # before the column ids exist
+    rows = _lattice_rows(mesh, coeffs).reshape(5, n).T
+    keep = rows != 0.0
+    data = rows[keep]
+    del rows
+    nx = len(mesh.lattice.xs) - 1
+    idx = np.int64 if 5 * n > np.iinfo(np.int32).max else np.int32
+    offsets = np.array([-(nx + 1), -1, 0, 1, nx + 1], dtype=idx)
+    indices = (np.arange(n, dtype=idx)[:, None] + offsets)[keep]
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(keep.sum(axis=1, dtype=idx), out=indptr[1:])
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _lattice_rows(mesh: Mesh, coeffs: Coefficients) -> np.ndarray:
+    """The bulk row of each lattice vertex (j, i), slot-major, (5, ny + 1,
+    nx + 1): the couplings down and left, the diagonal, the couplings right
+    and up, zero where there is no neighbour.
+
+    A cell of sides dx, dy holds the triangles lower (p10, p11, p00) and
+    upper (p01, p00, p11), right-angled at their first corner with legs
+    along the sides. With weight w = a |T| and p = dy / 2|T|, q = dx / 2|T|
+    the hat gradients' components, a triangle's block puts (w p) p + (w q) q
+    on its right-angle corner, (w q) q and (w p) p on the far ends of its
+    vertical and horizontal legs, minus those as the couplings along the
+    legs, and zero across the diagonal. These are the element path's
+    floats, as ``Mesh.hat_gradients`` gives p and q; a vertex sums its up to
+    six diagonal terms in the fixed order of the slices below.
+    """
+    xs, ys, _ = mesh.lattice
+    nx, ny = len(xs) - 1, len(ys) - 1
+    dx, dy = xs[1:] - xs[:-1], (ys[1:] - ys[:-1])[:, None]
+    area = 0.5 * (dx * dy)
+    p, q = dy / (2.0 * area), dx / (2.0 * area)
+    # per triangle, lower then upper: P = (w p) p and Q = (w q) q
+    a = coeffs.element_permeability(mesh).reshape(ny, nx, 2)
+    w = np.stack([a[..., 0] * area, a[..., 1] * area])
+    del a
+    P = w * p
+    P *= p
+    Q = np.multiply(w, q, out=w)
+    Q *= q
+    del area, p, q
+
+    slots = np.zeros((5, ny + 1, nx + 1))
+    down, left, diag, right, up = slots
+    diag[:-1, 1:] += P[0] + Q[0]
+    diag[1:, 1:] += Q[0]
+    diag[:-1, :-1] += P[0]
+    diag[1:, :-1] += P[1] + Q[1]
+    diag[:-1, :-1] += Q[1]
+    diag[1:, 1:] += P[1]
+    right[:-1, :-1] -= P[0]
+    right[1:, :-1] -= P[1]
+    up[:-1, 1:] -= Q[0]
+    up[:-1, :-1] -= Q[1]
+    left[:, 1:] = right[:, :-1]
+    down[1:] = up[:-1]
+    return slots
 
 
 def _element_blocks(mesh: Mesh, coeffs: Coefficients, seg_local) -> np.ndarray:
@@ -265,4 +358,6 @@ def assemble(
     K.eliminate_zeros()
     b = (b - K0 @ lift)[free]
     a = float(coeffs.a1) if coeffs.a1 == coeffs.a2 else None
-    return LinearSystem(K, b, free, cons, vals, mesh, a)
+    crossed = np.zeros(mesh.n_vertices, dtype=bool)
+    crossed[mesh.triangles[crack.triangle_index[crack.permeability() > 0.0]]] = True
+    return LinearSystem(K, b, free, cons, vals, mesh, a, np.flatnonzero(crossed[free]))

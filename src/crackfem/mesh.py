@@ -152,10 +152,18 @@ class Mesh:
         return np.sqrt((dx * dx + dy * dy).max(axis=0))
 
     @property
-    def h_max(self) -> float:
+    def is_lattice(self) -> bool:
+        """True when the mesh is its lattice, as ``build_rectangle_mesh``
+        makes it: the lattice points are all its vertices, in
+        ``np.meshgrid(xs, ys)`` order, and each cell's two triangles follow
+        in cell order, cut along the cell's up diagonal."""
         xs, ys, cells = self.lattice
-        if cells is None:  # two triangles per cell: the longest is a cell diagonal
-            dx, dy = np.diff(xs), np.diff(ys)
+        return cells is None and self.n_vertices == len(xs) * len(ys)
+
+    @property
+    def h_max(self) -> float:
+        if self.is_lattice:  # two triangles per cell: the longest is a cell diagonal
+            dx, dy = np.diff(self.lattice.xs), np.diff(self.lattice.ys)
             return float(np.sqrt((dx * dx).max() + (dy * dy).max()))
         return float(self.triangle_diameters().max())
 

@@ -90,23 +90,21 @@ def _stencil_solver(nx, ny, hx, hy, a):
 def _lattice_preconditioner(system: LinearSystem):
     """(M, B) for CG on an unrefined lattice, or None where it does not apply.
 
-    It applies when the mesh is its lattice, the bulk has one permeability
-    ``system.a`` and the free vertices are the interior grid (only boundary
-    vertices are ever constrained, so the count shows every side Dirichlet).
-    Off the crack the matrix is then ``a`` times the 5-point stencil; the
-    crack adds positive semidefinite blocks, so B, the rows whose diagonal
-    differs from the stencil's, holds all of it. One step of M solves the
-    B block, the stencil and the B block again."""
+    It applies when the mesh is its lattice (``Mesh.is_lattice``), the bulk
+    has one permeability ``system.a`` and the free vertices are the interior
+    grid (only boundary vertices are ever constrained, so the count shows
+    every side Dirichlet). Off the crack the matrix is then ``a`` times the
+    5-point stencil; the crack adds positive semidefinite blocks on B,
+    ``system.crack_rows``. One step of M solves the B block, the stencil
+    and the B block again."""
     mesh, A, a = system.mesh, system.matrix, system.a
-    xs, ys, cells = mesh.lattice
+    xs, ys, _ = mesh.lattice
     nx, ny = len(xs) - 1, len(ys) - 1
-    unrefined = cells is None and mesh.n_vertices == len(xs) * len(ys)
-    if a is None or not unrefined or len(system.free) != (nx - 1) * (ny - 1):
+    if a is None or not mesh.is_lattice or len(system.free) != (nx - 1) * (ny - 1):
         return None
     hx, hy = (xs[-1] - xs[0]) / nx, (ys[-1] - ys[0]) / ny
     apply = stencil = _stencil_solver(nx, ny, hx, hy, a)
-    d0 = 2.0 * a * (hy / hx + hx / hy)
-    block = np.flatnonzero(np.abs(A.diagonal() - d0) > 1e-12 * d0)
+    block = system.crack_rows
     if block.size:
         rows = A[block]
         lu = _factor(rows[:, block])

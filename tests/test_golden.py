@@ -21,6 +21,12 @@ re-recorded when arcs came to be sampled at equal angles in closed form
 end points and point counts stayed, interior arc points moved by a few
 hundred ulps, and at radial-local level 3 two couplings became exact zeros
 (nnz 164 245 -> 164 243). No mesh, owner, node or free-vertex digest moved.
+The ``matrix.data`` digests of radial-uniform levels 0 and 1 were
+re-recorded when the stiffness of a mesh that is its lattice came to be
+built in closed form: the crack blocks are now added to the summed bulk,
+and a vertex's six diagonal terms are summed in a fixed slice order, not
+in the unstable order of scipy's ``csr_sort_indices`` (without the crack,
+both levels keep their bits; finer radial lattices do not).
 A change that moves any digest on purpose must say so and re-record it.
 
 The export digests hash the files ``run_single`` writes with ``out_dir``;
@@ -157,7 +163,7 @@ GOLDEN = {
         "segments.chain_length": "7438d1304042273c",
         "segments.nodes": "05ecf13088bfd6ba",
         "segments.chain_nodes": "7b29175914f14d24",
-        "matrix.data": "aad8e718dc6b909f",
+        "matrix.data": "0c371402ef948fac",
         "matrix.indices": "944dcdae2df219f1",
         "matrix.indptr": "d458ae0e3ad66a68",
         "rhs": "aa54eadc7a4d997a",
@@ -173,7 +179,7 @@ GOLDEN = {
         "segments.chain_length": "df6e0d67b24cb24a",
         "segments.nodes": "05ecf13088bfd6ba",
         "segments.chain_nodes": "7b29175914f14d24",
-        "matrix.data": "b15e795fabc43a9d",
+        "matrix.data": "c797134836f49307",
         "matrix.indices": "8c781ff6c812aa13",
         "matrix.indptr": "1c72188ff70342ca",
         "rhs": "ac13588d72d034dc",

@@ -8,10 +8,13 @@ norms over that gather. The results must agree bit for bit, signed zeros
 included, so every float array is compared through its int64 view.
 Crack–triangle candidates come from lattice cells; the incidence clipped
 from them must equal the one clipped from every (segment, triangle) pair.
-The error norms run over fixed blocks of triangles, and the stiffness is
-summed over fixed blocks of rows: every block size gives the same bits as
-the single-block form (for the stiffness, one COO matrix of all element
-blocks), and each stage holds a bounded number of bytes per triangle.
+The error norms run over fixed blocks of triangles, and the stiffness of
+a refined mesh is summed over fixed blocks of rows: every block size gives
+the same bits as the single-block form (for the stiffness, one COO matrix
+of all element blocks), and each stage holds a bounded number of bytes per
+triangle. A mesh that is its lattice takes the closed-form stiffness: the
+oracle's pattern without its zeros, its bits on dyadic unit squares and
+every entry within 1e-14 of its row's diagonal elsewhere.
 """
 
 import tracemalloc
@@ -47,7 +50,7 @@ from crackfem import (
 from crackfem import analysis, assembly
 from crackfem._geom import REACH, clip_segments_to_triangles, corners
 from crackfem.config import EXACT_SOLUTIONS, _build_coefficients, _radial_levels
-from crackfem.mesh import RECTANGLE_TAGS
+from crackfem.mesh import RECTANGLE_TAGS, Lattice
 
 
 def assert_bitwise(got, want):
@@ -114,15 +117,43 @@ def turned(mesh):
     return Mesh(-mesh.vertices, mesh.triangles)
 
 
+def lattice_free(mesh):
+    """The mesh on the default one-cell lattice: not its lattice, so its
+    stiffness takes the element path."""
+    return Mesh(mesh.vertices, mesh.triangles)
+
+
+def without_zeros(K):
+    K = K.copy()
+    K.eliminate_zeros()
+    return K
+
+
 def check_row_blocks(mesh, crack, coeffs):
-    """The stiffness equals the one-COO oracle bit for bit, index dtypes
-    included, in row blocks of 1 and 7 rows, of more than n and of the
-    default size."""
+    """The element path's stiffness (on a lattice-free copy of the mesh)
+    equals the one-COO oracle bit for bit, index dtypes included, in row
+    blocks of 1 and 7 rows, of more than n and of the default size."""
+    mesh = lattice_free(mesh)
     want = oracles.assemble_operator_coo(mesh, crack, coeffs)
     for block in (1, 7, mesh.n_vertices + 1, assembly._ROW_BLOCK):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(assembly, "_ROW_BLOCK", block)
             assert_same_csr(assemble_operator(mesh, crack, coeffs), want)
+
+
+def check_closed_form(mesh, crack, coeffs):
+    """On a mesh that is its lattice the stiffness is canonical, stores no
+    zero, has the index dtype and pattern of the one-COO oracle without its
+    zeros, and each entry lies within 1e-14 of the oracle's diagonal in its
+    row."""
+    assert mesh.is_lattice
+    got = assemble_operator(mesh, crack, coeffs)
+    want = without_zeros(oracles.assemble_operator_coo(mesh, crack, coeffs))
+    assert got.has_canonical_format and (got.data != 0.0).all()
+    for name in ("indices", "indptr"):
+        assert_bitwise(getattr(got, name), getattr(want, name))
+    diagonal = np.repeat(want.diagonal(), np.diff(want.indptr))
+    assert (np.abs(got.data - want.data) <= 1e-14 * diagonal).all()
 
 
 def check_kernels(mesh, crack, coeffs, boundary, values):
@@ -137,6 +168,8 @@ def check_kernels(mesh, crack, coeffs, boundary, values):
     )
     check_lattice(mesh, crack.points[:, 0], crack.points[:, 1])
     check_row_blocks(mesh, crack, coeffs)
+    if mesh.is_lattice:
+        check_closed_form(mesh, crack, coeffs)
 
     K0 = assemble_operator(mesh, crack, coeffs)
     system = assemble(mesh, crack, coeffs, boundary)
@@ -297,15 +330,18 @@ class TestKernelsMatchOracles:
 
     def test_explicit_zero_couplings_are_dropped(self):
         # across each cell diagonal of the structured mesh both triangles
-        # have their right angle opposite the diagonal: K0 holds exact zeros
+        # have their right angle opposite the diagonal: the element blocks
+        # hold exact zeros, which the element path keeps in K0, the closed
+        # form never stores, and the free block drops
         mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 0.25)
         chain = Chain(np.array([[0.3, 0.4], [0.7, 0.6]]))
         crack = cut_chains(mesh, CrackGraph([chain]))
         boundary = BoundarySpec(dirichlet={"left": 0.0, "right": 1.0})
         values = np.linspace(-1.0, 1.0, mesh.n_vertices)
-        K0, system = check_kernels(mesh, crack, Coefficients(), boundary, values)
-        assert (K0.data == 0.0).any()
-        assert (system.matrix.data != 0.0).all()
+        for each in (mesh, lattice_free(mesh)):
+            K0, system = check_kernels(each, crack, Coefficients(), boundary, values)
+            assert (K0.data == 0.0).any() != each.is_lattice
+            assert (system.matrix.data != 0.0).all()
 
     @pytest.mark.parametrize("h", [0.5, 0.125])
     def test_rotated_mesh_with_negative_zero_coordinates(self, h):
@@ -379,7 +415,7 @@ class TestRowBlocks:
     def test_kernel_is_the_einsum_with_its_signed_zeros(self, rng):
         # the structured mesh's legs lie along the axes, so its hat
         # gradients hold exact zeros of both signs
-        mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 2.0), 0.25)
+        mesh = lattice_free(build_rectangle_mesh((0.0, 1.0, 0.0, 2.0), 0.25))
         coeffs = Coefficients(a1=1.0, a2=3.0, region=lambda p: np.where(p[:, 0] < 0.4, 1, 2))
         weight = coeffs.element_permeability(mesh) * mesh.triangle_areas()
         grads = mesh.hat_gradients()
@@ -402,7 +438,7 @@ class TestRowBlocks:
         # the rest is one row block's COO entries and its CSR rows
         block = 1 << 12
         monkeypatch.setattr(assembly, "_ROW_BLOCK", block)
-        mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 1.0 / 256.0)
+        mesh = lattice_free(build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 1.0 / 256.0))
         crack, coeffs = SegmentedCrack.empty(), Coefficients()
         tracemalloc.start()
         try:
@@ -412,6 +448,67 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert mesh.n_triangles == 131072
         assert peak <= 170 * mesh.n_triangles + 600 * block
+
+
+@st.composite
+def _lattice_problems(draw):
+    """A mesh that is its lattice of nx x ny cells, 1-40 each, over a box
+    with random (so non-dyadic) sides, its lines evenly spaced or graded;
+    one bulk permeability, or two regions split at a random x; with or
+    without random chains."""
+    nx, ny = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    x0, y0 = draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))
+    width, height = draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0))
+    power = draw(st.sampled_from([1.0, 1.5]))
+    xs = x0 + width * np.linspace(0.0, 1.0, nx + 1) ** power
+    ys = y0 + height * np.linspace(0.0, 1.0, ny + 1) ** power
+    # the triangles of the nx x ny lattice, moved onto these lines
+    triangles = build_rectangle_mesh((0.0, nx, 0.0, ny), 1.0).triangles
+    vertices = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+    mesh = Mesh(vertices, triangles, Lattice(xs, ys, None))
+    lo, hi = vertices[0], vertices[-1]
+    chains = []
+    if draw(st.booleans()):
+        permeability = st.sampled_from([0.0, 0.5, 3.0])
+        fractions = draw(polylines(st.floats(0.02, 0.98)))
+        chains = [Chain(lo + f * (hi - lo), permeability=draw(permeability)) for f in fractions]
+    split = x0 + draw(st.floats(0.0, 1.0)) * width
+    a1, a2 = draw(st.sampled_from([(1.0, 1.0), (2.5, 2.5), (0.3, 7.0)]))
+    coeffs = Coefficients(a1=a1, a2=a2, region=lambda p: np.where(p[:, 0] < split, 1, 2))
+    return mesh, cut_chains(mesh, CrackGraph(chains)), coeffs
+
+
+class TestClosedFormStiffness:
+    @settings(deadline=None, max_examples=80)
+    @given(_lattice_problems())
+    def test_matches_the_element_path(self, problem):
+        check_closed_form(*problem)
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    @pytest.mark.parametrize("regions", [1, 2])
+    def test_dyadic_squares_keep_the_element_bits(self, k, regions):
+        # every spacing, area and gradient is a power of two, so no sum rounds
+        mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 2.0**-k)
+        crack = SegmentedCrack.empty()
+        coeffs = Coefficients(a2=7.0 if regions == 2 else 1.0, region=lambda p: 1 + (p[:, 0] > 0.5))
+        want = without_zeros(assemble_operator(lattice_free(mesh), crack, coeffs))
+        assert_same_csr(assemble_operator(mesh, crack, coeffs), want)
+
+    def test_stage_holds_the_rows_and_the_cell_terms(self):
+        # the CSR rows take 64 B per vertex (5 values, 5 int32 columns and
+        # the row pointer); the padded (5, n) rows, 40 B, are freed before
+        # the columns exist, and the per-triangle terms before the rows are
+        # read: about 85 B at the peak
+        mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 1.0 / 256.0)
+        crack, coeffs = SegmentedCrack.empty(), Coefficients()
+        tracemalloc.start()
+        try:
+            assemble_operator(mesh, crack, coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mesh.n_vertices == 66049
+        assert peak <= 100 * mesh.n_vertices
 
 
 class TestFieldGradients:

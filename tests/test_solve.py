@@ -256,6 +256,28 @@ class TestLatticePreconditioner:
         crossed = sys.mesh.triangles[segments.triangle_index]
         assert np.array_equal(block, np.flatnonzero(np.isin(sys.free, crossed)))
 
+    @pytest.mark.parametrize("level, rows, steps", [(1, 36, 7), ("fine", 1254, 23)])
+    def test_crack_block_is_where_the_diagonal_leaves_the_stencil(
+        self, level, rows, steps, monkeypatch
+    ):
+        # B comes from the crack's owner triangles; read off the matrix, it
+        # is the rows whose diagonal differs from the stencil's
+        _, sys = pipeline_system(radial_uniform(level))
+        xs, ys, _ = sys.mesh.lattice
+        nx, ny = len(xs) - 1, len(ys) - 1
+        hx, hy = (xs[-1] - xs[0]) / nx, (ys[-1] - ys[0]) / ny
+        d0 = 2.0 * sys.a * (hy / hx + hx / hy)
+        off = np.flatnonzero(np.abs(sys.matrix.diagonal() - d0) > 1e-12 * d0)
+        assert np.array_equal(sys.crack_rows, off) and len(off) == rows
+        real_cg, counts = solve_module.spla.cg, []
+
+        def counting_cg(*args, **kwargs):
+            return real_cg(*args, callback=counts.append, **kwargs)
+
+        monkeypatch.setattr(solve_module.spla, "cg", counting_cg)
+        solve(sys)
+        assert len(counts) == steps
+
     @pytest.mark.parametrize("permeability", [1.0, 100.0])
     def test_cg_iterations_are_bounded(self, permeability, monkeypatch):
         real_cg = solve_module.spla.cg
