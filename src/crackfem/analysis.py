@@ -12,7 +12,6 @@ from .assembly import Coefficients
 
 # degree-2 exact rule: edge midpoints, equal weights; point q is the midpoint
 # of the edge from corner q to corner q + 1 (mod 3)
-_TRI_MID_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 _TRI_MID_W = np.array([1.0, 1.0, 1.0]) / 3.0
 
 # two-point Gauss rule on [0, 1]
@@ -20,8 +19,9 @@ _GAUSS2_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _GAUSS2_W = np.array([0.5, 0.5])
 
 # triangles per block of the bulk norms, which bounds their whole-mesh
-# memory to the two (m, 3) squared-error arrays
-_NORM_BLOCK = 1 << 16
+# memory to the two (m, 3) squared-error arrays; a block's own arrays take
+# about 6 MiB, and ran faster than at 1 << 16
+_NORM_BLOCK = 1 << 14
 
 
 class ExactRadialSolution:
@@ -47,26 +47,17 @@ class ExactRadialSolution:
         self.domain = (1.0, self.outer_radius, 1.0, self.outer_radius)
         self.crack_angles = (float(np.arcsin(1.0 / e)), float(np.arccos(1.0 / e)))
 
-    def _radius(self, points):
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        return np.hypot(pts[:, 0], pts[:, 1]), pts
-
-    def value_inner(self, r):
-        return self._c1 * np.log(r)
-
-    def value_outer(self, r):
-        return self._c2 * (np.log(r) - 1.25) + 1.0
-
     def value(self, points) -> np.ndarray:
-        r, _ = self._radius(points)
-        return np.where(
-            r <= self.interface_radius, self.value_inner(r), self.value_outer(r)
-        )
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        return self.value_and_gradient(pts[:, 0], pts[:, 1])[0]
 
-    def gradient(self, points) -> np.ndarray:
-        r, pts = self._radius(points)
-        c = np.where(r <= self.interface_radius, self._c1, self._c2)
-        return (c / r**2)[:, None] * pts
+    def value_and_gradient(self, x, y):
+        """u, du/dx, du/dy at points (x, y) of any one shape; one hypot, one log."""
+        r = np.hypot(x, y)
+        inner, log = r <= self.interface_radius, np.log(r)
+        u = np.where(inner, self._c1 * log, self._c2 * (log - 1.25) + 1.0)
+        c = np.where(inner, self._c1, self._c2) / r**2
+        return u, c * x, c * y
 
 
 class SineProductSolution:
@@ -74,13 +65,13 @@ class SineProductSolution:
 
     def value(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        return np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
+        return self.value_and_gradient(pts[:, 0], pts[:, 1])[0]
 
-    def gradient(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        sx, cx = np.sin(np.pi * pts[:, 0]), np.cos(np.pi * pts[:, 0])
-        sy, cy = np.sin(np.pi * pts[:, 1]), np.cos(np.pi * pts[:, 1])
-        return np.pi * np.column_stack([cx * sy, sx * cy])
+    def value_and_gradient(self, x, y):
+        """u, du/dx, du/dy at points (x, y) of any one shape; one sin, cos each."""
+        px, py = np.pi * x, np.pi * y
+        sx, cx, sy, cy = np.sin(px), np.cos(px), np.sin(py), np.cos(py)
+        return sx * sy, np.pi * (cx * sy), np.pi * (sx * cy)
 
     def load(self, points) -> np.ndarray:
         """The source -laplace(u) = 2 pi^2 u."""
@@ -131,20 +122,22 @@ def error_norms(
     for start in range(0, m, _NORM_BLOCK):
         blk = slice(start, start + _NORM_BLOCK)
         tris = mesh.triangles[blk]
-        pts = np.empty((len(tris), 3, 2))
-        for d, corner in enumerate(corners(mesh.vertices, tris)):
-            np.einsum("qi,im->mq", _TRI_MID_BARY, corner, out=pts[:, :, d])
-        uh = np.einsum("qi,im->mq", _TRI_MID_BARY, solution.values[tris.T])
-        uex = exact.value(pts.reshape(-1, 2)).reshape(uh.shape)
-        diff2[blk] = (uh - uex) ** 2
-        gh = solution.gradients(blk)  # (k, 2)
-        gex = exact.gradient(pts.reshape(-1, 2)).reshape(pts.shape)
-        for q in range(3):
-            dx = gh[:, 0] - gex[:, q, 0]
-            dy = gh[:, 1] - gex[:, q, 1]
-            np.multiply(dx, dx, out=gdiff2[blk, q])
-            gdiff2[blk, q] += dy * dy
+        # corner rows (3, k), each turned in place into the rule's rows:
+        # 0.5 * corner q + 0.5 * corner q + 1 (mod 3), the einsum's bits
+        x, y, uh = (*corners(mesh.vertices, tris), solution.values[tris.T])
+        for c in (x, y, uh):
+            c *= 0.5
+            c += c[[1, 2, 0]]
+        uex, gx, gy = exact.value_and_gradient(x, y)
+        uh -= uex
+        np.square(uh, out=diff2[blk].T)
+        gh = solution.gradients(blk)
+        gx -= gh[0]  # the negated error, whose square is the same
+        gy -= gh[1]
+        g2 = np.multiply(gx, gx, out=gdiff2[blk].T)
+        g2 += np.square(gy, out=gy)
     l2_sq = float(np.einsum("mq,q,m->", diff2, bw, area))
+    del diff2  # before the weighted areas exist
     h1_sq = float(np.einsum("mq,q,m->", gdiff2, bw, area))
     a_elem = coeffs.element_permeability(mesh)
     energy_sq = float(np.einsum("mq,q,m->", gdiff2, bw, area * a_elem))
@@ -159,14 +152,13 @@ def error_norms(
         own = crack.triangle_index
         phi = mesh.hat_values(own, spts)
         uh_s = np.einsum("sqi,si->sq", phi, solution.values[mesh.triangles[own]])
-        uex_s = exact.value(spts.reshape(-1, 2)).reshape(uh_s.shape)
+        uex_s, *gex_s = exact.value_and_gradient(spts[..., 0], spts[..., 1])
         l2c_sq = float(
             np.einsum("sq,q,s->", (uh_s - uex_s) ** 2, sw, crack.length)
         )
         t = crack.tangents()
         gt_h = solution.tangential_derivative(crack)
-        gex_s = exact.gradient(spts.reshape(-1, 2)).reshape(spts.shape)
-        gt_ex = np.einsum("sd,sqd->sq", t, gex_s)
+        gt_ex = np.einsum("sd,dsq->sq", t, gex_s)
         tdiff2 = (gt_h[:, None] - gt_ex) ** 2
         energy_sq += float(
             np.einsum("sq,q,s->", tdiff2, sw, crack.length * crack.permeability())

@@ -205,7 +205,7 @@ def _segment_blocks(mesh: Mesh, crack: SegmentedCrack):
             d = crack.points[order, 1, :] - crack.points[order, 0, :]
             length = np.linalg.norm(d, axis=1)
             t = d / length[:, None]
-            w = np.einsum("sid,sd->si", mesh.hat_gradients(own), t)
+            w = np.einsum("ids,sd->si", mesh.hat_gradients(own), t)
             elems = mesh.triangles[own]
             blocks = np.einsum("s,si,sj->sij", perm * length, w, w).reshape(-1, 9)
     return elems, blocks
@@ -284,7 +284,7 @@ def _element_blocks(mesh: Mesh, coeffs: Coefficients, seg_local) -> np.ndarray:
     zeros gives the bits of einsum("t,tid,tjd->tij"), signed zeros included."""
     m = mesh.n_triangles
     weight = coeffs.element_permeability(mesh) * mesh.triangle_areas()
-    g = mesh.hat_gradients().transpose(1, 2, 0).copy()
+    g = mesh.hat_gradients()
     local = np.zeros((9, m + len(seg_local)))
     local[:, m:] = seg_local.T
     wg, term = np.empty(m), np.empty(m)

@@ -417,8 +417,8 @@ def run_single(config: ProblemConfig, out_dir=None, level: int = 0) -> RunResult
     segments = cut_chains(mesh, graph, hits)
     coeffs = _build_coefficients(config, graph)
     boundary = _build_boundary(config.boundary)
-    system = assemble(mesh, segments, coeffs, boundary)
-    solution = solve(system)
+    # the system is freed once solved, before the norms' arrays exist
+    solution = solve(assemble(mesh, segments, coeffs, boundary))
     report = None
     if config.exact_solution is not None:
         report = error_norms(

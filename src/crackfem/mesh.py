@@ -108,29 +108,32 @@ class Mesh:
 
     def triangle_areas(self) -> np.ndarray:
         if self._areas is None:
-            x, y = corners(self.vertices, self.triangles)
-            d1x, d1y = x[1] - x[0], y[1] - y[0]
-            d2x, d2y = x[2] - x[0], y[2] - y[0]
-            self._areas = 0.5 * (d1x * d2y - d1y * d2x)
+            self._areas = np.empty(self.n_triangles)
+            for start in range(0, self.n_triangles, 1 << 14):  # cache-sized temporaries
+                blk = slice(start, start + (1 << 14))
+                x, y = corners(self.vertices, self.triangles[blk])
+                d1x, d1y = x[1] - x[0], y[1] - y[0]
+                d2x, d2y = x[2] - x[0], y[2] - y[0]
+                np.multiply(0.5, d1x * d2y - d1y * d2x, out=self._areas[blk])
             self._areas.setflags(write=False)
         return self._areas
 
     def hat_gradients(self, tri_ids=slice(None)) -> np.ndarray:
-        """Constant hat-function gradients of the selected triangles, (k, 3, 2).
+        """Constant hat-function gradients of the selected triangles, (3, 2, k).
 
-        Entry [t, i] is the gradient of the hat of vertex i: the opposite
-        edge rotated a quarter turn, divided by twice the area.
+        Entry [i, :, t] is the gradient of the hat of vertex i of triangle t:
+        the opposite edge rotated a quarter turn, divided by twice the area.
         """
         # areas first, so their cached computation's temporaries are freed
         # before the gradients exist; the other order raises peak RSS
         twice = 2.0 * self.triangle_areas()[tri_ids]
         x, y = corners(self.vertices, self.triangles[tri_ids])
-        grads = np.empty((len(twice), 3, 2))
+        grads = np.empty((3, 2, len(twice)))
         for i in range(3):
             a, b = (i + 1) % 3, (i + 2) % 3
             # e_y / -2A is -e_y / 2A to the bit, signed zeros included
-            np.divide(y[b] - y[a], -twice, out=grads[:, i, 0])
-            np.divide(x[b] - x[a], twice, out=grads[:, i, 1])
+            np.divide(y[b] - y[a], -twice, out=grads[i, 0])
+            np.divide(x[b] - x[a], twice, out=grads[i, 1])
         return grads
 
     def hat_values(self, tri_ids, points) -> np.ndarray:
@@ -142,7 +145,7 @@ class Mesh:
         centroids = self.vertices[self.triangles[tri_ids]].mean(axis=1)
         centroids = centroids.reshape((-1,) + (1,) * (pts.ndim - 2) + (2,))
         grads = self.hat_gradients(tri_ids)
-        return 1.0 / 3.0 + np.einsum("kid,k...d->k...i", grads, pts - centroids)
+        return 1.0 / 3.0 + np.einsum("idk,k...d->k...i", grads, pts - centroids)
 
     def triangle_diameters(self, tri_ids=slice(None)) -> np.ndarray:
         """Longest edge of each selected triangle, shape (k,)."""

@@ -68,23 +68,34 @@ def _factor(A):
         raise SolverError(f"direct factorization failed: {exc}") from exc
 
 
-def _dst1(x):
+def _dst1(x, buffers):
     """Minus the DST-I of each row of x: the imaginary part of the rfft of
-    the row after one zero, padded to length 2 (n + 1)."""
-    ext = np.zeros((x.shape[0], x.shape[1] + 1))
-    ext[:, 1:] = x  # C order, so rows are contiguous also for a transposed x
-    return np.fft.rfft(ext, 2 * ext.shape[1])[:, 1:-1].imag
+    the row after one zero, padded to length 2 (n + 1), through the buffers
+    of x's shape; a view of the complex one, valid until its next use."""
+    ext, spec = buffers[x.shape]
+    ext[:, 1 : x.shape[1] + 1] = x  # rows contiguous also for a transposed x
+    return np.fft.rfft(ext, out=spec)[:, 1:-1].imag
 
 
 def _stencil_solver(nx, ny, hx, hy, a):
     """Inverse of ``a`` times the 5-point stencil of P1 on an nx x ny-cell
     lattice, on its (nx - 1) x (ny - 1) interior with x fastest, by a 2-D
-    DST-I, which diagonalises the stencil under Dirichlet sides."""
+    DST-I, which diagonalises the stencil under Dirichlet sides. The
+    transforms reuse their buffers; each apply returns a new array."""
     lam = lambda n, r: r * (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n) / n))
     # DST-I applied twice is (n / 2) times the identity along each axis
     scale = 4.0 / (nx * ny) / (a * (lam(ny, hx / hy)[:, None] + lam(nx, hy / hx)))
-    dst2 = lambda x: _dst1(_dst1(x.T).T)  # along y, then x; the signs cancel
-    return lambda r: dst2(dst2(r.reshape(ny - 1, nx - 1)) * scale).ravel()
+    # per shape, rows zero-padded to 2 (n + 1) floats and their rfft
+    buffers = {(k, n): (np.zeros((k, 2 * n + 2)), np.empty((k, n + 2), complex))
+               for k, n in {(nx - 1, ny - 1), (ny - 1, nx - 1)}}
+    dst2 = lambda x: _dst1(_dst1(x.T, buffers).T, buffers)  # along y, then x; the signs cancel
+
+    def apply(r):
+        z = dst2(r.reshape(ny - 1, nx - 1))
+        z *= scale
+        return dst2(z).flatten()  # a copy, as a (1, 1) view would ravel to itself
+
+    return apply
 
 
 def _lattice_preconditioner(system: LinearSystem):
@@ -130,9 +141,15 @@ class SolutionField:
         self._rows = None
 
     def gradients(self, tri_ids=slice(None)) -> np.ndarray:
-        """Constant gradient of each selected triangle, shape (k, 2)."""
-        u = self.values[self.mesh.triangles[tri_ids]]
-        return np.einsum("ti,tid->td", u, self.mesh.hat_gradients(tri_ids))
+        """Constant gradient of each selected triangle, component-major
+        (2, k): the corner values times the hat gradients, summed onto
+        zeros as the einsum "ti,tid->td" does, signed zeros included."""
+        u = self.values[self.mesh.triangles[tri_ids].T]
+        hats = self.mesh.hat_gradients(tri_ids)
+        g = np.zeros(hats.shape[1:])
+        for i in range(3):
+            g += u[i] * hats[i]
+        return g
 
     def value_rows(self) -> str:
         """The values as rows ``"u\n"`` (``%r``), one string, rendered once
@@ -145,4 +162,4 @@ class SolutionField:
         """Directional derivative along each crack segment, shape (s,)."""
         t = crack.tangents()
         g = self.gradients(crack.triangle_index)
-        return np.einsum("sd,sd->s", t, g)
+        return np.einsum("sd,ds->s", t, g)

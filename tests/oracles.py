@@ -11,8 +11,10 @@ the one-sided branches of the radial exact solution, the smallest angle of a
 mesh, the three text exports written one f-string per line, the direct solve
 with SuperLU's default column ordering and partial pivoting, point location
 and point evaluation of a P1 field, the whole-mesh P1 kernels in their
-einsum, (m, 3, 2)-gather and sparse-product forms, and the stiffness summed
-from one COO matrix of all its element blocks; also point-to-segment
+einsum, (m, 3, 2)-gather and sparse-product forms, the stiffness summed
+from one COO matrix of all its element blocks, the lattice stencil solve
+allocating every transform anew, and the exact solutions' value and
+gradient as the separate formulas they were; also point-to-segment
 distances, the signed distance to a crack with its even-odd loop over all
 points, and the mesh invariants.
 """
@@ -29,21 +31,21 @@ from crackfem import (
     Coefficients,
     CrackGeometryError,
     CrackGraph,
+    ExactRadialSolution,
     Mesh,
     MeshError,
     SegmentedCrack,
+    SineProductSolution,
     mark_crack_elements,
 )
 from crackfem._geom import REL_TOL, bbox_diameter, clip_segments_to_triangles
-from crackfem.analysis import (
-    _GAUSS2_T,
-    _GAUSS2_W,
-    _TRI_MID_BARY,
-    _TRI_MID_W,
-    NormReport,
-)
+from crackfem.analysis import _GAUSS2_T, _GAUSS2_W, _TRI_MID_W, NormReport
 from crackfem.assembly import _canonical_segment_order
 from crackfem.mesh import _vertex_neighborhood
+
+# barycentric weights of the degree-2 rule of ``error_norms``: point q is the
+# midpoint of the edge from corner q to corner q + 1 (mod 3)
+_TRI_MID_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 
 # degree-5 exact 7-point rule
 _S15 = np.sqrt(15.0)
@@ -105,7 +107,7 @@ def continuous_gradient_integrals(
 
     def accumulate(ids, bary, w):
         pts = np.einsum("qi,mid->mqd", bary, coords[ids])
-        g = exact.gradient(pts.reshape(-1, 2)).reshape(pts.shape)
+        g = exact_gradient(exact, pts.reshape(-1, 2)).reshape(pts.shape)
         out[ids] = np.einsum("mqd,q,m->md", g, w, area[ids])
 
     all_ids = np.arange(mesh.n_triangles)
@@ -127,7 +129,7 @@ def continuous_tangential_integrals(crack: SegmentedCrack, exact) -> np.ndarray:
     a = crack.points[:, 0, :]
     d = crack.points[:, 1, :] - crack.points[:, 0, :]
     spts = a[:, None, :] + _GAUSS4_T[None, :, None] * d[:, None, :]
-    g = exact.gradient(spts.reshape(-1, 2)).reshape(spts.shape)
+    g = exact_gradient(exact, spts.reshape(-1, 2)).reshape(spts.shape)
     t = crack.tangents()
     gt = np.einsum("sd,sqd->sq", t, g)
     return np.einsum("sq,q,s->s", gt, _GAUSS4_W, crack.length)
@@ -142,7 +144,7 @@ def continuous_form_apply(
     test gradients are constant per element; likewise on segments.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    grads = mesh.hat_gradients()
+    grads = hat_gradients_rows(mesh)
     coords = mesh.vertices[mesh.triangles]
     a_elem = coeffs.element_permeability(mesh)
     bulk_int = continuous_gradient_integrals(mesh, exact, refine_triangles, levels)
@@ -171,8 +173,8 @@ def energy_by_expansion(solution, exact, crack, coeffs) -> float:
     area = mesh.triangle_areas()
     a_elem = coeffs.element_permeability(mesh)
     pts = np.einsum("qi,mid->mqd", _TRI_MID_BARY, coords)
-    gex = exact.gradient(pts.reshape(-1, 2)).reshape(pts.shape)
-    gh = solution.gradients()
+    gex = exact_gradient(exact, pts.reshape(-1, 2)).reshape(pts.shape)
+    gh = solution_gradients_einsum(solution)
     g2 = np.einsum("mqd,mqd->mq", gex, gex)
     cross = np.einsum("mqd,md->mq", gex, gh)
     hh = np.einsum("md,md->m", gh, gh)
@@ -183,7 +185,7 @@ def energy_by_expansion(solution, exact, crack, coeffs) -> float:
         a = crack.points[:, 0, :]
         d = crack.points[:, 1, :] - crack.points[:, 0, :]
         spts = a[:, None, :] + _GAUSS2_T[None, :, None] * d[:, None, :]
-        gex_s = exact.gradient(spts.reshape(-1, 2)).reshape(spts.shape)
+        gex_s = exact_gradient(exact, spts.reshape(-1, 2)).reshape(spts.shape)
         t = crack.tangents()
         gt_ex = np.einsum("sd,sqd->sq", t, gex_s)
         gt_h = np.einsum("sd,sd->s", t, gh[crack.triangle_index])
@@ -204,8 +206,8 @@ def fine_error_norms(solution, exact, crack, coeffs) -> dict:
     pts = np.einsum("qi,mid->mqd", _TRI7_BARY, coords)
     uh = np.einsum("qi,mi->mq", _TRI7_BARY, solution.values[mesh.triangles])
     uex = exact.value(pts.reshape(-1, 2)).reshape(uh.shape)
-    gh = solution.gradients()
-    gdiff = gh[:, None, :] - exact.gradient(pts.reshape(-1, 2)).reshape(pts.shape)
+    gh = solution_gradients_einsum(solution)
+    gdiff = gh[:, None, :] - exact_gradient(exact, pts.reshape(-1, 2)).reshape(pts.shape)
     gdiff2 = np.einsum("mqd,mqd->mq", gdiff, gdiff)
     l2_sq = np.einsum("mq,q,m->", (uh - uex) ** 2, _TRI7_W, area)
     h1_sq = np.einsum("mq,q,m->", gdiff2, _TRI7_W, area)
@@ -221,7 +223,7 @@ def fine_error_norms(solution, exact, crack, coeffs) -> dict:
         uex_s = exact.value(spts.reshape(-1, 2)).reshape(uh_s.shape)
         l2c_sq = np.einsum("sq,q,s->", (uh_s - uex_s) ** 2, _GAUSS4_W, crack.length)
         t = crack.tangents()
-        gex_s = exact.gradient(spts.reshape(-1, 2)).reshape(spts.shape)
+        gex_s = exact_gradient(exact, spts.reshape(-1, 2)).reshape(spts.shape)
         gt_h = np.einsum("sd,sd->s", t, gh[own])
         gt_ex = np.einsum("sd,sqd->sq", t, gex_s)
         wl = crack.length * crack.permeability()
@@ -639,15 +641,27 @@ def cut_chains_per_part(mesh, crack: CrackGraph, hits) -> SegmentedCrack:
     )
 
 
+def value_inner(exact, r):
+    """The inner branch of an ``ExactRadialSolution`` at radii r."""
+    return exact._c1 * np.log(r)
+
+
+def value_outer(exact, r):
+    """The outer branch of an ``ExactRadialSolution`` at radii r."""
+    return exact._c2 * (np.log(r) - 1.25) + 1.0
+
+
 def gradient_inner(exact, points) -> np.ndarray:
     """Gradient of the inner branch of an ``ExactRadialSolution``."""
-    r, pts = exact._radius(points)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    r = np.hypot(pts[:, 0], pts[:, 1])
     return (exact._c1 / r**2)[:, None] * pts
 
 
 def gradient_outer(exact, points) -> np.ndarray:
     """Gradient of the outer branch of an ``ExactRadialSolution``."""
-    r, pts = exact._radius(points)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    r = np.hypot(pts[:, 0], pts[:, 1])
     return (exact._c2 / r**2)[:, None] * pts
 
 
@@ -783,12 +797,12 @@ def assemble_operator_coo(mesh: Mesh, crack: SegmentedCrack, coeffs) -> sp.csr_m
             d = crack.points[order, 1, :] - crack.points[order, 0, :]
             length = np.linalg.norm(d, axis=1)
             t = d / length[:, None]
-            w = np.einsum("sid,sd->si", mesh.hat_gradients(own), t)
+            w = np.einsum("sid,sd->si", hat_gradients_rows(mesh, own), t)
             seg_local = np.einsum("s,si,sj->sij", perm * length, w, w)
             tri = np.concatenate([tri, tri[own]])
     local = np.empty((len(tri), 3, 3))
     weight = coeffs.element_permeability(mesh) * mesh.triangle_areas()
-    grads = mesh.hat_gradients()
+    grads = hat_gradients_rows(mesh)
     np.einsum("t,tid,tjd->tij", weight, grads, grads, out=local[:m])
     local[m:] = seg_local
     n = mesh.n_vertices
@@ -805,7 +819,7 @@ def assemble_operator_coo(mesh: Mesh, crack: SegmentedCrack, coeffs) -> sp.csr_m
 def solution_gradients_einsum(solution) -> np.ndarray:
     """Per-triangle gradients of a P1 field as one einsum."""
     u = solution.values[solution.mesh.triangles]
-    return np.einsum("ti,tid->td", u, solution.mesh.hat_gradients())
+    return np.einsum("ti,tid->td", u, hat_gradients_rows(solution.mesh))
 
 
 def midpoint_rule_values(solution):
@@ -829,7 +843,7 @@ def error_norms_einsum(solution, exact, crack=None, coeffs=None, level=0):
     uex = exact.value(pts.reshape(-1, 2)).reshape(uh.shape)
     l2_sq = float(np.einsum("mq,q,m->", (uh - uex) ** 2, bw, area))
     gh = solution_gradients_einsum(solution)
-    gdiff = gh[:, None, :] - exact.gradient(pts.reshape(-1, 2)).reshape(pts.shape)
+    gdiff = gh[:, None, :] - exact_gradient(exact, pts.reshape(-1, 2)).reshape(pts.shape)
     gdiff2 = np.einsum("mqd,mqd->mq", gdiff, gdiff)
     h1_sq = float(np.einsum("mq,q,m->", gdiff2, bw, area))
     a_elem = coeffs.element_permeability(mesh)
@@ -850,7 +864,7 @@ def error_norms_einsum(solution, exact, crack=None, coeffs=None, level=0):
         )
         t = crack.tangents()
         gt_h = np.einsum("sd,sd->s", t, gh[own])
-        gex_s = exact.gradient(spts.reshape(-1, 2)).reshape(spts.shape)
+        gex_s = exact_gradient(exact, spts.reshape(-1, 2)).reshape(spts.shape)
         gt_ex = np.einsum("sd,sqd->sq", t, gex_s)
         tdiff2 = (gt_h[:, None] - gt_ex) ** 2
         wl = crack.length * crack.permeability()
@@ -867,3 +881,50 @@ def error_norms_einsum(solution, exact, crack=None, coeffs=None, level=0):
         l2_crack=float(np.sqrt(l2c_sq)),
         energy=float(np.sqrt(energy_sq)),
     )
+
+
+def dst1_per_call(x):
+    """Minus the DST-I of each row of x, from a freshly allocated zero-padded
+    copy: the imaginary part of the rfft of the row after one zero, padded
+    to length 2 (n + 1)."""
+    ext = np.zeros((x.shape[0], x.shape[1] + 1))
+    ext[:, 1:] = x  # C order, so rows are contiguous also for a transposed x
+    return np.fft.rfft(ext, 2 * ext.shape[1])[:, 1:-1].imag
+
+
+def stencil_solver_per_call(nx, ny, hx, hy, a):
+    """The 2-D DST-I inverse of ``a`` times the 5-point stencil, allocating
+    every transform's input and output anew."""
+    lam = lambda n, r: r * (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n) / n))
+    scale = 4.0 / (nx * ny) / (a * (lam(ny, hx / hy)[:, None] + lam(nx, hy / hx)))
+    dst2 = lambda x: dst1_per_call(dst1_per_call(x.T).T)
+    return lambda r: dst2(dst2(r.reshape(ny - 1, nx - 1)) * scale).ravel()
+
+
+def exact_value(exact, points) -> np.ndarray:
+    """Value of an exact solution at (k, 2) points, each branch or factor
+    evaluated on its own."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if isinstance(exact, SineProductSolution):
+        return np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    return np.where(
+        r <= exact.interface_radius, value_inner(exact, r), value_outer(exact, r)
+    )
+
+
+def exact_gradient(exact, points) -> np.ndarray:
+    """Gradient of an exact field at (k, 2) points, shape (k, 2): for the
+    package's two solutions the separate formula each had before
+    ``value_and_gradient``, for any other field its ``value_and_gradient``."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if isinstance(exact, SineProductSolution):
+        sx, cx = np.sin(np.pi * pts[:, 0]), np.cos(np.pi * pts[:, 0])
+        sy, cy = np.sin(np.pi * pts[:, 1]), np.cos(np.pi * pts[:, 1])
+        return np.pi * np.column_stack([cx * sy, sx * cy])
+    if isinstance(exact, ExactRadialSolution):
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        c = np.where(r <= exact.interface_radius, exact._c1, exact._c2)
+        return (c / r**2)[:, None] * pts
+    _, gx, gy = exact.value_and_gradient(pts[:, 0], pts[:, 1])
+    return np.column_stack([gx, gy])

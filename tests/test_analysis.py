@@ -40,6 +40,8 @@ from oracles import (
     gradient_inner,
     gradient_outer,
     radial_flux_jump,
+    value_inner,
+    value_outer,
 )
 
 
@@ -52,9 +54,9 @@ class ConstantGradientField:
     def value(self, points):
         return np.asarray(points, dtype=float).reshape(-1, 2) @ self.g
 
-    def gradient(self, points):
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        return np.broadcast_to(self.g, pts.shape).copy()
+    def value_and_gradient(self, x, y):
+        gx, gy = self.g
+        return x * gx + y * gy, np.full(np.shape(x), gx), np.full(np.shape(x), gy)
 
 
 @pytest.fixture(scope="module")
@@ -67,9 +69,9 @@ class TestExactRadialSolution:
     def test_continuous_across_the_interface(self):
         ex = ExactRadialSolution()
         e = ex.interface_radius
-        assert ex.value_inner(e) == pytest.approx((4.0 + np.e) / 5.0, abs=1e-15)
-        assert ex.value_inner(e) == pytest.approx(ex.value_outer(e), abs=1e-14)
-        assert ex.interface_value == ex.value_inner(e)
+        assert value_inner(ex, e) == pytest.approx((4.0 + np.e) / 5.0, abs=1e-15)
+        assert value_inner(ex, e) == pytest.approx(value_outer(ex, e), abs=1e-14)
+        assert ex.interface_value == value_inner(ex, e)
 
     def test_boundary_values_are_zero_and_one(self):
         ex = ExactRadialSolution()
@@ -95,7 +97,8 @@ class TestExactRadialSolution:
         step = 1e-6
         gx = (ex.value(pts + [step, 0.0]) - ex.value(pts - [step, 0.0])) / (2 * step)
         gy = (ex.value(pts + [0.0, step]) - ex.value(pts - [0.0, step])) / (2 * step)
-        assert np.allclose(ex.gradient(pts), np.column_stack([gx, gy]), atol=1e-7)
+        _, ux, uy = ex.value_and_gradient(pts[:, 0], pts[:, 1])
+        assert np.allclose(np.column_stack([ux, uy]), np.column_stack([gx, gy]), atol=1e-7)
 
 
 class TestSineProductSolution:
@@ -105,7 +108,8 @@ class TestSineProductSolution:
         step = 1e-5
         gx = (ex.value(pts + [step, 0.0]) - ex.value(pts - [step, 0.0])) / (2 * step)
         gy = (ex.value(pts + [0.0, step]) - ex.value(pts - [0.0, step])) / (2 * step)
-        assert np.allclose(ex.gradient(pts), np.column_stack([gx, gy]), atol=1e-8)
+        _, ux, uy = ex.value_and_gradient(pts[:, 0], pts[:, 1])
+        assert np.allclose(np.column_stack([ux, uy]), np.column_stack([gx, gy]), atol=1e-8)
         lap = (
             ex.value(pts + [step, 0.0])
             + ex.value(pts - [step, 0.0])

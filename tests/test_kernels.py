@@ -14,7 +14,9 @@ the same bits as the single-block form (for the stiffness, one COO matrix
 of all element blocks), and each stage holds a bounded number of bytes per
 triangle. A mesh that is its lattice takes the closed-form stiffness: the
 oracle's pattern without its zeros, its bits on dyadic unit squares and
-every entry within 1e-14 of its row's diagonal elsewhere.
+every entry within 1e-14 of its row's diagonal elsewhere. Each exact
+solution's ``value_and_gradient`` gives the bits of the separate value and
+gradient formulas it replaced.
 """
 
 import tracemalloc
@@ -31,6 +33,7 @@ from crackfem import (
     Chain,
     Coefficients,
     CrackGraph,
+    ExactRadialSolution,
     Mesh,
     RefinementConfig,
     SegmentedCrack,
@@ -159,9 +162,11 @@ def check_closed_form(mesh, crack, coeffs):
 def check_kernels(mesh, crack, coeffs, boundary, values):
     """Every kernel against its oracle on one mesh, crack and field."""
     assert_bitwise(mesh.triangle_areas(), oracles.triangle_areas_rows(mesh))
-    assert_bitwise(mesh.hat_gradients(), oracles.hat_gradients_rows(mesh))
+    # component-major (3, 2, k) against the (k, 3, 2) gather
+    rows = lambda *ids: oracles.hat_gradients_rows(mesh, *ids).transpose(1, 2, 0)
+    assert_bitwise(mesh.hat_gradients(), rows())
     band = np.arange(0, mesh.n_triangles, 3)
-    assert_bitwise(mesh.hat_gradients(band), oracles.hat_gradients_rows(mesh, band))
+    assert_bitwise(mesh.hat_gradients(band), rows(band))
     assert_bitwise(mesh.triangle_diameters(), oracles.triangle_diameters_norm(mesh))
     assert_bitwise(
         mesh.triangle_diameters(band), oracles.triangle_diameters_norm(mesh, band)
@@ -184,7 +189,7 @@ def check_kernels(mesh, crack, coeffs, boundary, values):
     )
 
     field = SolutionField(mesh, values)
-    assert_bitwise(field.gradients(), oracles.solution_gradients_einsum(field))
+    assert_bitwise(field.gradients(), oracles.solution_gradients_einsum(field).T)
     exact = SineProductSolution()
     got = error_norms(field, exact, crack, coeffs, level=2)
     want = oracles.error_norms_einsum(field, exact, crack, coeffs, level=2)
@@ -343,6 +348,15 @@ class TestKernelsMatchOracles:
             assert (K0.data == 0.0).any() != each.is_lattice
             assert (system.matrix.data != 0.0).all()
 
+    def test_areas_of_several_blocks_are_the_gather_form(self):
+        # 65 536 triangles, four blocks of the area computation, with
+        # negative zero coordinates; refined, a ragged last block
+        mesh = turned(build_rectangle_mesh((0.0, 1.0, 0.0, 2.0), 1.0 / 128.0))
+        refined, _ = refine_marked(mesh, np.arange(0, mesh.n_triangles, 5))
+        assert refined.n_triangles % (1 << 14)
+        for each in (mesh, refined):
+            assert_bitwise(each.triangle_areas(), oracles.triangle_areas_rows(each))
+
     @pytest.mark.parametrize("h", [0.5, 0.125])
     def test_rotated_mesh_with_negative_zero_coordinates(self, h):
         mesh = turned(build_rectangle_mesh((0.0, 1.0, 0.0, 2.0), h))
@@ -384,9 +398,10 @@ class TestBlockedNorms:
             assert_bitwise(getattr(got, name), getattr(want, name))
 
     def test_stage_holds_two_arrays_per_triangle(self, monkeypatch):
-        # the whole-mesh share is 64 B per triangle: the two (m, 3) squared
-        # errors, the permeabilities and the weighted areas; the rest is one
-        # block's points, values and gradients
+        # the whole-mesh share is 48 B per triangle: the two (m, 3) squared
+        # errors, the first freed before the permeabilities and weighted
+        # areas exist; the rest is one block's corner rows of points,
+        # values and gradients, 376 B per triangle measured
         block = 1 << 12
         monkeypatch.setattr(analysis, "_NORM_BLOCK", block)
         mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 1.0 / 256.0)
@@ -401,7 +416,7 @@ class TestBlockedNorms:
         finally:
             tracemalloc.stop()
         assert mesh.n_triangles == 131072
-        assert peak <= 100 * mesh.n_triangles + 400 * block
+        assert peak <= 56 * mesh.n_triangles + 400 * block
 
 
 class TestRowBlocks:
@@ -418,7 +433,7 @@ class TestRowBlocks:
         mesh = lattice_free(build_rectangle_mesh((0.0, 1.0, 0.0, 2.0), 0.25))
         coeffs = Coefficients(a1=1.0, a2=3.0, region=lambda p: np.where(p[:, 0] < 0.4, 1, 2))
         weight = coeffs.element_permeability(mesh) * mesh.triangle_areas()
-        grads = mesh.hat_gradients()
+        grads = oracles.hat_gradients_rows(mesh)
         want = np.einsum("t,tid,tjd->tij", weight, grads, grads).reshape(-1, 9).T
         seg_local = rng.standard_normal((5, 9))
         got = assembly._element_blocks(mesh, coeffs, seg_local)
@@ -433,7 +448,7 @@ class TestRowBlocks:
 
     def test_stage_holds_the_blocks_and_one_row_block(self, monkeypatch):
         # the whole-mesh share is about 165 B per triangle: the (9, m)
-        # blocks (72), the transposed hat gradients (48), the int32
+        # blocks (72), the component-major hat gradients (48), the int32
         # elements (12), the areas, weights and two scratch arrays (32);
         # the rest is one row block's COO entries and its CSR rows
         block = 1 << 12
@@ -515,18 +530,63 @@ class TestFieldGradients:
     def test_gradients_of_ids_are_rows_of_all(self, network_run, rng):
         field = network_run.solution
         full = field.gradients()
-        m = len(full)
-        assert_bitwise(full, oracles.solution_gradients_einsum(field))
+        m = full.shape[1]
+        assert_bitwise(full, oracles.solution_gradients_einsum(field).T)
         for ids in (
             rng.integers(0, m, 200),
             rng.permutation(m)[:17],
             np.array([], dtype=np.int64),
             slice(5, 40, 3),
         ):
-            assert_bitwise(field.gradients(ids), full[ids])
+            assert_bitwise(field.gradients(ids), full[:, ids])
 
     def test_tangential_derivative_uses_the_owner_gradients(self, network_run):
         field, crack = network_run.solution, network_run.segments
         g = oracles.solution_gradients_einsum(field)[crack.triangle_index]
         want = np.einsum("sd,sd->s", crack.tangents(), g)
         assert_bitwise(field.tangential_derivative(crack), want)
+
+
+_E = float(np.e)
+# points on the interface circle r = e to the bit, where the radial
+# solution's branch choice (r <= e is inner) decides the value
+_ANGLES = np.linspace(0.0, 2.0 * np.pi, 721)
+_ON_CIRCLE = [
+    (float(x), float(y))
+    for x, y in zip(_E * np.cos(_ANGLES), _E * np.sin(_ANGLES))
+    if np.hypot(x, y) == _E
+] + [(sx * _E, sy * 0.0) for sx in (1, -1) for sy in (1, -1)]
+_ON_CIRCLE += [(y, x) for x, y in _ON_CIRCLE]
+_AROUND_CIRCLE = [np.nextafter(_E, 0.0), np.nextafter(_E, 4.0)]
+_COORDS = (
+    st.floats(0.5, 4.0)
+    | st.floats(-4.0, -0.5)
+    | st.sampled_from([0.0, -0.0, _E, -_E, *_AROUND_CIRCLE])
+)
+_POINTS = st.lists(
+    st.tuples(_COORDS, _COORDS).filter(lambda p: p != (0.0, 0.0)) | st.sampled_from(_ON_CIRCLE),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestValueAndGradient:
+    def test_circle_points_are_on_the_interface(self):
+        pts = np.array(_ON_CIRCLE)
+        assert len(pts) > 8 and (np.hypot(pts[:, 0], pts[:, 1]) == _E).all()
+
+    @pytest.mark.parametrize("exact", [ExactRadialSolution(), SineProductSolution()], ids=["radial", "sine"])
+    @settings(deadline=None, max_examples=150)
+    @given(points=_POINTS)
+    def test_bits_of_the_separate_formulas(self, exact, points):
+        pts = np.array(points)
+        want_u = oracles.exact_value(exact, pts)
+        want_g = oracles.exact_gradient(exact, pts)
+        assert_bitwise(exact.value(pts), want_u)
+        u, gx, gy = exact.value_and_gradient(pts[:, 0], pts[:, 1])
+        assert_bitwise(u, want_u)
+        assert_bitwise(np.column_stack([gx, gy]), want_g)
+        # elementwise, so corner rows of any shape give the same bits
+        rows = exact.value_and_gradient(pts[::-1, 0][None], pts[::-1, 1][None])
+        for got, want in zip(rows, (want_u, *want_g.T)):
+            assert_bitwise(got, want[::-1][None])

@@ -555,12 +555,12 @@ class TestP1Geometry:
         for t in (0, 5, 77):
             coords = fine_square_mesh.vertices[fine_square_mesh.triangles[t]]
             want, _ = element_gradients(coords)
-            assert np.allclose(grads[t], want, rtol=1e-14, atol=0.0)
+            assert np.allclose(grads[:, :, t], want, rtol=1e-14, atol=0.0)
 
     def test_subset_is_bitwise_a_slice_of_the_full_array(self, fine_square_mesh):
         ids = np.array([9, 2, 2, 40])
         full = fine_square_mesh.hat_gradients()
-        assert np.array_equal(fine_square_mesh.hat_gradients(ids), full[ids])
+        assert np.array_equal(fine_square_mesh.hat_gradients(ids), full[..., ids])
 
     def test_hat_values_are_barycentric_coordinates(self, fine_square_mesh, rng):
         mesh = fine_square_mesh

@@ -1,6 +1,7 @@
 """Linear solvers, the solution field, and its point evaluation oracle."""
 
 import importlib
+import inspect
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -31,9 +32,11 @@ from oracles import (
     locate_points,
     points_in_triangle,
     splu_default_solve,
+    stencil_solver_per_call,
     validate_mesh,
 )
 from test_golden import case_config, pipeline_system
+from test_kernels import assert_bitwise
 
 # ``crackfem.solve`` as a package attribute is the function, not the module
 solve_module = importlib.import_module("crackfem.solve")
@@ -249,6 +252,36 @@ class TestLatticePreconditioner:
         want = spla.spsolve(stencil(nx, ny, hx, hy, a).tocsc(), r)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize(
+        "nx, ny, hx, hy",
+        [
+            (8, 8, 0.125, 0.125),
+            (6, 6, 0.3, 0.2),
+            (7, 5, 0.3, 0.2),
+            (1, 1, 1.0, 1.0),
+            (2, 1, 0.5, 1.0),
+            (2, 2, 0.5, 0.5),
+        ],
+        ids=["square", "hx-ne-hy", "nx-ne-ny", "1x1", "2x1", "2x2"],
+    )
+    def test_buffered_stencil_solve_is_the_per_call_one(self, nx, ny, hx, hy, rng):
+        apply = solve_module._stencil_solver(nx, ny, hx, hy, 1.7)
+        oracle = stencil_solver_per_call(nx, ny, hx, hy, 1.7)
+        rs = rng.standard_normal((3, (nx - 1) * (ny - 1)))
+        outs = [apply(r) for r in rs]
+        # each output is still the oracle's after the later applies ran
+        for r, got in zip(rs, outs):
+            assert_bitwise(got, oracle(r))
+        # the buffers the applies reuse, read from the solver's closure
+        dst2 = inspect.getclosurevars(apply).nonlocals["dst2"]
+        buffers = inspect.getclosurevars(dst2).nonlocals["buffers"]
+        kept = [array for pair in buffers.values() for array in pair]
+        assert len(kept) == (2 if nx == ny else 4)
+        for i, got in enumerate(outs):
+            assert got.flags.owndata and got.flags.writeable
+            for other in outs[i + 1 :] + kept:
+                assert not np.shares_memory(got, other)
+
     @pytest.mark.parametrize("level", range(5))
     def test_crack_block_is_the_free_vertices_of_crossed_triangles(self, level):
         segments, sys = pipeline_system(radial_uniform(level))
@@ -410,7 +443,8 @@ class TestSolutionField:
         v = fine_square_mesh.vertices
         u = SolutionField(fine_square_mesh, 2.0 * v[:, 0] + 3.0 * v[:, 1] - 1.0)
         g = u.gradients()
-        assert np.allclose(g, [2.0, 3.0], atol=1e-12)
+        assert g.shape == (2, fine_square_mesh.n_triangles)
+        assert np.allclose(g.T, [2.0, 3.0], atol=1e-12)
 
     def test_evaluate_interpolates(self, fine_square_mesh, rng):
         v = fine_square_mesh.vertices
