@@ -24,6 +24,7 @@ from .assembly import (
     BoundarySpec,
     Coefficients,
     LinearSystem,
+    NonFiniteValueError,
     SingularSystemError,
     assemble,
     assemble_load,

@@ -22,16 +22,23 @@ class SingularSystemError(ValueError):
     pass
 
 
-def _values_at(value, points) -> np.ndarray:
-    """A number, or a function of (k, 2) points, evaluated at points: (k,)."""
-    if not callable(value):
-        return np.full(len(points), float(value))
-    values = np.asarray(value(points), dtype=float)
+class NonFiniteValueError(ValueError):
+    pass
+
+
+def _values_at(value, points, what: str) -> np.ndarray:
+    """A number, or a function of (k, 2) points, evaluated at points: (k,)
+    values, all finite; ``what`` names them in the error."""
+    values = value(points) if callable(value) else np.full(len(points), float(value))
+    values = np.asarray(values, dtype=float)
     if values.shape != (len(points),):
         raise ValueError(
             "a function of position must return one value per point: "
             f"expected ({len(points)},), got {values.shape}"
         )
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteValueError(f"{what} is {values[bad[0]]} at {points[bad[0]].tolist()}")
     return values
 
 
@@ -51,8 +58,8 @@ class Coefficients:
     region: object = None
 
     def __post_init__(self):
-        if not (self.a1 > 0.0 and self.a2 > 0.0):
-            raise ValueError("bulk permeabilities must be positive")
+        if not (0.0 < self.a1 < np.inf and 0.0 < self.a2 < np.inf):
+            raise ValueError("bulk permeabilities must be positive and finite")
 
     def element_permeability(self, mesh: Mesh) -> np.ndarray:
         """Permeability of each triangle, by the region of its centroid."""
@@ -100,7 +107,9 @@ class BoundarySpec:
         for side in sorted(self.dirichlet):
             coord, end = lines[side]
             verts = np.flatnonzero(coord == end)
-            values[verts] = _values_at(self.dirichlet[side], mesh.vertices[verts])
+            values[verts] = _values_at(
+                self.dirichlet[side], mesh.vertices[verts], f"the Dirichlet value on {side}"
+            )
             on[verts] = True
         return np.flatnonzero(on), values[on]
 
@@ -131,11 +140,6 @@ class LinearSystem:
         return self.mesh.n_vertices
 
 
-# stiffness rows summed per CSR block, which bounds the COO entries alive
-# at once to those of one block
-_ROW_BLOCK = 1 << 15
-
-
 def _canonical_segment_order(crack: SegmentedCrack) -> np.ndarray:
     """Order segments by owner triangle, then midpoint: independent of chain
     numbering, so permuting chains yields a bitwise-identical matrix."""
@@ -146,69 +150,49 @@ def _canonical_segment_order(crack: SegmentedCrack) -> np.ndarray:
 def assemble_operator(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
     """Unconstrained stiffness: bulk diffusion plus crack superposition.
 
-    Chains with permeability exactly zero contribute nothing, not even
-    explicit zeros, so the sparsity pattern matches the crack-free matrix.
-    On a mesh that is its lattice (``Mesh.is_lattice``) the bulk comes in
-    closed form from the lattice spacings (``_lattice_stiffness``) and the
-    segment blocks are added as a CSR matrix of their own; no zero is
-    stored. Elsewhere rows are summed ``_ROW_BLOCK`` at a time, each
-    meeting its entries in the order of one COO matrix of all element
-    blocks (triangles, then segments, each row-major), so the bits do not
-    depend on the block size.
+    Chains of permeability exactly zero add nothing, not even explicit
+    zeros. On a mesh that is its lattice (``Mesh.is_lattice``) the bulk
+    comes in closed form (``_lattice_stiffness``), with no zero stored, and
+    the segment blocks are added to it. Elsewhere the triangle blocks, then
+    the segment blocks, are summed as one COO matrix.
     """
     n = mesh.n_vertices
     seg_elems, seg_local = _segment_blocks(mesh, crack)
-    if mesh.is_lattice:
-        K0 = _lattice_stiffness(mesh, coeffs)
-        if len(seg_local):
-            rows, cols = np.repeat(seg_elems, 3, axis=1), np.tile(seg_elems, (1, 3))
-            segments = sp.coo_matrix(
-                (seg_local.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
-            )
-            K0 = K0 + segments.tocsr()  # the sum drops entries that cancel to zero
-        return K0
+    if not mesh.is_lattice:
+        return _summed_blocks(
+            np.concatenate([mesh.triangles, seg_elems]),
+            np.concatenate([_element_blocks(mesh, coeffs).T, seg_local]),
+            n,
+        )
+    K0 = _lattice_stiffness(mesh, coeffs)
+    # adding the segment blocks drops entries that cancel to zero
+    return K0 + _summed_blocks(seg_elems, seg_local, n) if len(seg_local) else K0
 
-    # vertex and corner ids in the index type of a COO matrix of all the
-    # entries, which its CSR conversion keeps; corner i of element e is 3e + i
-    elems = np.concatenate([mesh.triangles, seg_elems])
-    big = max(n, 9 * len(elems)) > np.iinfo(np.int32).max
-    elems = elems.astype(np.int64 if big else np.int32)
 
-    local = _element_blocks(mesh, coeffs, seg_local)
-
-    # a stable sort by row block keeps each block's corners in COO order
-    n_blocks = -(-n // _ROW_BLOCK)
-    blocks = (elems.ravel() // _ROW_BLOCK).astype(np.min_scalar_type(n_blocks))
-    order = np.argsort(blocks, kind="stable").astype(elems.dtype)
-    cuts = np.cumsum(np.bincount(blocks, minlength=n_blocks))[:-1]
-    row_blocks = [
-        _summed_rows(first, corners, elems, local, n)
-        for first, corners in zip(range(0, n, _ROW_BLOCK), np.split(order, cuts))
-    ]
-    del local, order
-    return sp.vstack(row_blocks, format="csr")
+def _summed_blocks(elems, local, n) -> sp.csr_matrix:
+    """The (n, n) sum of row-major (k, 9) element blocks on (k, 3) vertex
+    ids: one COO matrix, its ids cast up front to the CSR index type, which
+    its CSR conversion keeps while summing duplicates in COO order."""
+    elems = elems.astype(np.int64 if max(n, local.size) > np.iinfo(np.int32).max else np.int32)
+    rows, cols = np.repeat(elems, 3, axis=1), np.tile(elems, (1, 3))
+    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
 
 
 def _segment_blocks(mesh: Mesh, crack: SegmentedCrack):
     """Owner triangles (s, 3) and row-major (s, 9) blocks of the segments
     of positive permeability, in canonical order: a_seg |S| (t . grad
     phi_i)(t . grad phi_j) with the hats of the owner triangle."""
-    elems, blocks = np.empty((0, 3), dtype=np.int64), np.empty((0, 9))
-    if crack.n_segments:
-        order = _canonical_segment_order(crack)
-        perm = crack.permeability()[order]
-        active = perm > 0.0
-        order = order[active]
-        if order.size:
-            perm = perm[active]
-            own = crack.triangle_index[order]
-            d = crack.points[order, 1, :] - crack.points[order, 0, :]
-            length = np.linalg.norm(d, axis=1)
-            t = d / length[:, None]
-            w = np.einsum("ids,sd->si", mesh.hat_gradients(own), t)
-            elems = mesh.triangles[own]
-            blocks = np.einsum("s,si,sj->sij", perm * length, w, w).reshape(-1, 9)
-    return elems, blocks
+    order = _canonical_segment_order(crack)
+    perm = crack.permeability()[order]
+    order, perm = order[perm > 0.0], perm[perm > 0.0]
+    if not order.size:
+        return np.empty((0, 3), dtype=np.int64), np.empty((0, 9))
+    own = crack.triangle_index[order]
+    d = crack.points[order, 1, :] - crack.points[order, 0, :]
+    length = np.linalg.norm(d, axis=1)
+    t = d / length[:, None]
+    w = np.einsum("ids,sd->si", mesh.hat_gradients(own), t)
+    return mesh.triangles[own], np.einsum("s,si,sj->sij", perm * length, w, w).reshape(-1, 9)
 
 
 def _lattice_stiffness(mesh: Mesh, coeffs: Coefficients) -> sp.csr_matrix:
@@ -278,35 +262,21 @@ def _lattice_rows(mesh: Mesh, coeffs: Coefficients) -> np.ndarray:
     return slots
 
 
-def _element_blocks(mesh: Mesh, coeffs: Coefficients, seg_local) -> np.ndarray:
-    """Component-major element blocks, (9, m + s): entry (i, j) of triangle
-    t is [3i + j, t], then the (s, 9) segment blocks. Summing d = 0, 1 onto
-    zeros gives the bits of einsum("t,tid,tjd->tij"), signed zeros included."""
+def _element_blocks(mesh: Mesh, coeffs: Coefficients) -> np.ndarray:
+    """Component-major triangle blocks, (9, m): entry (i, j) of triangle t
+    is [3i + j, t]. Summing d = 0, 1 onto zeros gives the bits of
+    einsum("t,tid,tjd->tij"), signed zeros included."""
     m = mesh.n_triangles
     weight = coeffs.element_permeability(mesh) * mesh.triangle_areas()
     g = mesh.hat_gradients()
-    local = np.zeros((9, m + len(seg_local)))
-    local[:, m:] = seg_local.T
+    local = np.zeros((9, m))
     wg, term = np.empty(m), np.empty(m)
     for i in range(3):
         for d in range(2):
             np.multiply(weight, g[i, d], out=wg)
             for j in range(3):
-                local[3 * i + j, :m] += np.multiply(wg, g[j, d], out=term)
+                local[3 * i + j] += np.multiply(wg, g[j, d], out=term)
     return local
-
-
-def _summed_rows(first, corners, elems, local, n) -> sp.csr_matrix:
-    """Rows ``first`` on, at most ``_ROW_BLOCK`` of them, from the element
-    corners in them in COO order: their entries, summed by scipy."""
-    e, i = np.divmod(corners, 3)
-    size = local.shape[1]
-    values = np.take(local, (3 * size * i + e)[:, None] + np.arange(0, 3 * size, size))
-    rows = np.repeat(np.take(elems, corners) - first, 3)
-    return sp.coo_matrix(
-        (values.ravel(), (rows, np.take(elems, e, axis=0).ravel())),
-        shape=(min(_ROW_BLOCK, n - first), n),
-    ).tocsr()
 
 
 def assemble_load(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
@@ -315,7 +285,7 @@ def assemble_load(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
     b = np.zeros(n)
     # a zero source adds nothing; a function never equals 0
     if coeffs.source != 0.0:
-        fv = _values_at(coeffs.source, mesh.vertices)[mesh.triangles]
+        fv = _values_at(coeffs.source, mesh.vertices, "the source")[mesh.triangles]
         w = (mesh.triangle_areas() / 3.0)[:, None] * fv
         b = np.bincount(mesh.triangles.ravel(), w.ravel(), minlength=n)
 
@@ -326,7 +296,7 @@ def assemble_load(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
         for j, chain in enumerate(crack.graph.chains):
             on = crack.chain_index == j
             if on.any():
-                fs[on] = _values_at(chain.source, mids[on])
+                fs[on] = _values_at(chain.source, mids[on], f"the source of chain {j}")
         weights = fs * crack.length
         if np.any(weights != 0.0):
             phi = mesh.hat_values(own, mids)

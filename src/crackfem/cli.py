@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from .analysis import NormReport
+from .assembly import NonFiniteValueError
 from .config import (
     ConfigError,
     ProblemConfig,
@@ -102,7 +103,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MeshError, RefinementError, CrackGeometryError, SolverError, OSError) as exc:
+    except (
+        MeshError, RefinementError, CrackGeometryError, NonFiniteValueError, SolverError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -47,8 +47,8 @@ class Chain:
             raise CrackGeometryError("chain needs at least two 2d points")
         if not np.isfinite(pts).all():
             raise CrackGeometryError("chain has non-finite coordinates")
-        if not self.permeability >= 0.0:
-            raise CrackGeometryError("chain permeability must be >= 0")
+        if not 0.0 <= self.permeability < np.inf:
+            raise CrackGeometryError("chain permeability must be >= 0 and finite")
         self.points = pts
         self.points.setflags(write=False)
 

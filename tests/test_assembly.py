@@ -18,7 +18,7 @@ from crackfem import (
     build_rectangle_mesh,
     cut_chains,
 )
-from crackfem.cracks import SegmentedCrack
+from crackfem.cracks import CrackGeometryError, SegmentedCrack
 from crackfem.mesh import Lattice
 from conftest import make_y_crack
 from oracles import bulk_element_matrix, element_gradients, interface_segment_matrix
@@ -95,6 +95,11 @@ class TestCoefficients:
             Coefficients(a1=0.0)
         with pytest.raises(ValueError, match="positive"):
             Coefficients(a2=-1.0)
+
+    @pytest.mark.parametrize("a1, a2", [(np.inf, np.inf), (np.inf, 1.0), (1.0, np.inf)])
+    def test_rejects_infinite_permeability(self, a1, a2):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            Coefficients(a1=a1, a2=a2)
 
     def test_two_regions_need_a_classifier(self, square_mesh):
         c = Coefficients(a1=1.0, a2=5.0)
@@ -360,3 +365,35 @@ class TestAssemble:
         )
         u = np.full(sys.n, 2.75)
         assert np.abs(sys.matrix @ u[sys.free] - sys.rhs).max() <= 1e-12
+
+
+class TestNonFiniteInputs:
+    """A value that is not finite is rejected where it enters, naming a
+    point where it is not, before it can reach the solve."""
+
+    def test_chain_permeability_must_be_finite(self):
+        with pytest.raises(CrackGeometryError, match=">= 0 and finite"):
+            Chain([[0.1, 0.1], [0.9, 0.9]], permeability=np.inf)
+
+    def test_nan_dirichlet_number(self, square_mesh):
+        boundary = BoundarySpec(dirichlet={"left": 0.0, "right": float("nan")})
+        with pytest.raises(ValueError, match=r"^the Dirichlet value on right is nan at \[1\.0, "):
+            assemble(square_mesh, SegmentedCrack.empty(), Coefficients(), boundary)
+
+    def test_infinite_dirichlet_function_value(self, square_mesh):
+        # a logarithm of the distance to the corner (0, 0)
+        log_r = lambda p: np.log(np.hypot(p[:, 0], p[:, 1]))
+        boundary = BoundarySpec(dirichlet={"bottom": log_r})
+        with np.errstate(divide="ignore"):
+            with pytest.raises(ValueError, match=r"^the Dirichlet value on bottom is -inf at \[0\.0, 0\.0\]$"):
+                assemble(square_mesh, SegmentedCrack.empty(), Coefficients(), boundary)
+
+    def test_nan_bulk_source(self, square_mesh):
+        with pytest.raises(ValueError, match=r"^the source is nan at \["):
+            assemble_load(square_mesh, SegmentedCrack.empty(), Coefficients(source=float("nan")))
+
+    def test_nan_chain_source(self, fine_square_mesh):
+        chain = Chain([[0.2, 0.3], [0.7, 0.8]], source=lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0))
+        crack = cut_chains(fine_square_mesh, CrackGraph([chain]))
+        with pytest.raises(ValueError, match=r"^the source of chain 0 is nan at \[0\.5"):
+            assemble_load(fine_square_mesh, crack, Coefficients())

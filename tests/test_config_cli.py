@@ -742,6 +742,18 @@ class TestCli:
             assert main(["run", str(path)]) == 1
             assert message in capsys.readouterr().err
 
+    def test_non_finite_boundary_value_exits_one(self, capsys, tmp_path):
+        # the radial solution takes log(0) at the lower left corner
+        d = raw(boundary={"left": {"dirichlet": "radial-exact"}})
+        d["refinement"]["global_h"] = 0.25
+        path = tmp_path / "origin.json"
+        path.write_text(json.dumps(d))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the Dirichlet value on left is -inf at [0.0, 0.0]\n"
+
     def test_out_of_memory_exits_one(self, capsys, monkeypatch):
         def huge_mesh(*args):
             raise MemoryError("Unable to allocate 7.45 GiB")

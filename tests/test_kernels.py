@@ -8,15 +8,14 @@ norms over that gather. The results must agree bit for bit, signed zeros
 included, so every float array is compared through its int64 view.
 Crack–triangle candidates come from lattice cells; the incidence clipped
 from them must equal the one clipped from every (segment, triangle) pair.
-The error norms run over fixed blocks of triangles, and the stiffness of
-a refined mesh is summed over fixed blocks of rows: every block size gives
-the same bits as the single-block form (for the stiffness, one COO matrix
-of all element blocks), and each stage holds a bounded number of bytes per
-triangle. A mesh that is its lattice takes the closed-form stiffness: the
-oracle's pattern without its zeros, its bits on dyadic unit squares and
-every entry within 1e-14 of its row's diagonal elsewhere. Each exact
-solution's ``value_and_gradient`` gives the bits of the separate value and
-gradient formulas it replaced.
+The error norms run over fixed blocks of triangles: every block size gives
+the same bits as the single-block form. The stiffness of a refined mesh is
+the oracle's one COO matrix of all element blocks, bit for bit. Both
+stages hold a bounded number of bytes per triangle. A mesh that is its
+lattice takes the closed-form stiffness: the oracle's pattern without its
+zeros, its bits on dyadic unit squares and every entry within 1e-14 of its
+row's diagonal elsewhere. Each exact solution's ``value_and_gradient``
+gives the bits of the separate value and gradient formulas it replaced.
 """
 
 import tracemalloc
@@ -132,16 +131,12 @@ def without_zeros(K):
     return K
 
 
-def check_row_blocks(mesh, crack, coeffs):
+def check_one_coo(mesh, crack, coeffs):
     """The element path's stiffness (on a lattice-free copy of the mesh)
-    equals the one-COO oracle bit for bit, index dtypes included, in row
-    blocks of 1 and 7 rows, of more than n and of the default size."""
+    equals the one-COO oracle bit for bit, index dtypes included."""
     mesh = lattice_free(mesh)
     want = oracles.assemble_operator_coo(mesh, crack, coeffs)
-    for block in (1, 7, mesh.n_vertices + 1, assembly._ROW_BLOCK):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(assembly, "_ROW_BLOCK", block)
-            assert_same_csr(assemble_operator(mesh, crack, coeffs), want)
+    assert_same_csr(assemble_operator(mesh, crack, coeffs), want)
 
 
 def check_closed_form(mesh, crack, coeffs):
@@ -172,7 +167,7 @@ def check_kernels(mesh, crack, coeffs, boundary, values):
         mesh.triangle_diameters(band), oracles.triangle_diameters_norm(mesh, band)
     )
     check_lattice(mesh, crack.points[:, 0], crack.points[:, 1])
-    check_row_blocks(mesh, crack, coeffs)
+    check_one_coo(mesh, crack, coeffs)
     if mesh.is_lattice:
         check_closed_form(mesh, crack, coeffs)
 
@@ -419,15 +414,14 @@ class TestBlockedNorms:
         assert peak <= 56 * mesh.n_triangles + 400 * block
 
 
-class TestRowBlocks:
-    def test_every_block_size_gives_the_same_bits(self, norm_case):
+class TestOneCoo:
+    def test_element_path_is_the_one_coo_oracle(self, norm_case):
         res, _, coeffs = norm_case
-        check_row_blocks(res.mesh, res.segments, coeffs)
-        # the segment blocks reach several blocks of 7 rows
-        rows = res.mesh.triangles[res.segments.triangle_index]
-        assert len(np.unique(rows // 7)) > 1
+        check_one_coo(res.mesh, res.segments, coeffs)
+        # the crack adds segment blocks after the triangles'
+        assert (res.segments.permeability() > 0.0).any()
 
-    def test_kernel_is_the_einsum_with_its_signed_zeros(self, rng):
+    def test_kernel_is_the_einsum_with_its_signed_zeros(self):
         # the structured mesh's legs lie along the axes, so its hat
         # gradients hold exact zeros of both signs
         mesh = lattice_free(build_rectangle_mesh((0.0, 1.0, 0.0, 2.0), 0.25))
@@ -435,24 +429,18 @@ class TestRowBlocks:
         weight = coeffs.element_permeability(mesh) * mesh.triangle_areas()
         grads = oracles.hat_gradients_rows(mesh)
         want = np.einsum("t,tid,tjd->tij", weight, grads, grads).reshape(-1, 9).T
-        seg_local = rng.standard_normal((5, 9))
-        got = assembly._element_blocks(mesh, coeffs, seg_local)
-        assert got.shape == (9, mesh.n_triangles + 5)
-        assert_bitwise(got[:, : mesh.n_triangles], want)
-        assert_bitwise(got[:, mesh.n_triangles :], seg_local.T)
+        assert_bitwise(assembly._element_blocks(mesh, coeffs), want)
         # the mesh springs the trap: adding the two products without the
         # zero start gives -0.0 where the einsum gives +0.0
         terms = weight[:, None, None, None] * grads[:, :, None, :] * grads[:, None, :, :]
         sums = (terms[..., 0] + terms[..., 1]).reshape(-1, 9).T
         assert np.signbit(sums[want == 0.0]).any()
 
-    def test_stage_holds_the_blocks_and_one_row_block(self, monkeypatch):
-        # the whole-mesh share is about 165 B per triangle: the (9, m)
-        # blocks (72), the component-major hat gradients (48), the int32
-        # elements (12), the areas, weights and two scratch arrays (32);
-        # the rest is one row block's COO entries and its CSR rows
-        block = 1 << 12
-        monkeypatch.setattr(assembly, "_ROW_BLOCK", block)
+    def test_stage_holds_one_coo_matrix(self):
+        # measured 316 B per triangle, at the CSR conversion: the COO
+        # matrix's (m, 9) blocks (72) and int32 row and column ids (72),
+        # the unsummed CSR matrix (108), the summed matrix's pruned copies
+        # (44) and the cached areas and corner ids (20)
         mesh = lattice_free(build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 1.0 / 256.0))
         crack, coeffs = SegmentedCrack.empty(), Coefficients()
         tracemalloc.start()
@@ -462,7 +450,7 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert mesh.n_triangles == 131072
-        assert peak <= 170 * mesh.n_triangles + 600 * block
+        assert peak <= 330 * mesh.n_triangles
 
 
 @st.composite
