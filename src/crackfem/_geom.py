@@ -53,12 +53,14 @@ def clip_segments_to_triangles(p, q, tris, tol):
     # distances >= -tol * |e|
     lo = np.zeros((3, k))
     hi = np.ones((3, k))
+    cross = lambda e, v, a: e[:, 0] * (v[:, 1] - a[:, 1]) - e[:, 1] * (v[:, 0] - a[:, 0])
     for i in range(3):
-        a = tris[:, i, :]
-        e = tris[:, (i + 1) % 3, :] - a
-        # inward normal of a CCW triangle edge, not normalized
-        f0 = e[:, 0] * (p[:, 1] - a[:, 1]) - e[:, 1] * (p[:, 0] - a[:, 0])
-        f1 = e[:, 0] * (q[:, 1] - a[:, 1]) - e[:, 1] * (q[:, 0] - a[:, 0])
+        a, b = tris[:, i, :], tris[:, (i + 1) % 3, :]
+        e = b - a
+        # inward normal of a CCW triangle edge, not normalized, the mean from
+        # both ends: the edge's other triangle gets its negation, bit for bit
+        f0 = 0.5 * (cross(e, p, a) + cross(e, p, b))
+        f1 = 0.5 * (cross(e, q, a) + cross(e, q, b))
         length = np.linalg.norm(e, axis=1)
         theta = np.stack([np.zeros(k), -tol * length, -REACH * tol * length])
         denom = f1 - f0

@@ -27,10 +27,12 @@ class NonFiniteValueError(ValueError):
 
 
 def _values_at(value, points, what: str) -> np.ndarray:
-    """A number, or a function of (k, 2) points, evaluated at points: (k,)
-    values, all finite; ``what`` names them in the error."""
-    values = value(points) if callable(value) else np.full(len(points), float(value))
-    values = np.asarray(values, dtype=float)
+    """A number, or a function of (k, 2) points, evaluated at points with
+    numpy's warnings off (say log(0)): (k,) values, all finite; ``what``
+    names them in the error."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = value(points) if callable(value) else np.full(len(points), float(value))
+        values = np.asarray(values, dtype=float)
     if values.shape != (len(points),):
         raise ValueError(
             "a function of position must return one value per point: "
@@ -161,7 +163,7 @@ def assemble_operator(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
     if not mesh.is_lattice:
         return _summed_blocks(
             np.concatenate([mesh.triangles, seg_elems]),
-            np.concatenate([_element_blocks(mesh, coeffs).T, seg_local]),
+            np.concatenate([_element_blocks(mesh, coeffs), seg_local]),
             n,
         )
     K0 = _lattice_stiffness(mesh, coeffs)
@@ -263,20 +265,10 @@ def _lattice_rows(mesh: Mesh, coeffs: Coefficients) -> np.ndarray:
 
 
 def _element_blocks(mesh: Mesh, coeffs: Coefficients) -> np.ndarray:
-    """Component-major triangle blocks, (9, m): entry (i, j) of triangle t
-    is [3i + j, t]. Summing d = 0, 1 onto zeros gives the bits of
-    einsum("t,tid,tjd->tij"), signed zeros included."""
-    m = mesh.n_triangles
+    """Row-major (m, 9) triangle blocks: a |T| grad phi_i . grad phi_j."""
     weight = coeffs.element_permeability(mesh) * mesh.triangle_areas()
     g = mesh.hat_gradients()
-    local = np.zeros((9, m))
-    wg, term = np.empty(m), np.empty(m)
-    for i in range(3):
-        for d in range(2):
-            np.multiply(weight, g[i, d], out=wg)
-            for j in range(3):
-                local[3 * i + j] += np.multiply(wg, g[j, d], out=term)
-    return local
+    return np.einsum("t,idt,jdt->tij", weight, g, g).reshape(-1, 9)
 
 
 def assemble_load(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):

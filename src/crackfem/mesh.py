@@ -96,7 +96,7 @@ class Mesh:
         xs, ys, _ = self.lattice = lattice
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite vertices
             self.tolerance = tolerance(np.array([[xs[0], ys[0]], [xs[-1], ys[-1]]]))
-        self._areas = self._edges = self._rows = self._grid = None
+        self._areas = self._edges = self._rows = None
 
     @property
     def n_vertices(self) -> int:
@@ -184,13 +184,13 @@ class Mesh:
         """Pairs (part, tri), unique and sorted, of each segment
         starts[k] -> ends[k] and every triangle in a lattice cell that meets
         the segment's box padded by ``REACH * tolerance``: a superset of the
-        triangles the segment passes within that distance of."""
-        if self._grid is None:
-            cells = self.lattice.triangle_cells(self.n_triangles)
-            self._grid = SpatialGrid.for_triangles(*self.lattice[:2], cells)
+        triangles the segment passes within that distance of, from a cell
+        index built per call (a run queries each mesh once)."""
+        cells = self.lattice.triangle_cells(self.n_triangles)
+        grid = SpatialGrid.for_triangles(*self.lattice[:2], cells)
         pad = REACH * self.tolerance
         lo, hi = np.minimum(starts, ends) - pad, np.maximum(starts, ends) + pad
-        return self._grid.query(lo, hi)
+        return grid.query(lo, hi)
 
     def clip_pairs(self, starts, ends, part, tri):
         """Clip segment part[i] against triangle tri[i], over candidate pairs

@@ -142,14 +142,9 @@ class SolutionField:
 
     def gradients(self, tri_ids=slice(None)) -> np.ndarray:
         """Constant gradient of each selected triangle, component-major
-        (2, k): the corner values times the hat gradients, summed onto
-        zeros as the einsum "ti,tid->td" does, signed zeros included."""
+        (2, k): the corner values times the hat gradients."""
         u = self.values[self.mesh.triangles[tri_ids].T]
-        hats = self.mesh.hat_gradients(tri_ids)
-        g = np.zeros(hats.shape[1:])
-        for i in range(3):
-            g += u[i] * hats[i]
-        return g
+        return np.einsum("it,idt->dt", u, self.mesh.hat_gradients(tri_ids))
 
     def value_rows(self) -> str:
         """The values as rows ``"u\n"`` (``%r``), one string, rendered once

@@ -748,8 +748,7 @@ class TestCli:
         d["refinement"]["global_h"] = 0.25
         path = tmp_path / "origin.json"
         path.write_text(json.dumps(d))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            assert main(["run", str(path)]) == 1
+        assert main(["run", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: the Dirichlet value on left is -inf at [0.0, 0.0]\n"

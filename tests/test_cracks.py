@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crackfem import (
@@ -344,9 +344,8 @@ _CUT_RULE = st.sampled_from(["none", "quadratic"])
 
 # 1/20-lattice chains moved by up to 3e-12 (found by a seeded search over
 # such chains). Each crosses an element edge's line at a small angle, just
-# above the parallel bound; the two triangles of the edge evaluate its edge
-# function from their own base vertex and orientation, so their crossing
-# parameters differ and the gap between them has no owner.
+# above the parallel bound: unless the two triangles of the edge get one
+# crossing parameter there, the gap between them has no owner.
 _NEAR_PARALLEL = [
     pytest.param(
         [
@@ -369,6 +368,29 @@ _NEAR_PARALLEL = [
         id="h-0.1-quadratic",
     ),
 ]
+
+
+_GRID_STEPS = [(1, 0), (0, 1), (1, 1), (1, -1), (-1, 0), (0, -1), (-1, -1), (-1, 1)]
+
+
+@st.composite
+def _moved_grid_chains(draw):
+    """2-4 points of the 1/20 lattice, each after the first any lattice
+    point or 1-10 steps on from the one before along an axis or a diagonal,
+    then each coordinate moved by at most 1e-11 and kept in the unit square."""
+    grid = st.integers(0, 20)
+    pts = [draw(st.tuples(grid, grid))]
+    for _ in range(draw(st.integers(1, 3))):
+        x, y = pts[-1]
+        (dx, dy), k = draw(st.sampled_from(_GRID_STEPS)), draw(st.integers(1, 10))
+        along = (min(max(x + k * dx, 0), 20), min(max(y + k * dy, 0), 20))
+        nxt = draw(st.just(along) | st.tuples(grid, grid))
+        if nxt != pts[-1]:
+            pts.append(nxt)
+    assume(len(pts) > 1)
+    moves = draw(st.lists(st.integers(-1000, 1000), min_size=2 * len(pts), max_size=2 * len(pts)))
+    moved = np.array(pts) / 20.0 + 1e-14 * np.array(moves).reshape(-1, 2)
+    return np.clip(moved, 0.0, 1.0)
 
 
 class TestOnePassCut:
@@ -426,11 +448,40 @@ class TestOnePassCut:
     def test_lattice_chains(self, chains, h, rule):
         self.check(chains, h, rule)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=CrackGeometryError,
-        reason="near-parallel crossings leave an unowned gap at an element edge",
+    @settings(deadline=None, max_examples=100)
+    @given(_moved_grid_chains(), _CUT_H, _CUT_RULE, st.booleans())
+    # from a seeded search: diagonal parts crossing an edge at a small angle
+    @example(
+        np.array([
+            [0.8499999999945875, 0.8499999999990621],
+            [0.5499999999934185, 0.5499999999969122],
+            [1.0, 0.09999999999553374],
+            [0.6000000000030572, 0.5000000000059426],
+        ]),
+        0.2, "quadratic", True,
     )
+    @example(
+        np.array([
+            [0.09999999999061623, 0.49999999999057426],
+            [0.19999999999253718, 0.6000000000056563],
+            [0.20000000000381288, 0.6499999999915036],
+            [0.2000000000002743, 1.1047475184918109e-12],
+        ]),
+        0.1, "none", False,
+    )
+    def test_moved_grid_chains(self, points, h, rule, with_hits):
+        # no error, the chain's length kept, each midpoint in its owner
+        crack = CrackGraph([Chain(points)])
+        mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), h)
+        rc = RefinementConfig(global_h=h, rule=rule)
+        mesh, hits = refine_near_crack(mesh, crack, rc)
+        cut = cut_chains(mesh, crack, hits if with_hits else None)
+        total = np.linalg.norm(np.diff(points, axis=0), axis=1).sum()
+        assert cut.length.sum() == pytest.approx(total, rel=1e-12, abs=0.0)
+        corners = mesh.vertices[mesh.triangles[cut.triangle_index]]
+        for mid, tri in zip(cut.midpoints(), corners):
+            assert points_in_triangle(mid[None], tri, mesh.tolerance)[0]
+
     @pytest.mark.parametrize("points, h, rule", _NEAR_PARALLEL)
     @pytest.mark.parametrize("with_hits", [True, False], ids=["hits", "no-hits"])
     def test_near_parallel_lattice_chains(self, points, h, rule, with_hits):

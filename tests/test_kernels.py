@@ -428,12 +428,12 @@ class TestOneCoo:
         coeffs = Coefficients(a1=1.0, a2=3.0, region=lambda p: np.where(p[:, 0] < 0.4, 1, 2))
         weight = coeffs.element_permeability(mesh) * mesh.triangle_areas()
         grads = oracles.hat_gradients_rows(mesh)
-        want = np.einsum("t,tid,tjd->tij", weight, grads, grads).reshape(-1, 9).T
+        want = np.einsum("t,tid,tjd->tij", weight, grads, grads).reshape(-1, 9)
         assert_bitwise(assembly._element_blocks(mesh, coeffs), want)
         # the mesh springs the trap: adding the two products without the
         # zero start gives -0.0 where the einsum gives +0.0
         terms = weight[:, None, None, None] * grads[:, :, None, :] * grads[:, None, :, :]
-        sums = (terms[..., 0] + terms[..., 1]).reshape(-1, 9).T
+        sums = (terms[..., 0] + terms[..., 1]).reshape(-1, 9)
         assert np.signbit(sums[want == 0.0]).any()
 
     def test_stage_holds_one_coo_matrix(self):
