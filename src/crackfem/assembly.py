@@ -123,6 +123,8 @@ class LinearSystem:
     ``matrix`` is the free-free block of the stiffness and ``rhs`` carries
     the couplings to the constrained vertices, which take ``values``. ``n``
     counts all vertices. ``a`` is the one bulk permeability, None if a1 != a2.
+    ``free`` runs by y, then x, as lattice ids do (so on a lattice it is
+    ascending): neighbours get nearby rows, and the direct factor fills less.
     ``crack_rows`` are the rows the crack's segment blocks reach: the
     positions in ``free`` of the vertices of triangles that own a segment
     of positive permeability.
@@ -316,6 +318,8 @@ def assemble(
     lift = np.zeros(mesh.n_vertices)
     lift[cons] = vals
     free = np.delete(np.arange(mesh.n_vertices), cons)
+    if not mesh.is_lattice:  # lattice ids already run by y, then x
+        free = free[np.lexsort(mesh.vertices[free].T)]
     K = K0[free][:, free]
     K.eliminate_zeros()
     b = (b - K0 @ lift)[free]

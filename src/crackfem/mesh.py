@@ -347,8 +347,8 @@ def refine_marked(mesh: Mesh, marked):
     edge_marked = np.zeros(n_edges, dtype=bool)
     edge_marked[t2e[marked, 0]] = True
     while True:
-        any_marked = edge_marked[t2e].any(axis=1)
-        need = any_marked & ~edge_marked[t2e[:, 0]]
+        # column gathers OR'd: the bits of .any(axis=1) without an (m, 3) gather
+        need = (edge_marked[t2e[:, 1]] | edge_marked[t2e[:, 2]]) & ~edge_marked[t2e[:, 0]]
         if not need.any():
             break
         edge_marked[t2e[need, 0]] = True
@@ -402,10 +402,12 @@ def mark_crack_elements(hits: Incidence):
 
 
 def _vertex_neighborhood(mesh: Mesh, tri_ids) -> np.ndarray:
-    """Triangles sharing at least one vertex with the given set (inclusive)."""
+    """Triangles sharing at least one vertex with the given set (inclusive),
+    sorted; the corner gathers OR'd, not ``mask[triangles].any(axis=1)``."""
+    t = mesh.triangles
     mask = np.zeros(mesh.n_vertices, dtype=bool)
-    mask[mesh.triangles[tri_ids].ravel()] = True
-    return np.nonzero(mask[mesh.triangles].any(axis=1))[0]
+    mask[t[tri_ids].ravel()] = True
+    return np.flatnonzero(mask[t[:, 0]] | mask[t[:, 1]] | mask[t[:, 2]])
 
 
 @dataclass

@@ -733,6 +733,14 @@ def export_solution_text(solution, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def vertex_neighborhood_any(mesh: Mesh, tri_ids) -> np.ndarray:
+    """Triangles sharing at least one vertex with the given set, by
+    ``.any(axis=1)`` over the (m, 3) corner gather of the set's vertex mask."""
+    mask = np.zeros(mesh.n_vertices, dtype=bool)
+    mask[mesh.triangles[tri_ids].ravel()] = True
+    return np.nonzero(mask[mesh.triangles].any(axis=1))[0]
+
+
 def splu_default_solve(A, b) -> np.ndarray:
     """Solve A x = b with SuperLU's defaults: COLAMD column ordering and
     partial pivoting, the factorization ``solve`` used before it ordered

@@ -22,6 +22,7 @@ from crackfem.cracks import CrackGeometryError, SegmentedCrack
 from crackfem.mesh import Lattice
 from conftest import make_y_crack
 from oracles import bulk_element_matrix, element_gradients, interface_segment_matrix
+from test_golden import case_config, pipeline_system
 
 ALL_DIRICHLET = BoundarySpec(
     dirichlet={"left": 0.0, "right": 0.0, "bottom": 0.0, "top": 0.0}
@@ -351,6 +352,22 @@ class TestAssemble:
         assert sys.matrix.shape == (len(sys.free), len(sys.free))
         assert sys.rhs.shape == sys.free.shape
         assert sorted(set(sys.free) | set(sys.constrained)) == list(range(sys.n))
+
+    @pytest.mark.parametrize("case", ["radial-local:1", "crack-network:default"])
+    def test_free_vertices_run_by_rows_off_the_lattice(self, case):
+        # neighbouring vertices get nearby rows, for the direct factor's fill
+        _, sys = pipeline_system(case_config(case))
+        assert not sys.mesh.is_lattice
+        order = np.lexsort(sys.mesh.vertices[sys.free].T)
+        assert np.array_equal(order, np.arange(len(sys.free)))
+        assert np.array_equal(np.sort(sys.free), np.delete(np.arange(sys.n), sys.constrained))
+
+    @pytest.mark.parametrize("case", ["radial-uniform:1", "poisson-square:1"])
+    def test_free_vertices_keep_lattice_order(self, case):
+        # the lattice preconditioner reads the free block as the interior grid
+        _, sys = pipeline_system(case_config(case))
+        assert sys.mesh.is_lattice
+        assert np.array_equal(sys.free, np.delete(np.arange(sys.n), sys.constrained))
 
     def test_constant_field_is_in_the_kernel(self, fine_square_mesh):
         crack = make_y_crack(permeabilities=(3.0, 3.0, 3.0))

@@ -35,6 +35,11 @@ the two triangles of an edge get bitwise negated values and one crossing:
 clip parameters moved in their last bits, and with them some segment
 lengths (by at most a relative 4.4e-13) and the chain-source loads. No
 segment point, owner or matrix digest moved, nor any export digest.
+The ``matrix.*``, ``rhs`` and ``free`` digests of radial-local levels 0, 1
+and 3 and both crack-network cases were re-recorded when ``assemble`` came
+to list the free vertices of a mesh that is not its lattice row by row, by
+y then x, so the direct factor fills less: the same system with its
+unknowns permuted. No mesh, segment or lattice-mesh digest moved.
 A change that moves any digest on purpose must say so and re-record it.
 
 The export digests hash the files ``run_single`` writes with ``out_dir``;
@@ -48,7 +53,12 @@ exports did not move. The ``poisson-square:0`` solution digests were
 re-recorded when CG on an unrefined lattice came to be preconditioned by a
 sine-transform solve of the 5-point stencil: without a crack that solve is
 the exact inverse, so the CG iterate differs from the Jacobi one in its
-last bits (by at most 2.2e-16); its ``norms.csv`` did not move.
+last bits (by at most 2.2e-16); its ``norms.csv`` did not move. The
+solution digests of the two crack cases, and the radial-local norms, were
+re-recorded for the row-ordered free vertices above and SuperLU's relaxed
+supernodes (``relax=20, panel_size=8``): the factor rounds differently,
+and the solutions moved by at most a relative 2.5e-14; the mesh exports
+did not move.
 """
 
 import hashlib
@@ -203,11 +213,11 @@ GOLDEN = {
         "segments.chain_length": "7438d1304042273c",
         "segments.nodes": "05ecf13088bfd6ba",
         "segments.chain_nodes": "7b29175914f14d24",
-        "matrix.data": "519445f32395b7b0",
-        "matrix.indices": "b602e94f6138c951",
-        "matrix.indptr": "47898e53e3133188",
-        "rhs": "459f46c4118b1511",
-        "free": "e808ae133256d62d",
+        "matrix.data": "d6ca2e919228f038",
+        "matrix.indices": "3cc8d0b59e5be564",
+        "matrix.indptr": "3ac2bc1a69047593",
+        "rhs": "83d5fbe93bd83266",
+        "free": "f3f3988cb287c8af",
     },
     "radial-local:1": {
         "mesh.vertices": "45f1222020f085d6",
@@ -219,11 +229,11 @@ GOLDEN = {
         "segments.chain_length": "df6e0d67b24cb24a",
         "segments.nodes": "05ecf13088bfd6ba",
         "segments.chain_nodes": "7b29175914f14d24",
-        "matrix.data": "8802f92e724ccfe3",
-        "matrix.indices": "bda0e0f9f49c23c9",
-        "matrix.indptr": "18b9eefea5db8f39",
-        "rhs": "d7d599ac58a3f948",
-        "free": "852efc7d9fdb8a35",
+        "matrix.data": "31f3408cba014878",
+        "matrix.indices": "6c9fef171ac46d09",
+        "matrix.indptr": "1ebc844269e33e86",
+        "rhs": "b4d37f490f12345d",
+        "free": "5bf04495de83d9b6",
     },
     "radial-local:3": {
         "mesh.vertices": "32822181384d5e54",
@@ -235,11 +245,11 @@ GOLDEN = {
         "segments.chain_length": "5866f9d9145fbd01",
         "segments.nodes": "05ecf13088bfd6ba",
         "segments.chain_nodes": "7b29175914f14d24",
-        "matrix.data": "bf5249df7d5428a4",
-        "matrix.indices": "d53178d19bda6236",
-        "matrix.indptr": "01d58a596016c65e",
-        "rhs": "9f48dbdc1296dce7",
-        "free": "bc0efcc0761f61fa",
+        "matrix.data": "de4cc9bee76a8906",
+        "matrix.indices": "7b63ea60e28c8537",
+        "matrix.indptr": "fed9d6dce23d32b2",
+        "rhs": "685494a595ee78cd",
+        "free": "5c06f556c6669a3b",
     },
     "crack-network:default": {
         "mesh.vertices": "13a28b3b7b7549e0",
@@ -251,11 +261,11 @@ GOLDEN = {
         "segments.chain_length": "ce63dfbc1e5603e0",
         "segments.nodes": "56b1a72272a89021",
         "segments.chain_nodes": "90243e8b4813d976",
-        "matrix.data": "e2f73dd4644e6727",
-        "matrix.indices": "80e1f26974de60d6",
-        "matrix.indptr": "33161381d40a7bae",
-        "rhs": "ea4d85323015fbc5",
-        "free": "9ffb104848af9169",
+        "matrix.data": "fc6a43b611cb4752",
+        "matrix.indices": "d1ff4935e4b4990e",
+        "matrix.indptr": "5ddf726a4d2e5a4f",
+        "rhs": "722d8a34ab51966e",
+        "free": "ab5dcbbef774a6e7",
     },
     "crack-network:h=0.25": {
         "mesh.vertices": "8f6af4d6902ff501",
@@ -267,11 +277,11 @@ GOLDEN = {
         "segments.chain_length": "533cb4570e4767ca",
         "segments.nodes": "56b1a72272a89021",
         "segments.chain_nodes": "90243e8b4813d976",
-        "matrix.data": "980dba0d55e6cce7",
-        "matrix.indices": "4c4414f74e1a724b",
-        "matrix.indptr": "f5909f795ac5b6c6",
-        "rhs": "010479f2315f1a3e",
-        "free": "e904e5f90ed71040",
+        "matrix.data": "928ac18d16450312",
+        "matrix.indices": "cc60fd99dc61a0a6",
+        "matrix.indptr": "32b8695f780187c7",
+        "rhs": "1285c5d9bd867539",
+        "free": "9189e8c662a07419",
     },
 }
 
@@ -297,15 +307,15 @@ GOLDEN_EXPORTS = {
     "radial-local:1": {
         "mesh.txt": "3e1447e30a1bdf12",
         "mesh.vtk": "80b886024af5e95a",
-        "solution.txt": "36e928b39679071e",
-        "solution.vtk": "b9045a9cd4499668",
-        "norms.csv": "76c7441d94dc433f",
+        "solution.txt": "55a11398c7c5ab71",
+        "solution.vtk": "42fe734226e11e51",
+        "norms.csv": "c2b09776f8da64b7",
     },
     "crack-network:default": {
         "mesh.txt": "dc7bdeb7c773e02d",
         "mesh.vtk": "36ace2bc40fc272b",
-        "solution.txt": "dd8f9227712942ca",
-        "solution.vtk": "c5a4ee2406aed657",
+        "solution.txt": "fbf05ff677dd1b0a",
+        "solution.vtk": "7627bd1cdb0cac00",
         "norms.csv": None,
     },
 }

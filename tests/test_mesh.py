@@ -281,6 +281,22 @@ class TestBisectionMatchesTable:
             assert_carried_edges_are_fresh(mesh)
 
 
+class TestVertexNeighborhood:
+    """The OR of three corner gathers gives the ``.any(axis=1)`` form's
+    triangles bitwise, on random markings of refined meshes."""
+
+    @settings(deadline=None, max_examples=40)
+    @refinement_runs
+    def test_matches_the_row_wise_any(self, width, height, cells, generations, data):
+        mesh = build_rectangle_mesh((0.0, width, 0.0, height), min(width, height) / cells)
+        for _ in range(generations):
+            mesh, _ = refine_marked(mesh, data.draw(markings(mesh.n_triangles)))
+            marked = data.draw(markings(mesh.n_triangles))
+            got = _vertex_neighborhood(mesh, marked)
+            want = oracles.vertex_neighborhood_any(mesh, marked)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestBoundarySides:
     """``BoundarySpec.constrained_vertices`` reads the sides off the
     lattice box; the oracle reads them off the edges of one triangle."""

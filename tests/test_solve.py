@@ -164,7 +164,7 @@ class TestSolve:
         monkeypatch.setattr(
             solve_module,
             "_factor",
-            lambda A: SimpleNamespace(solve=lambda b: real(A).solve(b) + 1e-6),
+            lambda A: SimpleNamespace(nnz=0, solve=lambda b: real(A).solve(b) + 1e-6),
         )
         with pytest.raises(SolverError, match="^SuperLU did not converge"):
             solve(replace(sine_system(0.125), a=None))
@@ -180,12 +180,14 @@ class TestSolve:
         def scaled(A):
             lu = real(A)
             return SimpleNamespace(
-                solve=lambda b: solves.append(b) or lu.solve(b) * (1.0 + error)
+                nnz=lu.nnz, solve=lambda b: solves.append(b) or lu.solve(b) * (1.0 + error)
             )
 
         monkeypatch.setattr(solve_module, "_factor", scaled)
-        values = solve(sys).values
+        field = solve(sys)
+        values = field.values
         assert len(solves) == n_solves
+        assert field.solve_stats["refined"] == (n_solves == 2)
         assert np.abs(values - exact).max() <= 1e-10 * np.abs(exact).max()
         assert error or np.array_equal(values, exact)
 
@@ -198,6 +200,32 @@ class TestSolve:
         solver_calls.clear()
         solve(sys)
         assert [name for name, _ in solver_calls] == ["cg"]
+
+
+class TestSolveStats:
+    """The record of the solve on the field ``solve`` returns."""
+
+    KEYS = {"path", "cg_steps", "rel_residual", "refined", "lu_nnz"}
+
+    def test_lattice_cg(self):
+        _, sys = pipeline_system(case_config("radial-uniform:1"))
+        stats = solve(sys).solve_stats
+        assert stats.keys() == self.KEYS
+        assert stats["path"] == "lattice CG" and stats["cg_steps"] == 7
+        assert stats["refined"] is False and stats["lu_nnz"] == 0
+        assert stats["rel_residual"] <= 1e-10
+
+    def test_superlu(self):
+        _, sys = pipeline_system(case_config("radial-local:1"))
+        stats = solve(sys).solve_stats
+        assert stats.keys() == self.KEYS
+        assert stats["path"] == "SuperLU" and stats["cg_steps"] == 0
+        assert stats["refined"] is False and stats["rel_residual"] <= 1e-10
+        # the factor stores at least the matrix's own entries
+        assert stats["lu_nnz"] >= sys.matrix.nnz
+
+    def test_fields_built_directly_carry_none(self, square_mesh):
+        assert SolutionField(square_mesh, np.zeros(square_mesh.n_vertices)).solve_stats is None
 
 
 def stencil(nx, ny, hx, hy, a):
@@ -290,9 +318,7 @@ class TestLatticePreconditioner:
         assert np.array_equal(block, np.flatnonzero(np.isin(sys.free, crossed)))
 
     @pytest.mark.parametrize("level, rows, steps", [(1, 36, 7), ("fine", 1254, 23)])
-    def test_crack_block_is_where_the_diagonal_leaves_the_stencil(
-        self, level, rows, steps, monkeypatch
-    ):
+    def test_crack_block_is_where_the_diagonal_leaves_the_stencil(self, level, rows, steps):
         # B comes from the crack's owner triangles; read off the matrix, it
         # is the rows whose diagonal differs from the stencil's
         _, sys = pipeline_system(radial_uniform(level))
@@ -302,32 +328,17 @@ class TestLatticePreconditioner:
         d0 = 2.0 * sys.a * (hy / hx + hx / hy)
         off = np.flatnonzero(np.abs(sys.matrix.diagonal() - d0) > 1e-12 * d0)
         assert np.array_equal(sys.crack_rows, off) and len(off) == rows
-        real_cg, counts = solve_module.spla.cg, []
-
-        def counting_cg(*args, **kwargs):
-            return real_cg(*args, callback=counts.append, **kwargs)
-
-        monkeypatch.setattr(solve_module.spla, "cg", counting_cg)
-        solve(sys)
-        assert len(counts) == steps
+        assert solve(sys).solve_stats["cg_steps"] == steps
 
     @pytest.mark.parametrize("permeability", [1.0, 100.0])
-    def test_cg_iterations_are_bounded(self, permeability, monkeypatch):
-        real_cg = solve_module.spla.cg
+    def test_cg_iterations_are_bounded(self, permeability):
         counts = []
-
-        def counting_cg(*args, **kwargs):
-            steps = []
-            assert isinstance(kwargs["M"], spla.LinearOperator)
-            x = real_cg(*args, callback=steps.append, **kwargs)
-            counts.append(len(steps))
-            return x
-
-        monkeypatch.setattr(solve_module.spla, "cg", counting_cg)
         for level in [*range(5), "fine"]:
             _, sys = pipeline_system(radial_uniform(level, permeability))
-            solve(sys)
-        assert len(counts) == 6 and max(counts) <= 40
+            stats = solve(sys).solve_stats
+            assert stats["path"] == "lattice CG"
+            counts.append(stats["cg_steps"])
+        assert max(counts) <= 40
 
     def test_iteration_cap_raises(self, monkeypatch):
         _, sys = pipeline_system(radial_uniform(0))
@@ -375,12 +386,15 @@ class TestLatticePreconditioner:
 
 
 class TestDirectFactorization:
-    @pytest.mark.parametrize("case", ["radial-local:1", "crack-network:default"])
-    def test_agrees_with_default_ordering(self, case):
+    @pytest.mark.parametrize(
+        "case, rtol",
+        [("radial-local:1", 1e-12), ("crack-network:default", 1e-12), ("radial-local:3", 1e-10)],
+    )
+    def test_agrees_with_default_ordering(self, case, rtol):
         _, system = pipeline_system(case_config(case))
         want = splu_default_solve(system.matrix, system.rhs)
         got = solve(system).values[system.free]
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
     def test_symmetric_ordering_cuts_fill(self, monkeypatch):
         fill = []
