@@ -48,41 +48,48 @@ def clip_segments_to_triangles(p, q, tris, tol):
     hi.
     """
     k = tris.shape[0]
-    # row 0 clips against the closed triangle, rows 1 and 2 against it with
-    # each edge moved out by tol and by REACH * tol: unnormalized signed
-    # distances >= -tol * |e|
-    lo = np.zeros((3, k))
-    hi = np.ones((3, k))
-    cross = lambda e, v, a: e[:, 0] * (v[:, 1] - a[:, 1]) - e[:, 1] * (v[:, 0] - a[:, 0])
-    for i in range(3):
-        a, b = tris[:, i, :], tris[:, (i + 1) % 3, :]
-        e = b - a
+    # contiguous rows: x and y of the corners (3, k) and of the ends (k,),
+    # the corners again with corner 0 after corner 2, so that edge i runs
+    # from row i to row i + 1; every kernel below acts on all three edges
+    (x, y), (px, py), (qx, qy) = (np.ascontiguousarray(a.T) for a in (tris, p, q))
+    x, y = np.concatenate([x, x[:1]]), np.concatenate([y, y[:1]])
+    ex, ey = x[1:] - x[:3], y[1:] - y[:3]
+
+    def mean_cross(vx, vy):
         # inward normal of a CCW triangle edge, not normalized, the mean from
         # both ends: the edge's other triangle gets its negation, bit for bit
-        f0 = 0.5 * (cross(e, p, a) + cross(e, p, b))
-        f1 = 0.5 * (cross(e, q, a) + cross(e, q, b))
-        length = np.linalg.norm(e, axis=1)
-        theta = np.stack([np.zeros(k), -tol * length, -REACH * tol * length])
-        denom = f1 - f0
-        # parallel edge: the segment moves less than tol across its line
-        flat = np.abs(denom) <= tol * length
-        safe = np.where(flat, 1.0, denom)
-        t = (theta - f0) / safe
-        rising = denom > 0
-        lo = np.where(~flat & rising, np.maximum(lo, t), lo)
-        hi = np.where(~flat & ~rising, np.minimum(hi, t), hi)
-        # the whole segment is in when either end is, else out
-        dead = flat & (np.maximum(f0, f1) < theta)
-        lo = np.where(dead, 1.0, lo)
-        hi = np.where(dead, -1.0, hi)
+        dx, dy = vx - x, vy - y
+        return 0.5 * ((ex * dy[:3] - ey * dx[:3]) + (ex * dy[1:] - ey * dx[1:]))
+
+    f0, f1 = mean_cross(px, py), mean_cross(qx, qy)
+    length = np.sqrt(ex * ex + ey * ey)  # the bits of np.linalg.norm
+    # row 0 clips against the closed triangle, rows 1 and 2 against it with
+    # each edge moved out by tol and by REACH * tol: unnormalized signed
+    # distances >= -tol * |e|; (3 thresholds, 3 edges, k)
+    theta = np.stack([np.zeros((3, k)), -tol * length, -REACH * tol * length])
+    denom = f1 - f0
+    # parallel edge: the segment moves less than tol across its line
+    flat = np.abs(denom) <= tol * length
+    t = (theta - f0) / np.where(flat, 1.0, denom)
+    rising = denom > 0
+    # each edge in turn raises lo or lowers hi, in edge order (ties of signed
+    # zeros keep their bits); an edge that does not bound lo gives it -inf,
+    # hi inf: a plain maximum, where a ufunc's where= mask is slow
+    up, down = ~flat & rising, ~flat & ~rising
+    lo, hi = np.zeros((3, k)), np.ones((3, k))
+    for i in range(3):
+        lo = np.maximum(lo, np.where(up[i], t[:, i], -np.inf))
+        hi = np.minimum(hi, np.where(down[i], t[:, i], np.inf))
+    # a parallel edge holds the whole segment when either end is in, else none
+    live = ~(flat & (np.maximum(f0, f1) < theta)).any(axis=1)
     (lo0, lo_t, lo_r), (hi0, hi_t, hi_r) = lo, hi
-    touched = lo_t <= hi_t
-    exact = lo0 <= hi0
+    touched = live[1] & (lo_t <= hi_t)
+    exact = live[0] & (lo0 <= hi0)
     graze = touched & ~exact
     mid = 0.5 * (lo_t + hi_t)
     lo = np.where(exact, lo0, np.where(graze, mid, 1.0))
     hi = np.where(exact, hi0, np.where(graze, mid, -1.0))
-    return lo, hi, touched, lo_r <= hi_r
+    return lo, hi, touched, live[2] & (lo_r <= hi_r)
 
 
 def corners(vertices, triangles):

@@ -122,16 +122,17 @@ def error_norms(
     for start in range(0, m, _NORM_BLOCK):
         blk = slice(start, start + _NORM_BLOCK)
         tris = mesh.triangles[blk]
-        # corner rows (3, k), each turned in place into the rule's rows:
+        # corner rows (3, k), gathered once: the gradients read them first,
+        # then each is turned in place into the rule's rows:
         # 0.5 * corner q + 0.5 * corner q + 1 (mod 3), the einsum's bits
         x, y, uh = (*corners(mesh.vertices, tris), solution.values[tris.T])
+        gh = solution.gradients(blk, (x, y, uh))
         for c in (x, y, uh):
             c *= 0.5
             c += c[[1, 2, 0]]
         uex, gx, gy = exact.value_and_gradient(x, y)
         uh -= uex
         np.square(uh, out=diff2[blk].T)
-        gh = solution.gradients(blk)
         gx -= gh[0]  # the negated error, whose square is the same
         gy -= gh[1]
         g2 = np.multiply(gx, gx, out=gdiff2[blk].T)

@@ -319,7 +319,10 @@ def assemble(
     lift[cons] = vals
     free = np.delete(np.arange(mesh.n_vertices), cons)
     if not mesh.is_lattice:  # lattice ids already run by y, then x
-        free = free[np.lexsort(mesh.vertices[free].T)]
+        # by y, then x, stably: lexsort's order from one complex sort key
+        v, key = np.take(mesh.vertices, free, axis=0), np.empty(len(free), dtype=complex)
+        key.real, key.imag = v[:, 1], v[:, 0]
+        free = free[np.argsort(key, kind="stable")]
     K = K0[free][:, free]
     K.eliminate_zeros()
     b = (b - K0 @ lift)[free]

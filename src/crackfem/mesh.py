@@ -118,16 +118,18 @@ class Mesh:
             self._areas.setflags(write=False)
         return self._areas
 
-    def hat_gradients(self, tri_ids=slice(None)) -> np.ndarray:
+    def hat_gradients(self, tri_ids=slice(None), rows=None) -> np.ndarray:
         """Constant hat-function gradients of the selected triangles, (3, 2, k).
 
         Entry [i, :, t] is the gradient of the hat of vertex i of triangle t:
         the opposite edge rotated a quarter turn, divided by twice the area.
+        ``rows`` are the caller's corner rows x, y of these triangles
+        (``corners``), which are then not gathered again.
         """
         # areas first, so their cached computation's temporaries are freed
         # before the gradients exist; the other order raises peak RSS
         twice = 2.0 * self.triangle_areas()[tri_ids]
-        x, y = corners(self.vertices, self.triangles[tri_ids])
+        x, y = corners(self.vertices, self.triangles[tri_ids]) if rows is None else rows
         grads = np.empty((3, 2, len(twice)))
         for i in range(3):
             a, b = (i + 1) % 3, (i + 2) % 3
@@ -197,11 +199,15 @@ class Mesh:
         sorted by (part, tri). Returns the ``Incidence`` among them and the
         near pairs (part, tri), sorted, of segments passing within
         ``REACH * tolerance`` of a triangle; they contain the incidence."""
-        lo, hi, touched, near = clip_segments_to_triangles(
-            starts[part], ends[part], self.vertices[self.triangles[tri]], self.tolerance
-        )
-        hits = Incidence(part[touched], tri[touched], lo[touched], hi[touched])
-        return hits, (part[near], tri[near])
+        # np.take copies whole rows, where the fancy gather vertices[triangles[tri]]
+        # loops over its length-2 and length-3 axes (several times slower)
+        tris = np.take(self.vertices, np.take(self.triangles, tri, axis=0), axis=0)
+        p, q = np.take(starts, part, axis=0), np.take(ends, part, axis=0)
+        lo, hi, touched, near = clip_segments_to_triangles(p, q, tris, self.tolerance)
+        # index gathers: boolean masks with no pattern are several times slower
+        touched, near = np.flatnonzero(touched), np.flatnonzero(near)
+        hits = Incidence(*(np.take(a, touched) for a in (part, tri, lo, hi)))
+        return hits, (np.take(part, near), np.take(tri, near))
 
     def edge_codes(self):
         """Unique undirected edges as codes a * n + b (a < b), plus the
@@ -348,47 +354,76 @@ def refine_marked(mesh: Mesh, marked):
     edge_marked[t2e[marked, 0]] = True
     while True:
         # column gathers OR'd: the bits of .any(axis=1) without an (m, 3) gather
-        need = (edge_marked[t2e[:, 1]] | edge_marked[t2e[:, 2]]) & ~edge_marked[t2e[:, 0]]
+        bisect = edge_marked[t2e[:, 0]]
+        need = (edge_marked[t2e[:, 1]] | edge_marked[t2e[:, 2]]) & ~bisect
         if not need.any():
             break
         edge_marked[t2e[need, 0]] = True
 
-    split = np.nonzero(edge_marked)[0]
-    split = split[np.argsort(pairs[split, 0] * n + pairs[split, 1])]
+    split = np.flatnonzero(edge_marked)
+    ends = np.take(pairs, split, axis=0)
+    order = np.argsort(ends[:, 0] * n + ends[:, 1])
+    split, ends = split[order], np.take(ends, order, axis=0)
     new_ids = n + np.arange(len(split))
     edge_newv = np.full(n_edges, -1, dtype=np.int64)
     edge_newv[split] = new_ids
-    vertices = np.vstack([mesh.vertices, mesh.vertices[pairs[split]].mean(axis=1)])
+    first, second = (np.take(mesh.vertices, end, axis=0) for end in ends.T)
+    vertices = np.concatenate([mesh.vertices, (first + second) / 2])  # the bits of their mean
 
-    def half(e, v):
-        """Id of the half of split edge e that ends at vertex v."""
-        return np.where(pairs[e, 0] == v, e, n_edges + edge_newv[e] - n)
+    # the band: each triangle is bisected at m0 into (m0, v0, v1) and
+    # (m0, v2, v0); the first again at m2 if edge 2 is split, the second at
+    # m1 if edge 1 is. Rows (3, k) of its corners v, edges e, midpoints m
+    # and each edge's halves: a ends at the edge's first corner, b at its other
+    cut = np.flatnonzero(bisect)
+    v = np.take(mesh.triangles, cut, axis=0).T
+    e = np.take(t2e.T, cut, axis=1)
+    mid = edge_newv[e]
+    own, other = pairs[:, 0][e] == v[[1, 2, 0]], n_edges + mid - n
+    a, b = np.where(own, e, other), np.where(own, other, e)
+    (v0, v1, v2), (_, e1, e2), (m0, m1, m2), (a0, a1, a2), (b0, b1, b2) = v, e, mid, a, b
+    f1, f2 = edge_marked[e1], edge_marked[e2]
+    # edge ids are rows of the table: (v0, m0) of each band triangle, then
+    # (m0, m2) and (m0, m1) of its children, in triangle order
+    twice = f1.astype(np.int64) + f2
+    s1, s2 = np.flatnonzero(f1), np.flatnonzero(f2)
+    base = n_edges + len(split)
+    i0 = base + np.arange(len(cut))
+    i2 = base + len(cut) + np.cumsum(twice) - twice
+    i1 = i2 + f2
+    out_pairs = np.empty((base + len(cut) + len(s1) + len(s2), 2), dtype=np.int64)
+    out_pairs[:n_edges] = pairs
+    low, high = out_pairs.T
+    high[split] = new_ids
+    low[n_edges:base], high[n_edges:base] = ends[:, 1], new_ids
+    low[base : base + len(cut)], high[base : base + len(cut)] = v0, m0
+    take = lambda sub, arrays: [np.take(x, sub) for x in arrays]
+    for sub, mk, ik in ((s2, m2, i2), (s1, m1, i1)):
+        apex, mk, ik = take(sub, (m0, mk, ik))
+        low[ik], high[ik] = np.minimum(apex, mk), np.maximum(apex, mk)
 
-    out, out_t2e, parent = mesh.triangles, t2e, np.arange(m)
-    out_pairs = [pairs, np.column_stack([pairs[split, 1], new_ids])]
-    # (v0, v1, v2) with midpoint m of (v1, v2) becomes (m, v0, v1) and (m, v2, v0),
-    # whose refinement edges are input edges: the second step needs no closure
-    for _ in range(2):
-        bisect = edge_marked[out_t2e[:, 0]]
-        cut = np.nonzero(bisect)[0]
-        v0, v1, v2 = out[cut].T
-        e0, e1, e2 = out_t2e[cut].T
-        mid = edge_newv[e0]
-        new = sum(map(len, out_pairs)) + np.arange(len(cut))
-        out = np.repeat(out, 1 + bisect, axis=0)
-        out_t2e = np.repeat(out_t2e, 1 + bisect, axis=0)
-        parent = np.repeat(parent, 1 + bisect)
-        left = cut + np.arange(len(cut))
-        out[left] = np.column_stack([mid, v0, v1])
-        out[left + 1] = np.column_stack([mid, v2, v0])
-        out_t2e[left] = np.column_stack([e2, half(e0, v1), new])
-        out_t2e[left + 1] = np.column_stack([e1, new, half(e0, v2)])
-        out_pairs.append(np.sort(np.column_stack([v0, mid]), axis=1))
-    out_pairs = np.concatenate(out_pairs)
-    out_pairs[split, 1] = new_ids
-    lattice = mesh.lattice._replace(cells=mesh.lattice.triangle_cells(m)[parent])
-    refined = Mesh(vertices, out, lattice)
-    refined._set_edges(out_pairs, out_t2e)
+    # children of one parent are consecutive: copy every row to the place
+    # of its first child, then write the band's children column by column
+    counts = np.ones(m, dtype=np.int64)
+    counts[cut] = 2 + twice
+    parent = np.repeat(np.arange(m), counts)
+    out = np.take(mesh.triangles, parent, axis=0)
+    # component-major, as ``edge_codes`` gives it: contiguous columns
+    out_t2e = np.take(t2e.T, parent, axis=1)
+    left = cut + np.cumsum(1 + twice) - (1 + twice)
+    right = left + 1 + f2
+    sel = lambda flag, yes, no: [np.where(flag, y, x) for y, x in zip(yes, no)]
+    # rows and six columns (corners, then edge ids) of each group of children
+    for rows, values in (
+        (left, sel(f2, (m2, m0, v0, i0, a2, i2), (m0, v0, v1, e2, a0, i0))),
+        (np.take(left + 1, s2), take(s2, (m2, v1, m0, a0, i2, b2))),
+        (right, sel(f1, (m1, m0, v2, b0, a1, i1), (m0, v2, v0, e1, i0, b0))),
+        (np.take(right + 1, s1), take(s1, (m1, v0, m0, i0, i1, b1))),
+    ):
+        for column, value in zip((*out.T, *out_t2e), values):
+            column[rows] = value
+    cells = np.take(mesh.lattice.triangle_cells(m), parent)
+    refined = Mesh(vertices, out, mesh.lattice._replace(cells=cells))
+    refined._set_edges(out_pairs, out_t2e.T)
     return refined, parent
 
 
@@ -398,16 +433,22 @@ def mark_crack_elements(hits: Incidence):
     intersects it, including touching its boundary within the geometric
     tolerance. Returns a sorted integer array.
     """
-    return np.unique(hits.tri)
+    # np.unique's bits, sorted and deduplicated here: it takes several times
+    # as long on these arrays
+    tri = np.sort(hits.tri)
+    first = np.ones(len(tri), dtype=bool)
+    first[1:] = tri[1:] != tri[:-1]
+    return tri[first]
 
 
 def _vertex_neighborhood(mesh: Mesh, tri_ids) -> np.ndarray:
     """Triangles sharing at least one vertex with the given set (inclusive),
-    sorted; the corner gathers OR'd, not ``mask[triangles].any(axis=1)``."""
+    sorted; the corner columns OR'd, not ``mask[triangles].any(axis=1)``."""
     t = mesh.triangles
     mask = np.zeros(mesh.n_vertices, dtype=bool)
-    mask[t[tri_ids].ravel()] = True
-    return np.flatnonzero(mask[t[:, 0]] | mask[t[:, 1]] | mask[t[:, 2]])
+    mask[np.take(t, tri_ids, axis=0).ravel()] = True
+    corner = np.take(mask, t)  # one (m, 3) row gather beats three column gathers
+    return np.flatnonzero(corner[:, 0] | corner[:, 1] | corner[:, 2])
 
 
 @dataclass

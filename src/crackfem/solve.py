@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from ._geom import corners
 from .assembly import LinearSystem
 from .mesh import Mesh, _render
 
@@ -37,16 +38,18 @@ def solve(system: LinearSystem) -> "SolutionField":
     if lattice is None:
         path, lu = "SuperLU", _factor(A)
         x, lu_nnz = lu.solve(rhs), lu.nnz
+        res = residual(x)
         # one step of iterative refinement where rounding in the factor misses
-        refined = not residual(x) <= REL_TOLERANCE * bnorm
+        refined = not res <= REL_TOLERANCE * bnorm
         if refined:
             x += lu.solve(rhs - A @ x)
+            res = residual(x)
     else:
         path, M, count = "lattice CG", lattice[0], lambda _: steps.append(None)
         x, _ = spla.cg(A, rhs, rtol=REL_TOLERANCE, maxiter=MAX_CG_STEPS, M=M, callback=count)
+        res = residual(x)
     # cg stops on its recursively updated residual, so both paths are
     # judged on the true one; a nan or inf solution fails the test too
-    res = residual(x)
     if not res <= REL_TOLERANCE * bnorm:
         raise SolverError(
             f"{path} did not converge: residual {res:.3e} against |b| "
@@ -150,11 +153,14 @@ class SolutionField:
         self.values.setflags(write=False)
         self._rows = None
 
-    def gradients(self, tri_ids=slice(None)) -> np.ndarray:
+    def gradients(self, tri_ids=slice(None), rows=None) -> np.ndarray:
         """Constant gradient of each selected triangle, component-major
-        (2, k): the corner values times the hat gradients."""
-        u = self.values[self.mesh.triangles[tri_ids].T]
-        return np.einsum("it,idt->dt", u, self.mesh.hat_gradients(tri_ids))
+        (2, k): the corner values times the hat gradients. ``rows`` are the
+        caller's corner rows x, y (``corners``) and values u, each (3, k),
+        of these triangles, which are then not gathered again."""
+        tris = self.mesh.triangles[tri_ids]
+        x, y, u = rows or (*corners(self.mesh.vertices, tris), self.values[tris.T])
+        return np.einsum("it,idt->dt", u, self.mesh.hat_gradients(tri_ids, (x, y)))
 
     def value_rows(self) -> str:
         """The values as rows ``"u\n"`` (``%r``), one string, rendered once

@@ -6,7 +6,9 @@ energy error by expansion, the error norms on finer rules, the P1 gradients
 and stiffness matrices of a single element, a single segment/triangle clip,
 point membership in one triangle, node incidence of a crack graph,
 near-crack degree-of-freedom counts, one generation of newest-vertex
-bisection as a table of six child cases, the chain cut one part at a time,
+bisection as a table of six child cases and as two whole-mesh bisection
+steps, the clip one edge at a time on (k, 3, 2) corner columns, the chain
+cut one part at a time,
 the one-sided branches of the radial exact solution, the smallest angle of a
 mesh, the three text exports written one f-string per line, the direct solve
 with SuperLU's default column ordering and partial pivoting, point location
@@ -38,7 +40,7 @@ from crackfem import (
     SineProductSolution,
     mark_crack_elements,
 )
-from crackfem._geom import REL_TOL, bbox_diameter, clip_segments_to_triangles
+from crackfem._geom import REACH, REL_TOL, bbox_diameter, clip_segments_to_triangles
 from crackfem.analysis import _GAUSS2_T, _GAUSS2_W, _TRI_MID_W, NormReport
 from crackfem.assembly import _canonical_segment_order
 from crackfem.mesh import _vertex_neighborhood
@@ -574,6 +576,102 @@ def refine_marked_table(mesh: Mesh, marked):
     refined = Mesh(vertices, out)
     refined._set_edges(out_pairs, out_t2e)
     return refined, np.repeat(np.arange(m), counts)
+
+
+def refine_marked_two_steps(mesh: Mesh, marked):
+    """``refine_marked`` as two whole-mesh bisection steps: each repeats
+    every row of the triangles, their edge ids and the parent map (a
+    two-dimensional ``np.repeat``), then writes the children of the
+    bisected rows as stacked rows. The same closure, midpoints, edge table,
+    lattice cells and parent map, bit for bit.
+    """
+    marked = np.asarray(marked)
+    m = mesh.n_triangles
+    if marked.size == 0:
+        return mesh, np.arange(m)
+    n = mesh.n_vertices
+    pairs, t2e = mesh.edge_table()
+    n_edges = len(pairs)
+    edge_marked = np.zeros(n_edges, dtype=bool)
+    edge_marked[t2e[marked, 0]] = True
+    while True:
+        need = (edge_marked[t2e[:, 1]] | edge_marked[t2e[:, 2]]) & ~edge_marked[t2e[:, 0]]
+        if not need.any():
+            break
+        edge_marked[t2e[need, 0]] = True
+
+    split = np.nonzero(edge_marked)[0]
+    split = split[np.argsort(pairs[split, 0] * n + pairs[split, 1])]
+    new_ids = n + np.arange(len(split))
+    edge_newv = np.full(n_edges, -1, dtype=np.int64)
+    edge_newv[split] = new_ids
+    vertices = np.vstack([mesh.vertices, mesh.vertices[pairs[split]].mean(axis=1)])
+
+    def half(e, v):
+        """Id of the half of split edge e that ends at vertex v."""
+        return np.where(pairs[e, 0] == v, e, n_edges + edge_newv[e] - n)
+
+    out, out_t2e, parent = mesh.triangles, t2e, np.arange(m)
+    out_pairs = [pairs, np.column_stack([pairs[split, 1], new_ids])]
+    # (v0, v1, v2) with midpoint m of (v1, v2) becomes (m, v0, v1) and (m, v2, v0),
+    # whose refinement edges are input edges: the second step needs no closure
+    for _ in range(2):
+        bisect = edge_marked[out_t2e[:, 0]]
+        cut = np.nonzero(bisect)[0]
+        v0, v1, v2 = out[cut].T
+        e0, e1, e2 = out_t2e[cut].T
+        mid = edge_newv[e0]
+        new = sum(map(len, out_pairs)) + np.arange(len(cut))
+        out = np.repeat(out, 1 + bisect, axis=0)
+        out_t2e = np.repeat(out_t2e, 1 + bisect, axis=0)
+        parent = np.repeat(parent, 1 + bisect)
+        left = cut + np.arange(len(cut))
+        out[left] = np.column_stack([mid, v0, v1])
+        out[left + 1] = np.column_stack([mid, v2, v0])
+        out_t2e[left] = np.column_stack([e2, half(e0, v1), new])
+        out_t2e[left + 1] = np.column_stack([e1, new, half(e0, v2)])
+        out_pairs.append(np.sort(np.column_stack([v0, mid]), axis=1))
+    out_pairs = np.concatenate(out_pairs)
+    out_pairs[split, 1] = new_ids
+    lattice = mesh.lattice._replace(cells=mesh.lattice.triangle_cells(m)[parent])
+    refined = Mesh(vertices, out, lattice)
+    refined._set_edges(out_pairs, out_t2e)
+    return refined, parent
+
+
+def clip_segments_per_edge(p, q, tris, tol):
+    """``clip_segments_to_triangles`` one edge at a time on the strided
+    columns of the (k, 3, 2) corners, masking each edge's bounds with
+    ``np.where``: the same intervals and masks, bit for bit."""
+    k = tris.shape[0]
+    lo = np.zeros((3, k))
+    hi = np.ones((3, k))
+    cross = lambda e, v, a: e[:, 0] * (v[:, 1] - a[:, 1]) - e[:, 1] * (v[:, 0] - a[:, 0])
+    for i in range(3):
+        a, b = tris[:, i, :], tris[:, (i + 1) % 3, :]
+        e = b - a
+        f0 = 0.5 * (cross(e, p, a) + cross(e, p, b))
+        f1 = 0.5 * (cross(e, q, a) + cross(e, q, b))
+        length = np.linalg.norm(e, axis=1)
+        theta = np.stack([np.zeros(k), -tol * length, -REACH * tol * length])
+        denom = f1 - f0
+        flat = np.abs(denom) <= tol * length
+        safe = np.where(flat, 1.0, denom)
+        t = (theta - f0) / safe
+        rising = denom > 0
+        lo = np.where(~flat & rising, np.maximum(lo, t), lo)
+        hi = np.where(~flat & ~rising, np.minimum(hi, t), hi)
+        dead = flat & (np.maximum(f0, f1) < theta)
+        lo = np.where(dead, 1.0, lo)
+        hi = np.where(dead, -1.0, hi)
+    (lo0, lo_t, lo_r), (hi0, hi_t, hi_r) = lo, hi
+    touched = lo_t <= hi_t
+    exact = lo0 <= hi0
+    graze = touched & ~exact
+    mid = 0.5 * (lo_t + hi_t)
+    lo = np.where(exact, lo0, np.where(graze, mid, 1.0))
+    hi = np.where(exact, hi0, np.where(graze, mid, -1.0))
+    return lo, hi, touched, lo_r <= hi_r
 
 
 def _dedupe_sorted(values: np.ndarray, tol: float) -> np.ndarray:

@@ -50,8 +50,14 @@ from crackfem import (
     run_single,
 )
 from crackfem import analysis, assembly
+from crackfem import mesh as mesh_module
 from crackfem._geom import REACH, clip_segments_to_triangles, corners
-from crackfem.config import EXACT_SOLUTIONS, _build_coefficients, _radial_levels
+from crackfem.config import (
+    EXACT_SOLUTIONS,
+    _build_coefficients,
+    _radial_levels,
+    build_crack_graph,
+)
 from crackfem.mesh import RECTANGLE_TAGS, Lattice
 
 
@@ -275,6 +281,85 @@ def _lattice_cases(draw):
     segment = st.tuples(point, point) | point.map(lambda p: (p, p))
     segments = np.array(draw(st.lists(segment, min_size=1, max_size=4)))
     return mesh, segments[:, 0], segments[:, 1]
+
+
+@st.composite
+def _clip_cases(draw):
+    """Every triangle of a rectangle mesh, refined 0-2 generations at random
+    markings, paired with each of 1-4 segments whose ends are on the
+    quarter lattice, on the line of a triangle edge (its ends, its midpoint
+    or beyond them), or anywhere in the domain; some ends moved by up to
+    1e-11, some segments of zero length."""
+    width, height = draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0))
+    h = min(width, height) / draw(st.integers(1, 3))
+    mesh = build_rectangle_mesh((0.0, width, 0.0, height), h)
+    for _ in range(draw(st.integers(0, 2))):
+        marked = draw(st.lists(st.integers(0, mesh.n_triangles - 1), max_size=4))
+        mesh, _ = refine_marked(mesh, marked)
+    v = mesh.vertices
+
+    def on_edge(case):
+        t, i, s = case
+        a, b = v[mesh.triangles[t, i]], v[mesh.triangles[t, (i + 1) % 3]]
+        return a + s * (b - a)
+
+    quarter = st.tuples(st.integers(0, int(4 * width / h)), st.integers(0, int(4 * height / h)))
+    edge = st.tuples(
+        st.integers(0, mesh.n_triangles - 1),
+        st.integers(0, 2),
+        st.sampled_from([0.0, 1.0, 0.5, 0.25, -0.5, 1.5]),
+    )
+    point = (
+        quarter.map(lambda ij: np.array(ij) * (h / 4))
+        | edge.map(on_edge)
+        | st.tuples(st.floats(0.0, width), st.floats(0.0, height)).map(np.array)
+    )
+    moved = st.tuples(st.floats(-1e-11, 1e-11), st.floats(-1e-11, 1e-11)).map(np.array)
+    end = st.builds(np.add, point, st.just(np.zeros(2)) | moved)
+    segment = st.tuples(end, end) | end.map(lambda p: (p, p))
+    segments = np.array(draw(st.lists(segment, min_size=1, max_size=4)))
+    k, m = len(segments), mesh.n_triangles
+    part, tri = np.repeat(np.arange(k), m), np.tile(np.arange(m), k)
+    return segments[part, 0], segments[part, 1], v[mesh.triangles[tri]], mesh.tolerance
+
+
+class TestClipMatchesPerEdge:
+    """The clip on contiguous corner rows, all three edges at once, gives the
+    per-edge clip on (k, 3, 2) columns bit for bit: intervals (signed zeros
+    included) and both masks, whatever the memory layout of its inputs."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(_clip_cases())
+    def test_snapped_aligned_and_moved_segments(self, case):
+        p, q, tris, tol = case
+        want = oracles.clip_segments_per_edge(p, q, tris, tol)
+        for args in (
+            (p, q, tris),
+            (np.asfortranarray(p), q, np.asfortranarray(tris)),
+            (p, q, np.ascontiguousarray(tris.transpose(2, 1, 0)).transpose(2, 1, 0)),
+        ):
+            got = clip_segments_to_triangles(*args, tol)
+            for a, b in zip(got, want):
+                assert_bitwise(a, b)
+
+    def test_study_calls(self, monkeypatch):
+        # every clip of refining the two coarsest radial-local levels
+        clip, calls = mesh_module.clip_segments_to_triangles, []
+
+        def recording(*args):
+            calls.append(args)
+            return clip(*args)
+
+        monkeypatch.setattr(mesh_module, "clip_segments_to_triangles", recording)
+        config = build_preset("radial-local")
+        for global_h in _radial_levels()[:2]:
+            rc = config.with_global_h(global_h).refinement
+            mesh = build_rectangle_mesh(config.domain, global_h)
+            refine_near_crack(mesh, build_crack_graph(config, global_h), rc)
+        assert len(calls) > 10
+        for args in calls:
+            for a, b in zip(clip(*args), oracles.clip_segments_per_edge(*args)):
+                assert_bitwise(a, b)
 
 
 class TestLatticeCandidates:

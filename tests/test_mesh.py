@@ -281,6 +281,64 @@ class TestBisectionMatchesTable:
             assert_carried_edges_are_fresh(mesh)
 
 
+def closure_passes(mesh, marked):
+    """Passes the closure of ``refine_marked`` makes, the last finding no
+    triangle with a marked edge but an unmarked refinement edge."""
+    pairs, t2e = mesh.edge_table()
+    edge_marked = np.zeros(len(pairs), dtype=bool)
+    edge_marked[t2e[marked, 0]] = True
+    passes = 1
+    while (need := edge_marked[t2e].any(axis=1) & ~edge_marked[t2e[:, 0]]).any():
+        edge_marked[t2e[need, 0]] = True
+        passes += 1
+    return passes
+
+
+def assert_same_refinement(got, want):
+    """Vertices, triangles, parent map, carried edge table and lattice
+    cells of two ``refine_marked`` results, bit for bit."""
+    (mesh, parent), (other, other_parent) = got, want
+    for a, b in (
+        (mesh.vertices, other.vertices),
+        (mesh.triangles, other.triangles),
+        (parent, other_parent),
+        *zip(mesh.edge_table(), other.edge_table()),
+        (mesh.lattice.triangle_cells(len(parent)), other.lattice.triangle_cells(len(parent))),
+    ):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestBisectionMatchesTwoSteps:
+    """Children written column by column at band positions give the two
+    whole-mesh bisection steps' results bitwise, edge ids included."""
+
+    @settings(deadline=None, max_examples=60)
+    @refinement_runs
+    def test_matches_the_two_steps(self, width, height, cells, generations, data):
+        mesh = steps = build_rectangle_mesh((0.0, width, 0.0, height), min(width, height) / cells)
+        for _ in range(generations):
+            marked = data.draw(markings(mesh.n_triangles))
+            got = refine_marked(mesh, marked)
+            want = oracles.refine_marked_two_steps(steps, marked)
+            assert_same_refinement(got, want)
+            (mesh, _), (steps, _) = got, want
+
+    def test_multi_pass_closures(self):
+        # grade toward the corner (0, 0); then marking one triangle pulls
+        # in a chain of coarser ones, one closure pass each
+        mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 0.25)
+        for _ in range(12):
+            distance = np.hypot(*mesh.vertices[mesh.triangles].mean(axis=1).T)
+            mesh, _ = refine_marked(mesh, np.flatnonzero(distance <= distance.min() * 1.0001))
+        passes = [closure_passes(mesh, [t]) for t in range(mesh.n_triangles)]
+        assert max(passes) >= 10
+        for t in np.argsort(passes)[-8:]:
+            got = refine_marked(mesh, [t])
+            assert_same_refinement(got, oracles.refine_marked_two_steps(mesh, [t]))
+            assert_carried_edges_are_fresh(got[0])
+
+
 class TestVertexNeighborhood:
     """The OR of three corner gathers gives the ``.any(axis=1)`` form's
     triangles bitwise, on random markings of refined meshes."""
