@@ -164,7 +164,7 @@ def error_norms(
         energy_sq += float(
             np.einsum("sq,q,s->", tdiff2, sw, crack.length * crack.permeability())
         )
-        h_crack = float(mesh.triangle_diameters(crack.crossed_triangles()).max())
+        h_crack = float(mesh.triangle_diameters(own).max())
 
     return NormReport(
         level=level,

@@ -168,9 +168,6 @@ class SegmentedCrack:
         """Per-segment tangential permeability."""
         return np.asarray([c.permeability for c in self.graph.chains])[self.chain_index]
 
-    def crossed_triangles(self) -> np.ndarray:
-        return np.unique(self.triangle_index)
-
     @classmethod
     def empty(cls) -> "SegmentedCrack":
         return cls(

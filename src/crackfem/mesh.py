@@ -209,33 +209,19 @@ class Mesh:
         hits = Incidence(*(np.take(a, touched) for a in (part, tri, lo, hi)))
         return hits, (np.take(part, near), np.take(tri, near))
 
-    def edge_codes(self):
-        """Unique undirected edges as codes a * n + b (a < b), plus the
-        (m, 3) map from triangles to edge ids. Edge 0 of a triangle is its
-        refinement edge."""
-        t = self.triangles
-        pairs = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
-        pairs = np.sort(pairs, axis=1)
-        codes = pairs[:, 0] * self.n_vertices + pairs[:, 1]
-        unique, inverse = np.unique(codes, return_inverse=True)
-        t2e = inverse.reshape(3, self.n_triangles).T
-        return unique, t2e
-
-    def edge_table(self):
-        """Undirected edges as (e, 2) vertex pairs (a < b), plus the (m, 3)
-        map from triangles to edge ids, edge 0 the refinement edge. A mesh
-        from ``refine_marked`` carries its table; otherwise it is built
-        once from ``edge_codes``, in code order."""
+    def edge_map(self) -> np.ndarray:
+        """(m, 3) map from triangles to undirected edge ids: edge i of a
+        triangle runs from its corner (i + 1) % 3 to (i + 2) % 3, so edge 0
+        is the refinement edge. A mesh from ``refine_marked`` carries its
+        map; otherwise the edges are numbered once, in order of their codes
+        a * n + b (a < b)."""
         if self._edges is None:
-            codes, t2e = self.edge_codes()
-            pairs = np.column_stack([codes // self.n_vertices, codes % self.n_vertices])
-            self._set_edges(pairs, t2e)
+            t = self.triangles
+            pairs = np.sort(np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]]), axis=1)
+            codes = pairs[:, 0] * self.n_vertices + pairs[:, 1]
+            self._edges = np.unique(codes, return_inverse=True)[1].reshape(3, -1).T
+            self._edges.setflags(write=False)
         return self._edges
-
-    def _set_edges(self, pairs, t2e) -> None:
-        for arr in (pairs, t2e):
-            arr.setflags(write=False)
-        self._edges = (pairs, t2e)
 
     def text_rows(self) -> tuple[str, str]:
         """Vertex rows ``"x y\n"`` (``%r``) and triangle rows ``"a b c\n"``
@@ -331,7 +317,7 @@ def refine_marked(mesh: Mesh, marked):
     of the input keep their indices, and the midpoints follow in (a, b)
     order of the split edges (a < b).
 
-    The output carries its edge table (``Mesh.edge_table``) and the input's lattice.
+    The output carries its edge map (``Mesh.edge_map``) and the input's lattice.
     Kept edges keep their ids; a split edge (a, b) with midpoint m keeps its
     id for (a, m), and (b, m) is appended, in midpoint order; then come the
     edges (apex, midpoint) each bisection adds, first those of the input's
@@ -348,8 +334,8 @@ def refine_marked(mesh: Mesh, marked):
     if marked.min() < 0 or marked.max() >= m:
         raise MeshError("marked triangle ids must lie in [0, n_triangles)")
     n = mesh.n_vertices
-    pairs, t2e = mesh.edge_table()
-    n_edges = len(pairs)
+    t2e = mesh.edge_map()
+    n_edges = int(t2e.max()) + 1  # every id names an edge of some triangle
     edge_marked = np.zeros(n_edges, dtype=bool)
     edge_marked[t2e[marked, 0]] = True
     while True:
@@ -360,46 +346,38 @@ def refine_marked(mesh: Mesh, marked):
             break
         edge_marked[t2e[need, 0]] = True
 
-    split = np.flatnonzero(edge_marked)
-    ends = np.take(pairs, split, axis=0)
-    order = np.argsort(ends[:, 0] * n + ends[:, 1])
-    split, ends = split[order], np.take(ends, order, axis=0)
-    new_ids = n + np.arange(len(split))
-    edge_newv = np.full(n_edges, -1, dtype=np.int64)
-    edge_newv[split] = new_ids
-    first, second = (np.take(mesh.vertices, end, axis=0) for end in ends.T)
-    vertices = np.concatenate([mesh.vertices, (first + second) / 2])  # the bits of their mean
-
     # the band: each triangle is bisected at m0 into (m0, v0, v1) and
     # (m0, v2, v0); the first again at m2 if edge 2 is split, the second at
-    # m1 if edge 1 is. Rows (3, k) of its corners v, edges e, midpoints m
-    # and each edge's halves: a ends at the edge's first corner, b at its other
+    # m1 if edge 1 is. Rows (3, k) of its corners v and edges e
     cut = np.flatnonzero(bisect)
     v = np.take(mesh.triangles, cut, axis=0).T
     e = np.take(t2e.T, cut, axis=1)
+    # every split edge is the refinement edge (v1, v2) of a band triangle,
+    # which gives its ends a < b, and so the midpoints' (a, b) order
+    low, high = np.empty(n_edges, dtype=np.int64), np.empty(n_edges, dtype=np.int64)
+    low[e[0]], high[e[0]] = np.minimum(v[1], v[2]), np.maximum(v[1], v[2])
+    split = np.flatnonzero(edge_marked)
+    split = split[np.argsort(np.take(low, split) * n + np.take(high, split))]
+    edge_newv = np.full(n_edges, -1, dtype=np.int64)
+    edge_newv[split] = n + np.arange(len(split))
+    first, second = (np.take(mesh.vertices, np.take(end, split), axis=0) for end in (low, high))
+    vertices = np.concatenate([mesh.vertices, (first + second) / 2])  # the bits of their mean
+
+    # midpoints m and each edge's halves: a ends at the edge's first corner,
+    # b at its other. Edge i runs from corner i + 1 to corner i + 2 (mod 3),
+    # and the half ending at the lower vertex keeps the edge's id
     mid = edge_newv[e]
-    own, other = pairs[:, 0][e] == v[[1, 2, 0]], n_edges + mid - n
+    own, other = v[[1, 2, 0]] < v[[2, 0, 1]], n_edges + mid - n
     a, b = np.where(own, e, other), np.where(own, other, e)
     (v0, v1, v2), (_, e1, e2), (m0, m1, m2), (a0, a1, a2), (b0, b1, b2) = v, e, mid, a, b
     f1, f2 = edge_marked[e1], edge_marked[e2]
-    # edge ids are rows of the table: (v0, m0) of each band triangle, then
-    # (m0, m2) and (m0, m1) of its children, in triangle order
+    # new edge ids: (v0, m0) of each band triangle, then (m0, m2) and
+    # (m0, m1) of its children, in triangle order
     twice = f1.astype(np.int64) + f2
     s1, s2 = np.flatnonzero(f1), np.flatnonzero(f2)
-    base = n_edges + len(split)
-    i0 = base + np.arange(len(cut))
-    i2 = base + len(cut) + np.cumsum(twice) - twice
+    i0 = n_edges + len(split) + np.arange(len(cut))
+    i2 = n_edges + len(split) + len(cut) + np.cumsum(twice) - twice
     i1 = i2 + f2
-    out_pairs = np.empty((base + len(cut) + len(s1) + len(s2), 2), dtype=np.int64)
-    out_pairs[:n_edges] = pairs
-    low, high = out_pairs.T
-    high[split] = new_ids
-    low[n_edges:base], high[n_edges:base] = ends[:, 1], new_ids
-    low[base : base + len(cut)], high[base : base + len(cut)] = v0, m0
-    take = lambda sub, arrays: [np.take(x, sub) for x in arrays]
-    for sub, mk, ik in ((s2, m2, i2), (s1, m1, i1)):
-        apex, mk, ik = take(sub, (m0, mk, ik))
-        low[ik], high[ik] = np.minimum(apex, mk), np.maximum(apex, mk)
 
     # children of one parent are consecutive: copy every row to the place
     # of its first child, then write the band's children column by column
@@ -407,11 +385,12 @@ def refine_marked(mesh: Mesh, marked):
     counts[cut] = 2 + twice
     parent = np.repeat(np.arange(m), counts)
     out = np.take(mesh.triangles, parent, axis=0)
-    # component-major, as ``edge_codes`` gives it: contiguous columns
+    # component-major, as ``edge_map`` numbers it: contiguous columns
     out_t2e = np.take(t2e.T, parent, axis=1)
     left = cut + np.cumsum(1 + twice) - (1 + twice)
     right = left + 1 + f2
     sel = lambda flag, yes, no: [np.where(flag, y, x) for y, x in zip(yes, no)]
+    take = lambda sub, arrays: [np.take(x, sub) for x in arrays]
     # rows and six columns (corners, then edge ids) of each group of children
     for rows, values in (
         (left, sel(f2, (m2, m0, v0, i0, a2, i2), (m0, v0, v1, e2, a0, i0))),
@@ -423,7 +402,8 @@ def refine_marked(mesh: Mesh, marked):
             column[rows] = value
     cells = np.take(mesh.lattice.triangle_cells(m), parent)
     refined = Mesh(vertices, out, mesh.lattice._replace(cells=cells))
-    refined._set_edges(out_pairs, out_t2e.T)
+    out_t2e.setflags(write=False)
+    refined._edges = out_t2e.T
     return refined, parent
 
 
@@ -525,7 +505,7 @@ def refine_near_crack(mesh: Mesh, crack: CrackGraph, config: RefinementConfig):
         band_diameters = current.triangle_diameters(band)
         need = band[band_diameters > target]
         if need.size == 0:
-            # only bisection reads the carried edge table: release it rather
+            # only bisection reads the carried edge map: release it rather
             # than hold it through assembly and the solve
             current._edges = None
             return current, hits

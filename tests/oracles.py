@@ -376,6 +376,17 @@ def signed_distance_to_crack(points, crack: CrackGraph):
     return best
 
 
+def edge_pairs(mesh: Mesh):
+    """Undirected edges as (e, 2) vertex pairs (a < b), read off the
+    triangles through ``mesh.edge_map()``, plus that map: edge i of a
+    triangle runs from its corner (i + 1) % 3 to (i + 2) % 3."""
+    t, t2e = mesh.triangles, mesh.edge_map()
+    pairs = np.empty((t2e.max(initial=-1) + 1, 2), dtype=np.int64)
+    for i in range(3):
+        pairs[t2e[:, i]] = np.sort(t[:, [(i + 1) % 3, (i + 2) % 3]], axis=1)
+    return pairs, t2e
+
+
 def validate_mesh(mesh: Mesh) -> None:
     """Raise MeshError on any violated invariant of a conforming mesh."""
     if not np.isfinite(mesh.vertices).all():
@@ -386,14 +397,15 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshError("triangle vertex index out of range")
     if (mesh.triangle_areas() <= 0.0).any():
         raise MeshError("non-positive triangle area (orientation broken)")
-    unique, t2e = mesh.edge_codes()
-    counts = np.bincount(t2e.ravel(), minlength=len(unique))
+    # edges numbered afresh: a carried map is what the check must not trust
+    pairs, t2e = edge_pairs(Mesh(mesh.vertices, mesh.triangles, mesh.lattice))
+    counts = np.bincount(t2e.ravel(), minlength=len(pairs))
     if (counts > 2).any():
         raise MeshError("edge shared by more than two triangles")
     # an edge of one triangle must lie on a side of the lattice box;
     # elsewhere it means a hanging node or a hole
-    once = unique[counts == 1]
-    ends = mesh.vertices[np.stack([once // mesh.n_vertices, once % mesh.n_vertices])]
+    once = pairs[counts == 1]
+    ends = mesh.vertices[once.T]
     xs, ys, _ = mesh.lattice
     on_box = np.zeros(len(once), dtype=bool)
     for axis, line in ((0, xs[0]), (0, xs[-1]), (1, ys[0]), (1, ys[-1])):
@@ -406,9 +418,8 @@ def side_vertices(mesh: Mesh, bounds) -> dict:
     """Vertex ids, sorted, on each side of the rectangle bounds (xmin, xmax,
     ymin, ymax), by name: the end points of the edges of one triangle whose
     two end points lie on that side's line."""
-    unique, t2e = mesh.edge_codes()
-    once = unique[np.bincount(t2e.ravel(), minlength=len(unique)) == 1]
-    ends = np.column_stack([once // mesh.n_vertices, once % mesh.n_vertices])
+    pairs, t2e = edge_pairs(mesh)
+    ends = pairs[np.bincount(t2e.ravel(), minlength=len(pairs)) == 1]
     xmin, xmax, ymin, ymax = bounds
     sides = {}
     for side, axis, line in (
@@ -487,7 +498,7 @@ def refine_marked_table(mesh: Mesh, marked):
     output is conforming. Vertices of the input keep their indices, and the
     midpoints follow in (a, b) order of the split edges (a < b).
 
-    The output carries its edge table (``Mesh.edge_table``) and tolerance.
+    The output carries its edge map (``Mesh.edge_map``) and tolerance.
     Kept edges keep their ids; a split edge (a, b) with midpoint m keeps its
     id for (a, m), and (b, m) is appended, in midpoint order; then come the
     edges inside bisected triangles: (v0, m0) of each, then (m1, m0) and
@@ -502,7 +513,7 @@ def refine_marked_table(mesh: Mesh, marked):
         return mesh, np.arange(mesh.n_triangles)
     t = mesh.triangles
     n, m = mesh.n_vertices, mesh.n_triangles
-    pairs, t2e = mesh.edge_table()
+    pairs, t2e = edge_pairs(mesh)
     n_edges = len(pairs)
     edge_marked = np.zeros(n_edges, dtype=bool)
     edge_marked[t2e[marked, 0]] = True
@@ -562,19 +573,8 @@ def refine_marked_table(mesh: Mesh, marked):
         out[rows[mask]] = np.column_stack([c[mask] for c in corners])
         out_t2e[rows[mask]] = np.column_stack([e[mask] for e in edges])
 
-    out_pairs = np.concatenate(
-        [
-            pairs,
-            np.column_stack([pairs[split, 1], new_ids]),
-            np.column_stack([v0, m0]),
-            np.column_stack([np.minimum(m1, m0), np.maximum(m1, m0)])[f1],
-            np.column_stack([np.minimum(m2, m0), np.maximum(m2, m0)])[f2],
-        ]
-    )
-    out_pairs[split, 1] = new_ids
-
     refined = Mesh(vertices, out)
-    refined._set_edges(out_pairs, out_t2e)
+    refined._edges = out_t2e
     return refined, np.repeat(np.arange(m), counts)
 
 
@@ -582,7 +582,7 @@ def refine_marked_two_steps(mesh: Mesh, marked):
     """``refine_marked`` as two whole-mesh bisection steps: each repeats
     every row of the triangles, their edge ids and the parent map (a
     two-dimensional ``np.repeat``), then writes the children of the
-    bisected rows as stacked rows. The same closure, midpoints, edge table,
+    bisected rows as stacked rows. The same closure, midpoints, edge map,
     lattice cells and parent map, bit for bit.
     """
     marked = np.asarray(marked)
@@ -590,7 +590,7 @@ def refine_marked_two_steps(mesh: Mesh, marked):
     if marked.size == 0:
         return mesh, np.arange(m)
     n = mesh.n_vertices
-    pairs, t2e = mesh.edge_table()
+    pairs, t2e = edge_pairs(mesh)
     n_edges = len(pairs)
     edge_marked = np.zeros(n_edges, dtype=bool)
     edge_marked[t2e[marked, 0]] = True
@@ -612,7 +612,7 @@ def refine_marked_two_steps(mesh: Mesh, marked):
         return np.where(pairs[e, 0] == v, e, n_edges + edge_newv[e] - n)
 
     out, out_t2e, parent = mesh.triangles, t2e, np.arange(m)
-    out_pairs = [pairs, np.column_stack([pairs[split, 1], new_ids])]
+    n_out_edges = n_edges + len(split)
     # (v0, v1, v2) with midpoint m of (v1, v2) becomes (m, v0, v1) and (m, v2, v0),
     # whose refinement edges are input edges: the second step needs no closure
     for _ in range(2):
@@ -621,7 +621,8 @@ def refine_marked_two_steps(mesh: Mesh, marked):
         v0, v1, v2 = out[cut].T
         e0, e1, e2 = out_t2e[cut].T
         mid = edge_newv[e0]
-        new = sum(map(len, out_pairs)) + np.arange(len(cut))
+        new = n_out_edges + np.arange(len(cut))
+        n_out_edges += len(cut)
         out = np.repeat(out, 1 + bisect, axis=0)
         out_t2e = np.repeat(out_t2e, 1 + bisect, axis=0)
         parent = np.repeat(parent, 1 + bisect)
@@ -630,12 +631,9 @@ def refine_marked_two_steps(mesh: Mesh, marked):
         out[left + 1] = np.column_stack([mid, v2, v0])
         out_t2e[left] = np.column_stack([e2, half(e0, v1), new])
         out_t2e[left + 1] = np.column_stack([e1, new, half(e0, v2)])
-        out_pairs.append(np.sort(np.column_stack([v0, mid]), axis=1))
-    out_pairs = np.concatenate(out_pairs)
-    out_pairs[split, 1] = new_ids
     lattice = mesh.lattice._replace(cells=mesh.lattice.triangle_cells(m)[parent])
     refined = Mesh(vertices, out, lattice)
-    refined._set_edges(out_pairs, out_t2e)
+    refined._edges = out_t2e
     return refined, parent
 
 
@@ -975,7 +973,7 @@ def error_norms_einsum(solution, exact, crack=None, coeffs=None, level=0):
         tdiff2 = (gt_h[:, None] - gt_ex) ** 2
         wl = crack.length * crack.permeability()
         energy_sq += float(np.einsum("sq,q,s->", tdiff2, _GAUSS2_W, wl))
-        diam = triangle_diameters_norm(mesh, crack.crossed_triangles())
+        diam = triangle_diameters_norm(mesh, np.unique(crack.triangle_index))
         h_crack = float(diam.max())
     return NormReport(
         level=level,

@@ -7,7 +7,9 @@ right-hand side and the free vertex ids. The mesh and segment
 digests were recorded before the P1 geometry was folded into ``Mesh``, the
 graph node digests before ``CrackGraph`` derived its nodes in one pass, and
 the radial-local level 3 and crack-network h=0.25 cases before refinement
-updated its crack incidence incrementally. The ``matrix.*`` and ``rhs``
+updated its crack incidence incrementally, and the deepest refinements,
+radial-local level 4 (13 generations) and crack-network h=0.125, before
+bisection stopped carrying a table of edge vertex pairs. The ``matrix.*`` and ``rhs``
 digests were re-recorded, and ``free`` added, when ``assemble`` stopped
 building an n x n matrix with identity rows at the Dirichlet vertices and
 returned only its free-free block: they are the digests of the older
@@ -251,6 +253,22 @@ GOLDEN = {
         "rhs": "685494a595ee78cd",
         "free": "5c06f556c6669a3b",
     },
+    "radial-local:4": {
+        "mesh.vertices": "2c5f90caa277cf35",
+        "mesh.triangles": "8b7c1caf5577cf53",
+        "segments.triangle_index": "bf71c790741bd72f",
+        "segments.points": "2b265e91ea46ee3a",
+        "segments.length": "4b67319905a56b86",
+        "segments.chain_index": "42785fd14ef08be3",
+        "segments.chain_length": "bd7be1deb9e3d709",
+        "segments.nodes": "05ecf13088bfd6ba",
+        "segments.chain_nodes": "7b29175914f14d24",
+        "matrix.data": "36cbf8166bcc1c5f",
+        "matrix.indices": "727ffa8ef8d312cb",
+        "matrix.indptr": "5eefdee0b169c14e",
+        "rhs": "5739433b2fb4cfff",
+        "free": "1b55900a0e498d5c",
+    },
     "crack-network:default": {
         "mesh.vertices": "13a28b3b7b7549e0",
         "mesh.triangles": "847d78d674f0a6f8",
@@ -282,6 +300,22 @@ GOLDEN = {
         "matrix.indptr": "32b8695f780187c7",
         "rhs": "1285c5d9bd867539",
         "free": "9189e8c662a07419",
+    },
+    "crack-network:h=0.125": {
+        "mesh.vertices": "0d4354c12b3cd7ab",
+        "mesh.triangles": "7554fd34ff920827",
+        "segments.triangle_index": "d3a82b290dadf69c",
+        "segments.points": "fe1edb55d0cd6bb9",
+        "segments.length": "29fd27416f4573c7",
+        "segments.chain_index": "a6f314a4367311c9",
+        "segments.chain_length": "e4de0fb64dc1ac7b",
+        "segments.nodes": "56b1a72272a89021",
+        "segments.chain_nodes": "90243e8b4813d976",
+        "matrix.data": "01c4bab0bc8fbdc6",
+        "matrix.indices": "3c396d21c2180891",
+        "matrix.indptr": "1116cea85fb0a362",
+        "rhs": "0a04cd57d5a3a746",
+        "free": "12e48698c752cb3a",
     },
 }
 

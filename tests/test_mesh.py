@@ -185,14 +185,16 @@ class TestMarkCrackElements:
 
 
 def assert_carried_edges_are_fresh(mesh):
-    """The edge table a refined mesh carries lists the edges a fresh
-    ``edge_codes`` finds, triangle by triangle and edge slot by edge slot."""
-    pairs, t2e = mesh.edge_table()
-    codes, fresh_t2e = mesh.edge_codes()
-    assert len(pairs) == len(codes)
-    assert (pairs[:, 0] < pairs[:, 1]).all()
-    carried = pairs[t2e, 0] * mesh.n_vertices + pairs[t2e, 1]
-    assert (carried == codes[fresh_t2e]).all()
+    """The edge map a refined mesh carries names the edges a fresh
+    numbering finds, triangle by triangle and edge slot by edge slot: its
+    ids are 0, 1, ... and map one to one onto the fresh ids."""
+    t2e = mesh.edge_map()
+    fresh_t2e = Mesh(mesh.vertices, mesh.triangles, mesh.lattice).edge_map()
+    n_edges = fresh_t2e.max() + 1
+    assert np.unique(t2e).tolist() == list(range(n_edges))
+    fresh_of = np.empty(n_edges, dtype=np.int64)
+    fresh_of[t2e] = fresh_t2e
+    assert (fresh_of[t2e] == fresh_t2e).all()
 
 
 class TestRefineMarked:
@@ -284,8 +286,8 @@ class TestBisectionMatchesTable:
 def closure_passes(mesh, marked):
     """Passes the closure of ``refine_marked`` makes, the last finding no
     triangle with a marked edge but an unmarked refinement edge."""
-    pairs, t2e = mesh.edge_table()
-    edge_marked = np.zeros(len(pairs), dtype=bool)
+    t2e = mesh.edge_map()
+    edge_marked = np.zeros(t2e.max() + 1, dtype=bool)
     edge_marked[t2e[marked, 0]] = True
     passes = 1
     while (need := edge_marked[t2e].any(axis=1) & ~edge_marked[t2e[:, 0]]).any():
@@ -295,14 +297,14 @@ def closure_passes(mesh, marked):
 
 
 def assert_same_refinement(got, want):
-    """Vertices, triangles, parent map, carried edge table and lattice
+    """Vertices, triangles, parent map, carried edge map and lattice
     cells of two ``refine_marked`` results, bit for bit."""
     (mesh, parent), (other, other_parent) = got, want
     for a, b in (
         (mesh.vertices, other.vertices),
         (mesh.triangles, other.triangles),
         (parent, other_parent),
-        *zip(mesh.edge_table(), other.edge_table()),
+        (mesh.edge_map(), other.edge_map()),
         (mesh.lattice.triangle_cells(len(parent)), other.lattice.triangle_cells(len(parent))),
     ):
         assert a.dtype == b.dtype and a.shape == b.shape
@@ -552,9 +554,8 @@ class TestIncrementalIncidence:
         crack = CrackGraph([Chain(points) for points in chains])
         mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), h)
         rc = RefinementConfig(global_h=h, rule=rule, crack_h=h / 8.0)
-        clips, bisections, fresh_tables = [], [], []
-        clip_pairs, bisect = Mesh.clip_pairs, mesh_module.refine_marked
-        edge_codes = Mesh.edge_codes
+        clips, bisections, fresh_maps = [], [], []
+        clip_pairs, bisect, edge_map = Mesh.clip_pairs, mesh_module.refine_marked, Mesh.edge_map
 
         def recording_clip(self, starts, ends, part, tri):
             hits, near = clip_pairs(self, starts, ends, part, tri)
@@ -566,21 +567,22 @@ class TestIncrementalIncidence:
             bisections.append((coarse, refined, parent))
             return refined, parent
 
-        def recording_edge_codes(self):
-            fresh_tables.append(self)
-            return edge_codes(self)
+        def recording_edge_map(self):
+            if self._edges is None:  # numbered here, not carried
+                fresh_maps.append(self)
+            return edge_map(self)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(Mesh, "clip_pairs", recording_clip)
             patch.setattr(mesh_module, "refine_marked", recording_bisect)
-            patch.setattr(Mesh, "edge_codes", recording_edge_codes)
+            patch.setattr(Mesh, "edge_map", recording_edge_map)
             refined, hits = refine_near_crack(mesh, crack, rc)
 
         # one incidence step per generation; the last is the one returned
         assert len(clips) == len(bisections) + 1
         assert clips[-1][0] is refined and clips[-1][3] is hits
-        # only the unrefined mesh builds its edge table; bisection carries it
-        assert fresh_tables == ([mesh] if bisections else [])
+        # only the unrefined mesh numbers its edges; bisection carries the map
+        assert fresh_maps == ([mesh] if bisections else [])
         for current, starts, ends, got, (near_part, near_tri) in clips:
             want = current.incidence(starts, ends)
             for a, b in zip(got, want):

@@ -385,6 +385,28 @@ class TestLatticePreconditioner:
         assert solver_calls == [("splu", None)]
 
 
+class TestResidualTargetBeyondDoublePrecision:
+    """ROADMAP item 1: on a circle of permeability 100 under a unit load
+    with zero walls, the crack rows' entries of order p / h_crack dwarf the
+    h^2-sized loads in |b|, so no double-precision solution meets the
+    relative residual target 1e-10 |b| and the solve raises. Both paths
+    fail today; the tests turn green when the acceptance test is mended."""
+
+    @pytest.mark.xfail(strict=True, raises=SolverError, reason="ROADMAP item 1")
+    @pytest.mark.parametrize(
+        "global_h, rule, path",
+        [(1.0 / 16.0, "quadratic", "SuperLU"), (1.0 / 128.0, "none", "lattice CG")],
+    )
+    def test_solve_accepts_the_best_double_precision_solution(self, global_h, rule, path):
+        chain = {**TWO_REGIONS["chains"][0], "permeability": 100.0}
+        raw = {**TWO_REGIONS, "chains": [chain], "coefficients": {"source": 1.0}}
+        config = ProblemConfig.from_dict(
+            {**raw, "refinement": {"global_h": global_h, "rule": rule}}
+        )
+        _, sys = pipeline_system(config)
+        assert solve(sys).solve_stats["path"] == path
+
+
 class TestDirectFactorization:
     @pytest.mark.parametrize(
         "case, rtol",
