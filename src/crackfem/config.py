@@ -39,6 +39,7 @@ from .cracks import (
 )
 from .mesh import (
     RECTANGLE_TAGS,
+    _TEXT_BLOCK,
     Mesh,
     RefinementConfig,
     build_rectangle_mesh,
@@ -58,10 +59,6 @@ SCHEMA_VERSION = 1
 
 _RADIAL = ExactRadialSolution()
 _SINE = SineProductSolution()
-
-# vertex rows per write of solution.txt, which bounds the rows held as
-# separate strings at once
-_TEXT_BLOCK = 1 << 16
 
 
 # every function of position takes one (k, 2) point array and returns (k,)

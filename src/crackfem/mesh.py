@@ -88,6 +88,9 @@ class Mesh:
             raise MeshError("vertices must be (n, 2)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangles must be (m, 3)")
+        ids = self.triangles
+        if ids.size and not 0 <= ids.min() <= ids.max() < self.n_vertices:
+            raise MeshError("triangle vertex ids must lie in [0, n_vertices)")
         for arr in (self.vertices, self.triangles):
             arr.setflags(write=False)
         if lattice is None:
@@ -227,7 +230,9 @@ class Mesh:
         """Vertex rows ``"x y\n"`` (``%r``) and triangle rows ``"a b c\n"``
         (``%d``), each as one string, rendered once (cached); every export
         layout is derived from them. Leading vertices that are the lattice
-        points, bit for bit, are rendered as the x reprs joined once per y."""
+        points, bit for bit, are rendered as the x reprs joined once per y;
+        the other vertices go through ``_render``, the triangles through
+        ``_render_ids``."""
         if self._rows is None:
             xs, ys = self.lattice.xs.tolist(), self.lattice.ys.tolist()
             pts = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
@@ -237,7 +242,7 @@ class Mesh:
             lead = "".join((tail := " " + repr(y) + "\n").join(xreprs) + tail for y in ys)
             self._rows = (
                 lead + _render("%r %r\n", self.vertices[len(xs) * len(ys) :]),
-                _render("%d %d %d\n", self.triangles),
+                _render_ids(self.triangles, self.n_vertices),
             )
         return self._rows
 
@@ -522,13 +527,52 @@ def refine_near_crack(mesh: Mesh, crack: CrackGraph, config: RefinementConfig):
     )
 
 
+# rows per rendering call and per solution.txt write, characters per write of
+# a VTK section: bounds the separate strings and copies held at once
+_TEXT_BLOCK = 1 << 16
+
+
 def _render(line: str, rows: np.ndarray) -> str:
-    """``line % tuple(row)`` for each row of a 2-D array, joined, 64k rows
-    per ``%`` call. ``tolist`` gives Python floats and ints, whose ``%r``
-    and ``%d`` are their ``repr`` and ``str``: the bytes of one f-string per
-    row."""
-    chunks = (rows[i : i + (1 << 16)] for i in range(0, len(rows), 1 << 16))
+    """``line % tuple(row)`` for each row of a 2-D array, joined,
+    ``_TEXT_BLOCK`` rows per ``%`` call; ``line`` holds ``%r`` fields.
+    ``tolist`` gives Python floats and ints, whose ``%r`` is their ``repr``:
+    the bytes of one f-string per row. Id rows go through ``_render_ids``."""
+    chunks = (rows[i : i + _TEXT_BLOCK] for i in range(0, len(rows), _TEXT_BLOCK))
     return "".join((line * len(c)) % tuple(c.ravel().tolist()) for c in chunks)
+
+
+def _render_ids(rows: np.ndarray, n: int) -> str:
+    """``"%d %d %d\n" % tuple(row)`` for each (m, 3) row of ids in [0, n),
+    joined. A table holds each id 0 .. n - 1 once as its decimal digits,
+    right-aligned in a fixed-width uint8 row with NUL padding on the left and
+    a space after; each ``_TEXT_BLOCK`` of rows is one gather from it, with
+    the last space of a row turned into a newline and the NULs dropped."""
+    width = len(str(max(n - 1, 0)))
+    table = np.full((n, width + 1), ord(" "), np.uint8)
+    ids = np.arange(n)
+    for place in range(width):  # units first; ids below 10**place have no digit there
+        column = table[:, width - 1 - place]
+        column[:] = ids % 10 + ord("0")
+        column[: 10**place if place else 0] = 0
+        ids //= 10
+    blocks = []
+    for i in range(0, len(rows), _TEXT_BLOCK):
+        chunk = np.take(table, rows[i : i + _TEXT_BLOCK], axis=0)
+        chunk[:, 2, -1] = ord("\n")
+        flat = chunk.ravel()
+        blocks.append(flat[flat != 0].tobytes().decode("ascii"))
+    return "".join(blocks)
+
+
+def _line_blocks(text: str, size: int):
+    """Pieces of ``text``, a run of ``"...\n"`` lines, that join back to it:
+    each ends at the first newline at least ``size`` characters past its
+    start, or at the end."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + size - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 def export_mesh_text(mesh: Mesh, path) -> None:
@@ -541,15 +585,20 @@ def export_mesh_text(mesh: Mesh, path) -> None:
 def export_vtk(mesh: Mesh, path, solution=None) -> None:
     """Legacy ASCII VTK unstructured grid; a ``solution`` on the mesh adds
     its vertex values as the point scalars ``u``, from its cached
-    ``value_rows``."""
+    ``value_rows``. The POINTS and CELLS lines are the mesh's cached
+    ``text_rows``, written a block of whole lines at a time (``_line_blocks``
+    of ``_TEXT_BLOCK`` characters), each block with its VTK suffix or prefix
+    added, so no whole-section copy is made."""
     n, nt = mesh.n_vertices, mesh.n_triangles
     vertex_rows, triangle_rows = mesh.text_rows()
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\ncrackfem mesh\nASCII\n")
         f.write(f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n")
-        f.write(vertex_rows.replace("\n", " 0.0\n"))
+        for block in _line_blocks(vertex_rows, _TEXT_BLOCK):
+            f.write(block.replace("\n", " 0.0\n"))
         f.write(f"CELLS {nt} {4 * nt}\n")
-        f.write(("3 " + triangle_rows).replace("\n", "\n3 ")[:-2])
+        for block in _line_blocks(triangle_rows, _TEXT_BLOCK):
+            f.write("3 " + block[:-1].replace("\n", "\n3 ") + "\n")
         f.write(f"CELL_TYPES {nt}\n" + "5\n" * nt)
         if solution is not None:
             f.write(f"POINT_DATA {n}\nSCALARS u double 1\nLOOKUP_TABLE default\n")

@@ -391,10 +391,6 @@ def validate_mesh(mesh: Mesh) -> None:
     """Raise MeshError on any violated invariant of a conforming mesh."""
     if not np.isfinite(mesh.vertices).all():
         raise MeshError("non-finite vertex coordinates")
-    if mesh.triangles.min(initial=0) < 0 or (
-        mesh.triangles.max(initial=-1) >= mesh.n_vertices
-    ):
-        raise MeshError("triangle vertex index out of range")
     if (mesh.triangle_areas() <= 0.0).any():
         raise MeshError("non-positive triangle area (orientation broken)")
     # edges numbered afresh: a carried map is what the check must not trust

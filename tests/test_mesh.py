@@ -27,8 +27,10 @@ from crackfem._geom import REL_TOL, bbox_diameter
 from crackfem.config import _radial_levels, build_crack_graph
 from crackfem.mesh import (
     RECTANGLE_TAGS,
-    _vertex_neighborhood,
+    _line_blocks,
     _render,
+    _render_ids,
+    _vertex_neighborhood,
     export_mesh_text,
     export_vtk,
 )
@@ -130,9 +132,18 @@ class TestMeshValidate:
     def test_detects_index_out_of_range(self, square_mesh):
         tris = square_mesh.triangles.copy()
         tris[0, 0] = 99
-        bad = Mesh(square_mesh.vertices, tris)
-        with pytest.raises(MeshError, match="range"):
-            validate_mesh(bad)
+        with pytest.raises(MeshError, match="n_vertices"):
+            Mesh(square_mesh.vertices, tris)
+
+    # negative ids would wrap in every gather, and the id renderer's table
+    # has a row for each vertex only
+    @pytest.mark.parametrize(
+        "n, triangles",
+        [(1, [[-5, 0, 0]]), (1, [[0, 0, 1]]), (9, [[0, 1, 2], [3, -1, 4]])],
+    )
+    def test_constructor_rejects_ids_outside_the_vertices(self, n, triangles):
+        with pytest.raises(MeshError, match=r"\[0, n_vertices\)"):
+            Mesh(np.zeros((n, 2)), triangles)
 
 
 class TestMarkCrackElements:
@@ -725,6 +736,59 @@ class TestExports:
         expected = "".join(f"{float(x)!r} {float(y)!r}\n" for x, y in rows)
         assert _render("%r %r\n", rows) == expected
 
+    @settings(deadline=None, max_examples=80)
+    @given(
+        n=st.sampled_from([1, 9, 10, 11, 99, 100, 101, 100_001]),
+        data=st.data(),
+        block=st.sampled_from([1, 2, 5, 1 << 16]),
+    )
+    def test_id_rows_match_one_format_per_row(self, n, data, block):
+        m = data.draw(st.integers(0, 12), label="m")
+        ids = st.one_of(st.integers(0, n - 1), st.sampled_from([0, n - 1]))
+        rows = data.draw(arrays(np.int64, (m, 3), elements=ids), label="rows")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mesh_module, "_TEXT_BLOCK", block)  # ragged last blocks
+            got = _render_ids(rows, n)
+        assert got == "".join("%d %d %d\n" % tuple(r) for r in rows)
+
+    def test_id_rows_across_blocks_match_one_format_per_row(self):
+        # 2 * 65536 + 3 rows: two whole blocks at the real size and a ragged one
+        n = 100_001
+        rows = np.random.default_rng(7).integers(0, n, size=(2 * (1 << 16) + 3, 3))
+        rows[:3] = [[0, 9, 10], [99, 100, 101], [9_999, 10_000, n - 1]]
+        assert _render_ids(rows, n) == "".join("%d %d %d\n" % tuple(r) for r in rows)
+        assert _render_ids(rows[:0], n) == ""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        lines=st.lists(st.text(st.characters(blacklist_characters="\n"), max_size=9)),
+        size=st.integers(1, 40),
+    )
+    @example(lines=[], size=1)
+    def test_line_blocks_join_back_to_whole_lines(self, lines, size):
+        text = "".join(line + "\n" for line in lines)
+        for n in (size, 1, len(text) + 1):
+            pieces = list(_line_blocks(text, n))
+            assert "".join(pieces) == text
+            assert all(piece.endswith("\n") for piece in pieces)
+        assert list(_line_blocks(text, 1)) == [line + "\n" for line in lines]
+        assert list(_line_blocks(text, len(text) + 1)) == ([text] if text else [])
+
+    def test_line_blocks_of_about_one_line(self):
+        # "abcd\n" is 5 characters: a block of 5 is one line, of 6 two
+        assert list(_line_blocks("abcd\n" * 4, 5)) == ["abcd\n"] * 4
+        assert list(_line_blocks("abcd\n" * 4, 6)) == ["abcd\nabcd\n"] * 2
+
+    def test_vtk_in_small_blocks_matches_the_oracle(self, rng, monkeypatch, tmp_path):
+        mesh = build_rectangle_mesh((-0.3, 0.0, 0.1, 0.77), 0.07)
+        mesh, _ = refine_marked(mesh, rng.choice(mesh.n_triangles, 9, replace=False))
+        field = SolutionField(mesh, rng.normal(size=mesh.n_vertices))
+        monkeypatch.setattr(mesh_module, "_TEXT_BLOCK", 7)
+        for solution in (None, field):
+            export_vtk(mesh, tmp_path / "got", solution)
+            oracles.export_vtk(mesh, tmp_path / "want", solution)
+            assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+
     def test_solution_field_point_data(self, square_mesh, tmp_path):
         values = np.linspace(-1.0, 1.0, square_mesh.n_vertices)
         field = SolutionField(square_mesh, values)
@@ -775,7 +839,7 @@ class TestExports:
         n = data.draw(st.integers(1, 12))
         m = data.draw(st.integers(0, 12))
         vertices = data.draw(arrays(np.float64, (n, 2), elements=_EXPORT_FLOATS))
-        triangles = data.draw(arrays(np.int64, (m, 3)))
+        triangles = data.draw(arrays(np.int64, (m, 3), elements=st.integers(0, n - 1)))
         values = data.draw(
             st.one_of(
                 arrays(np.float64, n, elements=_EXPORT_FLOATS),
