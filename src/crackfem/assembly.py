@@ -279,8 +279,8 @@ def assemble_load(mesh: Mesh, crack: SegmentedCrack, coeffs: Coefficients):
     b = np.zeros(n)
     # a zero source adds nothing; a function never equals 0
     if coeffs.source != 0.0:
-        fv = _values_at(coeffs.source, mesh.vertices, "the source")[mesh.triangles]
-        w = (mesh.triangle_areas() / 3.0)[:, None] * fv
+        w = _values_at(coeffs.source, mesh.vertices, "the source")[mesh.triangles]
+        w *= (mesh.triangle_areas() / 3.0)[:, None]
         b = np.bincount(mesh.triangles.ravel(), w.ravel(), minlength=n)
 
     if crack.n_segments:

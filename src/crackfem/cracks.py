@@ -198,8 +198,7 @@ def cut_chains(mesh, crack: CrackGraph, hits=None) -> SegmentedCrack:
         return SegmentedCrack.empty()
     tol = mesh.tolerance
     starts, ends = crack.parts()
-    n_parts = np.asarray([len(c.points) - 1 for c in crack.chains])
-    chain_of = np.repeat(np.arange(crack.n_chains), n_parts)
+    chain_of = np.repeat(np.arange(crack.n_chains), [len(c.points) - 1 for c in crack.chains])
     plen = np.linalg.norm(ends - starts, axis=1)
     cut = plen > tol
     uncut = np.bincount(chain_of[cut], minlength=crack.n_chains) == 0
@@ -232,24 +231,24 @@ def cut_chains(mesh, crack: CrackGraph, hits=None) -> SegmentedCrack:
     k, b0, b1 = k[start], t[start], t[start + 1]
     mids = 0.5 * (b0 + b1)
 
-    # hits are sorted by (part, tri): the first cover is the lowest triangle
-    first = np.searchsorted(part, k, side="left")
-    count = np.searchsorted(part, k, side="right") - first
-    sub = np.repeat(np.arange(k.size), count)
-    pair = expand_ranges(first, count)
-    m, slack = mids[sub], tol_t[k][sub]
-    covers = (lo[pair] <= m + slack) & (hi[pair] >= m - slack)
-    owned, first_cover = np.unique(sub[covers], return_index=True)
-    if owned.size < k.size:
-        s = np.setdiff1d(np.arange(k.size), owned)[0]
+    # sub-segments are sorted by (part, mid): each hit covers one run of them;
+    # hits are sorted by (part, tri): the lowest covering hit is the lowest triangle
+    slack = tol_t[k]
+    first = np.searchsorted(k + 1j * (mids + slack), part + 1j * lo, side="left")
+    end = np.searchsorted(k + 1j * (mids - slack), part + 1j * hi, side="right")
+    count = np.maximum(end - first, 0)
+    owner = np.full(k.size, tri.size)
+    np.minimum.at(owner, expand_ranges(first, count), np.repeat(np.arange(tri.size), count))
+    if (owner == tri.size).any():
+        s = int(np.argmax(owner == tri.size))
         j = chain_of[k[s]]
         where = (starts[k[s]] + mids[s] * (ends[k[s]] - starts[k[s]])).tolist()
         raise CrackGeometryError(
-            f"chain {j} part {k[s] - n_parts[:j].sum()} leaves the mesh near {where}"
+            f"chain {j} part {k[s] - np.searchsorted(chain_of, j)} leaves the mesh near {where}"
         )
     p, d = starts[k], (ends - starts)[k]
     return SegmentedCrack(
-        triangle_index=tri[pair[covers][first_cover]],
+        triangle_index=tri[owner],
         points=np.stack([p + b0[:, None] * d, p + b1[:, None] * d], axis=1),
         length=(b1 - b0) * plen[k],
         chain_index=chain_of[k],

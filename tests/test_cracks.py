@@ -1,5 +1,7 @@
 """Crack graphs, arc sampling, and the chain-to-triangle cutter."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -289,6 +291,18 @@ class TestCutChains:
         with pytest.raises(CrackGeometryError, match="outside|leaves"):
             cut_chains(square_mesh, CrackGraph([chain]))
 
+    def test_sub_segment_without_owner_is_named(self):
+        # the second chain's second part leaves the square at x = 1: its
+        # first sub-segment past the side has no owner triangle
+        inside = Chain(np.array([[0.1, 0.2], [0.3, 0.4]]))
+        leaving = Chain(np.array([[0.2, 0.6], [0.4, 0.6], [1.6, 0.7]]))
+        mesh = build_rectangle_mesh((0.0, 1.0, 0.0, 1.0), 0.25)
+        with pytest.raises(CrackGeometryError) as err:
+            cut_chains(mesh, CrackGraph([inside, leaving]))
+        assert str(err.value) == (
+            "chain 1 part 1 leaves the mesh near [1.3000000000000003, 0.6749999999999999]"
+        )
+
     def test_chain_within_tolerance_is_rejected_by_name(self, fine_square_mesh):
         # long enough for the graph (1.8e-12 > 1e-12), but every part is
         # below the mesh tolerance 1.41e-12
@@ -430,6 +444,27 @@ class TestOnePassCut:
             np.bincount(c.triangle_index, weights=c.length)[owners] for c in (cut, back)
         ]
         assert np.allclose(*per_owner, rtol=1e-12, atol=4.0 * tol)
+
+    def test_network_cut_is_linear_in_its_covers(self):
+        # crack-network at global_h 0.125 has straight parts with up to 1 540
+        # hits, more than any drawn chain: pairing each sub-segment with each
+        # hit of its part took a 122 MiB traced peak there
+        config = build_preset("crack-network").with_global_h(0.125)
+        mesh = build_rectangle_mesh(config.domain, 0.125)
+        crack = build_crack_graph(config, 0.125)
+        mesh, hits = refine_near_crack(mesh, crack, config.refinement)
+        assert np.bincount(hits.part).max() >= 1500
+        tracemalloc.start()
+        try:
+            cut = cut_chains(mesh, crack, hits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        want = cut_chains_per_part(mesh, crack, hits)
+        for name in ("triangle_index", "points", "length", "chain_index"):
+            got, ref = getattr(cut, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
 
     @settings(deadline=None, max_examples=40)
     @given(polylines(st.floats(0.0, 1.0)), _CUT_H, _CUT_RULE)
